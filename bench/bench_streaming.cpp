@@ -2,11 +2,13 @@
 // against the two re-solve alternatives it replaces:
 //
 //   stream push      — StreamingAssimilator::push: extend z = L^{-1} d by one
-//                      block row + two slab accumulations. Dominated by the
-//                      constant slab term, so latency grows SUB-linearly in
-//                      the tick index (the forward-substitution extension is
-//                      the only t-dependent piece; there is no per-tick
-//                      refactorization anywhere).
+//                      block row + two slab accumulations. The R term is
+//                      constant; the forward-substitution extension and the
+//                      MAP term (the causal W* row block of tick t spans
+//                      (t + 1) Nm columns) grow linearly in the tick index,
+//                      so early ticks are cheapest and the whole-event W*
+//                      traffic is half that of a full-width slab. There is
+//                      no per-tick refactorization anywhere.
 //   truncated solve  — from-scratch solve of the leading (t Nd) subsystem on
 //                      the cached factor (prefix forward + backward
 //                      substitution, O((t Nd)^2), plus the matrix-free G*
@@ -17,11 +19,10 @@
 //                      every tick: what the pre-streaming front door had to
 //                      do to refresh m_map + forecast mid-event.
 //
-// Expected shape: the push column stays near-flat in tens of microseconds
-// (sub-linear growth — no refactorization, and the t-dependent forward-
-// substitution extension is subdominant to the constant slab term), while
-// every re-solve pays the milliseconds-per-tick lift the streaming engine
-// amortized into its offline slabs. The last-quarter / first-quarter mean
+// Expected shape: the push column stays in tens of microseconds, growing
+// linearly with the tick index (no refactorization; the MAP sweep widens by
+// Nm columns per tick), while every re-solve pays the milliseconds-per-tick
+// lift the streaming engine amortized into its offline slabs. The last-quarter / first-quarter mean
 // latencies and the whole-event totals are printed at the end (quoted in
 // the PR description).
 
@@ -182,8 +183,8 @@ int main() {
   std::printf("growth, last-quarter / first-quarter mean latency (tick index "
               "grows ~%.0fx):\n",
               static_cast<double>(nt - nt / 8) / (0.5 + nt / 8.0));
-  std::printf("  stream push     %s -> %s  (%.2fx, sub-linear: no "
-              "refactorization, slab term dominates)\n",
+  std::printf("  stream push     %s -> %s  (%.2fx: no refactorization; "
+              "the causal MAP sweep widens with the tick)\n",
               format_duration(push_early).c_str(),
               format_duration(push_late).c_str(), push_late / push_early);
   std::printf("  truncated solve %s -> %s  (%.2fx; dominated by the "

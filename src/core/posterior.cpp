@@ -40,14 +40,6 @@ TSUNAMI_HOT_PATH void Posterior::apply_gstar(std::span<const double> y,
   apply_gstar(y, m, tls_workspace());
 }
 
-void Posterior::apply_gstar_many(const Matrix& y_cols, Matrix& m_cols) const {
-  if (y_cols.rows() != data_dim())
-    throw std::invalid_argument("Posterior::apply_gstar_many: row mismatch");
-  Matrix ft_cols;  // parameter_dim x nrhs
-  f_.apply_transpose_many(y_cols, ft_cols);
-  prior_.apply_time_blocks_columns(ft_cols, m_cols, time_dim());
-}
-
 TSUNAMI_HOT_PATH void Posterior::apply_gstar_prefix(std::span<const double> y,
                                                     std::size_t ticks,
                                                     std::span<double> m,

@@ -50,12 +50,6 @@ class Posterior {
   TSUNAMI_HOT_PATH void apply_gstar(std::span<const double> y,
                                     std::span<double> m, Workspace& ws) const;
 
-  /// Multi-RHS G*: columns of `y_cols` (data_dim rows) mapped column-wise to
-  /// `m_cols` (parameter_dim rows). Batches the Toeplitz transpose through
-  /// the multi-RHS FFT path; used by the streaming engine to bake
-  /// Gamma_prior F^T L^{-T} into a per-tick-updatable operator.
-  void apply_gstar_many(const Matrix& y_cols, Matrix& m_cols) const;
-
   /// Prefix G*: treats `y` as the leading `ticks` observation intervals of a
   /// data-space vector (remaining intervals zero) and applies G*. This is
   /// exactly G restricted to the rows available at tick `ticks` — the

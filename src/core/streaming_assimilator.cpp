@@ -27,44 +27,49 @@ TSUNAMI_HOT_PATH inline void accumulate_row_tile(const double* row, double zj,
   for (std::size_t c = c0; c < c1; ++c) m[c] += zj * row[c];
 }
 
-/// out += slab[p0:p1, :]^T z[p0:p1] — the per-tick truncated-posterior
-/// accumulation. Column-tiled so the output tile stays in L1 across all
-/// block rows: the naive row-by-row axpy re-streams the whole output vector
-/// (Nm Nt doubles) once per sensor, which dominated push latency for the
-/// MAP slab. The slab rows themselves are read exactly once either way.
+/// out[0:ncols) += rows^T z[0:nrows) over a row-major block of nrows rows
+/// (row stride ncols) — the per-tick truncated-posterior accumulation.
+/// Column-tiled so the output tile stays in L1 across all rows: the naive
+/// row-by-row axpy re-streams the whole output vector once per sensor,
+/// which dominated push latency for the MAP slab. The slab rows themselves
+/// are read exactly once either way.
+TSUNAMI_HOT_PATH void accumulate_rows(const double* rows, std::size_t nrows,
+                                      std::size_t ncols, const double* z,
+                                      double* out) {
+  for (std::size_t c0 = 0; c0 < ncols; c0 += kAccTile) {
+    const std::size_t c1 = std::min(c0 + kAccTile, ncols);
+    for (std::size_t j = 0; j < nrows; ++j)
+      accumulate_row_tile(rows + j * ncols, z[j], out, c0, c1);
+  }
+}
+
+/// out += slab[p0:p1, :]^T z[p0:p1] over a dense slab (R).
 TSUNAMI_HOT_PATH void accumulate_block_rows(const Matrix& slab,
                                             const std::vector<double>& z,
                                             std::size_t p0, std::size_t p1,
                                             std::vector<double>& out) {
-  const std::size_t ncols = slab.cols();
-  const double* w = slab.data();
-  double* m = out.data();
-  for (std::size_t c0 = 0; c0 < ncols; c0 += kAccTile) {
-    const std::size_t c1 = std::min(c0 + kAccTile, ncols);
-    for (std::size_t j = p0; j < p1; ++j) {
-      accumulate_row_tile(w + j * ncols, z[j], m, c0, c1);
-    }
-  }
+  accumulate_rows(slab.data() + p0 * slab.cols(), p1 - p0, slab.cols(),
+                  z.data() + p0, out.data());
 }
 
-/// Batched variant: outs[k] += slab[p0:p1, :]^T zs[k][p0:p1] for all K
-/// events in ONE sweep over the slab rows — each row (the bandwidth cost)
-/// is loaded once and reused K times. Tiles are independent (disjoint
-/// output columns), so the caller may parallelize over them; within a tile
-/// the loop order tile -> j -> k -> c keeps, for every (k, c), the same
-/// j-ascending addition order as accumulate_block_rows.
-TSUNAMI_HOT_PATH void accumulate_block_rows_many(
-    const Matrix& slab, std::size_t p0, std::size_t p1,
-    std::span<const double* const> zs, std::span<double* const> outs) {
-  const std::size_t ncols = slab.cols();
+/// Batched variant: outs[k] += rows^T zs[k][0:nrows) for all K events in
+/// ONE sweep over the rows — each row (the bandwidth cost) is loaded once
+/// and reused K times. Tiles are independent (disjoint output columns), so
+/// they run in parallel; within a tile the loop order tile -> j -> k -> c
+/// keeps, for every (k, c), the same j-ascending addition order as
+/// accumulate_rows.
+TSUNAMI_HOT_PATH void accumulate_rows_many(const double* rows,
+                                           std::size_t nrows,
+                                           std::size_t ncols,
+                                           std::span<const double* const> zs,
+                                           std::span<double* const> outs) {
   const std::size_t nk = zs.size();
-  const double* w = slab.data();
   const std::size_t ntiles = (ncols + kAccTile - 1) / kAccTile;
   parallel_for_min(ntiles, 2, [&](std::size_t tile) {
     const std::size_t c0 = tile * kAccTile;
     const std::size_t c1 = std::min(c0 + kAccTile, ncols);
-    for (std::size_t j = p0; j < p1; ++j) {
-      const double* row = w + j * ncols;
+    for (std::size_t j = 0; j < nrows; ++j) {
+      const double* row = rows + j * ncols;
       for (std::size_t k = 0; k < nk; ++k) {
         accumulate_row_tile(row, zs[k][j], outs[k], c0, c1);
       }
@@ -86,6 +91,7 @@ StreamingEngine::StreamingEngine(const Posterior& posterior,
       opts_(options),
       nd_(posterior.forward_map().block_rows()),
       nt_(posterior.time_dim()),
+      nm_(posterior.spatial_dim()),
       n_(posterior.data_dim()),
       np_(posterior.parameter_dim()),
       nqoi_(predictor.qoi_dim()) {
@@ -138,28 +144,64 @@ StreamingEngine::StreamingEngine(const Posterior& posterior,
           std::sqrt(std::max(0.0, cov_q(i, i)) + tail[i]);
   }
 
-  if (opts_.track_map) {
-    // W* = L^{-1} F Gamma_prior, materialized row-major so each tick's block
-    // rows are contiguous slabs. Built as (Gamma_prior F^T L^{-T})^T from
-    // backward solves on unit vectors — n of them, not Nm*Nt. Scoped so the
-    // n x n triangular inverse is freed before the slab transpose (the
-    // transient peak is the largest allocation in the program).
-    Matrix gstar_cols;  // (Nm Nt) x n
-    {
-      Matrix linv_t(n_, n_);  // columns: L^{-T} e_j
-      parallel_for_min(n_, 4, [&](std::size_t j) {
-        std::vector<double> col(n_, 0.0);
-        col[j] = 1.0;
-        chol.backward_solve_in_place(col);
-        for (std::size_t i = 0; i < n_; ++i) linv_t(i, j) = col[i];
-      });
-      post_.apply_gstar_many(linv_t, gstar_cols);
-    }
-    wstar_ = gstar_cols.transposed();
-  }
+  if (opts_.track_map) build_wstar();
 
   precompute_seconds_ = watch.seconds();
   if (timers) timers->add("streaming: precompute", precompute_seconds_);
+}
+
+void StreamingEngine::build_wstar() {
+  // W* = L^{-1} F Gamma_prior, row j = (Gamma_prior F^T L^{-T} e_j)^T. For
+  // j in tick block tau, L^{-T} e_j vanishes below row j, F^T (block upper
+  // triangular) keeps it within parameter blocks 0..tau, and the prior acts
+  // per time block: row block tau is zero beyond column (tau + 1) Nm, and
+  // only that causal part is built and stored. One multi-RHS lift of the
+  // Nd unit solves per tick block; the lift is pool-parallel inside, so the
+  // result is bitwise identical at any worker count. The Toeplitz
+  // workspace and staging below die with this call.
+  TRACE_SCOPE("offline", "wstar_build");
+  const DenseCholesky& chol = post_.hessian().cholesky();
+  const BlockToeplitz& f = post_.forward_map();
+  const MaternPrior& prior = post_.prior();
+  wstar_.assign(wstar_offset(nt_), 0.0);
+  ToeplitzWorkspace ws;
+  Matrix units(n_, nd_);  // columns: L^{-T} e_j for the rows j of block tau
+  Matrix lifted;          // F^T units, np x Nd
+  std::vector<double> staging(static_cast<std::size_t>(num_threads()) * nm_);
+  for (std::size_t tau = 0; tau < nt_; ++tau) {
+    parallel_for_min(nd_, 4, [&](std::size_t v) {
+      std::vector<double> col(n_, 0.0);
+      col[tau * nd_ + v] = 1.0;
+      chol.backward_solve_in_place(col);
+      for (std::size_t i = 0; i < n_; ++i) units(i, v) = col[i];
+    });
+    f.apply_transpose_many(units, lifted, ws);
+    // Row v of the block, parameter block k <= tau: Gamma_prior applied to
+    // that block of lifted column v, written straight into the slab.
+    const std::size_t width = wstar_width(tau);
+    double* block = wstar_.data() + wstar_offset(tau);
+    parallel_for_slotted(
+        nd_ * (tau + 1), 2, [&](std::size_t idx, std::size_t slot) {
+          const std::size_t v = idx / (tau + 1), k = idx % (tau + 1);
+          const std::span<double> in(staging.data() + slot * nm_, nm_);
+          for (std::size_t i = 0; i < nm_; ++i) in[i] = lifted(k * nm_ + i, v);
+          prior.apply(in, std::span<double>(block + v * width + k * nm_, nm_));
+        });
+  }
+}
+
+TSUNAMI_HOT_PATH void StreamingEngine::accumulate_wstar(
+    const std::vector<double>& z, std::size_t p0, std::size_t p1,
+    std::vector<double>& out) const {
+  // One tick block at a time (its rows share a width); per output column
+  // the adds stay j-ascending across blocks.
+  for (std::size_t j0 = p0; j0 < p1;) {
+    const std::size_t tau = j0 / nd_;
+    const std::size_t j1 = std::min(p1, (tau + 1) * nd_);
+    accumulate_rows(wstar_.data() + wstar_row_offset(j0), j1 - j0,
+                    wstar_width(tau), z.data() + j0, out.data());
+    j0 = j1;
+  }
 }
 
 void StreamingEngine::check_alive(const char* what) const {
@@ -225,7 +267,7 @@ void StreamingEngine::apply_mask(const SensorMask& mask) {
     slab = std::move(v);
   };
   resolve_slab(r_);
-  if (opts_.track_map) resolve_slab(wstar_);
+  if (opts_.track_map) resolve_wstar(l, chol, mask);
 
   // Credible-interval schedule of the reduced network: the prior QoI
   // variance (schedule row 0, data-independent hence mask-independent)
@@ -245,6 +287,50 @@ void StreamingEngine::apply_mask(const SensorMask& mask) {
           std::sqrt(std::max(0.0, prior_var[i] - acc[i]));
   }
   precompute_seconds_ += watch.seconds();
+}
+
+void StreamingEngine::resolve_wstar(const Matrix& l, const DenseCholesky& chol,
+                                    const SensorMask& mask) {
+  // W*' = L'^{-1} V' with V = L W*, the MAP slab's analogue of the R
+  // re-solve above. Both products keep the causal triangle: row i of V
+  // mixes rows j <= i, whose widths are at most row i's, and column c of
+  // parameter block k is zero above row k Nd, so its forward substitution
+  // starts there.
+  std::vector<double> v(wstar_.size(), 0.0);
+  parallel_for_min(n_, 8, [&](std::size_t i) {
+    if (mask.masked(i % nd_)) return;  // row dies below; skip the product
+    double* out = v.data() + wstar_row_offset(i);
+    for (std::size_t j = 0; j <= i; ++j) {
+      const double lij = l(i, j);
+      const double* src = wstar_.data() + wstar_row_offset(j);
+      const std::size_t width = wstar_width(j / nd_);
+      for (std::size_t c = 0; c < width; ++c) out[c] += lij * src[c];
+    }
+  });
+  // Forward substitution in place, over independent column panels of one
+  // parameter block each: per column, the j-ascending order of
+  // DenseCholesky::forward_solve_range.
+  constexpr std::size_t kPanel = 64;
+  const std::size_t panels_per_block = (nm_ + kPanel - 1) / kPanel;
+  const Matrix& lr = chol.factor();
+  parallel_for(nt_ * panels_per_block, [&](std::size_t panel) {
+    const std::size_t k = panel / panels_per_block;
+    const std::size_t c0 = k * nm_ + (panel % panels_per_block) * kPanel;
+    const std::size_t c1 = std::min(c0 + kPanel, (k + 1) * nm_);
+    double acc[kPanel] = {};
+    for (std::size_t i = k * nd_; i < n_; ++i) {
+      double* row_i = v.data() + wstar_row_offset(i);
+      for (std::size_t c = c0; c < c1; ++c) acc[c - c0] = row_i[c];
+      for (std::size_t j = k * nd_; j < i; ++j) {
+        const double lij = lr(i, j);
+        const double* row_j = v.data() + wstar_row_offset(j);
+        for (std::size_t c = c0; c < c1; ++c) acc[c - c0] -= lij * row_j[c];
+      }
+      const double lii = lr(i, i);
+      for (std::size_t c = c0; c < c1; ++c) row_i[c] = acc[c - c0] / lii;
+    }
+  });
+  wstar_ = std::move(v);
 }
 
 std::span<const double> StreamingEngine::stddev_after(std::size_t ticks) const {
@@ -331,8 +417,7 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::push(
   // Accumulate the new block's contribution to the truncated posterior,
   // column-tiled (one output sweep per tick, not one per sensor).
   accumulate_block_rows(eng_.r_, z_, p0, p1, q_mean_);
-  if (eng_.tracks_map())
-    accumulate_block_rows(eng_.wstar_, z_, p0, p1, m_map_);
+  if (eng_.tracks_map()) eng_.accumulate_wstar(z_, p0, p1, m_map_);
   ++t_;
   last_push_seconds_ = watch.seconds();
   total_push_seconds_ += last_push_seconds_;
@@ -586,28 +671,30 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::push_many(
       ev->advance_degraded(p0, p1, valid_of(k));
   });
 
-  // One sweep over each slab's new block rows serves every event. The
-  // pointer tables live in thread_local scratch that grows to the largest
-  // batch this thread has seen and is then reused, so steady-state batched
-  // pushes stay allocation-free (proved by tests/test_debug.cpp).
+  // One sweep over each slab's new block rows serves every event; the W*
+  // rows of this tick stop at their causal width. The pointer tables live
+  // in thread_local scratch that grows to the largest batch this thread
+  // has seen and is then reused, so steady-state batched pushes stay
+  // allocation-free (proved by tests/test_debug.cpp).
   static thread_local std::vector<const double*> zs;
   static thread_local std::vector<double*> q_outs;
   static thread_local std::vector<double*> m_outs;
   zs.resize(nk);      // lint: allow(hot-path-alloc) grow-once scratch
   q_outs.resize(nk);  // lint: allow(hot-path-alloc) grow-once scratch
   for (std::size_t k = 0; k < nk; ++k) {
-    zs[k] = events[k]->z_.data();
+    zs[k] = events[k]->z_.data() + p0;
     q_outs[k] = events[k]->q_mean_.data();
   }
-  accumulate_block_rows_many(eng.r_, p0, p1,
-                             std::span<const double* const>(zs),
-                             std::span<double* const>(q_outs));
+  accumulate_rows_many(eng.r_.data() + p0 * eng.nqoi_, nd, eng.nqoi_,
+                       std::span<const double* const>(zs),
+                       std::span<double* const>(q_outs));
   if (eng.tracks_map()) {
     m_outs.resize(nk);  // lint: allow(hot-path-alloc) grow-once scratch
     for (std::size_t k = 0; k < nk; ++k) m_outs[k] = events[k]->m_map_.data();
-    accumulate_block_rows_many(eng.wstar_, p0, p1,
-                               std::span<const double* const>(zs),
-                               std::span<double* const>(m_outs));
+    accumulate_rows_many(eng.wstar_.data() + eng.wstar_offset(tick), nd,
+                         eng.wstar_width(tick),
+                         std::span<const double* const>(zs),
+                         std::span<double* const>(m_outs));
   }
 
   const double per_event = watch.seconds() / static_cast<double>(nk);
@@ -675,7 +762,8 @@ const std::vector<double>& StreamingAssimilator::map_estimate() const {
         "(use map_snapshot)");
   if (dead_.empty()) return m_map_;
   // m' = m_map - W*^T (Y S^{-1} h): one slab sweep over the rows at or
-  // below the first dead row, materialized into the correction cache.
+  // below the first dead row (each over its causal columns), materialized
+  // into the correction cache.
   compute_projection_coeffs();
   const std::size_t p = t_ * eng_.block_size();
   const std::size_t first = dead_.front().row;
@@ -687,7 +775,7 @@ const std::vector<double>& StreamingAssimilator::map_estimate() const {
     for (std::size_t i = dr.row; i < p; ++i)
       proj_scratch_[i] -= cj * dr.y[i];
   }
-  accumulate_block_rows(eng_.wstar_, proj_scratch_, first, p, m_corr_);
+  eng_.accumulate_wstar(proj_scratch_, first, p, m_corr_);
   return m_corr_;
 }
 

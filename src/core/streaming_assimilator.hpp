@@ -32,8 +32,15 @@
 //         m_map(t)   = W*[0:p,:]^T z[0:p],
 //         Gamma_post(q, t) = W - R[0:p,:]^T R[0:p,:],
 //     because the leading block of the inverse of a triangular matrix is
-//     the inverse of its leading block. Each push adds one block row:
-//     O(Nd (Nq Nt + Nm Nt)) flops, *constant* in the tick index.
+//     the inverse of its leading block. Each push adds one block row.
+//  5. W* is block lower triangular in time: F is causal, Gamma_prior acts
+//     on each time block alone, and L^{-1} is lower triangular, so row
+//     block t of W* is zero beyond parameter block t. The engine stores
+//     only that causal triangle, and a push at tick t sweeps its
+//     (t + 1) Nm columns: O(Nd Nq Nt + Nd Nm (t + 1)) flops, with the R
+//     term constant and the W* term growing linearly in the tick index.
+//     Parameter blocks the stream has not reached keep m_map exactly 0,
+//     the prior mean.
 //
 // The credible-interval schedule Gamma_post(q, t) is data-independent, so
 // the engine precomputes the whole stddev-vs-tick table once; streaming an
@@ -63,10 +70,11 @@
 namespace tsunami {
 
 struct StreamingOptions {
-  /// Maintain the rolling MAP estimate m_map(t) incrementally. Costs an
-  /// extra (Nd Nt) x (Nm Nt) dense operator offline (the baked
-  /// Gamma_prior F^T L^{-T}) and one slab matvec per tick. With tracking
-  /// off, map_snapshot() still recovers m_map(t) on demand in O(p^2).
+  /// Maintain the rolling MAP estimate m_map(t) incrementally. Costs the
+  /// block-lower triangle of W* = L^{-1} F Gamma_prior offline
+  /// (Nd Nm Nt (Nt + 1) / 2 doubles) and one sweep per tick over the
+  /// (t + 1) Nm causal columns of that tick's rows. With tracking off,
+  /// map_snapshot() still recovers m_map(t) on demand in O(p^2).
   bool track_map = true;
 };
 
@@ -155,14 +163,40 @@ class StreamingEngine {
   /// reduced(): rebuild the slabs/schedule against the decoupled factor.
   void apply_mask(const SensorMask& mask);
 
+  /// Fills wstar_ one tick block at a time on build-local scratch.
+  void build_wstar();
+  /// apply_mask(): re-solve wstar_ against the decoupled factor `chol`
+  /// (`l` is the full-network factor it was built on).
+  void resolve_wstar(const Matrix& l, const DenseCholesky& chol,
+                     const SensorMask& mask);
+  /// Packed W* layout: row block tau holds its Nd x (tau + 1) Nm causal
+  /// part row-major, starting at Nd Nm tau (tau + 1) / 2.
+  [[nodiscard]] std::size_t wstar_width(std::size_t tau) const {
+    return (tau + 1) * nm_;
+  }
+  [[nodiscard]] std::size_t wstar_offset(std::size_t tau) const {
+    return nd_ * nm_ * (tau * (tau + 1) / 2);
+  }
+  /// Start of W* row j (width wstar_width(j / Nd)).
+  [[nodiscard]] std::size_t wstar_row_offset(std::size_t j) const {
+    const std::size_t tau = j / nd_;
+    return wstar_offset(tau) + (j - tau * nd_) * wstar_width(tau);
+  }
+  /// out += W*[p0:p1, :]^T z[p0:p1], each row over its causal columns only.
+  TSUNAMI_HOT_PATH void accumulate_wstar(const std::vector<double>& z,
+                                         std::size_t p0, std::size_t p1,
+                                         std::vector<double>& out) const;
+
   const Posterior& post_;
   const QoiPredictor& pred_;
   std::weak_ptr<const void> lifetime_;
   bool guarded_ = false;
   StreamingOptions opts_;
-  std::size_t nd_, nt_, n_, np_, nqoi_;
+  std::size_t nd_, nt_, nm_, n_, np_, nqoi_;
   Matrix r_;             ///< L^{-1} V, (Nd Nt) x nqoi; row j contiguous
-  Matrix wstar_;         ///< L^{-1} F Gamma_prior, (Nd Nt) x (Nm Nt) (if track_map)
+  /// Causal triangle of L^{-1} F Gamma_prior, packed by tick block
+  /// (wstar_offset); Nd Nm Nt (Nt + 1) / 2 doubles. Empty without track_map.
+  std::vector<double> wstar_;
   Matrix std_schedule_;  ///< (Nt + 1) x nqoi; row t = stddev after t ticks
   SensorMask mask_;      ///< channels this engine was reduced without
   /// Decoupled-factor hessian of a reduced() engine (null on full-network
@@ -265,7 +299,7 @@ class StreamingAssimilator {
 
   /// Rolling MAP estimate m_map(t). Requires an engine with track_map.
   /// When degraded, returns the projection-corrected estimate (materialized
-  /// on demand into a per-assimilator cache — O(p Nm Nt), so callers on the
+  /// on demand into a per-assimilator cache — O(p Nm t), so callers on the
   /// hot publish path should prefer forecast_into, which never needs it).
   [[nodiscard]] const std::vector<double>& map_estimate() const;
 

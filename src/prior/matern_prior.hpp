@@ -61,8 +61,8 @@ class MaternPrior {
   /// matrix: y_cols(:, v) = blockdiag(C) x_cols(:, v), parallel over
   /// columns. The gather/scatter staging each column needs (the banded
   /// solves want contiguous vectors) lives in persistent per-thread
-  /// buffers, so repeated batched calls — the K-forming loop, Phase 3's
-  /// V/W, the streaming precompute — do not allocate after warmup.
+  /// buffers, so repeated batched calls (the K-forming loop) do not
+  /// allocate after warmup.
   /// y_cols is resized only if its shape differs.
   void apply_time_blocks_columns(const Matrix& x_cols, Matrix& y_cols,
                                  std::size_t nt) const;

@@ -81,7 +81,7 @@ class WorkerCountTest : public ::testing::TestWithParam<std::size_t> {
     for (const auto& s : sweep.scenarios)
       ref_sweep_->emplace_back(s.confident_tick, s.final_forecast_error);
 
-    ref_gstar_ = new Matrix(gstar_many());
+    ref_transpose_many_ = new Matrix(transpose_many());
     ref_push_ = new std::vector<Forecast>(serial_push_forecasts());
     ref_maps_ = new std::vector<std::vector<double>>(serial_push_maps());
 
@@ -94,7 +94,7 @@ class WorkerCountTest : public ::testing::TestWithParam<std::size_t> {
     ThreadPool::global().resize(0);  // back to the environment default
     delete ref_maps_;
     delete ref_push_;
-    delete ref_gstar_;
+    delete ref_transpose_many_;
     delete ref_sweep_;
     delete ref_bank_obs_;
     delete ref_infer_;
@@ -103,7 +103,7 @@ class WorkerCountTest : public ::testing::TestWithParam<std::size_t> {
     delete twin_;
     ref_maps_ = nullptr;
     ref_push_ = nullptr;
-    ref_gstar_ = nullptr;
+    ref_transpose_many_ = nullptr;
     ref_sweep_ = nullptr;
     ref_bank_obs_ = nullptr;
     ref_infer_ = nullptr;
@@ -129,14 +129,14 @@ class WorkerCountTest : public ::testing::TestWithParam<std::size_t> {
     return std::span<const double>(d).subspan(t * nd, nd);
   }
 
-  /// Multi-RHS G* against 3 random data-space columns.
-  static Matrix gstar_many() {
-    const Posterior& post = twin_->posterior();
+  /// Multi-RHS F^T against 3 random data-space columns.
+  static Matrix transpose_many() {
+    const BlockToeplitz& f = twin_->posterior().forward_map();
     Rng rng(29);
     Matrix y(event_->d_obs.size(), 3);
     for (std::size_t i = 0; i < y.size(); ++i) y.data()[i] = rng.normal();
     Matrix m(event_->m_true.size(), 3);
-    post.apply_gstar_many(y, m);
+    f.apply_transpose_many(y, m);
     return m;
   }
 
@@ -178,7 +178,7 @@ class WorkerCountTest : public ::testing::TestWithParam<std::size_t> {
   static InversionResult* ref_infer_;
   static std::vector<std::vector<double>>* ref_bank_obs_;
   static std::vector<std::pair<std::size_t, double>>* ref_sweep_;
-  static Matrix* ref_gstar_;
+  static Matrix* ref_transpose_many_;
   static std::vector<Forecast>* ref_push_;
   static std::vector<std::vector<double>>* ref_maps_;
   static double ref_dot_;
@@ -192,7 +192,7 @@ InversionResult* WorkerCountTest::ref_infer_ = nullptr;
 std::vector<std::vector<double>>* WorkerCountTest::ref_bank_obs_ = nullptr;
 std::vector<std::pair<std::size_t, double>>* WorkerCountTest::ref_sweep_ =
     nullptr;
-Matrix* WorkerCountTest::ref_gstar_ = nullptr;
+Matrix* WorkerCountTest::ref_transpose_many_ = nullptr;
 std::vector<Forecast>* WorkerCountTest::ref_push_ = nullptr;
 std::vector<std::vector<double>>* WorkerCountTest::ref_maps_ = nullptr;
 double WorkerCountTest::ref_dot_ = 0.0;
@@ -228,12 +228,29 @@ TEST_P(WorkerCountTest, ScenarioBankSynthesizeAndSweepAreInvariant) {
 }
 
 TEST_P(WorkerCountTest, MultiRhsAppliesAreInvariant) {
-  // apply_gstar_many drives the full multi-RHS FFT stack (BlockToeplitz
-  // apply_many over the pool's slotted loops).
-  const Matrix m = gstar_many();
-  ASSERT_EQ(m.size(), ref_gstar_->size());
+  // apply_transpose_many drives the full multi-RHS FFT stack (strided
+  // FFTs and per-frequency GEMMs over the pool's slotted loops).
+  const Matrix m = transpose_many();
+  ASSERT_EQ(m.size(), ref_transpose_many_->size());
   for (std::size_t i = 0; i < m.size(); ++i)
-    EXPECT_EQ(m.data()[i], ref_gstar_->data()[i]) << "element " << i;
+    EXPECT_EQ(m.data()[i], ref_transpose_many_->data()[i]) << "element " << i;
+}
+
+TEST_P(WorkerCountTest, StreamingEngineBuildIsInvariant) {
+  // The W* build (per-tick-block lifts through the pool-parallel Toeplitz
+  // stack) rebuilt at this worker count: a full replay must match the
+  // replay on the 1-worker engine bitwise.
+  const StreamingEngine engine = twin_->make_streaming({.track_map = true});
+  for (unsigned e = 0; e < kBatch; ++e) {
+    StreamingAssimilator assim = engine.start();
+    const std::vector<double> d = obs(e);
+    for (std::size_t t = 0; t < engine.num_ticks(); ++t)
+      assim.push(t, block(d, t));
+    const Forecast f = assim.forecast();
+    EXPECT_EQ(f.mean, (*ref_push_)[e].mean) << "event " << e;
+    EXPECT_EQ(f.stddev, (*ref_push_)[e].stddev) << "event " << e;
+    EXPECT_EQ(assim.map_estimate(), (*ref_maps_)[e]) << "event " << e;
+  }
 }
 
 TEST_P(WorkerCountTest, BatchedCrossEventPushMatchesSerialBitwise) {

@@ -1,7 +1,8 @@
 // Tests for the streaming assimilation engine: exact streaming/batch
 // equivalence at the final tick, exact truncated-posterior semantics
 // mid-stream (against explicit prefix solves), the monotone credible-interval
-// schedule, both MAP paths (incremental vs on-demand snapshot), replay
+// schedule, both MAP paths (incremental vs on-demand snapshot), the causal
+// triangle of the MAP slab (exact zeros and a dense reference), replay
 // determinism, and input validation.
 
 #include <gtest/gtest.h>
@@ -57,6 +58,21 @@ class StreamingTest : public ::testing::Test {
     StreamingAssimilator assim = engine_->start();
     for (std::size_t t = 0; t < ticks; ++t) assim.push(t, block(t));
     return assim;
+  }
+
+  /// Parameters per time block (Nm).
+  static std::size_t spatial_dim() {
+    return engine_->parameter_dim() / engine_->num_ticks();
+  }
+
+  /// Count of m_map entries beyond the observed parameter blocks
+  /// (column >= ticks Nm) that are not exactly 0.0.
+  static std::size_t nonzeros_beyond(const std::vector<double>& m,
+                                     std::size_t ticks) {
+    std::size_t bad = 0;
+    for (std::size_t c = ticks * spatial_dim(); c < m.size(); ++c)
+      bad += m[c] != 0.0 ? 1u : 0u;
+    return bad;
   }
 
   static DigitalTwin* twin_;
@@ -183,6 +199,109 @@ TEST_F(StreamingTest, MapSnapshotMatchesIncrementalEstimate) {
     EXPECT_LE(DigitalTwin::relative_error(snapshot, assim.map_estimate()),
               1e-11)
         << "ticks = " << ticks;
+  }
+}
+
+// W* = L^{-1} F Gamma_prior is block lower triangular in time, and the
+// engine keeps only that triangle: after the push of tick t, the parameter
+// blocks > t (prior mean zero, not yet observed) must hold exactly 0.0 —
+// through serial push, push_many, the degraded correction and a reduced()
+// engine alike.
+TEST_F(StreamingTest, MapIsExactlyZeroBeyondObservedBlocks) {
+  const std::size_t nt = engine_->num_ticks();
+  StreamingAssimilator serial = engine_->start();
+  for (std::size_t t = 0; t < nt; ++t) {
+    serial.push(t, block(t));
+    EXPECT_EQ(nonzeros_beyond(serial.map_estimate(), t + 1), 0u)
+        << "serial, tick " << t;
+  }
+
+  // push_many, K = 4: per-event noise on the shared truth. The accumulation
+  // tiles are 1024 columns wide; count the ticks whose causal width ends
+  // inside the second or a later tile.
+  constexpr unsigned kEvents = 4;
+  std::vector<std::vector<double>> d(kEvents, event_->d_true);
+  std::vector<StreamingAssimilator> batch;
+  for (unsigned e = 0; e < kEvents; ++e) {
+    Rng rng(300 + e);
+    for (auto& v : d[e]) v += event_->noise.sigma * rng.normal();
+    batch.push_back(engine_->start());
+  }
+  std::vector<StreamingAssimilator*> evs;
+  for (auto& b : batch) evs.push_back(&b);
+  const std::size_t nd = engine_->block_size();
+  std::size_t partial_tile_ticks = 0;
+  for (std::size_t t = 0; t < nt; ++t) {
+    std::vector<std::span<const double>> blocks;
+    for (unsigned e = 0; e < kEvents; ++e)
+      blocks.push_back(std::span<const double>(d[e]).subspan(t * nd, nd));
+    StreamingAssimilator::push_many(evs, t, blocks);
+    const std::size_t width = (t + 1) * spatial_dim();
+    if (width > 1024 && width % 1024 != 0) ++partial_tile_ticks;
+    for (unsigned e = 0; e < kEvents; ++e)
+      EXPECT_EQ(nonzeros_beyond(batch[e].map_estimate(), t + 1), 0u)
+          << "push_many, event " << e << ", tick " << t;
+  }
+  EXPECT_GT(partial_tile_ticks, 0u);
+
+  // Degraded: channel 1 dropped mid-stream, so map_estimate() is the
+  // projection-corrected sweep over every row since the first dead one.
+  StreamingAssimilator degraded = engine_->start();
+  for (std::size_t t = 0; t < nt; ++t) {
+    if (t == nt / 2) degraded.drop_sensor(1);
+    degraded.push(t, block(t));
+    ASSERT_EQ(degraded.degraded(), t >= nt / 2);
+    EXPECT_EQ(nonzeros_beyond(degraded.map_estimate(), t + 1), 0u)
+        << "degraded, tick " << t;
+  }
+
+  // reduced(): the W* re-solve against the decoupled factor.
+  SensorMask mask(nd);
+  mask.drop(0);
+  const StreamingEngine reduced = engine_->reduced(mask);
+  StreamingAssimilator on_reduced = reduced.start();
+  for (std::size_t t = 0; t < nt; ++t) {
+    on_reduced.push(t, block(t));
+    EXPECT_EQ(nonzeros_beyond(on_reduced.map_estimate(), t + 1), 0u)
+        << "reduced, tick " << t;
+  }
+}
+
+// The packed causal slab against the dense operator it replaces: W*^T built
+// whole through the public API (G* = Gamma_prior F^T over the L^{-T} unit
+// columns), swept over z = L^{-1} d. Its entries beyond the triangle are
+// FFT roundoff, so the two agree to roundoff at every tick.
+TEST_F(StreamingTest, MapEstimateMatchesDenseReferenceEveryTick) {
+  const Posterior& post = twin_->posterior();
+  const DenseCholesky& chol = twin_->hessian().cholesky();
+  const std::size_t n = engine_->data_dim();
+  const std::size_t np = engine_->parameter_dim();
+  const std::size_t nd = engine_->block_size();
+  Matrix linv_t(n, n);  // columns: L^{-T} e_j
+  for (std::size_t j = 0; j < n; ++j) {
+    std::vector<double> col(n, 0.0);
+    col[j] = 1.0;
+    chol.backward_solve_in_place(col);
+    for (std::size_t i = 0; i < n; ++i) linv_t(i, j) = col[i];
+  }
+  Matrix ft_cols, gstar_cols;  // np x n
+  post.forward_map().apply_transpose_many(linv_t, ft_cols);
+  post.prior().apply_time_blocks_columns(ft_cols, gstar_cols,
+                                         engine_->num_ticks());
+  const Matrix wstar = gstar_cols.transposed();  // n x np, dense
+
+  std::vector<double> z(event_->d_obs);
+  chol.forward_solve_in_place(std::span<double>(z));
+  std::vector<double> m_ref(np, 0.0);
+  StreamingAssimilator assim = engine_->start();
+  for (std::size_t t = 0; t < engine_->num_ticks(); ++t) {
+    assim.push(t, block(t));
+    for (std::size_t j = t * nd; j < (t + 1) * nd; ++j) {
+      const auto row = wstar.row(j);
+      for (std::size_t c = 0; c < np; ++c) m_ref[c] += z[j] * row[c];
+    }
+    EXPECT_LE(DigitalTwin::relative_error(assim.map_estimate(), m_ref), 1e-12)
+        << "tick " << t;
   }
 }
 
