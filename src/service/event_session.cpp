@@ -93,7 +93,7 @@ bool EventSession::submit(std::size_t tick, std::span<const double> d_block,
     // advance next_expected_ to exactly this tick while we sleep, at which
     // point this block is the only one that can unblock the session and
     // waiting for queue space (which can't free without it) would deadlock.
-    // take_runnable_locked notifies space_cv_ on every advance.
+    // pop_next notifies space_cv_ on every advance.
     telemetry.on_blocked();
     const std::int64_t wait_begin = obs::monotonic_ns();
     space_cv_.wait(lock, [&] {
@@ -108,56 +108,38 @@ bool EventSession::submit(std::size_t tick, std::span<const double> d_block,
       throw std::invalid_argument("EventSession::submit: duplicate tick");
   }
   pending_.emplace(
-      tick, Pending{std::vector<double>(d_block.begin(), d_block.end()),
-                    std::vector<std::uint8_t>(valid.begin(), valid.end()),
-                    obs::monotonic_ns()});
+      tick, Block{tick, std::vector<double>(d_block.begin(), d_block.end()),
+                  std::vector<std::uint8_t>(valid.begin(), valid.end()),
+                  obs::monotonic_ns()});
 
   // Schedule iff in-order work just became available and no worker owns the
   // session: exactly one producer wins the flag, so at most one worker ever
   // drains a session at a time (the ordering + determinism invariant).
-  const bool runnable =
-      !pending_.empty() && pending_.begin()->first == next_expected_;
-  if (!runnable)
+  if (!runnable_locked()) {
     // The new block is ahead of a gap at next_expected_ — the tick the
     // session is stalled waiting for.
     journal_mark(JournalKind::kReorderStall, next_expected_);
-  if (runnable && !scheduled_) {
-    scheduled_ = true;
-    return true;
+    return false;
   }
-  return false;
-}
-
-void EventSession::take_runnable_locked(std::vector<Block>& batch) {
-  batch.clear();
-  while (!pending_.empty() && pending_.begin()->first == next_expected_) {
-    auto node = pending_.extract(pending_.begin());
-    batch.push_back(Block{node.key(), std::move(node.mapped().data),
-                          std::move(node.mapped().valid),
-                          node.mapped().enqueue_ns});
-    ++next_expected_;
-  }
-  if (!batch.empty()) space_cv_.notify_all();
-}
-
-bool EventSession::try_schedule() {
-  const std::lock_guard<std::mutex> lock(state_mutex_);
-  const bool runnable =
-      !pending_.empty() && pending_.begin()->first == next_expected_;
-  if (!runnable || scheduled_) return false;
+  if (scheduled_) return false;
   scheduled_ = true;
   return true;
 }
 
-bool EventSession::take_one_runnable(Block& out) {
+bool EventSession::try_schedule() {
   const std::lock_guard<std::mutex> lock(state_mutex_);
-  if (pending_.empty() || pending_.begin()->first != next_expected_)
-    return false;
-  auto node = pending_.extract(pending_.begin());
-  out.tick = node.key();
-  out.data = std::move(node.mapped().data);
-  out.valid = std::move(node.mapped().valid);
-  out.enqueue_ns = node.mapped().enqueue_ns;
+  if (!runnable_locked() || scheduled_) return false;
+  scheduled_ = true;
+  return true;
+}
+
+bool EventSession::pop_next() {
+  const std::lock_guard<std::mutex> lock(state_mutex_);
+  if (!runnable_locked()) return false;
+  // Moving out of the map node hands its buffers to popped_: no copy, no
+  // allocation.
+  popped_ = std::move(pending_.begin()->second);
+  pending_.erase(pending_.begin());
   ++next_expected_;
   space_cv_.notify_all();
   return true;
@@ -165,53 +147,62 @@ bool EventSession::take_one_runnable(Block& out) {
 
 bool EventSession::release_if_idle() {
   const std::lock_guard<std::mutex> lock(state_mutex_);
-  if (!pending_.empty() && pending_.begin()->first == next_expected_)
-    return false;  // a submit raced in-order work in: still ours to drain
-  if (!mask_ops_.empty())
-    return false;  // a set_sensor raced a control op in: apply before idling
+  if (runnable_locked() || !mask_ops_.empty()) return false;
   scheduled_ = false;
   idle_cv_.notify_all();
   return true;
 }
 
-void EventSession::drain_for(ServiceTelemetry& telemetry) {
-  // drain_batch_ is owner-only scratch (only the worker that won the
-  // scheduled flag runs here): its capacity survives across cycles and
-  // sessions' lifetimes, so a steady-state drain performs no allocation —
-  // the blocks' data vectors are moved out of the map nodes, not copied.
-  for (;;) {
-    // Sensor control ops land at cycle boundaries: never inside a push, and
-    // the corrected forecast publishes immediately even when no data is
-    // buffered (the common case for a drop on a quiet session).
-    if (apply_pending_mask_ops()) publish_forecast_only();
-    {
-      const std::lock_guard<std::mutex> lock(state_mutex_);
-      take_runnable_locked(drain_batch_);
-      if (drain_batch_.empty()) {
-        if (!mask_ops_.empty()) continue;  // a control op raced this branch
-        // Going idle. A submit racing with this branch either ran before we
-        // took the lock (its block would be in the batch) or runs after
-        // scheduled_ drops (and wins the flag itself) — no lost wakeups.
-        scheduled_ = false;
-        idle_cv_.notify_all();
-        return;
-      }
+void EventSession::drain(std::vector<std::shared_ptr<EventSession>>& owned,
+                         ServiceTelemetry& telemetry) {
+  // Round scratch: thread-local, grown to the widest round this thread has
+  // run and then reused. No drain can nest on another's stack —
+  // ThreadPool::run_items has its caller work only its own loop, then
+  // block — so one set per thread suffices.
+  static thread_local std::vector<std::pair<std::size_t, std::size_t>> ready;
+  static thread_local std::vector<StreamingAssimilator*> events;
+  static thread_local std::vector<std::span<const double>> blocks;
+  static thread_local std::vector<std::span<const std::uint8_t>> valids;
+  while (!owned.empty()) {
+    // Round head: queued sensor ops land here, never inside a push, and the
+    // corrected forecast publishes even when no data is buffered. Then pop
+    // at most one in-order block per session, as (tick, owned index).
+    ready.clear();
+    for (std::size_t i = 0; i < owned.size(); ++i) {
+      EventSession& s = *owned[i];
+      if (s.apply_pending_mask_ops()) s.publish_forecast_only();
+      if (s.pop_next()) ready.emplace_back(s.popped_.tick, i);
     }
-    // The slow part — the actual prefix-Cholesky pushes — runs without any
-    // lock: producers keep submitting and other sessions keep draining.
-    for (const Block& b : drain_batch_) assimilate(b, telemetry);
+    // The pushes run without any lock: producers keep submitting and other
+    // sessions keep draining. One push_many per tick-aligned group.
+    std::sort(ready.begin(), ready.end());
+    for (std::size_t g0 = 0, g1 = 0; g0 < ready.size(); g0 = g1) {
+      const std::size_t tick = ready[g0].first;
+      // The sweep is where each block's queue wait ends and its push begins.
+      const std::int64_t push_start = obs::monotonic_ns();
+      events.clear();
+      blocks.clear();
+      valids.clear();
+      for (g1 = g0; g1 < ready.size() && ready[g1].first == tick; ++g1) {
+        EventSession& s = *owned[ready[g1].second];
+        s.push_start_ns_ = push_start;
+        events.push_back(&s.assim_);
+        blocks.emplace_back(s.popped_.data);
+        valids.emplace_back(s.popped_.valid);
+      }
+      StreamingAssimilator::push_many(events, tick, blocks, valids);
+      for (std::size_t g = g0; g < g1; ++g)
+        owned[ready[g].second]->publish_after_push(telemetry);
+    }
+    // Release every session that ran dry. One a submit or set_sensor raced
+    // new work into stays ours for the next round.
+    std::erase_if(owned, [](const std::shared_ptr<EventSession>& s) {
+      return s->release_if_idle();
+    });
   }
 }
 
-void EventSession::assimilate(const Block& block,
-                              ServiceTelemetry& telemetry) {
-  begin_push_ctx(block.tick, block.enqueue_ns);
-  assim_.push(block.tick, block.data, block.valid);
-  publish_after_push(telemetry);
-}
-
-void EventSession::set_sensor(std::size_t s, bool live,
-                              ServiceTelemetry& telemetry) {
+bool EventSession::set_sensor(std::size_t s, bool live) {
   const StreamingEngine& eng = engine_->engine();
   if (s >= eng.block_size())
     throw std::out_of_range("EventSession::set_sensor: channel out of range");
@@ -221,11 +212,9 @@ void EventSession::set_sensor(std::size_t s, bool live,
     if (closing_)
       throw std::logic_error("EventSession::set_sensor: event is closed");
     mask_ops_.push_back(MaskOp{s, live});
-    // Idle session: this caller wins the scheduled flag and applies the op
-    // itself. Otherwise the owning worker picks it up at its next cycle
-    // boundary (drain_for's loop head, or the batcher's round head) —
-    // release_if_idle refuses to idle past a queued op, so it cannot
-    // linger.
+    // Idle session: this caller wins the scheduled flag and drains it.
+    // Otherwise the owner picks the op up at its next round head —
+    // release_if_idle refuses to idle past a queued op, so it cannot linger.
     if (!scheduled_) {
       scheduled_ = true;
       owner = true;
@@ -233,7 +222,7 @@ void EventSession::set_sensor(std::size_t s, bool live,
   }
   journal_mark(live ? JournalKind::kSensorRestore : JournalKind::kSensorDrop,
                s);
-  if (owner) drain_for(telemetry);  // applies the op, republishes, releases
+  return owner;
 }
 
 bool EventSession::apply_pending_mask_ops() {
@@ -266,12 +255,6 @@ void EventSession::publish_forecast_only() {
   // mo: relaxed — staleness gauge timestamp; same contract as the store in
   // publish_after_push.
   last_publish_ns_.store(obs::monotonic_ns(), std::memory_order_relaxed);
-}
-
-void EventSession::begin_push_ctx(std::size_t tick, std::int64_t enqueue_ns) {
-  push_tick_ = tick;
-  push_enqueue_ns_ = enqueue_ns;
-  push_start_ns_ = obs::monotonic_ns();
 }
 
 void EventSession::publish_after_push(ServiceTelemetry& telemetry) {
@@ -329,17 +312,17 @@ void EventSession::publish_after_push(ServiceTelemetry& telemetry) {
     r.event = id_;
     r.kind = assim_.ticks_received() == 1 ? JournalKind::kFirstTick
                                           : JournalKind::kPush;
-    r.tick = push_tick_;
+    r.tick = popped_.tick;
     r.t_ns = t_end;
-    // The budget decomposition: queue wait (enqueue -> drain pop / fused
-    // push start), the push itself (the assimilator's own stopwatch — an
-    // INDEPENDENT measurement, which is what makes the sum-vs-total check
-    // in tests meaningful), and the publish tail measured here.
-    r.queue_wait_ns = push_start_ns_ - push_enqueue_ns_;
+    // The budget decomposition: queue wait (enqueue -> push start), the
+    // push itself (the assimilator's own stopwatch — an INDEPENDENT
+    // measurement, which is what makes the sum-vs-total check in tests
+    // meaningful), and the publish tail measured here.
+    r.queue_wait_ns = push_start_ns_ - popped_.enqueue_ns;
     r.push_ns =
         static_cast<std::int64_t>(assim_.last_push_seconds() * 1e9);
     r.publish_ns = t_end - publish_begin;
-    r.total_ns = t_end - push_enqueue_ns_;
+    r.total_ns = t_end - popped_.enqueue_ns;
     journal_->append(r);
   }
 }

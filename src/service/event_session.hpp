@@ -26,10 +26,11 @@
 //     records for reorder stalls, backpressure, alert latch, and close.
 //
 // Threading contract: any number of producer threads may call submit();
-// at most one drain job at a time owns the session (enforced by the
-// scheduled-flag protocol: won either by submit() returning true or by the
-// cross-event batcher's try_schedule()); snapshot()/wait_idle() are safe
-// from anywhere.
+// at most one thread at a time owns the session (enforced by the
+// scheduled-flag protocol: won by submit() or set_sensor() returning true,
+// or by a drain job co-opting it through try_schedule()). The owner runs
+// EventSession::drain over it until it releases; snapshot()/wait_idle()
+// are safe from anywhere.
 
 #include <atomic>
 #include <condition_variable>
@@ -123,16 +124,26 @@ class EventSession {
   /// Control plane: drop (live == false) or restore (live == true) sensor
   /// channel `s` for this event, mid-stream. Journals kSensorDrop /
   /// kSensorRestore immediately; the mask change itself is applied by
-  /// whichever thread owns the session — this caller if the session is
-  /// idle (it wins the scheduled flag, applies, republishes the corrected
-  /// forecast, and drains any backlog), otherwise the owning drain worker
-  /// at its next cycle boundary (so the op never races a push).
-  void set_sensor(std::size_t s, bool live, ServiceTelemetry& telemetry);
+  /// whichever thread owns the session, at a drain round head (so the op
+  /// never races a push). Returns true iff the session was idle and this
+  /// caller won its scheduled flag: the caller must then drain it, which
+  /// applies the op, republishes the corrected forecast and drains any
+  /// backlog.
+  [[nodiscard]] bool set_sensor(std::size_t s, bool live);
 
-  /// Worker entry point: assimilate every in-order buffered block, then
-  /// release the session. Only the worker that won the scheduled flag (via
-  /// submit() returning true) may call this.
-  void drain_for(ServiceTelemetry& telemetry);
+  /// The one drain routine. `owned` holds sessions whose scheduled flag the
+  /// caller won (submit/set_sensor returning true, or try_schedule). Each
+  /// round applies queued sensor ops, pops at most one in-order block per
+  /// session, fuses each tick-aligned group through one
+  /// StreamingAssimilator::push_many sweep (K = 1 forwards to push),
+  /// publishes every pushed session, and releases — and removes from
+  /// `owned` — each session with no in-order work or op left. Returns when
+  /// `owned` is empty. Per session the blocks land in strict tick order
+  /// through the same FP operations as serial pushes, so who shares a round
+  /// never changes any event's result. A steady-state round allocates
+  /// nothing: its scratch is per-session or thread-local and reused.
+  static void drain(std::vector<std::shared_ptr<EventSession>>& owned,
+                    ServiceTelemetry& telemetry);
 
   /// Refuse further submits (and wake producers blocked on backpressure,
   /// who then see the session closing and throw).
@@ -158,9 +169,7 @@ class EventSession {
   [[nodiscard]] const CachedEngine& cached_engine() const { return *engine_; }
 
  private:
-  /// The batcher in WarningService drives sessions through the fine-grained
-  /// hooks below (try_schedule / take_one_runnable / release_if_idle /
-  /// publish_after_push) instead of drain_for.
+  /// WarningService co-opts sessions (try_schedule) and journals closes.
   friend class WarningService;
 
   struct Block {
@@ -173,15 +182,6 @@ class EventSession {
     std::int64_t enqueue_ns;  ///< obs::monotonic_ns() when submit buffered it
   };
 
-  /// Buffered-but-not-yet-runnable block (the map value of pending_): the
-  /// payload plus its enqueue stamp, carried so the eventual publish can
-  /// attribute queue-wait time to THIS block, however long it sat.
-  struct Pending {
-    std::vector<double> data;
-    std::vector<std::uint8_t> valid;
-    std::int64_t enqueue_ns;
-  };
-
   /// One queued sensor control op (set_sensor). Guarded by state_mutex_;
   /// applied in submission order by the session owner, so a drop/restore
   /// pair queued while a worker drains lands between pushes, never inside
@@ -191,29 +191,26 @@ class EventSession {
     bool live;
   };
 
-  /// Move the runnable prefix (consecutive ticks from next_expected_) out
-  /// of the buffer into `batch` (cleared first; its capacity and the map
-  /// nodes' data vectors are reused, so a steady-state drain cycle does not
-  /// allocate). Called under state_mutex_.
-  void take_runnable_locked(std::vector<Block>& batch);
+  /// The next in-order tick is buffered. Called under state_mutex_.
+  [[nodiscard]] bool runnable_locked() const {
+    return !pending_.empty() && pending_.begin()->first == next_expected_;
+  }
 
-  /// Batcher co-opt: win the scheduled flag iff in-order work is available
-  /// and no drain job owns the session. On true the caller owns the session
-  /// until release_if_idle() succeeds.
+  /// Co-opt: win the scheduled flag iff in-order work is available and no
+  /// one owns the session. On true the caller owns the session until
+  /// release_if_idle() succeeds.
   [[nodiscard]] bool try_schedule();
 
-  /// Pop exactly the next in-order block (if buffered) into `out`. Owner
-  /// only. Advances next_expected_ and wakes backpressure waiters.
-  [[nodiscard]] bool take_one_runnable(Block& out);
+  /// Owner only: move the next in-order block (if buffered) into popped_.
+  /// Advances next_expected_ and wakes backpressure waiters.
+  [[nodiscard]] bool pop_next();
 
-  /// Drop the scheduled flag iff no in-order work remains; returns false
-  /// (still owned) when a racing submit buffered the next tick — the owner
-  /// must then keep draining. Mirrors drain_for's lost-wakeup-free release.
+  /// Drop the scheduled flag iff no in-order work and no sensor op remain;
+  /// returns false (still owned) when a racing submit or set_sensor queued
+  /// some — the owner must then keep draining. A submit racing a successful
+  /// release either ran before it (and is seen) or runs after (and wins the
+  /// flag itself), so no wakeup is lost.
   [[nodiscard]] bool release_if_idle();
-
-  /// Push one block through the assimilator and refresh the snapshot +
-  /// alert latch. Called by the owning worker only (no state_mutex_).
-  void assimilate(const Block& block, ServiceTelemetry& telemetry);
 
   /// Owner only: pop and apply every queued set_sensor op (in order).
   /// Returns true iff any op was applied — the caller then republishes via
@@ -227,24 +224,15 @@ class EventSession {
   /// drop/restore.
   void publish_forecast_only();
 
-  /// Arm the latency-budget context for the block about to be pushed: marks
-  /// the push start (= end of the block's queue wait) and remembers its tick
-  /// and enqueue stamp for the journal record publish_after_push emits.
-  /// Owner only; the batched path calls it just before push_many.
-  void begin_push_ctx(std::size_t tick, std::int64_t enqueue_ns);
-
-  /// The publish half of assimilate(): telemetry sample, rolling forecast,
-  /// alert latch, snapshot swap, journal record — for blocks whose push
-  /// already happened (the batched cross-event path). Owner only; requires
-  /// a preceding begin_push_ctx for this block.
+  /// Publish popped_ after its push: telemetry sample, rolling forecast,
+  /// alert latch, snapshot swap, journal record. Owner only; drain() stamps
+  /// push_start_ns_ first.
   void publish_after_push(ServiceTelemetry& telemetry);
 
   /// Append a non-budget lifecycle record (open/stall/backpressure/close)
   /// if a journal is attached. Any thread; lock- and allocation-free.
   void journal_mark(JournalKind kind, std::uint64_t tick,
                     std::int64_t duration_ns = 0);
-
-  [[nodiscard]] StreamingAssimilator& assimilator() { return assim_; }
 
   const EventId id_;
   const std::shared_ptr<const CachedEngine> engine_;  ///< shared, immutable
@@ -262,21 +250,18 @@ class EventSession {
   StreamingAssimilator assim_;
   std::size_t above_threshold_streak_ = 0;
   Forecast staging_forecast_;
-  // Latency-budget context for the in-flight block (owner-only, like
-  // assim_): armed by begin_push_ctx, consumed by publish_after_push.
-  std::size_t push_tick_ = 0;
-  std::int64_t push_enqueue_ns_ = 0;
+  // The block being pushed and its push start (= end of its queue wait),
+  // owner-only like assim_: pop_next fills popped_, drain() stamps the
+  // start, publish_after_push journals both.
+  Block popped_{};
   std::int64_t push_start_ns_ = 0;
   bool first_publish_done_ = false;
-  /// drain_for's batch scratch: owner-only (like assim_), grows to the
-  /// largest runnable prefix ever drained and is then reused.
-  std::vector<Block> drain_batch_;
 
   // Ingest queue + scheduling state, guarded by state_mutex_.
   mutable std::mutex state_mutex_;
   std::condition_variable space_cv_;  ///< backpressure waiters
   std::condition_variable idle_cv_;   ///< wait_idle waiters
-  std::map<std::size_t, Pending> pending_;  ///< tick -> stamped block
+  std::map<std::size_t, Block> pending_;  ///< tick -> stamped block
   std::vector<MaskOp> mask_ops_;   ///< queued sensor drops/restores
   std::size_t next_expected_ = 0;  ///< next tick the assimilator must see
   bool scheduled_ = false;         ///< a worker owns (or is queued for) this

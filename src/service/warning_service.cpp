@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -77,11 +76,16 @@ void WarningService::submit(EventId id, std::size_t tick,
 }
 
 void WarningService::drop_sensor(EventId id, std::size_t s) {
-  session(id)->set_sensor(s, /*live=*/false, telemetry_);
+  set_sensor(id, s, /*live=*/false);
 }
 
 void WarningService::restore_sensor(EventId id, std::size_t s) {
-  session(id)->set_sensor(s, /*live=*/true, telemetry_);
+  set_sensor(id, s, /*live=*/true);
+}
+
+void WarningService::set_sensor(EventId id, std::size_t s, bool live) {
+  const std::shared_ptr<EventSession> owned = session(id);
+  if (owned->set_sensor(s, live)) drain_owned(owned, 1);
 }
 
 EventSnapshot WarningService::latest_forecast(EventId id) const {
@@ -107,13 +111,7 @@ EventSnapshot WarningService::close_event(EventId id) {
 }
 
 void WarningService::drain() {
-  std::vector<std::shared_ptr<EventSession>> open;
-  {
-    const std::lock_guard<std::mutex> lock(sessions_mutex_);
-    open.reserve(sessions_.size());
-    for (const auto& [_, s] : sessions_) open.push_back(s);
-  }
-  for (const auto& s : open) s->wait_idle();
+  for (const auto& s : open_sessions()) s->wait_idle();
 }
 
 std::size_t WarningService::events_in_flight() const {
@@ -132,14 +130,8 @@ void WarningService::collect_metrics(obs::MetricsSnapshot& snapshot) const {
   // Per-session staleness is computed at scrape time from each session's
   // last-publish stamp — nothing is registered per event, so the metric
   // surface stays bounded by the live session count.
-  std::vector<std::shared_ptr<EventSession>> open;
-  {
-    const std::lock_guard<std::mutex> lock(sessions_mutex_);
-    open.reserve(sessions_.size());
-    for (const auto& [_, s] : sessions_) open.push_back(s);
-  }
   std::size_t degraded_sessions = 0;
-  for (const auto& s : open) {
+  for (const auto& s : open_sessions()) {
     snapshot.gauge("tsunami_service_forecast_staleness_seconds",
                    s->staleness_seconds(),
                    {{"event", std::to_string(s->id())}},
@@ -159,12 +151,7 @@ void WarningService::collect_metrics(obs::MetricsSnapshot& snapshot) const {
 }
 
 std::string WarningService::events_json() const {
-  std::vector<std::shared_ptr<EventSession>> open;
-  {
-    const std::lock_guard<std::mutex> lock(sessions_mutex_);
-    open.reserve(sessions_.size());
-    for (const auto& [_, s] : sessions_) open.push_back(s);
-  }
+  const std::vector<std::shared_ptr<EventSession>> open = open_sessions();
   const std::vector<JournalRecord> records = journal_.snapshot();
 
   std::string out = "{\"events\":[";
@@ -212,6 +199,15 @@ std::shared_ptr<EventSession> WarningService::session(EventId id) const {
   return it->second;
 }
 
+std::vector<std::shared_ptr<EventSession>> WarningService::open_sessions()
+    const {
+  std::vector<std::shared_ptr<EventSession>> open;
+  const std::lock_guard<std::mutex> lock(sessions_mutex_);
+  open.reserve(sessions_.size());
+  for (const auto& [_, s] : sessions_) open.push_back(s);
+  return open;
+}
+
 void WarningService::enqueue_ready(std::shared_ptr<EventSession> s) {
   const std::lock_guard<std::mutex> lock(queue_mutex_);
   if (stopping_) return;
@@ -237,10 +233,7 @@ void WarningService::run_drain(std::shared_ptr<EventSession> leader) {
   // The session arrives with its scheduled flag held (won by the submit that
   // enqueued it), so this job is its sole drainer until release.
   TRACE_SCOPE("service", "drain");
-  if (options_.cross_event_batching && options_.max_batch_events > 1)
-    drain_batched(std::move(leader));
-  else
-    leader->drain_for(telemetry_);
+  drain_owned(leader, options_.max_batch_events);
 
   const std::lock_guard<std::mutex> lock(queue_mutex_);
   --active_drains_;
@@ -248,89 +241,26 @@ void WarningService::run_drain(std::shared_ptr<EventSession> leader) {
   if (active_drains_ == 0) drains_cv_.notify_all();
 }
 
-void WarningService::drain_batched(std::shared_ptr<EventSession> leader) {
-  // Co-opt peers: sessions on the SAME engine with in-order work and no
-  // owner. try_schedule wins their scheduled flag, so from here until
-  // release_if_idle succeeds each co-opted session is ours exclusively —
-  // exactly the ownership a drain job would have had, acquired without
-  // waiting (never block under sessions_mutex_).
-  std::vector<std::shared_ptr<EventSession>> active;
-  active.push_back(std::move(leader));
-  {
-    const StreamingEngine* eng = &active.front()->cached_engine().engine();
+void WarningService::drain_owned(const std::shared_ptr<EventSession>& leader,
+                                 std::size_t max_owned) {
+  // Thread-local like the round scratch in EventSession::drain, which
+  // empties it.
+  static thread_local std::vector<std::shared_ptr<EventSession>> owned;
+  owned.push_back(leader);
+  if (max_owned > 1) {
+    // Co-opt peers: sessions on the SAME engine with in-order work and no
+    // owner. try_schedule wins their scheduled flag without waiting (never
+    // block under sessions_mutex_), so each stays ours until it releases.
+    const StreamingEngine* eng = &leader->cached_engine().engine();
     const std::lock_guard<std::mutex> lock(sessions_mutex_);
     for (const auto& [_, s] : sessions_) {
-      if (active.size() >= options_.max_batch_events) break;
-      if (s == active.front()) continue;
-      if (&s->cached_engine().engine() != eng) continue;
-      if (s->try_schedule()) active.push_back(s);
+      if (owned.size() >= max_owned) break;
+      if (s != leader && &s->cached_engine().engine() == eng &&
+          s->try_schedule())
+        owned.push_back(s);
     }
   }
-
-  // Round loop: pop at most ONE in-order block per session per round, fuse
-  // the tick-aligned groups through push_many, publish each session, and
-  // release sessions that ran dry. Per session the blocks still land in
-  // strict tick order through the same FP operations (push_many is
-  // bit-identical to serial pushes by construction), so batching cannot
-  // change any event's result — only how many slab sweeps pay for them.
-  TRACE_SCOPE("service", "drain_batched");
-  std::vector<StreamingAssimilator*> group_events;
-  std::vector<std::span<const double>> group_blocks;
-  std::vector<std::span<const std::uint8_t>> group_valids;
-  while (!active.empty()) {
-    const std::size_t n = active.size();
-    std::vector<EventSession::Block> blocks(n);
-    std::vector<char> has(n, 0);
-    std::map<std::size_t, std::vector<std::size_t>> by_tick;
-    for (std::size_t i = 0; i < n; ++i) {
-      // Sensor control ops land at round boundaries, mirroring drain_for's
-      // cycle head — release_if_idle below refuses to idle past one, so an
-      // op queued mid-round is applied next round, never lost.
-      if (active[i]->apply_pending_mask_ops())
-        active[i]->publish_forecast_only();
-      if (active[i]->take_one_runnable(blocks[i])) {
-        has[i] = 1;
-        by_tick[blocks[i].tick].push_back(i);
-      }
-    }
-    for (const auto& [tick, idxs] : by_tick) {
-      if (idxs.size() == 1) {
-        // Degenerate group: the plain single-event push path.
-        active[idxs.front()]->assimilate(blocks[idxs.front()], telemetry_);
-        continue;
-      }
-      group_events.clear();
-      group_blocks.clear();
-      group_valids.clear();
-      bool any_valid_bitmap = false;
-      for (const std::size_t i : idxs) {
-        // Arm each session's latency-budget context now: the fused sweep is
-        // where every block's queue wait ends and its push begins.
-        active[i]->begin_push_ctx(tick, blocks[i].enqueue_ns);
-        group_events.push_back(&active[i]->assimilator());
-        group_blocks.push_back(blocks[i].data);
-        group_valids.push_back(blocks[i].valid);
-        any_valid_bitmap |= !blocks[i].valid.empty();
-      }
-      if (any_valid_bitmap)
-        StreamingAssimilator::push_many(group_events, tick, group_blocks,
-                                        group_valids);
-      else
-        StreamingAssimilator::push_many(group_events, tick, group_blocks);
-      for (const std::size_t i : idxs)
-        active[i]->publish_after_push(telemetry_);
-    }
-    // Keep sessions that produced a block (they may have more); for the
-    // rest, release — unless a submit raced new in-order work in, in which
-    // case release fails and the session stays ours for the next round.
-    std::vector<std::shared_ptr<EventSession>> next;
-    next.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (has[i] || !active[i]->release_if_idle())
-        next.push_back(std::move(active[i]));
-    }
-    active.swap(next);
-  }
+  EventSession::drain(owned, telemetry_);
 }
 
 }  // namespace tsunami

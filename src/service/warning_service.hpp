@@ -60,13 +60,12 @@ struct ServiceOptions {
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   /// Alert rule applied when open_event() is not given one.
   AlertPolicy default_alert{};
-  /// Fuse tick-aligned pushes from sessions sharing one engine into one
-  /// multi-RHS slab sweep (StreamingAssimilator::push_many). Bit-identical
-  /// to unbatched draining — per-event results cannot depend on who else is
-  /// in the batch (asserted in tests) — so this is purely a throughput
-  /// knob.
-  bool cross_event_batching = true;
-  /// Most sessions fused into one batched sweep (>= 1; 1 disables fusion).
+  /// Most sessions one drain job owns at once, its leader included (>= 1;
+  /// 1 disables co-opting). Tick-aligned owned sessions on one engine share
+  /// one multi-RHS slab sweep (StreamingAssimilator::push_many), which is
+  /// bit-identical to serial pushes — per-event results cannot depend on
+  /// who else is in the sweep (asserted in tests) — so this is purely a
+  /// throughput knob.
   std::size_t max_batch_events = 16;
   /// Retained records in the service-wide lifecycle journal (EventJournal;
   /// oldest overwritten first). Appends are wait-free from drain workers.
@@ -153,16 +152,25 @@ class WarningService {
 
  private:
   [[nodiscard]] std::shared_ptr<EventSession> session(EventId id) const;
+  /// The open sessions, copied under sessions_mutex_ so the caller can wait
+  /// on or query them without holding it.
+  [[nodiscard]] std::vector<std::shared_ptr<EventSession>> open_sessions()
+      const;
+  /// drop_sensor / restore_sensor: queue the op; if that makes this caller
+  /// the owner of an idle session, drain it inline so the corrected
+  /// forecast is published before returning.
+  void set_sensor(EventId id, std::size_t s, bool live);
   void enqueue_ready(std::shared_ptr<EventSession> s);
   /// Launch drain jobs for queued sessions while under the concurrency cap.
   /// Called under queue_mutex_.
   void pump_locked();
-  /// Body of one pool drain job: drain the session (batched or not), then
-  /// release the drain slot and pump again.
+  /// Body of one pool drain job: drain the session, then release the drain
+  /// slot and pump again.
   void run_drain(std::shared_ptr<EventSession> leader);
-  /// Cross-event batched drain: co-opt tick-aligned same-engine sessions
-  /// and fuse their pushes through push_many.
-  void drain_batched(std::shared_ptr<EventSession> leader);
+  /// Run EventSession::drain over `leader` (whose scheduled flag the caller
+  /// holds) plus the same-engine sessions it co-opts, up to `max_owned`.
+  void drain_owned(const std::shared_ptr<EventSession>& leader,
+                   std::size_t max_owned);
 
   ServiceOptions options_;
   ServiceTelemetry telemetry_;

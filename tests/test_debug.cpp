@@ -3,8 +3,9 @@
 // interposers really count (an allocation/lock inside a scope is seen);
 // steady-state cases prove the repo's zero-allocation claims on the real hot
 // paths — StreamingAssimilator push/push_many/forecast_into, the
-// BlockToeplitz apply family, the EventSession publish path — and a bounded-
-// allocation claim on the WarningService drain cycle.
+// BlockToeplitz apply family, the EventSession drain + publish path — and
+// bounded-allocation claims on the WarningService drain cycle and its
+// closed-loop tick.
 //
 // The whole suite GTEST_SKIPs unless built with -DTSUNAMI_CHECKS=ON (the
 // interposers are a debug/CI configuration); the `checks` CI job runs it.
@@ -255,31 +256,45 @@ TEST_F(SteadyStateTest, BlockToeplitzApplyFamilyIsAllocAndLockFree) {
   EXPECT_EQ(locks, 0u) << "steady-state BlockToeplitz apply took a mutex";
 }
 
-// The EventSession publish path (forecast_into + snapshot swap) is zero-
-// allocation in steady state. It is NOT lock-free by design — the snapshot
-// mutex is the dashboard-read contract — so only the allocation sentinel
-// arms here. drain_for runs on the test thread: the thread_local counters
-// see exactly the drain + publish work.
+// The one drain routine (EventSession::drain: pop, push_many, publish via
+// forecast_into + snapshot swap) is zero-allocation in steady state. It is
+// NOT lock-free by design — the session and snapshot mutexes are the
+// ownership and dashboard-read contracts — so only the allocation sentinel
+// arms here. The drain runs on the test thread: the thread_local counters
+// see exactly the drain + publish work. Two tick-aligned sessions make every
+// round a fused push_many group, so the fused path is covered too.
 TEST_F(SteadyStateTest, EventSessionPublishIsAllocFree) {
   SKIP_WITHOUT_CHECKS();
   ServiceTelemetry telemetry;
-  EventSession session(1, *cached_, AlertPolicy{}, 64,
-                       BackpressurePolicy::kBlock);
-  // Warm two drain cycles: grow the drain batch, the staging forecast, and
-  // the assimilator's scratch.
+  const auto a = std::make_shared<EventSession>(
+      1, *cached_, AlertPolicy{}, 64, BackpressurePolicy::kBlock);
+  const auto b = std::make_shared<EventSession>(
+      2, *cached_, AlertPolicy{}, 64, BackpressurePolicy::kBlock);
+  std::vector<std::shared_ptr<EventSession>> owned;
+  owned.reserve(2);
+  const auto submit_both = [&](std::size_t t) {
+    ASSERT_TRUE(a->submit(t, block(t), telemetry));
+    ASSERT_TRUE(b->submit(t, block(t), telemetry));
+    owned = {a, b};
+  };
+  // Warm two rounds: grow the round scratch, push_many's tables, the
+  // staging forecasts, and the assimilators' scratch.
   for (std::size_t t = 0; t < 2; ++t) {
-    ASSERT_TRUE(session.submit(t, block(t), telemetry));
-    session.drain_for(telemetry);
+    submit_both(t);
+    EventSession::drain(owned, telemetry);
   }
   std::uint64_t allocs = 0;
-  ASSERT_TRUE(session.submit(2, block(2), telemetry));
+  submit_both(2);
   {
     const ScopedNoAlloc no_alloc;
-    session.drain_for(telemetry);
+    EventSession::drain(owned, telemetry);
     allocs = no_alloc.allocations();
   }
-  EXPECT_EQ(allocs, 0u) << "steady-state drain+publish allocated";
-  EXPECT_EQ(session.snapshot().ticks_assimilated, 3u);
+  EXPECT_EQ(allocs, 0u) << "steady-state fused drain+publish allocated";
+  EXPECT_TRUE(owned.empty());
+  const EventSnapshot sa = a->snapshot();
+  EXPECT_EQ(sa.ticks_assimilated, 3u);
+  EXPECT_EQ(sa.forecast.mean, b->snapshot().forecast.mean);
 }
 
 // The lifecycle journal's append is the piece of the observability layer
@@ -315,17 +330,21 @@ TEST_F(SteadyStateTest, EventSessionDrainWithJournalIsAllocFree) {
   SKIP_WITHOUT_CHECKS();
   ServiceTelemetry telemetry;
   EventJournal journal;
-  EventSession session(1, *cached_, AlertPolicy{}, 64,
-                       BackpressurePolicy::kBlock, &journal);
+  const auto session = std::make_shared<EventSession>(
+      1, *cached_, AlertPolicy{}, 64, BackpressurePolicy::kBlock, &journal);
+  std::vector<std::shared_ptr<EventSession>> owned;
+  owned.reserve(1);
   for (std::size_t t = 0; t < 2; ++t) {
-    ASSERT_TRUE(session.submit(t, block(t), telemetry));
-    session.drain_for(telemetry);
+    ASSERT_TRUE(session->submit(t, block(t), telemetry));
+    owned = {session};
+    EventSession::drain(owned, telemetry);
   }
   std::uint64_t allocs = 0;
-  ASSERT_TRUE(session.submit(2, block(2), telemetry));
+  ASSERT_TRUE(session->submit(2, block(2), telemetry));
+  owned = {session};
   {
     const ScopedNoAlloc no_alloc;
-    session.drain_for(telemetry);
+    EventSession::drain(owned, telemetry);
     allocs = no_alloc.allocations();
   }
   EXPECT_EQ(allocs, 0u) << "journaled drain+publish allocated";
@@ -361,6 +380,39 @@ TEST_F(SteadyStateTest, WarningServiceDrainIsAllocFlat) {
   // allocations per tick", never "proportional to data/parameter dim".
   EXPECT_LE(per_tick, 16u) << "service drain allocations are not flat";
   EXPECT_TRUE(service.close_event(id2).complete);
+}
+
+// The closed-loop tick — submit one block, drain(), as a client waiting on
+// each forecast does — through the whole service. The drain round itself
+// allocates nothing (above), so what remains per tick is the submit's block
+// copy and map node, the pool job that drains it, and drain()'s copy of the
+// open-session list.
+TEST_F(SteadyStateTest, WarningServiceClosedLoopTickAllocBudget) {
+  SKIP_WITHOUT_CHECKS();
+  WarningService service({.num_workers = 1, .max_pending_per_event = 64});
+  const std::size_t nt = engine().num_ticks();
+  // Warm one full closed-loop event (engine and round scratch on the worker
+  // thread, queue capacities, telemetry buckets).
+  const EventId warm = service.open_event(*cached_);
+  for (std::size_t t = 0; t < nt; ++t) {
+    service.submit(warm, t, block(t));
+    service.drain();
+  }
+  (void)service.close_event(warm);
+  const EventId id = service.open_event(*cached_);
+  service.submit(id, 0, block(0));
+  service.drain();
+
+  const std::uint64_t before = debug::total_allocation_count();
+  for (std::size_t t = 1; t < nt; ++t) {
+    service.submit(id, t, block(t));
+    service.drain();
+  }
+  const double per_tick =
+      static_cast<double>(debug::total_allocation_count() - before) /
+      static_cast<double>(nt - 1);
+  EXPECT_LE(per_tick, 6.0) << "closed-loop service tick allocations";
+  EXPECT_TRUE(service.close_event(id).complete);
 }
 
 }  // namespace

@@ -404,6 +404,10 @@ TEST(Bridge, PoolStatsExportOneSeriesPerWorker) {
     volatile double x = 0;
     for (int i = 0; i < 1000; ++i) x = x + 1.0;
   });
+  // run() returns once every item is done, which the caller alone can reach
+  // before a sleeping worker wakes for its helper job; wait for the helpers
+  // so their job counts are in the stats read below.
+  pool.wait_idle();
   MetricsSnapshot snap;
   collect_pool(pool, snap);
   const std::string text = prometheus_text(snap);

@@ -360,11 +360,11 @@ TEST_F(ServiceTest, ServiceOptionValidation) {
 
 // ---- cross-event batching ---------------------------------------------------
 //
-// The batcher fuses tick-aligned pushes from sessions on one engine into a
+// The drain fuses tick-aligned pushes from sessions on one engine into a
 // single push_many sweep. The contract under test: batching is INVISIBLE in
 // the results — per-event forecasts are bit-identical to independent serial
-// replays no matter how arrivals interleave, whether batching is on or off,
-// and no matter which sessions happen to share a sweep.
+// replays no matter how arrivals interleave, at any max_batch_events, and
+// no matter which sessions happen to share a sweep.
 
 TEST_F(ServiceTest, BatchedReplayWithPairSwappedArrivalIsBitIdentical) {
   // 8 events on 2 drain jobs, ticks submitted in pairs (t+1 before t) with
@@ -377,7 +377,6 @@ TEST_F(ServiceTest, BatchedReplayWithPairSwappedArrivalIsBitIdentical) {
 
   WarningService service({.num_workers = 2,
                           .max_pending_per_event = 8,
-                          .cross_event_batching = true,
                           .max_batch_events = kEvents});
   std::vector<EventId> ids;
   for (unsigned e = 0; e < kEvents; ++e)
@@ -408,33 +407,67 @@ TEST_F(ServiceTest, BatchedReplayWithPairSwappedArrivalIsBitIdentical) {
 }
 
 TEST_F(ServiceTest, BatchingOffMatchesBatchingOnBitwise) {
+  // Closed loop: each round submits one tick per event, drain()s, and checks
+  // every event's published forecast bitwise against its serial mirror —
+  // with co-opting off (max_batch_events = 1) and at the default. Event 0
+  // runs a tick ahead and one block carries a validity bitmap: whichever
+  // sessions a drain round holds, singleton and mixed-bitmap groups must
+  // publish the serial bits.
   constexpr unsigned kEvents = 6;
   std::vector<std::vector<double>> obs;
   for (unsigned e = 0; e < kEvents; ++e) obs.push_back(make_obs(200 + e));
+  std::vector<std::uint8_t> lossy(nd(), 1);
+  lossy[1] = 0;  // channel 1 of event 2's tick 3 is lost on the wire
+  const auto valid = [&](unsigned e, std::size_t t) {
+    return e == 2 && t == 3 ? std::span<const std::uint8_t>(lossy)
+                            : std::span<const std::uint8_t>{};
+  };
 
-  const auto run = [&](bool batching) {
-    WarningService service({.num_workers = 3,
-                           .cross_event_batching = batching});
+  const auto run = [&](std::size_t max_batch_events,
+                       std::vector<Forecast>& out) {
+    WarningService service(
+        {.num_workers = 3, .max_batch_events = max_batch_events});
     std::vector<EventId> ids;
-    for (unsigned e = 0; e < kEvents; ++e)
+    std::vector<StreamingAssimilator> mirrors;
+    mirrors.reserve(kEvents);
+    for (unsigned e = 0; e < kEvents; ++e) {
       ids.push_back(service.open_event(*cached_));
-    for (std::size_t t = 0; t < nt(); ++t)
-      for (unsigned e = 0; e < kEvents; ++e)
-        service.submit(ids[e], t, block(obs[e], t));
-    service.drain();
-    std::vector<Forecast> out;
+      mirrors.push_back((*cached_)->engine().start());
+    }
+    const auto feed = [&](unsigned e, std::size_t t) {
+      service.submit(ids[e], t, block(obs[e], t), valid(e, t));
+      mirrors[e].push(t, block(obs[e], t), valid(e, t));
+    };
+    feed(0, 0);
+    for (std::size_t t = 0; t < nt(); ++t) {
+      if (t + 1 < nt()) feed(0, t + 1);
+      for (unsigned e = 1; e < kEvents; ++e) feed(e, t);
+      service.drain();
+      for (unsigned e = 0; e < kEvents; ++e) {
+        const EventSnapshot got = service.latest_forecast(ids[e]);
+        const Forecast expect = mirrors[e].forecast();
+        ASSERT_EQ(got.ticks_assimilated, mirrors[e].ticks_received())
+            << "event " << e << " round " << t;
+        ASSERT_EQ(got.forecast.mean, expect.mean)
+            << "event " << e << " round " << t;
+        ASSERT_EQ(got.forecast.stddev, expect.stddev)
+            << "event " << e << " round " << t;
+        ASSERT_EQ(got.degraded, expect.degraded)
+            << "event " << e << " round " << t;
+      }
+    }
     for (unsigned e = 0; e < kEvents; ++e)
       out.push_back(service.close_event(ids[e]).forecast);
-    return out;
   };
-  const std::vector<Forecast> on = run(true);
-  const std::vector<Forecast> off = run(false);
+  std::vector<Forecast> fused, single;
+  run(ServiceOptions{}.max_batch_events, fused);
+  run(1, single);
+  ASSERT_EQ(fused.size(), kEvents);
+  ASSERT_EQ(single.size(), kEvents);
+  EXPECT_TRUE(fused[2].degraded);
   for (unsigned e = 0; e < kEvents; ++e) {
-    const Forecast expect = replay(obs[e]).forecast();
-    EXPECT_EQ(on[e].mean, off[e].mean) << "event " << e;
-    EXPECT_EQ(on[e].stddev, off[e].stddev) << "event " << e;
-    EXPECT_EQ(on[e].mean, expect.mean) << "event " << e;
-    EXPECT_EQ(on[e].stddev, expect.stddev) << "event " << e;
+    EXPECT_EQ(fused[e].mean, single[e].mean) << "event " << e;
+    EXPECT_EQ(fused[e].stddev, single[e].stddev) << "event " << e;
   }
 }
 
@@ -609,7 +642,6 @@ TEST_F(ServiceTest, JournalPushOrderStrictUnderCrossEventBatcher) {
 
   WarningService service({.num_workers = 2,
                           .max_pending_per_event = 8,
-                          .cross_event_batching = true,
                           .max_batch_events = kEvents});
   std::vector<EventId> ids;
   for (unsigned e = 0; e < kEvents; ++e)
