@@ -605,26 +605,13 @@ void StreamingAssimilator::restore_sensor(std::size_t s) {
 TSUNAMI_HOT_PATH void StreamingAssimilator::push_many(
     std::span<StreamingAssimilator* const> events, std::size_t tick,
     std::span<const std::span<const double>> blocks) {
-  push_many(events, tick, blocks, {});
-}
-
-TSUNAMI_HOT_PATH void StreamingAssimilator::push_many(
-    std::span<StreamingAssimilator* const> events, std::size_t tick,
-    std::span<const std::span<const double>> blocks,
-    std::span<const std::span<const std::uint8_t>> valids) {
   const std::size_t nk = events.size();
   if (nk == 0) return;
   if (blocks.size() != nk)
     throw std::invalid_argument(
         "StreamingAssimilator::push_many: events/blocks count mismatch");
-  if (!valids.empty() && valids.size() != nk)
-    throw std::invalid_argument(
-        "StreamingAssimilator::push_many: events/valids count mismatch");
-  const auto valid_of = [&](std::size_t k) {
-    return valids.empty() ? std::span<const std::uint8_t>{} : valids[k];
-  };
   if (nk == 1) {
-    events[0]->push(tick, blocks[0], valid_of(0));
+    events[0]->push(tick, blocks[0]);
     return;
   }
   const StreamingEngine& eng = events[0]->eng_;
@@ -644,9 +631,6 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::push_many(
     if (blocks[k].size() != nd)
       throw std::invalid_argument(
           "StreamingAssimilator::push_many: block size mismatch");
-    if (!valid_of(k).empty() && valid_of(k).size() != nd)
-      throw std::invalid_argument(
-          "StreamingAssimilator::push_many: validity bitmap size mismatch");
     for (std::size_t j = 0; j < k; ++j) {
       if (events[j] == ev)
         throw std::invalid_argument(
@@ -665,10 +649,10 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::push_many(
   // per-(event, output) operation order is identical to a serial push.
   parallel_for_min(nk, 2, [&](std::size_t k) {
     StreamingAssimilator* ev = events[k];
-    ev->stage_block(blocks[k], valid_of(k), p0);
+    ev->stage_block(blocks[k], {}, p0);
     eng.chol().forward_solve_range(ev->z_, p0, p1);
-    if (!ev->dead_.empty() || ev->tick_has_new_dead(valid_of(k)))
-      ev->advance_degraded(p0, p1, valid_of(k));
+    if (!ev->dead_.empty() || ev->tick_has_new_dead({}))
+      ev->advance_degraded(p0, p1, {});
   });
 
   // One sweep over each slab's new block rows serves every event; the W*

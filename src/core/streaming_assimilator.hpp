@@ -236,18 +236,13 @@ class StreamingAssimilator {
   /// cost barely more than one. Bit-identical to K serial push() calls:
   /// the batched accumulation performs, per (event, output) pair, the same
   /// additions in the same j-ascending order as the single-event path
-  /// (asserted by the determinism and service suites). K == 1 degenerates
-  /// to push(). Per-event timers record the batch time divided by K.
+  /// (asserted by the streaming, determinism and degraded suites; events
+  /// with dropped channels advance their projections as push() does).
+  /// K == 1 degenerates to push(). Per-event timers record the batch time
+  /// divided by K.
   TSUNAMI_HOT_PATH static void push_many(
       std::span<StreamingAssimilator* const> events, std::size_t tick,
       std::span<const std::span<const double>> blocks);
-
-  /// Batched push with per-event validity bitmaps (`valids` empty = all
-  /// valid everywhere; an individual empty bitmap = that block fully valid).
-  TSUNAMI_HOT_PATH static void push_many(
-      std::span<StreamingAssimilator* const> events, std::size_t tick,
-      std::span<const std::span<const double>> blocks,
-      std::span<const std::span<const std::uint8_t>> valids);
 
   // ---- degraded-mode control plane (ISSUE 10) ------------------------------
   // Sensor dropout does NOT touch the engine: the shared slabs and factor

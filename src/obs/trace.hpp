@@ -31,7 +31,7 @@
 // workers still appear in the export.
 //
 // Categories in use: "pool" (job execution, steals, parallel loops),
-// "service" (drain batches, publishes), "stream" (push / push_many sweeps),
+// "service" (drain jobs, publishes), "stream" (push / push_many sweeps),
 // "kernel" (FFT/GEMM phases of the block-Toeplitz apply), "offline"
 // (phase 1-3 builds, streaming precompute).
 

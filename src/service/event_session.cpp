@@ -126,13 +126,6 @@ bool EventSession::submit(std::size_t tick, std::span<const double> d_block,
   return true;
 }
 
-bool EventSession::try_schedule() {
-  const std::lock_guard<std::mutex> lock(state_mutex_);
-  if (!runnable_locked() || scheduled_) return false;
-  scheduled_ = true;
-  return true;
-}
-
 bool EventSession::pop_next() {
   const std::lock_guard<std::mutex> lock(state_mutex_);
   if (!runnable_locked()) return false;
@@ -153,53 +146,19 @@ bool EventSession::release_if_idle() {
   return true;
 }
 
-void EventSession::drain(std::vector<std::shared_ptr<EventSession>>& owned,
-                         ServiceTelemetry& telemetry) {
-  // Round scratch: thread-local, grown to the widest round this thread has
-  // run and then reused. No drain can nest on another's stack —
-  // ThreadPool::run_items has its caller work only its own loop, then
-  // block — so one set per thread suffices.
-  static thread_local std::vector<std::pair<std::size_t, std::size_t>> ready;
-  static thread_local std::vector<StreamingAssimilator*> events;
-  static thread_local std::vector<std::span<const double>> blocks;
-  static thread_local std::vector<std::span<const std::uint8_t>> valids;
-  while (!owned.empty()) {
-    // Round head: queued sensor ops land here, never inside a push, and the
-    // corrected forecast publishes even when no data is buffered. Then pop
-    // at most one in-order block per session, as (tick, owned index).
-    ready.clear();
-    for (std::size_t i = 0; i < owned.size(); ++i) {
-      EventSession& s = *owned[i];
-      if (s.apply_pending_mask_ops()) s.publish_forecast_only();
-      if (s.pop_next()) ready.emplace_back(s.popped_.tick, i);
+void EventSession::drain(ServiceTelemetry& telemetry) {
+  do {
+    // Loop head: queued sensor ops land here, never inside a push, and the
+    // corrected forecast publishes even when no data is buffered.
+    if (apply_pending_mask_ops()) publish_forecast_only();
+    // The push runs without any lock: producers keep submitting.
+    if (pop_next()) {
+      push_start_ns_ = obs::monotonic_ns();
+      assim_.push(popped_.tick, popped_.data, popped_.valid);
+      publish_after_push(telemetry);
     }
-    // The pushes run without any lock: producers keep submitting and other
-    // sessions keep draining. One push_many per tick-aligned group.
-    std::sort(ready.begin(), ready.end());
-    for (std::size_t g0 = 0, g1 = 0; g0 < ready.size(); g0 = g1) {
-      const std::size_t tick = ready[g0].first;
-      // The sweep is where each block's queue wait ends and its push begins.
-      const std::int64_t push_start = obs::monotonic_ns();
-      events.clear();
-      blocks.clear();
-      valids.clear();
-      for (g1 = g0; g1 < ready.size() && ready[g1].first == tick; ++g1) {
-        EventSession& s = *owned[ready[g1].second];
-        s.push_start_ns_ = push_start;
-        events.push_back(&s.assim_);
-        blocks.emplace_back(s.popped_.data);
-        valids.emplace_back(s.popped_.valid);
-      }
-      StreamingAssimilator::push_many(events, tick, blocks, valids);
-      for (std::size_t g = g0; g < g1; ++g)
-        owned[ready[g].second]->publish_after_push(telemetry);
-    }
-    // Release every session that ran dry. One a submit or set_sensor raced
-    // new work into stays ours for the next round.
-    std::erase_if(owned, [](const std::shared_ptr<EventSession>& s) {
-      return s->release_if_idle();
-    });
-  }
+    // A submit or set_sensor that raced new work in keeps the session ours.
+  } while (!release_if_idle());
 }
 
 bool EventSession::set_sensor(std::size_t s, bool live) {
@@ -213,7 +172,7 @@ bool EventSession::set_sensor(std::size_t s, bool live) {
       throw std::logic_error("EventSession::set_sensor: event is closed");
     mask_ops_.push_back(MaskOp{s, live});
     // Idle session: this caller wins the scheduled flag and drains it.
-    // Otherwise the owner picks the op up at its next round head —
+    // Otherwise the owner picks the op up at its next loop head —
     // release_if_idle refuses to idle past a queued op, so it cannot linger.
     if (!scheduled_) {
       scheduled_ = true;

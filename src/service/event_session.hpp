@@ -27,10 +27,9 @@
 //
 // Threading contract: any number of producer threads may call submit();
 // at most one thread at a time owns the session (enforced by the
-// scheduled-flag protocol: won by submit() or set_sensor() returning true,
-// or by a drain job co-opting it through try_schedule()). The owner runs
-// EventSession::drain over it until it releases; snapshot()/wait_idle()
-// are safe from anywhere.
+// scheduled-flag protocol: won by submit() or set_sensor() returning true).
+// The owner runs drain(), which returns once it has released the session;
+// snapshot()/wait_idle() are safe from anywhere.
 
 #include <atomic>
 #include <condition_variable>
@@ -124,26 +123,21 @@ class EventSession {
   /// Control plane: drop (live == false) or restore (live == true) sensor
   /// channel `s` for this event, mid-stream. Journals kSensorDrop /
   /// kSensorRestore immediately; the mask change itself is applied by
-  /// whichever thread owns the session, at a drain round head (so the op
+  /// whichever thread owns the session, at the drain loop head (so the op
   /// never races a push). Returns true iff the session was idle and this
   /// caller won its scheduled flag: the caller must then drain it, which
   /// applies the op, republishes the corrected forecast and drains any
   /// backlog.
   [[nodiscard]] bool set_sensor(std::size_t s, bool live);
 
-  /// The one drain routine. `owned` holds sessions whose scheduled flag the
-  /// caller won (submit/set_sensor returning true, or try_schedule). Each
-  /// round applies queued sensor ops, pops at most one in-order block per
-  /// session, fuses each tick-aligned group through one
-  /// StreamingAssimilator::push_many sweep (K = 1 forwards to push),
-  /// publishes every pushed session, and releases — and removes from
-  /// `owned` — each session with no in-order work or op left. Returns when
-  /// `owned` is empty. Per session the blocks land in strict tick order
-  /// through the same FP operations as serial pushes, so who shares a round
-  /// never changes any event's result. A steady-state round allocates
-  /// nothing: its scratch is per-session or thread-local and reused.
-  static void drain(std::vector<std::shared_ptr<EventSession>>& owned,
-                    ServiceTelemetry& telemetry);
+  /// The one drain routine; the caller must own the session (submit or
+  /// set_sensor returned true). Each pass of the loop applies queued sensor
+  /// ops, pops the next in-order block, pushes it through the assimilator
+  /// and publishes, until release_if_idle() succeeds. Blocks land in strict
+  /// tick order through the same FP operations as a serial replay. A
+  /// steady-state pass allocates nothing: its scratch is per-session and
+  /// reused.
+  void drain(ServiceTelemetry& telemetry);
 
   /// Refuse further submits (and wake producers blocked on backpressure,
   /// who then see the session closing and throw).
@@ -169,7 +163,7 @@ class EventSession {
   [[nodiscard]] const CachedEngine& cached_engine() const { return *engine_; }
 
  private:
-  /// WarningService co-opts sessions (try_schedule) and journals closes.
+  /// WarningService journals closes.
   friend class WarningService;
 
   struct Block {
@@ -195,11 +189,6 @@ class EventSession {
   [[nodiscard]] bool runnable_locked() const {
     return !pending_.empty() && pending_.begin()->first == next_expected_;
   }
-
-  /// Co-opt: win the scheduled flag iff in-order work is available and no
-  /// one owns the session. On true the caller owns the session until
-  /// release_if_idle() succeeds.
-  [[nodiscard]] bool try_schedule();
 
   /// Owner only: move the next in-order block (if buffered) into popped_.
   /// Advances next_expected_ and wakes backpressure waiters.

@@ -1,6 +1,5 @@
 #include "service/warning_service.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -18,8 +17,6 @@ WarningService::WarningService(const ServiceOptions& options)
     throw std::invalid_argument("WarningService: num_workers == 0");
   if (options_.max_pending_per_event == 0)
     throw std::invalid_argument("WarningService: max_pending_per_event == 0");
-  if (options_.max_batch_events == 0)
-    throw std::invalid_argument("WarningService: max_batch_events == 0");
 }
 
 WarningService::~WarningService() {
@@ -85,7 +82,7 @@ void WarningService::restore_sensor(EventId id, std::size_t s) {
 
 void WarningService::set_sensor(EventId id, std::size_t s, bool live) {
   const std::shared_ptr<EventSession> owned = session(id);
-  if (owned->set_sensor(s, live)) drain_owned(owned, 1);
+  if (owned->set_sensor(s, live)) owned->drain(telemetry_);
 }
 
 EventSnapshot WarningService::latest_forecast(EventId id) const {
@@ -229,38 +226,16 @@ void WarningService::pump_locked() {
   }
 }
 
-void WarningService::run_drain(std::shared_ptr<EventSession> leader) {
+void WarningService::run_drain(std::shared_ptr<EventSession> s) {
   // The session arrives with its scheduled flag held (won by the submit that
   // enqueued it), so this job is its sole drainer until release.
   TRACE_SCOPE("service", "drain");
-  drain_owned(leader, options_.max_batch_events);
+  s->drain(telemetry_);
 
   const std::lock_guard<std::mutex> lock(queue_mutex_);
   --active_drains_;
   pump_locked();
   if (active_drains_ == 0) drains_cv_.notify_all();
-}
-
-void WarningService::drain_owned(const std::shared_ptr<EventSession>& leader,
-                                 std::size_t max_owned) {
-  // Thread-local like the round scratch in EventSession::drain, which
-  // empties it.
-  static thread_local std::vector<std::shared_ptr<EventSession>> owned;
-  owned.push_back(leader);
-  if (max_owned > 1) {
-    // Co-opt peers: sessions on the SAME engine with in-order work and no
-    // owner. try_schedule wins their scheduled flag without waiting (never
-    // block under sessions_mutex_), so each stays ours until it releases.
-    const StreamingEngine* eng = &leader->cached_engine().engine();
-    const std::lock_guard<std::mutex> lock(sessions_mutex_);
-    for (const auto& [_, s] : sessions_) {
-      if (owned.size() >= max_owned) break;
-      if (s != leader && &s->cached_engine().engine() == eng &&
-          s->try_schedule())
-        owned.push_back(s);
-    }
-  }
-  EventSession::drain(owned, telemetry_);
 }
 
 }  // namespace tsunami

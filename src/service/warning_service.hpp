@@ -9,10 +9,7 @@
 // ThreadPool pull per-event ingest queues and push observations through
 // per-event StreamingAssimilators, all of which share the immutable
 // per-network StreamingEngine slabs held by an EngineCache — hundreds of
-// sessions, one copy of the operators. Sessions on the SAME engine that are
-// tick-aligned get their pushes fused into one multi-RHS slab sweep
-// (StreamingAssimilator::push_many): the slab is the bandwidth cost of a
-// push, so K concurrent events cost barely more than one.
+// sessions, one copy of the operators. Each drain job owns one session.
 //
 //   EngineCache cache;                          // one per process
 //   WarningService service({.num_workers = 8});
@@ -48,11 +45,11 @@
 namespace tsunami {
 
 struct ServiceOptions {
-  /// Maximum CONCURRENT drain jobs on the shared ThreadPool (the service no
-  /// longer owns threads of its own: drains are fire-and-forget pool jobs,
-  /// so service work and the twin's numeric loops share one set of workers
-  /// instead of oversubscribing the machine). The cap bounds how much of
-  /// the pool live events can claim while sweeps run alongside.
+  /// Maximum CONCURRENT drain jobs on the shared ThreadPool. Drains are
+  /// fire-and-forget pool jobs, so service work and the twin's numeric
+  /// loops share one set of workers instead of oversubscribing the machine.
+  /// The cap bounds how much of the pool live events can claim while sweeps
+  /// run alongside.
   std::size_t num_workers = 4;
   /// Per-session ingest-queue bound (the next-expected tick always bypasses
   /// it — see EventSession::submit).
@@ -60,13 +57,6 @@ struct ServiceOptions {
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   /// Alert rule applied when open_event() is not given one.
   AlertPolicy default_alert{};
-  /// Most sessions one drain job owns at once, its leader included (>= 1;
-  /// 1 disables co-opting). Tick-aligned owned sessions on one engine share
-  /// one multi-RHS slab sweep (StreamingAssimilator::push_many), which is
-  /// bit-identical to serial pushes — per-event results cannot depend on
-  /// who else is in the sweep (asserted in tests) — so this is purely a
-  /// throughput knob.
-  std::size_t max_batch_events = 16;
   /// Retained records in the service-wide lifecycle journal (EventJournal;
   /// oldest overwritten first). Appends are wait-free from drain workers.
   std::size_t journal_capacity = 1 << 16;
@@ -166,11 +156,7 @@ class WarningService {
   void pump_locked();
   /// Body of one pool drain job: drain the session, then release the drain
   /// slot and pump again.
-  void run_drain(std::shared_ptr<EventSession> leader);
-  /// Run EventSession::drain over `leader` (whose scheduled flag the caller
-  /// holds) plus the same-engine sessions it co-opts, up to `max_owned`.
-  void drain_owned(const std::shared_ptr<EventSession>& leader,
-                   std::size_t max_owned);
+  void run_drain(std::shared_ptr<EventSession> s);
 
   ServiceOptions options_;
   ServiceTelemetry telemetry_;

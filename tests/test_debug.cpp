@@ -256,45 +256,31 @@ TEST_F(SteadyStateTest, BlockToeplitzApplyFamilyIsAllocAndLockFree) {
   EXPECT_EQ(locks, 0u) << "steady-state BlockToeplitz apply took a mutex";
 }
 
-// The one drain routine (EventSession::drain: pop, push_many, publish via
+// The one drain routine (EventSession::drain: pop, push, publish via
 // forecast_into + snapshot swap) is zero-allocation in steady state. It is
 // NOT lock-free by design — the session and snapshot mutexes are the
 // ownership and dashboard-read contracts — so only the allocation sentinel
 // arms here. The drain runs on the test thread: the thread_local counters
-// see exactly the drain + publish work. Two tick-aligned sessions make every
-// round a fused push_many group, so the fused path is covered too.
+// see exactly the drain + publish work.
 TEST_F(SteadyStateTest, EventSessionPublishIsAllocFree) {
   SKIP_WITHOUT_CHECKS();
   ServiceTelemetry telemetry;
-  const auto a = std::make_shared<EventSession>(
+  const auto session = std::make_shared<EventSession>(
       1, *cached_, AlertPolicy{}, 64, BackpressurePolicy::kBlock);
-  const auto b = std::make_shared<EventSession>(
-      2, *cached_, AlertPolicy{}, 64, BackpressurePolicy::kBlock);
-  std::vector<std::shared_ptr<EventSession>> owned;
-  owned.reserve(2);
-  const auto submit_both = [&](std::size_t t) {
-    ASSERT_TRUE(a->submit(t, block(t), telemetry));
-    ASSERT_TRUE(b->submit(t, block(t), telemetry));
-    owned = {a, b};
-  };
-  // Warm two rounds: grow the round scratch, push_many's tables, the
-  // staging forecasts, and the assimilators' scratch.
+  // Warm two ticks: grow the staging forecast and the assimilator's scratch.
   for (std::size_t t = 0; t < 2; ++t) {
-    submit_both(t);
-    EventSession::drain(owned, telemetry);
+    ASSERT_TRUE(session->submit(t, block(t), telemetry));
+    session->drain(telemetry);
   }
   std::uint64_t allocs = 0;
-  submit_both(2);
+  ASSERT_TRUE(session->submit(2, block(2), telemetry));
   {
     const ScopedNoAlloc no_alloc;
-    EventSession::drain(owned, telemetry);
+    session->drain(telemetry);
     allocs = no_alloc.allocations();
   }
-  EXPECT_EQ(allocs, 0u) << "steady-state fused drain+publish allocated";
-  EXPECT_TRUE(owned.empty());
-  const EventSnapshot sa = a->snapshot();
-  EXPECT_EQ(sa.ticks_assimilated, 3u);
-  EXPECT_EQ(sa.forecast.mean, b->snapshot().forecast.mean);
+  EXPECT_EQ(allocs, 0u) << "steady-state drain+publish allocated";
+  EXPECT_EQ(session->snapshot().ticks_assimilated, 3u);
 }
 
 // The lifecycle journal's append is the piece of the observability layer
@@ -332,19 +318,15 @@ TEST_F(SteadyStateTest, EventSessionDrainWithJournalIsAllocFree) {
   EventJournal journal;
   const auto session = std::make_shared<EventSession>(
       1, *cached_, AlertPolicy{}, 64, BackpressurePolicy::kBlock, &journal);
-  std::vector<std::shared_ptr<EventSession>> owned;
-  owned.reserve(1);
   for (std::size_t t = 0; t < 2; ++t) {
     ASSERT_TRUE(session->submit(t, block(t), telemetry));
-    owned = {session};
-    EventSession::drain(owned, telemetry);
+    session->drain(telemetry);
   }
   std::uint64_t allocs = 0;
   ASSERT_TRUE(session->submit(2, block(2), telemetry));
-  owned = {session};
   {
     const ScopedNoAlloc no_alloc;
-    EventSession::drain(owned, telemetry);
+    session->drain(telemetry);
     allocs = no_alloc.allocations();
   }
   EXPECT_EQ(allocs, 0u) << "journaled drain+publish allocated";
@@ -383,7 +365,7 @@ TEST_F(SteadyStateTest, WarningServiceDrainIsAllocFlat) {
 }
 
 // The closed-loop tick — submit one block, drain(), as a client waiting on
-// each forecast does — through the whole service. The drain round itself
+// each forecast does — through the whole service. The drain loop itself
 // allocates nothing (above), so what remains per tick is the submit's block
 // copy and map node, the pool job that drains it, and drain()'s copy of the
 // open-session list.
@@ -391,8 +373,8 @@ TEST_F(SteadyStateTest, WarningServiceClosedLoopTickAllocBudget) {
   SKIP_WITHOUT_CHECKS();
   WarningService service({.num_workers = 1, .max_pending_per_event = 64});
   const std::size_t nt = engine().num_ticks();
-  // Warm one full closed-loop event (engine and round scratch on the worker
-  // thread, queue capacities, telemetry buckets).
+  // Warm one full closed-loop event (engine scratch on the worker thread,
+  // queue capacities, telemetry buckets).
   const EventId warm = service.open_event(*cached_);
   for (std::size_t t = 0; t < nt; ++t) {
     service.submit(warm, t, block(t));

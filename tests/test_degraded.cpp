@@ -376,6 +376,60 @@ TEST_F(DegradedTest, PushValidatesBitmapSize) {
   EXPECT_THROW(assim.push(0, block(0), wrong), std::invalid_argument);
 }
 
+// A fused push_many group advances each degraded event's projection inside
+// the sweep with the same operations as a serial push. Event 0 drops a
+// channel before its first push; event 1 drops one at nt/3 and restores it
+// at 2nt/3 (the rows pushed while masked stay dead); event 2 stays healthy
+// beside them.
+TEST_F(DegradedTest, PushManyOverDegradedEventsMatchesSerialBitwise) {
+  constexpr std::size_t kEvents = 3;
+  const std::size_t drop_at = nt() / 3, restore_at = 2 * nt() / 3;
+  // Distinct data per event, so a block fed to the wrong event shows.
+  std::vector<std::vector<double>> obs(kEvents, event_->d_obs);
+  for (std::size_t k = 0; k < kEvents; ++k)
+    for (double& v : obs[k]) v *= 1.0 + 0.25 * static_cast<double>(k);
+  const auto data = [&](std::size_t k, std::size_t t) {
+    return std::span<const double>(obs[k]).subspan(t * nd(), nd());
+  };
+
+  std::vector<StreamingAssimilator> fused, serial;
+  fused.reserve(kEvents);
+  serial.reserve(kEvents);
+  for (std::size_t k = 0; k < kEvents; ++k) {
+    fused.push_back(engine().start());
+    serial.push_back(engine().start());
+  }
+  const auto set_sensor = [&](std::size_t k, std::size_t s, bool live) {
+    for (StreamingAssimilator* a : {&fused[k], &serial[k]}) {
+      if (live)
+        a->restore_sensor(s);
+      else
+        a->drop_sensor(s);
+    }
+  };
+
+  set_sensor(0, 2, false);
+  for (std::size_t t = 0; t < nt(); ++t) {
+    if (t == drop_at) set_sensor(1, 1, false);
+    if (t == restore_at) set_sensor(1, 1, true);
+    StreamingAssimilator* events[kEvents];
+    std::span<const double> blocks[kEvents];
+    for (std::size_t k = 0; k < kEvents; ++k) {
+      events[k] = &fused[k];
+      blocks[k] = data(k, t);
+      serial[k].push(t, data(k, t));
+    }
+    StreamingAssimilator::push_many(events, t, blocks);
+    for (std::size_t k = 0; k < kEvents; ++k)
+      ASSERT_TRUE(states_bitwise_equal(fused[k], serial[k]))
+          << "event " << k << " tick " << t;
+  }
+  EXPECT_EQ(fused[0].dropped_channels(), 1u);
+  EXPECT_TRUE(fused[1].degraded());  // permanent dead rows remain
+  EXPECT_EQ(fused[1].dropped_channels(), 0u);
+  EXPECT_FALSE(fused[2].degraded());
+}
+
 // ---------------------------------------------------------------------------
 // Service layer: control ops, provenance, corrupt rejection, metrics.
 // ---------------------------------------------------------------------------

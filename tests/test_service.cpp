@@ -355,29 +355,25 @@ TEST_F(ServiceTest, ServiceOptionValidation) {
   EXPECT_THROW(WarningService({.num_workers = 0}), std::invalid_argument);
   EXPECT_THROW(WarningService({.max_pending_per_event = 0}),
                std::invalid_argument);
-  EXPECT_THROW(WarningService({.max_batch_events = 0}), std::invalid_argument);
 }
 
-// ---- cross-event batching ---------------------------------------------------
+// ---- concurrent sessions ----------------------------------------------------
 //
-// The drain fuses tick-aligned pushes from sessions on one engine into a
-// single push_many sweep. The contract under test: batching is INVISIBLE in
-// the results — per-event forecasts are bit-identical to independent serial
-// replays no matter how arrivals interleave, at any max_batch_events, and
-// no matter which sessions happen to share a sweep.
+// Drain jobs run many sessions at once on the shared pool. The contract
+// under test: concurrency is INVISIBLE in the results — per-event forecasts
+// are bit-identical to independent serial replays no matter how arrivals
+// interleave or which jobs drain them.
 
 TEST_F(ServiceTest, BatchedReplayWithPairSwappedArrivalIsBitIdentical) {
   // 8 events on 2 drain jobs, ticks submitted in pairs (t+1 before t) with
   // the per-tick event order rotated: arrivals are adversarially out of
-  // order BOTH within an event and across events, so rounds of the batcher
-  // see ragged, shifting membership.
+  // order BOTH within an event and across events, so the drain jobs see
+  // ragged, shifting sets of runnable sessions.
   constexpr unsigned kEvents = 8;
   std::vector<std::vector<double>> obs;
   for (unsigned e = 0; e < kEvents; ++e) obs.push_back(make_obs(100 + e));
 
-  WarningService service({.num_workers = 2,
-                          .max_pending_per_event = 8,
-                          .max_batch_events = kEvents});
+  WarningService service({.num_workers = 2, .max_pending_per_event = 8});
   std::vector<EventId> ids;
   for (unsigned e = 0; e < kEvents; ++e)
     ids.push_back(service.open_event(*cached_));
@@ -406,13 +402,12 @@ TEST_F(ServiceTest, BatchedReplayWithPairSwappedArrivalIsBitIdentical) {
   }
 }
 
-TEST_F(ServiceTest, BatchingOffMatchesBatchingOnBitwise) {
+TEST_F(ServiceTest, ClosedLoopPublishesSerialBitsEveryTick) {
   // Closed loop: each round submits one tick per event, drain()s, and checks
-  // every event's published forecast bitwise against its serial mirror —
-  // with co-opting off (max_batch_events = 1) and at the default. Event 0
-  // runs a tick ahead and one block carries a validity bitmap: whichever
-  // sessions a drain round holds, singleton and mixed-bitmap groups must
-  // publish the serial bits.
+  // every event's published forecast bitwise against its serial mirror.
+  // Event 0 runs a tick ahead and one block carries a validity bitmap:
+  // sessions at different ticks, and a lossy block among healthy ones, must
+  // all publish the serial bits.
   constexpr unsigned kEvents = 6;
   std::vector<std::vector<double>> obs;
   for (unsigned e = 0; e < kEvents; ++e) obs.push_back(make_obs(200 + e));
@@ -423,61 +418,50 @@ TEST_F(ServiceTest, BatchingOffMatchesBatchingOnBitwise) {
                             : std::span<const std::uint8_t>{};
   };
 
-  const auto run = [&](std::size_t max_batch_events,
-                       std::vector<Forecast>& out) {
-    WarningService service(
-        {.num_workers = 3, .max_batch_events = max_batch_events});
-    std::vector<EventId> ids;
-    std::vector<StreamingAssimilator> mirrors;
-    mirrors.reserve(kEvents);
-    for (unsigned e = 0; e < kEvents; ++e) {
-      ids.push_back(service.open_event(*cached_));
-      mirrors.push_back((*cached_)->engine().start());
-    }
-    const auto feed = [&](unsigned e, std::size_t t) {
-      service.submit(ids[e], t, block(obs[e], t), valid(e, t));
-      mirrors[e].push(t, block(obs[e], t), valid(e, t));
-    };
-    feed(0, 0);
-    for (std::size_t t = 0; t < nt(); ++t) {
-      if (t + 1 < nt()) feed(0, t + 1);
-      for (unsigned e = 1; e < kEvents; ++e) feed(e, t);
-      service.drain();
-      for (unsigned e = 0; e < kEvents; ++e) {
-        const EventSnapshot got = service.latest_forecast(ids[e]);
-        const Forecast expect = mirrors[e].forecast();
-        ASSERT_EQ(got.ticks_assimilated, mirrors[e].ticks_received())
-            << "event " << e << " round " << t;
-        ASSERT_EQ(got.forecast.mean, expect.mean)
-            << "event " << e << " round " << t;
-        ASSERT_EQ(got.forecast.stddev, expect.stddev)
-            << "event " << e << " round " << t;
-        ASSERT_EQ(got.degraded, expect.degraded)
-            << "event " << e << " round " << t;
-      }
-    }
-    for (unsigned e = 0; e < kEvents; ++e)
-      out.push_back(service.close_event(ids[e]).forecast);
-  };
-  std::vector<Forecast> fused, single;
-  run(ServiceOptions{}.max_batch_events, fused);
-  run(1, single);
-  ASSERT_EQ(fused.size(), kEvents);
-  ASSERT_EQ(single.size(), kEvents);
-  EXPECT_TRUE(fused[2].degraded);
+  WarningService service({.num_workers = 3});
+  std::vector<EventId> ids;
+  std::vector<StreamingAssimilator> mirrors;
+  mirrors.reserve(kEvents);
   for (unsigned e = 0; e < kEvents; ++e) {
-    EXPECT_EQ(fused[e].mean, single[e].mean) << "event " << e;
-    EXPECT_EQ(fused[e].stddev, single[e].stddev) << "event " << e;
+    ids.push_back(service.open_event(*cached_));
+    mirrors.push_back((*cached_)->engine().start());
+  }
+  const auto feed = [&](unsigned e, std::size_t t) {
+    service.submit(ids[e], t, block(obs[e], t), valid(e, t));
+    mirrors[e].push(t, block(obs[e], t), valid(e, t));
+  };
+  feed(0, 0);
+  for (std::size_t t = 0; t < nt(); ++t) {
+    if (t + 1 < nt()) feed(0, t + 1);
+    for (unsigned e = 1; e < kEvents; ++e) feed(e, t);
+    service.drain();
+    for (unsigned e = 0; e < kEvents; ++e) {
+      const EventSnapshot got = service.latest_forecast(ids[e]);
+      const Forecast expect = mirrors[e].forecast();
+      ASSERT_EQ(got.ticks_assimilated, mirrors[e].ticks_received())
+          << "event " << e << " round " << t;
+      ASSERT_EQ(got.forecast.mean, expect.mean)
+          << "event " << e << " round " << t;
+      ASSERT_EQ(got.forecast.stddev, expect.stddev)
+          << "event " << e << " round " << t;
+      ASSERT_EQ(got.degraded, expect.degraded)
+          << "event " << e << " round " << t;
+    }
+  }
+  for (unsigned e = 0; e < kEvents; ++e) {
+    const EventSnapshot fin = service.close_event(ids[e]);
+    EXPECT_TRUE(fin.complete) << "event " << e;
+    EXPECT_EQ(fin.degraded, e == 2) << "event " << e;
   }
 }
 
 TEST_F(ServiceTest, OpenCloseSubmitFuzzHasNoCrossEventLeakage) {
   // Fixed-seed fuzz of the service lifecycle: events open, close, and push
-  // at random while the batcher keeps fusing whoever happens to be tick-
-  // aligned. Every event carries a serial MIRROR assimilator fed the exact
-  // same blocks; at close, the service forecast must equal the mirror
-  // bitwise — any cross-event contamination inside a fused sweep (wrong
-  // column, shared scratch, swapped z) breaks the equality immediately.
+  // at random while drain jobs run concurrently. Every event carries a
+  // serial MIRROR assimilator fed the exact same blocks; at close, the
+  // service forecast must equal the mirror bitwise — any cross-event
+  // contamination between concurrent drains (shared scratch, a session
+  // drained by two jobs) breaks the equality immediately.
   struct Live {
     EventId id;
     std::vector<double> obs;
@@ -485,7 +469,7 @@ TEST_F(ServiceTest, OpenCloseSubmitFuzzHasNoCrossEventLeakage) {
     StreamingAssimilator mirror;
   };
   Rng rng(99);
-  WarningService service({.num_workers = 2, .max_batch_events = 4});
+  WarningService service({.num_workers = 2});
   // unique_ptr: the assimilator holds an engine reference and is not
   // move-assignable, so Live cannot live in the vector by value.
   std::vector<std::unique_ptr<Live>> live;
@@ -531,8 +515,8 @@ TEST_F(ServiceTest, OpenCloseSubmitFuzzHasNoCrossEventLeakage) {
 //
 // The journal's contract: every event's records reconstruct its complete
 // open -> first_tick -> push* -> alert_latch -> close timeline in timestamp
-// order, per-event push ticks are strictly ascending even under the
-// cross-event batcher, and each push record's decomposed latency budget
+// order, per-event push ticks are strictly ascending even when arrivals are
+// out of order, and each push record's decomposed latency budget
 // (queue_wait + push + publish) accounts for its end-to-end total.
 
 namespace journal_util {
@@ -632,17 +616,15 @@ TEST_F(ServiceTest, JournalReconstructsCompleteLifecycle) {
             0.8 * static_cast<double>(sum_total));
 }
 
-TEST_F(ServiceTest, JournalPushOrderStrictUnderCrossEventBatcher) {
-  // Same adversarial arrival pattern as the batched bit-identity test: the
-  // journal must nevertheless record every event's pushes in strict tick
-  // order (the batcher fuses sweeps, it never reorders within an event).
+TEST_F(ServiceTest, JournalPushOrderStrictUnderPairSwappedArrival) {
+  // Same adversarial arrival pattern as the pair-swapped bit-identity test:
+  // the journal must nevertheless record every event's pushes in strict
+  // tick order (the reorder buffer holds t+1 until t has been pushed).
   constexpr unsigned kEvents = 8;
   std::vector<std::vector<double>> obs;
   for (unsigned e = 0; e < kEvents; ++e) obs.push_back(make_obs(400 + e));
 
-  WarningService service({.num_workers = 2,
-                          .max_pending_per_event = 8,
-                          .max_batch_events = kEvents});
+  WarningService service({.num_workers = 2, .max_pending_per_event = 8});
   std::vector<EventId> ids;
   for (unsigned e = 0; e < kEvents; ++e)
     ids.push_back(service.open_event(*cached_));
@@ -812,29 +794,27 @@ TEST(ServiceTelemetryTest, ConcurrentWritersNeverTearTheHistogram) {
 }
 
 TEST_F(ServiceTest, CloseDuringBatchedDrainHasNoUseAfterRelease) {
-  // The cross-event batcher co-opts tick-aligned peers via try_schedule and
-  // keeps touching them (take_one_runnable / push_many / publish) until
-  // release_if_idle succeeds. close_event concurrently removes the session
-  // from the map and waits on wait_idle. The lifetime contract under test:
-  // a co-opted session is held by shared_ptr in the drain job's active set,
-  // wait_idle blocks until the batcher's release drops the scheduled flag,
-  // and the final snapshot reflects a clean tick prefix. Run under the TSan
-  // CI job, this is the use-after-release probe; here it also asserts the
+  // A drain job keeps touching its session (pop_next / push / publish)
+  // until release_if_idle succeeds. close_event concurrently removes the
+  // session from the map and waits on wait_idle. The lifetime contract
+  // under test: the session is held by shared_ptr in the drain job,
+  // wait_idle blocks until the job's release drops the scheduled flag, and
+  // the final snapshot reflects a clean tick prefix. Run under the TSan CI
+  // job, this is the use-after-release probe; here it also asserts the
   // functional postconditions. Many short rounds maximize interleavings
-  // where the close lands exactly while the batcher owns the session.
+  // where the close lands exactly while a drain job owns the session.
   constexpr int kRounds = 25;
   constexpr std::size_t kEvents = 6;
   for (int round = 0; round < kRounds; ++round) {
-    WarningService service(
-        {.num_workers = 2, .max_batch_events = kEvents});
+    WarningService service({.num_workers = 2});
     std::vector<EventId> ids;
     std::vector<std::vector<double>> obs;
     for (std::size_t e = 0; e < kEvents; ++e) {
       ids.push_back(service.open_event(*cached_));
       obs.push_back(make_obs(3000u + static_cast<unsigned>(e)));
     }
-    // Producer floods all events in tick order, so one leader drain job is
-    // continually co-opting the others while the main thread closes them.
+    // Producer floods all events in tick order, so drain jobs are
+    // continually running while the main thread closes the sessions.
     std::thread producer([&] {
       for (std::size_t t = 0; t < nt(); ++t) {
         for (std::size_t e = 0; e < kEvents; ++e) {
