@@ -25,7 +25,7 @@ namespace {
 tsunami::TwinConfig cascadia_config(bool medium) {
   using namespace tsunami;
   TwinConfig c;
-  // Synthetic Cascadia margin (DESIGN.md: GEBCO substitution). The shelf is
+  // Synthetic Cascadia margin (stand-in for GEBCO). The shelf is
   // kept >= 500 m so the explicit acoustic CFL stays tractable on CPU.
   c.bathymetry = BathymetryConfig{};
   c.bathymetry.length_x = 120e3;

@@ -1,22 +1,18 @@
 // The HPC side of the paper's deployment split (SecVIII): run Phases 1-3
 // once, then ship their products as ONE versioned artifact bundle. The
-// warning center boots from that bundle alone — see the paired
-// examples/warning_center.cpp, which must be run after this one:
+// warning center boots from that bundle alone, with zero PDE solves:
 //
 //   $ ./examples/offline_build [dir]     # default dir: twin_artifacts
-//   $ ./examples/warning_center [dir]
 //
-// Besides the bundle, this driver writes a telemetry replay (the synthetic
-// event's noisy observations and true wave heights) so the warning-center
-// example has a realistic feed to assimilate. In a deployment those bytes
-// come off the seafloor cable in real time; everything else the warning
-// center needs is in the bundle.
+// then, on the serving side, EngineCache::load("<dir>/cascadia.bundle") (as
+// examples/warning_service.cpp does). In a deployment the observations come
+// off the seafloor cable in real time; everything else the warning center
+// needs is in the bundle.
 
 #include <cstdio>
 #include <filesystem>
 
 #include "core/digital_twin.hpp"
-#include "util/io.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -26,9 +22,7 @@ int main(int argc, char** argv) {
   const std::string dir = argc > 1 ? argv[1] : "twin_artifacts";
   std::filesystem::create_directories(dir);
 
-  // The same event/window as examples/realtime_monitor.cpp, so the two
-  // sides of the split stay comparable with the single-process demo. The
-  // Phase 1 outer loop runs its adjoint solves in parallel: producing a
+  // The Phase 1 outer loop runs its adjoint solves in parallel: producing a
   // bundle should itself be fast (results are bit-identical to serial).
   TwinConfig config = TwinConfig::tiny();
   config.num_intervals = 24;
@@ -63,10 +57,6 @@ int main(int argc, char** argv) {
   save_bundle(bundle_path, bundle);
   const double save_seconds = save_watch.seconds();
 
-  // Telemetry replay for the warning-center example (NOT part of the
-  // bundle: in a deployment this is the live sensor feed).
-  save_vector(dir + "/telemetry_d_obs.bin", event.d_obs);
-  save_vector(dir + "/telemetry_q_true.bin", event.q_true);
   TextTable table({"section", "shape", "MB"});
   for (const auto& s : bundle.sections()) {
     std::string shape;
@@ -92,8 +82,8 @@ int main(int argc, char** argv) {
               format_duration(save_seconds).c_str(),
               static_cast<unsigned long long>(bundle.fingerprint));
   std::printf(
-      "ship the %s directory to the warning center, then run "
-      "./examples/warning_center %s\n",
-      dir.c_str(), dir.c_str());
+      "ship %s to the warning center and boot it with "
+      "EngineCache::load(\"%s\"), as examples/warning_service does\n",
+      bundle_path.c_str(), bundle_path.c_str());
   return 0;
 }

@@ -1,9 +1,9 @@
 // Serving many events at once: the multi-event warning service.
 //
-// examples/warning_center.cpp tracks ONE event through one assimilator. An
-// operational center during a Cascadia sequence tracks many — mainshock,
-// aftershocks, exercise replays — all over the same sensor network. This
-// example runs that morning end to end, in one process for convenience:
+// An operational center during a Cascadia sequence tracks many events at
+// once — mainshock, aftershocks, exercise replays — all over the same
+// sensor network. This example runs that morning end to end, in one process
+// for convenience:
 //
 //   1. HPC side: build the offline operators once, ship a bundle.
 //   2. Boot an EngineCache from the bundle (warm start, zero PDE solves)
@@ -16,6 +16,9 @@
 //      (events in flight, aggregate ticks/sec, p50/p95/p99 push latency).
 //
 //   $ ./examples/warning_service [n_events]     # default 6
+//
+// A malformed event count or TSUNAMI_FAULT_* / TSUNAMI_HTTP value is
+// reported with the usage line before any offline work, and exits 1.
 //
 // Observability hooks (all optional, see docs/ARCHITECTURE.md):
 //   TSUNAMI_TRACE=trace.json    flight-recorder spans -> Chrome trace JSON
@@ -41,6 +44,7 @@
 // (journal `reject`), and then retransmitted clean.
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -60,11 +64,45 @@
 #include "service/warning_service.hpp"
 #include "util/table.hpp"
 
+namespace {
+
+/// Report a bad input with the usage line; main returns this.
+int usage_error(const std::string& reason) {
+  std::fprintf(stderr,
+               "warning_service: %s\n"
+               "usage: warning_service [n_events]   (n_events >= 1, default 6)\n",
+               reason.c_str());
+  return 1;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace tsunami;
 
-  const std::size_t n_events =
-      argc > 1 ? static_cast<std::size_t>(std::atol(argv[1])) : 6;
+  // Every input is parsed before the offline build, so a typo fails fast.
+  std::size_t n_events = 6;
+  if (argc > 1) {
+    const std::string arg = argv[1];
+    const auto [end, ec] =
+        std::from_chars(arg.data(), arg.data() + arg.size(), n_events);
+    if (ec != std::errc{} || end != arg.data() + arg.size() || n_events == 0)
+      return usage_error("n_events must be a positive integer, got '" + arg +
+                         "'");
+  }
+  FaultPlan fault_plan;
+  try {
+    fault_plan = FaultPlan::from_env();
+  } catch (const std::invalid_argument& e) {
+    return usage_error(e.what());
+  }
+  const char* http_spec = std::getenv("TSUNAMI_HTTP");
+  if (http_spec != nullptr && *http_spec == '\0') http_spec = nullptr;
+  std::string http_host;
+  std::uint16_t http_port = 0;
+  if (http_spec != nullptr &&
+      !obs::HttpExporter::parse_hostport(http_spec, http_host, http_port))
+    return usage_error(std::string("bad TSUNAMI_HTTP spec: ") + http_spec);
 
   TwinConfig config = TwinConfig::tiny();
   config.num_intervals = 24;
@@ -111,16 +149,9 @@ int main(int argc, char** argv) {
   // TSUNAMI_HTTP=host:port — serve live introspection for the whole replay.
   // Declared after `service`, so it is destroyed (threads joined) first.
   std::unique_ptr<obs::HttpExporter> http;
-  if (const char* spec = std::getenv("TSUNAMI_HTTP");
-      spec != nullptr && *spec != '\0') {
-    std::string host;
-    std::uint16_t port = 0;
-    if (!obs::HttpExporter::parse_hostport(spec, host, port)) {
-      std::fprintf(stderr, "[obs] bad TSUNAMI_HTTP spec: %s\n", spec);
-      return 1;
-    }
+  if (http_spec != nullptr) {
     http = std::make_unique<obs::HttpExporter>(
-        obs::HttpExporter::Options{.host = host, .port = port});
+        obs::HttpExporter::Options{.host = http_host, .port = http_port});
     http->route("/metrics", [&](const obs::HttpRequest&) {
       obs::MetricsSnapshot snap;
       service.collect_metrics(snap);
@@ -149,13 +180,13 @@ int main(int argc, char** argv) {
                                service.events_json()};
     });
     if (!http->start()) {
-      std::fprintf(stderr, "[obs] could not bind %s: %s\n", spec,
+      std::fprintf(stderr, "[obs] could not bind %s: %s\n", http_spec,
                    http->last_error().c_str());
       return 1;
     }
     std::printf("[obs] introspection server on %s:%u "
                 "(/metrics /healthz /readyz /tracez /events)\n",
-                host.c_str(), static_cast<unsigned>(http->port()));
+                http_host.c_str(), static_cast<unsigned>(http->port()));
   }
 
   std::vector<EventId> ids;
@@ -173,7 +204,7 @@ int main(int argc, char** argv) {
   // sensor outages plus hash-seeded packet loss and corruption. Counters
   // are reported after the replay; the journal and /metrics carry the
   // per-event record.
-  const FaultInjector faults(FaultPlan::from_env());
+  const FaultInjector faults(std::move(fault_plan));
   std::size_t faults_lost = 0, faults_corrupt = 0, faults_sensor_ops = 0;
   const std::vector<std::uint8_t> all_lost(nd, 0);
   const std::vector<double> oversized(nd + 1, 0.0);

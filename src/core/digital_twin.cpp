@@ -5,7 +5,6 @@
 
 #include "linalg/blas.hpp"
 #include "obs/trace.hpp"
-#include "util/io.hpp"
 
 namespace tsunami {
 

@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "core/baseline_cg.hpp"
 #include "core/data_space_hessian.hpp"
 #include "core/forecast.hpp"
 #include "core/p2o_builder.hpp"

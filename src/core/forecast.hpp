@@ -9,7 +9,7 @@
 //   Q  = V^T K^{-1}                           ("compute Q: d -> q"),
 // so that online prediction is a single dense matvec q_map = Q d_obs with
 // 95% credible intervals from diag(Gamma_post(q)) — deployable "entirely
-// without any HPC infrastructure" (SecVIII; examples/realtime_monitor.cpp).
+// without any HPC infrastructure" (SecVIII).
 
 #include <cstddef>
 #include <span>

@@ -13,7 +13,7 @@
 // phase over the whole bank — in parallel, since the online operators are
 // immutable after Phase 3 and every solve uses caller-local buffers.
 //
-// Intended use (see examples/ensemble_forecast.cpp):
+// Intended use (see tests/test_scenario_bank.cpp):
 //
 //   DigitalTwin twin(config);
 //   ScenarioBank bank(twin, ScenarioBank::spread(twin, 16, seed));

@@ -1,6 +1,7 @@
 #pragma once
 
-// Synthetic Cascadia-like topobathymetry (GEBCO substitution, see DESIGN.md).
+// Synthetic Cascadia-like topobathymetry: an analytic stand-in for the
+// GEBCO grid the paper meshes.
 //
 // Coordinates: x runs across the margin from the deformation front (trench,
 // x = 0, deep) toward the coast (x = Lx, shallow); y runs along strike

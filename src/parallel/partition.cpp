@@ -1,6 +1,5 @@
 #include "parallel/partition.hpp"
 
-#include <limits>
 #include <stdexcept>
 
 namespace tsunami {
@@ -27,121 +26,6 @@ Range block_range(std::size_t n, std::size_t parts, std::size_t rank) {
       rank * base + (rank < rem ? rank : rem);
   const std::size_t len = base + (rank < rem ? 1 : 0);
   return Range{begin, begin + len};
-}
-
-GridPartition3D::GridPartition3D(std::array<std::size_t, 3> cells,
-                                 std::array<std::size_t, 3> procs)
-    : cells_(cells), procs_(procs) {
-  for (int d = 0; d < 3; ++d) {
-    if (procs_[d] == 0)
-      throw std::invalid_argument("GridPartition3D: zero proc dimension");
-    if (procs_[d] > cells_[d])
-      throw std::invalid_argument(
-          "GridPartition3D: more ranks than cells in a dimension");
-  }
-}
-
-std::array<std::size_t, 3> GridPartition3D::coords(std::size_t rank) const {
-  const std::size_t ix = rank % procs_[0];
-  const std::size_t iy = (rank / procs_[0]) % procs_[1];
-  const std::size_t iz = rank / (procs_[0] * procs_[1]);
-  return {ix, iy, iz};
-}
-
-std::array<Range, 3> GridPartition3D::local_box(std::size_t rank) const {
-  if (rank >= num_ranks())
-    throw std::out_of_range("GridPartition3D: rank out of range");
-  const auto c = coords(rank);
-  return {block_range(cells_[0], procs_[0], c[0]),
-          block_range(cells_[1], procs_[1], c[1]),
-          block_range(cells_[2], procs_[2], c[2])};
-}
-
-std::size_t GridPartition3D::local_cells(std::size_t rank) const {
-  const auto box = local_box(rank);
-  return box[0].size() * box[1].size() * box[2].size();
-}
-
-std::vector<std::size_t> GridPartition3D::face_neighbors(
-    std::size_t rank) const {
-  const auto c = coords(rank);
-  std::vector<std::size_t> out;
-  auto linear = [&](std::size_t x, std::size_t y, std::size_t z) {
-    return x + procs_[0] * (y + procs_[1] * z);
-  };
-  for (int d = 0; d < 3; ++d) {
-    for (int s : {-1, +1}) {
-      auto n = c;
-      const long long moved = static_cast<long long>(n[d]) + s;
-      if (moved < 0 || moved >= static_cast<long long>(procs_[d])) continue;
-      n[d] = static_cast<std::size_t>(moved);
-      out.push_back(linear(n[0], n[1], n[2]));
-    }
-  }
-  return out;
-}
-
-std::size_t GridPartition3D::halo_faces(std::size_t rank) const {
-  const auto c = coords(rank);
-  const auto box = local_box(rank);
-  std::size_t faces = 0;
-  const std::size_t area[3] = {box[1].size() * box[2].size(),
-                               box[0].size() * box[2].size(),
-                               box[0].size() * box[1].size()};
-  for (int d = 0; d < 3; ++d) {
-    if (c[d] > 0) faces += area[d];
-    if (c[d] + 1 < procs_[d]) faces += area[d];
-  }
-  return faces;
-}
-
-std::array<std::size_t, 2> choose_grid_2d(std::size_t p) {
-  if (p == 0) throw std::invalid_argument("choose_grid_2d: p == 0");
-  std::array<std::size_t, 2> best{1, p};
-  std::size_t best_perimeter = std::numeric_limits<std::size_t>::max();
-  for (std::size_t a = 1; a * a <= p; ++a) {
-    if (p % a != 0) continue;
-    const std::size_t b = p / a;
-    if (a + b < best_perimeter) {
-      best_perimeter = a + b;
-      best = {a, b};
-    }
-  }
-  return best;
-}
-
-std::array<std::size_t, 3> choose_grid_3d(std::array<std::size_t, 3> cells,
-                                          std::size_t p) {
-  if (p == 0) throw std::invalid_argument("choose_grid_3d: p == 0");
-  std::array<std::size_t, 3> best{1, 1, 1};
-  double best_surface = std::numeric_limits<double>::max();
-  bool found = false;
-  for (std::size_t px = 1; px <= p; ++px) {
-    if (p % px != 0 || px > cells[0]) continue;
-    const std::size_t rest = p / px;
-    for (std::size_t py = 1; py <= rest; ++py) {
-      if (rest % py != 0 || py > cells[1]) continue;
-      const std::size_t pz = rest / py;
-      if (pz > cells[2]) continue;
-      // Average subdomain extents; total halo surface ~ sum of cut planes.
-      const double lx = static_cast<double>(cells[0]) / static_cast<double>(px);
-      const double ly = static_cast<double>(cells[1]) / static_cast<double>(py);
-      const double lz = static_cast<double>(cells[2]) / static_cast<double>(pz);
-      const double surface =
-          static_cast<double>(px - 1) * ly * lz * static_cast<double>(py * pz) +
-          static_cast<double>(py - 1) * lx * lz * static_cast<double>(px * pz) +
-          static_cast<double>(pz - 1) * lx * ly * static_cast<double>(px * py);
-      if (surface < best_surface) {
-        best_surface = surface;
-        best = {px, py, pz};
-        found = true;
-      }
-    }
-  }
-  if (!found)
-    throw std::invalid_argument(
-        "choose_grid_3d: no factorization fits the cell box");
-  return best;
 }
 
 }  // namespace tsunami

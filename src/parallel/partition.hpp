@@ -1,14 +1,9 @@
 #pragma once
 
-// Block partitioners for 1-D ranges and 2-D/3-D processor grids.
-//
-// The paper partitions its hexahedral meshes over 3-D processor grids
-// (Table II: e.g. 80 x 136 x 4 on El Capitan) and its Toeplitz matvec over an
-// adaptively shaped 2-D GPU grid [26]. These utilities reproduce both
-// decompositions; the simulated scaling runtime (sim_comm) uses them to carve
-// subdomains and derive halo-exchange volumes.
+// Contiguous 1-D block partitions. block_range cuts the chunk grid of every
+// parallel loop (parallel/parallel_for.hpp); partition_1d materializes the
+// whole decomposition at once.
 
-#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -28,54 +23,5 @@ struct Range {
 /// The block owned by `rank` in the partition_1d decomposition.
 [[nodiscard]] Range block_range(std::size_t n, std::size_t parts,
                                 std::size_t rank);
-
-/// A 3-D processor grid (px x py x pz) over a structured element box
-/// (nx x ny x nz), as in the paper's Table II mesh decompositions.
-class GridPartition3D {
- public:
-  GridPartition3D(std::array<std::size_t, 3> cells,
-                  std::array<std::size_t, 3> procs);
-
-  [[nodiscard]] std::size_t num_ranks() const {
-    return procs_[0] * procs_[1] * procs_[2];
-  }
-
-  /// The element sub-box [x-range, y-range, z-range] owned by `rank`.
-  [[nodiscard]] std::array<Range, 3> local_box(std::size_t rank) const;
-
-  /// Rank coordinates (ix, iy, iz) of linear `rank`.
-  [[nodiscard]] std::array<std::size_t, 3> coords(std::size_t rank) const;
-
-  /// Number of elements owned by `rank`.
-  [[nodiscard]] std::size_t local_cells(std::size_t rank) const;
-
-  /// Ranks sharing a face with `rank` (<= 6 neighbours).
-  [[nodiscard]] std::vector<std::size_t> face_neighbors(std::size_t rank) const;
-
-  /// Total face area (in element faces) `rank` shares with neighbours; this is
-  /// the per-step halo-exchange surface that drives communication volume.
-  [[nodiscard]] std::size_t halo_faces(std::size_t rank) const;
-
-  [[nodiscard]] const std::array<std::size_t, 3>& cells() const {
-    return cells_;
-  }
-  [[nodiscard]] const std::array<std::size_t, 3>& procs() const {
-    return procs_;
-  }
-
- private:
-  std::array<std::size_t, 3> cells_;
-  std::array<std::size_t, 3> procs_;
-};
-
-/// Choose a near-square 2-D processor-grid shape p1 x p2 = p minimizing
-/// (perimeter-weighted) communication, mimicking the adaptive grid-shape
-/// tuning of the FFTMatvec library [26]. Returns {p1, p2} with p1 <= p2.
-[[nodiscard]] std::array<std::size_t, 2> choose_grid_2d(std::size_t p);
-
-/// Choose a 3-D grid shape for a cell box, preferring shapes that minimize
-/// total halo surface (the paper's Table II shapes follow this pattern).
-[[nodiscard]] std::array<std::size_t, 3> choose_grid_3d(
-    std::array<std::size_t, 3> cells, std::size_t p);
 
 }  // namespace tsunami

@@ -16,7 +16,7 @@
 // al. (2011) as used by hIPPYlib.
 //
 // A is banded with bandwidth = grid width, so a banded Cholesky gives exact
-// direct solves — the cuDSS stand-in (DESIGN.md).
+// direct solves — a CPU stand-in for the paper's cuDSS sparse direct solver.
 
 #include <cstddef>
 #include <memory>

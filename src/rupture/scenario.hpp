@@ -1,7 +1,7 @@
 #pragma once
 
-// Kinematic megathrust rupture scenarios (substitution for the paper's 3-D
-// dynamic rupture simulation, see DESIGN.md).
+// Kinematic megathrust rupture scenarios: a stand-in for the paper's 3-D
+// dynamic rupture simulation.
 //
 // The inversion consumes only the spatiotemporal seafloor normal velocity
 // m_true(x, t); this module synthesizes realistic fields with the features

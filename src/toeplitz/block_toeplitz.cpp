@@ -23,15 +23,12 @@ namespace tsunami {
 // The same CPUID test the clone resolver makes.
 #define TSUNAMI_KERNEL_ISA \
   (__builtin_cpu_supports("x86-64-v3") ? "x86-64-v3" : "x86-64")
+#elif defined(__x86_64__)
+#define TSUNAMI_HOT_KERNEL
+#define TSUNAMI_KERNEL_ISA "x86-64"
 #else
 #define TSUNAMI_HOT_KERNEL
-#if defined(__x86_64__)
-#define TSUNAMI_KERNEL_ISA "x86-64"
-#elif defined(__aarch64__)
-#define TSUNAMI_KERNEL_ISA "aarch64"
-#else
 #define TSUNAMI_KERNEL_ISA "portable"
-#endif
 #endif
 
 const char* toeplitz_kernel_isa() { return TSUNAMI_KERNEL_ISA; }

@@ -43,10 +43,9 @@
 namespace tsunami {
 
 /// The instruction set of the frequency-domain kernel clone this process
-/// dispatches to: "x86-64-v3" (AVX2 + FMA) or "x86-64" on x86-64 Linux
-/// with GCC, otherwise the one portable definition ("x86-64", "aarch64" or
-/// "portable"). Forecast bits depend on it, so bitwise golden values are
-/// keyed by it (tests/test_golden.cpp).
+/// dispatches to: "x86-64-v3" (AVX2 + FMA) or "x86-64" on x86-64, and
+/// "portable" elsewhere. Forecast bits depend on it, so bitwise golden
+/// values are keyed by it (tests/test_golden.cpp).
 [[nodiscard]] const char* toeplitz_kernel_isa();
 
 /// Reusable scratch for BlockToeplitz apply paths: the split-complex

@@ -7,8 +7,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "util/io.hpp"
-
 namespace tsunami {
 
 namespace {
@@ -78,6 +76,14 @@ std::uint64_t dims_product(const std::vector<std::uint64_t>& dims,
 }
 
 }  // namespace
+
+std::uint64_t checked_mul_u64(std::uint64_t a, std::uint64_t b,
+                              const char* what) {
+  if (b != 0 && a > std::numeric_limits<std::uint64_t>::max() / b)
+    throw std::runtime_error(std::string(what) +
+                             ": integer overflow in size computation");
+  return a * b;
+}
 
 std::uint64_t fnv1a(const void* data, std::size_t nbytes, std::uint64_t h) {
   const auto* p = static_cast<const unsigned char*>(data);

@@ -6,9 +6,9 @@
 // The paper's deployment story (SecVIII) ships the Phase 1-3 products — p2o
 // block columns, the Cholesky factor of the data-space Hessian K, the
 // data-to-QoI map Q, Gamma_post(q) — from the HPC system to a warning center
-// that runs Phase 4 with no HPC at all. util/io.hpp gives each product its
-// own file; this module packs them into a single self-describing container
-// so the hand-off is one artifact, not a directory convention:
+// that runs Phase 4 with no HPC at all. This module packs them into a single
+// self-describing container, so the hand-off is one artifact, not a
+// directory convention:
 //
 //   u64 magic "TSBUNDLE"            ─┐
 //   u64 format version               │ header
@@ -43,6 +43,13 @@ namespace tsunami {
 
 /// Bump when the on-disk layout changes; loaders reject other versions.
 inline constexpr std::uint64_t kBundleFormatVersion = 1;
+
+/// a * b with overflow detection. Header dimensions come straight off disk,
+/// so every size computation on them must refuse to wrap: a wrapped product
+/// silently undersizes the destination buffer and turns a corrupt header
+/// into a heap overflow. Throws std::runtime_error naming `what`.
+[[nodiscard]] std::uint64_t checked_mul_u64(std::uint64_t a, std::uint64_t b,
+                                            const char* what);
 
 /// FNV-1a 64-bit hash, used for both the whole-file checksum and the
 /// TwinConfig fingerprint. `h` chains calls: fnv1a(b, nb, fnv1a(a, na)).

@@ -252,6 +252,26 @@ TEST(ArtifactBundleFormat, RejectsUnsupportedVersion) {
   std::filesystem::remove(path);
 }
 
+TEST(ArtifactBundleFormat, CheckedMulDetectsOverflow) {
+  EXPECT_EQ(checked_mul_u64(1u << 22, 1u << 22, "test"), 1ull << 44);
+  EXPECT_THROW((void)checked_mul_u64(1ull << 33, 1ull << 33, "test"),
+               std::runtime_error);
+  EXPECT_EQ(checked_mul_u64(0, ~0ull, "test"), 0u);
+}
+
+TEST(ArtifactBundleFormat, WriteFailureIsReportedNotSwallowed) {
+  // /dev/full accepts the open but fails the write; save_bundle must flush
+  // and check rather than report success, both for a bundle that fits in
+  // the stream buffer and for one that does not.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP();
+  for (const std::size_t n : {std::size_t{1}, std::size_t{100000}}) {
+    ArtifactBundle b;
+    b.set_vector("v", std::vector<double>(n, 1.5));
+    EXPECT_THROW(save_bundle("/dev/full", b), std::runtime_error)
+        << n << " elements";
+  }
+}
+
 TEST_F(ArtifactBundleTest, RejectsFingerprintConfigMismatch) {
   // A bundle whose identity disagrees with its stored config must not boot
   // a twin, even though its checksum is valid (re-saved after tampering).

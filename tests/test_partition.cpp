@@ -1,12 +1,9 @@
-// Tests for the partitioners and the simulated halo-exchange runtime.
+// Tests for the 1-D block partitioner and the parallel loops built on it.
 
 #include <gtest/gtest.h>
 
-#include <numeric>
-
 #include "parallel/parallel_for.hpp"
 #include "parallel/partition.hpp"
-#include "parallel/sim_comm.hpp"
 
 namespace tsunami {
 namespace {
@@ -52,59 +49,6 @@ TEST(Partition1D, ThrowsOnZeroParts) {
   EXPECT_THROW((void)block_range(10, 3, 3), std::out_of_range);
 }
 
-TEST(GridPartition3D, LocalCellsSumToGlobal) {
-  const GridPartition3D grid({20, 34, 4}, {2, 3, 2});
-  std::size_t total = 0;
-  for (std::size_t r = 0; r < grid.num_ranks(); ++r)
-    total += grid.local_cells(r);
-  EXPECT_EQ(total, 20u * 34u * 4u);
-}
-
-TEST(GridPartition3D, CoordsRoundTrip) {
-  const GridPartition3D grid({8, 8, 8}, {2, 2, 2});
-  for (std::size_t r = 0; r < grid.num_ranks(); ++r) {
-    const auto c = grid.coords(r);
-    EXPECT_EQ(c[0] + 2 * (c[1] + 2 * c[2]), r);
-  }
-}
-
-TEST(GridPartition3D, InteriorRankHasSixNeighbors) {
-  const GridPartition3D grid({9, 9, 9}, {3, 3, 3});
-  // Center rank (1,1,1) -> linear 1 + 3*(1 + 3*1) = 13.
-  EXPECT_EQ(grid.face_neighbors(13).size(), 6u);
-  // Corner rank 0 has 3 neighbours.
-  EXPECT_EQ(grid.face_neighbors(0).size(), 3u);
-}
-
-TEST(GridPartition3D, HaloFacesMatchSubdomainSurfaces) {
-  const GridPartition3D grid({8, 8, 8}, {2, 1, 1});
-  // Each rank is 4x8x8; one internal cut of area 8*8.
-  EXPECT_EQ(grid.halo_faces(0), 64u);
-  EXPECT_EQ(grid.halo_faces(1), 64u);
-}
-
-TEST(GridPartition3D, RejectsOverDecomposition) {
-  EXPECT_THROW(GridPartition3D({2, 2, 2}, {3, 1, 1}), std::invalid_argument);
-}
-
-TEST(ChooseGrid2D, PrefersSquareFactorizations) {
-  EXPECT_EQ(choose_grid_2d(16), (std::array<std::size_t, 2>{4, 4}));
-  EXPECT_EQ(choose_grid_2d(12), (std::array<std::size_t, 2>{3, 4}));
-  EXPECT_EQ(choose_grid_2d(7), (std::array<std::size_t, 2>{1, 7}));
-}
-
-TEST(ChooseGrid3D, MinimizesCutSurface) {
-  // A flat slab should be cut along its long dimensions first.
-  const auto shape = choose_grid_3d({64, 64, 4}, 16);
-  EXPECT_EQ(shape[2], 1u);
-  EXPECT_EQ(shape[0] * shape[1], 16u);
-}
-
-TEST(ChooseGrid3D, HandlesExactCube) {
-  const auto shape = choose_grid_3d({32, 32, 32}, 8);
-  EXPECT_EQ(shape, (std::array<std::size_t, 3>{2, 2, 2}));
-}
-
 TEST(ParallelFor, VisitsEveryIndexOnce) {
   std::vector<int> hits(1000, 0);
   parallel_for(hits.size(), [&](std::size_t i) { hits[i] += 1; });
@@ -116,67 +60,6 @@ TEST(ParallelReduceSum, MatchesSerialSum) {
   const double s =
       parallel_reduce_sum(n, [](std::size_t i) { return static_cast<double>(i); });
   EXPECT_DOUBLE_EQ(s, static_cast<double>(n) * (n - 1) / 2.0);
-}
-
-class HaloExchangeTest : public ::testing::TestWithParam<
-                             std::tuple<std::array<std::size_t, 3>,
-                                        std::array<std::size_t, 3>>> {};
-
-TEST_P(HaloExchangeTest, GhostValuesMatchSerialField) {
-  const auto [cells, procs] = GetParam();
-  const GridPartition3D part(cells, procs);
-  const HaloExchange3D halo(part);
-
-  // Global field with a unique value per cell.
-  std::vector<double> global(cells[0] * cells[1] * cells[2]);
-  std::iota(global.begin(), global.end(), 1.0);
-
-  auto locals = halo.scatter(global);
-  halo.exchange(locals);
-
-  // Every rank's +x ghost layer must equal the neighbour's first owned slab.
-  for (std::size_t r = 0; r < part.num_ranks(); ++r) {
-    const auto box = part.local_box(r);
-    const auto c = part.coords(r);
-    if (c[0] + 1 < part.procs()[0]) {
-      for (std::size_t z = 0; z < box[2].size(); ++z)
-        for (std::size_t y = 0; y < box[1].size(); ++y) {
-          const std::size_t gx = box[0].end;  // first cell of the neighbour
-          const std::size_t gy = box[1].begin + y;
-          const std::size_t gz = box[2].begin + z;
-          const double expected =
-              global[gx + cells[0] * (gy + cells[1] * gz)];
-          const double got =
-              locals[r][halo.local_index(r, box[0].size(), y, z)];
-          EXPECT_DOUBLE_EQ(got, expected);
-        }
-    }
-  }
-  // Round trip must preserve owned data.
-  const auto back = halo.gather(locals);
-  EXPECT_EQ(back, global);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Decompositions, HaloExchangeTest,
-    ::testing::Values(
-        std::make_tuple(std::array<std::size_t, 3>{8, 8, 4},
-                        std::array<std::size_t, 3>{2, 2, 1}),
-        std::make_tuple(std::array<std::size_t, 3>{9, 7, 5},
-                        std::array<std::size_t, 3>{3, 2, 1}),
-        std::make_tuple(std::array<std::size_t, 3>{6, 6, 6},
-                        std::array<std::size_t, 3>{2, 2, 2}),
-        std::make_tuple(std::array<std::size_t, 3>{12, 4, 4},
-                        std::array<std::size_t, 3>{4, 1, 2})));
-
-TEST(HaloExchange, ReportsBytesMoved) {
-  const GridPartition3D part({4, 4, 4}, {2, 1, 1});
-  const HaloExchange3D halo(part);
-  std::vector<double> global(64, 1.0);
-  auto locals = halo.scatter(global);
-  const std::size_t bytes = halo.exchange(locals);
-  // One 4x4-face pair exchanged in both directions.
-  EXPECT_EQ(bytes, 2u * 16u * sizeof(double));
 }
 
 }  // namespace
