@@ -17,8 +17,10 @@
 //
 //   $ ./examples/warning_service [n_events]     # default 6
 //
-// A malformed event count or TSUNAMI_FAULT_* / TSUNAMI_HTTP value is
-// reported with the usage line before any offline work, and exits 1.
+// A malformed event count or TSUNAMI_FAULT_* / TSUNAMI_HTTP value, or a
+// scripted sensor fault outside the network (channel >= num_sensors, drop
+// tick >= num_intervals), is reported with the usage line before any
+// offline work, and exits 1.
 //
 // Observability hooks (all optional, see docs/ARCHITECTURE.md):
 //   TSUNAMI_TRACE=trace.json    flight-recorder spans -> Chrome trace JSON
@@ -90,11 +92,25 @@ int main(int argc, char** argv) {
       return usage_error("n_events must be a positive integer, got '" + arg +
                          "'");
   }
+  TwinConfig config = TwinConfig::tiny();
+  config.num_intervals = 24;
+  config.observation_dt = 4.0;  // 96 s window: the spread's events complete
+
   FaultPlan fault_plan;
   try {
     fault_plan = FaultPlan::from_env();
   } catch (const std::invalid_argument& e) {
     return usage_error(e.what());
+  }
+  for (const SensorFault& f : fault_plan.sensor_faults) {
+    if (f.sensor >= config.num_sensors)
+      return usage_error("TSUNAMI_FAULT_DROP_SENSOR channel " +
+                         std::to_string(f.sensor) + " is not below the " +
+                         std::to_string(config.num_sensors) + " sensors");
+    if (f.drop_tick >= config.num_intervals)
+      return usage_error("TSUNAMI_FAULT_DROP_SENSOR drop tick " +
+                         std::to_string(f.drop_tick) + " is not below the " +
+                         std::to_string(config.num_intervals) + " intervals");
   }
   const char* http_spec = std::getenv("TSUNAMI_HTTP");
   if (http_spec != nullptr && *http_spec == '\0') http_spec = nullptr;
@@ -103,10 +119,6 @@ int main(int argc, char** argv) {
   if (http_spec != nullptr &&
       !obs::HttpExporter::parse_hostport(http_spec, http_host, http_port))
     return usage_error(std::string("bad TSUNAMI_HTTP spec: ") + http_spec);
-
-  TwinConfig config = TwinConfig::tiny();
-  config.num_intervals = 24;
-  config.observation_dt = 4.0;  // 96 s window: the spread's events complete
 
   std::printf("=== Multi-event warning service ===\n");
   std::printf("[offline] building operators + bundle (the HPC side, once)\n");

@@ -43,6 +43,10 @@ void collect_pool(const ThreadPool& pool, MetricsSnapshot& snapshot) {
     snapshot.counter("tsunami_pool_worker_busy_seconds_total",
                      stats[i].busy_seconds, labels,
                      "Wall-clock seconds spent executing work");
+    snapshot.counter("tsunami_pool_worker_spin_seconds_total",
+                     stats[i].spin_seconds, labels,
+                     "Wall-clock seconds spent spinning for work before "
+                     "parking");
     snapshot.gauge("tsunami_pool_worker_queue_depth",
                    static_cast<double>(stats[i].queue_depth), labels,
                    "Entries currently in this worker's deque");

@@ -27,8 +27,9 @@ void collect_timers(const TimerRegistry& timers, MetricsSnapshot& snapshot,
 /// Pool-wide and per-worker health: tsunami_pool_workers,
 /// tsunami_pool_steals_total, and per worker i the series
 /// tsunami_pool_worker_{jobs_total, steals_total, busy_seconds_total,
-/// queue_depth, utilization}{worker="i"}. Utilization is busy wall time over
-/// pool uptime in [0, 1].
+/// spin_seconds_total, queue_depth, utilization}{worker="i"}. Utilization
+/// is busy wall time over pool uptime in [0, 1]; the idle spin before a
+/// worker parks is its own counter, not part of the busy time.
 void collect_pool(const ThreadPool& pool, MetricsSnapshot& snapshot);
 
 /// Flight-recorder health: tsunami_trace_dropped_total (spans overwritten by

@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <initializer_list>
 #include <mutex>
@@ -41,6 +40,7 @@ std::size_t env_threads(std::initializer_list<const char*> names) {
 
 struct Job {
   std::function<void()> fn;
+  Job* next = nullptr;  ///< injection-queue link (guarded by inject_mutex)
 };
 
 /// Chase-Lev work-stealing deque of Job*. The owner pushes and pops at the
@@ -263,8 +263,19 @@ struct Worker {
   std::atomic<std::uint64_t> jobs{0};
   std::atomic<std::uint64_t> steals{0};
   std::atomic<std::int64_t> busy_ns{0};
+  std::atomic<std::int64_t> spin_ns{0};
   std::thread thread;
 };
+
+/// One spin-loop pause: tells the core this is a busy-wait, which frees
+/// its execution resources for a sibling hyperthread.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
 
 }  // namespace
 
@@ -272,16 +283,31 @@ struct ThreadPool::Impl {
   std::size_t threads = 1;
   std::vector<std::unique_ptr<Worker>> workers;
 
+  // FIFO of jobs from non-worker threads, linked through Job::next so an
+  // enqueue allocates nothing beyond the Job itself.
   std::mutex inject_mutex;
-  std::deque<Job*> inject;
+  Job* inject_head = nullptr;
+  Job* inject_tail = nullptr;
 
-  // Sleep protocol: `signals` is bumped (and the cv notified) on every job
-  // submission; a worker snapshots it before its final empty re-check, then
-  // waits for it to change. A submission between re-check and wait flips the
-  // predicate, so wakeups cannot be lost.
+  // Idle protocol. `signals` is bumped on every job submission; a worker
+  // snapshots it before its final empty re-check, then waits for it to
+  // change: first spinning (at most one worker, the holder of `spinning`),
+  // then parked on wake_cv (counted in `sleepers`). All of signals,
+  // spinning and sleepers are seq_cst, and each side stores before it
+  // loads, so of a submitter (bump signals, then read spinning and
+  // sleepers) and a worker going idle (set spinning or sleepers, then read
+  // signals) at least one sees the other:
+  //   * a submitter that sees a spinner skips the wakeup; the spinner sees
+  //     the bump before it clears `spinning` or in its re-read after;
+  //   * a submitter that sees no sleeper skips the wakeup; a worker that
+  //     parks later sees the bump in its wait predicate;
+  //   * otherwise the submitter takes wake_mutex (so a sleeper is either
+  //     before its predicate check or inside wait) and notifies one.
   std::mutex wake_mutex;
   std::condition_variable wake_cv;
   std::atomic<std::uint64_t> signals{0};
+  std::atomic<bool> spinning{false};
+  std::atomic<std::size_t> sleepers{0};
   std::atomic<bool> stop{false};
 
   // submit()-job accounting for wait_idle().
@@ -302,20 +328,45 @@ struct ThreadPool::Impl {
     if (tls_worker.pool == this && tls_worker.worker != nullptr) {
       tls_worker.worker->deque.push(job);
     } else {
-      const std::lock_guard<std::mutex> lock(inject_mutex);
-      inject.push_back(job);
+      push_injected(job);
     }
-    // mo: release — the signal bump pairs with the workers' acquire load so
-    // a woken worker sees the job enqueued above before re-checking queues.
-    signals.fetch_add(1, std::memory_order_release);
-    wake_cv.notify_one();
+    // mo: seq_cst — the bump releases the job enqueued above to whichever
+    // worker reads it, and is the submitter's store of the store-then-load
+    // pair in the Impl comment; the spinning/sleepers reads are its loads.
+    signals.fetch_add(1, std::memory_order_seq_cst);
+    if (spinning.load(std::memory_order_seq_cst)) return;
+    wake_sleepers(/*all=*/false);
+  }
+
+  /// Wakes one (or every) parked worker, if any is parked.
+  void wake_sleepers(bool all) {
+    // mo: seq_cst — the load half of the submitter's store-then-load pair
+    // (Impl comment); the mutex round trip below closes the window between
+    // a sleeper's predicate check and its wait.
+    if (sleepers.load(std::memory_order_seq_cst) == 0) return;
+    { const std::lock_guard<std::mutex> lock(wake_mutex); }
+    if (all)
+      wake_cv.notify_all();
+    else
+      wake_cv.notify_one();
+  }
+
+  void push_injected(Job* job) {
+    const std::lock_guard<std::mutex> lock(inject_mutex);
+    if (inject_tail != nullptr)
+      inject_tail->next = job;
+    else
+      inject_head = job;
+    inject_tail = job;
   }
 
   Job* pop_injected() {
     const std::lock_guard<std::mutex> lock(inject_mutex);
-    if (inject.empty()) return nullptr;
-    Job* job = inject.front();
-    inject.pop_front();
+    Job* job = inject_head;
+    if (job == nullptr) return nullptr;
+    inject_head = job->next;
+    if (inject_head == nullptr) inject_tail = nullptr;
+    job->next = nullptr;
     return job;
   }
 
@@ -358,6 +409,42 @@ struct ThreadPool::Impl {
     }
   }
 
+  /// Spins until `signals` moves past `seen` or kSpinWindow runs out,
+  /// unless another worker holds the spinner role. Returns the
+  /// number of submissions since `seen`, read after the role is released
+  /// (0: park). A burst that arrived during the spin skipped its wakeups,
+  /// so the spinner wakes the parked workers for the jobs it cannot run.
+  std::uint64_t spin(Worker& me, std::uint64_t seen) {
+    bool idle = false;
+    // mo: seq_cst — the worker's store of the store-then-load pair (Impl
+    // comment): a submitter that misses this CAS's `true` notifies.
+    if (!spinning.compare_exchange_strong(idle, true,
+                                          std::memory_order_seq_cst,
+                                          std::memory_order_relaxed))
+      return 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto deadline = t0 + ThreadPool::kSpinWindow;
+    auto now = t0;
+    // mo: seq_cst — acquires the submitted job (the protocol's loads are
+    // all seq_cst; Impl comment).
+    while (signals.load(std::memory_order_seq_cst) == seen && now < deadline) {
+      cpu_relax();
+      now = std::chrono::steady_clock::now();
+    }
+    // mo: relaxed — per-worker observability counter (see Worker).
+    me.spin_ns.fetch_add(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now - t0).count(),
+        std::memory_order_relaxed);
+    // mo: seq_cst — releasing the role, then re-reading signals: every
+    // submitter that saw the role held bumped signals before this store,
+    // so the re-read counts it (Impl comment).
+    spinning.store(false, std::memory_order_seq_cst);
+    const std::uint64_t arrived =
+        signals.load(std::memory_order_seq_cst) - seen;
+    if (arrived > 1) wake_sleepers(/*all=*/true);
+    return arrived;
+  }
+
   void worker_main(Worker& me) {
     tls_worker = {this, &me};
     obs::set_thread_name("pool-worker-" + std::to_string(me.index));
@@ -366,22 +453,31 @@ struct ThreadPool::Impl {
         execute(me, job);
         continue;
       }
-      // mo: acquire — pairs with push_job's release bump: if a submission
-      // landed before this snapshot, the re-check below must find its job
-      // (that is the no-lost-wakeup argument in the Impl comment).
-      const std::uint64_t seen = signals.load(std::memory_order_acquire);
+      // mo: seq_cst — pairs with push_job's bump: if a submission landed
+      // before this snapshot, the re-check below must find its job (the
+      // no-lost-wakeup argument in the Impl comment).
+      const std::uint64_t seen = signals.load(std::memory_order_seq_cst);
       if (Job* job = find_work(me)) {
         execute(me, job);
         continue;
       }
-      std::unique_lock<std::mutex> lock(wake_mutex);
-      // mo: relaxed — reads under wake_mutex, which both writers also take
-      // (join_all for stop, the cv wakeup protocol for signals); the mutex
-      // provides the ordering.
-      wake_cv.wait(lock, [&] {
-        return stop.load(std::memory_order_relaxed) ||
-               signals.load(std::memory_order_relaxed) != seen;
-      });
+      if (spin(me, seen) > 0) continue;
+      // mo: seq_cst — the parking worker's store-then-load pair (Impl
+      // comment): registered here, then the predicate reads signals.
+      sleepers.fetch_add(1, std::memory_order_seq_cst);
+      {
+        std::unique_lock<std::mutex> lock(wake_mutex);
+        // mo: relaxed on stop, written under wake_mutex (join_all); seq_cst
+        // on signals, the load that follows the sleepers registration.
+        wake_cv.wait(lock, [&] {
+          return stop.load(std::memory_order_relaxed) ||
+                 signals.load(std::memory_order_seq_cst) != seen;
+        });
+      }
+      // mo: seq_cst — same store-then-load discipline as the increment.
+      sleepers.fetch_sub(1, std::memory_order_seq_cst);
+      // mo: relaxed — re-read of the flag join_all wrote under wake_mutex,
+      // which this thread held in the wait above.
       if (stop.load(std::memory_order_relaxed)) return;
     }
   }
@@ -423,10 +519,7 @@ struct ThreadPool::Impl {
   /// (workers are joined, so owner/thief roles are moot).
   void salvage_deques() {
     for (auto& w : workers) {
-      while (Job* job = w->deque.steal()) {
-        const std::lock_guard<std::mutex> lock(inject_mutex);
-        inject.push_back(job);
-      }
+      while (Job* job = w->deque.steal()) push_injected(job);
     }
   }
 };
@@ -490,9 +583,9 @@ void ThreadPool::resize(std::size_t threads) {
   impl_->salvage_deques();
   impl_->spawn(n);
   // Re-signal in case jobs were salvaged into the injection queue.
-  // mo: release — same pairing as push_job's signal bump.
-  impl_->signals.fetch_add(1, std::memory_order_release);
-  impl_->wake_cv.notify_all();
+  // mo: seq_cst — same protocol as push_job's signal bump.
+  impl_->signals.fetch_add(1, std::memory_order_seq_cst);
+  impl_->wake_sleepers(/*all=*/true);
 }
 
 std::size_t ThreadPool::steal_count() const {
@@ -511,6 +604,8 @@ std::vector<ThreadPool::WorkerStats> ThreadPool::worker_stats() const {
     s.steals = w->steals.load(std::memory_order_relaxed);
     s.busy_seconds =
         static_cast<double>(w->busy_ns.load(std::memory_order_relaxed)) / 1e9;
+    s.spin_seconds =
+        static_cast<double>(w->spin_ns.load(std::memory_order_relaxed)) / 1e9;
     s.queue_depth = w->deque.size();
     out.push_back(s);
   }

@@ -22,6 +22,10 @@ EventSession::EventSession(EventId id,
       journal_(journal),
       open_ns_(obs::monotonic_ns()),
       assim_(engine_->engine().start()),
+      slot_data_(engine_->engine().num_ticks() *
+                 engine_->engine().block_size()),
+      slot_valid_(slot_data_.size()),
+      slots_(engine_->engine().num_ticks()),
       last_publish_ns_(open_ns_) {
   if (max_pending_ == 0)
     throw std::invalid_argument("EventSession: max_pending == 0");
@@ -77,13 +81,13 @@ bool EventSession::submit(std::size_t tick, std::span<const double> d_block,
   std::unique_lock<std::mutex> lock(state_mutex_);
   if (closing_)
     throw std::logic_error("EventSession::submit: event is closed");
-  if (tick < next_expected_ || pending_.count(tick))
+  if (tick < next_expected_ || slots_[tick].buffered)
     throw std::invalid_argument("EventSession::submit: duplicate tick");
   // The next-expected tick is always accepted even when the buffer is full:
   // it is exactly the block whose arrival lets the workers drain the queue,
   // so bouncing it would stall (kBlock: deadlock; kReject: livelock) a
   // session whose buffer filled up with out-of-order future ticks.
-  if (tick != next_expected_ && pending_.size() >= max_pending_) {
+  if (tick != next_expected_ && pending_ >= max_pending_) {
     if (policy_ == BackpressurePolicy::kReject) {
       telemetry.on_rejected();
       journal_mark(JournalKind::kBackpressureReject, tick);
@@ -93,24 +97,24 @@ bool EventSession::submit(std::size_t tick, std::span<const double> d_block,
     // advance next_expected_ to exactly this tick while we sleep, at which
     // point this block is the only one that can unblock the session and
     // waiting for queue space (which can't free without it) would deadlock.
-    // pop_next notifies space_cv_ on every advance.
+    // drain() notifies space_cv_ on every advance.
     telemetry.on_blocked();
     const std::int64_t wait_begin = obs::monotonic_ns();
     space_cv_.wait(lock, [&] {
-      return closing_ || tick == next_expected_ ||
-             pending_.size() < max_pending_;
+      return closing_ || tick == next_expected_ || pending_ < max_pending_;
     });
     journal_mark(JournalKind::kBackpressureBlock, tick,
                  obs::monotonic_ns() - wait_begin);
     if (closing_)
       throw std::logic_error("EventSession::submit: event is closed");
-    if (tick < next_expected_ || pending_.count(tick))
+    if (tick < next_expected_ || slots_[tick].buffered)
       throw std::invalid_argument("EventSession::submit: duplicate tick");
   }
-  pending_.emplace(
-      tick, Block{tick, std::vector<double>(d_block.begin(), d_block.end()),
-                  std::vector<std::uint8_t>(valid.begin(), valid.end()),
-                  obs::monotonic_ns()});
+  const std::size_t row = tick * eng.block_size();
+  std::copy(d_block.begin(), d_block.end(), slot_data_.begin() + row);
+  std::copy(valid.begin(), valid.end(), slot_valid_.begin() + row);
+  slots_[tick] = Slot{obs::monotonic_ns(), true, !valid.empty()};
+  ++pending_;
 
   // Schedule iff in-order work just became available and no worker owns the
   // session: exactly one producer wins the flag, so at most one worker ever
@@ -126,39 +130,50 @@ bool EventSession::submit(std::size_t tick, std::span<const double> d_block,
   return true;
 }
 
-bool EventSession::pop_next() {
-  const std::lock_guard<std::mutex> lock(state_mutex_);
-  if (!runnable_locked()) return false;
-  // Moving out of the map node hands its buffers to popped_: no copy, no
-  // allocation.
-  popped_ = std::move(pending_.begin()->second);
-  pending_.erase(pending_.begin());
-  ++next_expected_;
-  space_cv_.notify_all();
-  return true;
-}
-
-bool EventSession::release_if_idle() {
-  const std::lock_guard<std::mutex> lock(state_mutex_);
-  if (runnable_locked() || !mask_ops_.empty()) return false;
-  scheduled_ = false;
-  idle_cv_.notify_all();
-  return true;
-}
-
 void EventSession::drain(ServiceTelemetry& telemetry) {
-  do {
-    // Loop head: queued sensor ops land here, never inside a push, and the
-    // corrected forecast publishes even when no data is buffered.
-    if (apply_pending_mask_ops()) publish_forecast_only();
-    // The push runs without any lock: producers keep submitting.
-    if (pop_next()) {
-      push_start_ns_ = obs::monotonic_ns();
-      assim_.push(popped_.tick, popped_.data, popped_.valid);
-      publish_after_push(telemetry);
+  const std::size_t nd = engine_->engine().block_size();
+  std::unique_lock<std::mutex> lock(state_mutex_);
+  for (;;) {
+    // One acquisition per pass: take the queued sensor ops and pop the next
+    // in-order block, or release. A submit or set_sensor racing the release
+    // either ran before it (and is taken here) or runs after and wins the
+    // scheduled flag itself, so no wakeup is lost.
+    applying_ops_.swap(mask_ops_);
+    const std::size_t tick = next_expected_;
+    const bool pop = runnable_locked();
+    if (!pop && applying_ops_.empty()) {
+      scheduled_ = false;
+      idle_cv_.notify_all();
+      return;  // the session may be destroyed from here on
     }
-    // A submit or set_sensor that raced new work in keeps the session ours.
-  } while (!release_if_idle());
+    if (pop) {
+      ++next_expected_;  // slot `tick` is the owner's from here on
+      --pending_;
+      space_cv_.notify_all();
+    }
+    // Ops and push run without any lock: producers keep submitting. Ops
+    // land before the block popped with them, never inside a push, and the
+    // corrected forecast publishes even when no data is buffered (replayed
+    // drop-of-dropped or restore-of-live ops are no-ops in the assimilator).
+    lock.unlock();
+    for (const MaskOp& op : applying_ops_) {
+      if (op.live)
+        assim_.restore_sensor(op.sensor);
+      else
+        assim_.drop_sensor(op.sensor);
+    }
+    if (!applying_ops_.empty()) publish_forecast_only();
+    applying_ops_.clear();
+    if (pop) {
+      const std::int64_t push_start_ns = obs::monotonic_ns();
+      const std::size_t row = tick * nd;
+      assim_.push(tick, std::span<const double>(slot_data_).subspan(row, nd),
+                  std::span<const std::uint8_t>(slot_valid_)
+                      .subspan(row, slots_[tick].lossy ? nd : 0));
+      publish_after_push(telemetry, tick, push_start_ns);
+    }
+    lock.lock();
+  }
 }
 
 bool EventSession::set_sensor(std::size_t s, bool live) {
@@ -172,8 +187,8 @@ bool EventSession::set_sensor(std::size_t s, bool live) {
       throw std::logic_error("EventSession::set_sensor: event is closed");
     mask_ops_.push_back(MaskOp{s, live});
     // Idle session: this caller wins the scheduled flag and drains it.
-    // Otherwise the owner picks the op up at its next loop head —
-    // release_if_idle refuses to idle past a queued op, so it cannot linger.
+    // Otherwise the owner takes the op at its next pass — drain() never
+    // releases past a queued op, so it cannot linger.
     if (!scheduled_) {
       scheduled_ = true;
       owner = true;
@@ -182,26 +197,6 @@ bool EventSession::set_sensor(std::size_t s, bool live) {
   journal_mark(live ? JournalKind::kSensorRestore : JournalKind::kSensorDrop,
                s);
   return owner;
-}
-
-bool EventSession::apply_pending_mask_ops() {
-  // Owner only: pop under the lock, apply outside it — drop_sensor rebuilds
-  // the dead-channel projection (O(r p^2)) and must not stall producers.
-  std::vector<MaskOp> ops;  // lint: allow(hot-path-alloc) control event
-  {
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    ops.swap(mask_ops_);
-  }
-  if (ops.empty()) return false;
-  for (const MaskOp& op : ops) {
-    // Validated at set_sensor; drop-of-dropped / restore-of-live are no-ops
-    // in the assimilator, so replayed control packets are harmless.
-    if (op.live)
-      assim_.restore_sensor(op.sensor);
-    else
-      assim_.drop_sensor(op.sensor);
-  }
-  return true;
 }
 
 void EventSession::publish_forecast_only() {
@@ -216,7 +211,9 @@ void EventSession::publish_forecast_only() {
   last_publish_ns_.store(obs::monotonic_ns(), std::memory_order_relaxed);
 }
 
-void EventSession::publish_after_push(ServiceTelemetry& telemetry) {
+void EventSession::publish_after_push(ServiceTelemetry& telemetry,
+                                      std::size_t tick,
+                                      std::int64_t push_start_ns) {
   TRACE_SCOPE("service", "publish");
   const std::int64_t publish_begin = obs::monotonic_ns();
   telemetry.on_push(assim_.last_push_seconds());
@@ -271,17 +268,17 @@ void EventSession::publish_after_push(ServiceTelemetry& telemetry) {
     r.event = id_;
     r.kind = assim_.ticks_received() == 1 ? JournalKind::kFirstTick
                                           : JournalKind::kPush;
-    r.tick = popped_.tick;
+    r.tick = tick;
     r.t_ns = t_end;
     // The budget decomposition: queue wait (enqueue -> push start), the
     // push itself (the assimilator's own stopwatch — an INDEPENDENT
     // measurement, which is what makes the sum-vs-total check in tests
     // meaningful), and the publish tail measured here.
-    r.queue_wait_ns = push_start_ns_ - popped_.enqueue_ns;
+    r.queue_wait_ns = push_start_ns - slots_[tick].enqueue_ns;
     r.push_ns =
         static_cast<std::int64_t>(assim_.last_push_seconds() * 1e9);
     r.publish_ns = t_end - publish_begin;
-    r.total_ns = t_end - popped_.enqueue_ns;
+    r.total_ns = t_end - slots_[tick].enqueue_ns;
     journal_->append(r);
   }
 }
@@ -309,7 +306,7 @@ EventSnapshot EventSession::snapshot() const {
   s.id = id_;
   {
     const std::lock_guard<std::mutex> lock(state_mutex_);
-    s.ticks_pending = pending_.size();
+    s.ticks_pending = pending_;
     s.closing = closing_;
   }
   {

@@ -12,7 +12,9 @@
 //     the prefix-Cholesky update is order-dependent, so blocks are buffered
 //     until the next expected tick is available and assimilated strictly
 //     in tick order (which is also what makes a concurrent replay
-//     bit-identical to a serial one);
+//     bit-identical to a serial one). Ticks lie in [0, Nt) and each is
+//     accepted once, so the buffer is one preallocated slot per tick: a
+//     submit copies its block in and allocates nothing;
 //   * a BOUNDED queue with a backpressure policy: block the producer
 //     (deployment default — the transport should feel the stall) or reject
 //     with ServiceOverloaded (load-shedding);
@@ -28,14 +30,15 @@
 // Threading contract: any number of producer threads may call submit();
 // at most one thread at a time owns the session (enforced by the
 // scheduled-flag protocol: won by submit() or set_sensor() returning true).
-// The owner runs drain(), which returns once it has released the session;
-// snapshot()/wait_idle() are safe from anywhere.
+// The owner runs drain(), which returns once it has released the session
+// and touches the session no more after that release (so whoever waits in
+// wait_idle() may destroy it); snapshot()/wait_idle() are safe from
+// anywhere.
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -131,12 +134,13 @@ class EventSession {
   [[nodiscard]] bool set_sensor(std::size_t s, bool live);
 
   /// The one drain routine; the caller must own the session (submit or
-  /// set_sensor returned true). Each pass of the loop applies queued sensor
-  /// ops, pops the next in-order block, pushes it through the assimilator
-  /// and publishes, until release_if_idle() succeeds. Blocks land in strict
-  /// tick order through the same FP operations as a serial replay. A
-  /// steady-state pass allocates nothing: its scratch is per-session and
-  /// reused.
+  /// set_sensor returned true). Each pass takes state_mutex_ once: it takes
+  /// the queued sensor ops and pops the next in-order block, or, with
+  /// neither left, releases the session and returns. Outside the lock the
+  /// pass applies the ops (and republishes), then pushes the block through
+  /// the assimilator and publishes. Blocks land in strict tick order
+  /// through the same FP operations as a serial replay. A steady-state pass
+  /// allocates nothing: its scratch is per-session and reused.
   void drain(ServiceTelemetry& telemetry);
 
   /// Refuse further submits (and wake producers blocked on backpressure,
@@ -166,14 +170,12 @@ class EventSession {
   /// WarningService journals closes.
   friend class WarningService;
 
-  struct Block {
-    std::size_t tick;
-    std::vector<double> data;
-    /// Per-channel validity bitmap; empty = every channel present (the
-    /// healthy fast path). Carried beside the data so the reorder buffer
-    /// preserves which channels of WHICH tick were lost.
-    std::vector<std::uint8_t> valid;
-    std::int64_t enqueue_ns;  ///< obs::monotonic_ns() when submit buffered it
+  /// One tick's ingest slot; its block is row `tick` of slot_data_ (and,
+  /// when lossy, of slot_valid_). Ticks below next_expected_ are popped.
+  struct Slot {
+    std::int64_t enqueue_ns = 0;  ///< obs::monotonic_ns() when buffered
+    bool buffered = false;        ///< submitted
+    bool lossy = false;  ///< has a validity bitmap (else: every channel)
   };
 
   /// One queued sensor control op (set_sensor). Guarded by state_mutex_;
@@ -187,25 +189,8 @@ class EventSession {
 
   /// The next in-order tick is buffered. Called under state_mutex_.
   [[nodiscard]] bool runnable_locked() const {
-    return !pending_.empty() && pending_.begin()->first == next_expected_;
+    return next_expected_ < slots_.size() && slots_[next_expected_].buffered;
   }
-
-  /// Owner only: move the next in-order block (if buffered) into popped_.
-  /// Advances next_expected_ and wakes backpressure waiters.
-  [[nodiscard]] bool pop_next();
-
-  /// Drop the scheduled flag iff no in-order work and no sensor op remain;
-  /// returns false (still owned) when a racing submit or set_sensor queued
-  /// some — the owner must then keep draining. A submit racing a successful
-  /// release either ran before it (and is seen) or runs after (and wins the
-  /// flag itself), so no wakeup is lost.
-  [[nodiscard]] bool release_if_idle();
-
-  /// Owner only: pop and apply every queued set_sensor op (in order).
-  /// Returns true iff any op was applied — the caller then republishes via
-  /// publish_forecast_only() so dashboards see the corrected posterior
-  /// without waiting for the next push.
-  [[nodiscard]] bool apply_pending_mask_ops();
 
   /// Owner only: refresh the published snapshot from the assimilator's
   /// current state without a push — no telemetry sample, no budget journal
@@ -213,10 +198,11 @@ class EventSession {
   /// drop/restore.
   void publish_forecast_only();
 
-  /// Publish popped_ after its push: telemetry sample, rolling forecast,
-  /// alert latch, snapshot swap, journal record. Owner only; drain() stamps
-  /// push_start_ns_ first.
-  void publish_after_push(ServiceTelemetry& telemetry);
+  /// Publish after the push of `tick` (from `push_start_ns`): telemetry
+  /// sample, rolling forecast, alert latch, snapshot swap, journal record.
+  /// Owner only.
+  void publish_after_push(ServiceTelemetry& telemetry, std::size_t tick,
+                          std::int64_t push_start_ns);
 
   /// Append a non-budget lifecycle record (open/stall/backpressure/close)
   /// if a journal is attached. Any thread; lock- and allocation-free.
@@ -239,18 +225,22 @@ class EventSession {
   StreamingAssimilator assim_;
   std::size_t above_threshold_streak_ = 0;
   Forecast staging_forecast_;
-  // The block being pushed and its push start (= end of its queue wait),
-  // owner-only like assim_: pop_next fills popped_, drain() stamps the
-  // start, publish_after_push journals both.
-  Block popped_{};
-  std::int64_t push_start_ns_ = 0;
+  std::vector<MaskOp> applying_ops_;  ///< ops drain() took, being applied
   bool first_publish_done_ = false;
+
+  // Block payloads, one row of block_size() per tick: row t (and slots_[t])
+  // is written under state_mutex_ by the one submit that buffers tick t and
+  // read without the lock by the owner once drain() pops it, since the pop
+  // moves next_expected_ past t and no later submit can touch the row.
+  std::vector<double> slot_data_;
+  std::vector<std::uint8_t> slot_valid_;
 
   // Ingest queue + scheduling state, guarded by state_mutex_.
   mutable std::mutex state_mutex_;
   std::condition_variable space_cv_;  ///< backpressure waiters
   std::condition_variable idle_cv_;   ///< wait_idle waiters
-  std::map<std::size_t, Block> pending_;  ///< tick -> stamped block
+  std::vector<Slot> slots_;        ///< one per tick in [0, Nt)
+  std::size_t pending_ = 0;        ///< buffered, not yet popped
   std::vector<MaskOp> mask_ops_;   ///< queued sensor drops/restores
   std::size_t next_expected_ = 0;  ///< next tick the assimilator must see
   bool scheduled_ = false;         ///< a worker owns (or is queued for) this
@@ -267,6 +257,9 @@ class EventSession {
   /// When the latest forecast was published (open time before any publish),
   /// read lock-free by staleness_seconds() from scrape threads.
   std::atomic<std::int64_t> last_publish_ns_;
+
+  /// Next session in the WarningService's ready queue (its queue_mutex_).
+  EventSession* ready_next_ = nullptr;
 };
 
 }  // namespace tsunami

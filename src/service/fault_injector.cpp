@@ -1,5 +1,6 @@
 #include "service/fault_injector.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -34,18 +35,15 @@ double parse_probability(const char* name, const std::string& s) {
   return v;
 }
 
+/// Parse a nonnegative integer: decimal digits only (no sign, no
+/// whitespace) that fit a std::size_t, or throw with the knob's name.
 std::size_t parse_index(const char* name, const std::string& s) {
-  std::size_t pos = 0;
-  unsigned long long v = 0;
-  try {
-    v = std::stoull(s, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (s.empty() || pos != s.size())
+  std::size_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || end != s.data() + s.size())
     throw std::invalid_argument(std::string("FaultPlan: ") + name +
                                 ": bad index '" + s + "'");
-  return static_cast<std::size_t>(v);
+  return v;
 }
 
 /// One "s@t" or "s@t-r" clause of TSUNAMI_FAULT_DROP_SENSOR.

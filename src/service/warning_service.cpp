@@ -22,11 +22,11 @@ WarningService::WarningService(const ServiceOptions& options)
 WarningService::~WarningService() {
   // No threads to join — drains are jobs on the shared pool. Refuse new
   // launches, drop the not-yet-launched queue (sessions die with us), and
-  // wait out the in-flight jobs: each still touches `this` (telemetry, the
-  // drain slot) until it signals drains_cv_.
+  // wait out the in-flight jobs: each still touches its session and `this`
+  // (telemetry, the drain slot) until it signals drains_cv_.
   std::unique_lock<std::mutex> lock(queue_mutex_);
   stopping_ = true;
-  ready_.clear();
+  ready_head_ = ready_tail_ = nullptr;
   drains_cv_.wait(lock, [&] { return active_drains_ == 0; });
 }
 
@@ -62,14 +62,14 @@ void WarningService::submit(EventId id, std::size_t tick,
   // removes it from the map, and a submit that raced past the removal gets
   // the session's own closed-event throw.
   const std::shared_ptr<EventSession> s = session(id);
-  if (s->submit(tick, d_block, telemetry_)) enqueue_ready(s);
+  if (s->submit(tick, d_block, telemetry_)) enqueue_ready(s.get());
 }
 
 void WarningService::submit(EventId id, std::size_t tick,
                             std::span<const double> d_block,
                             std::span<const std::uint8_t> valid) {
   const std::shared_ptr<EventSession> s = session(id);
-  if (s->submit(tick, d_block, valid, telemetry_)) enqueue_ready(s);
+  if (s->submit(tick, d_block, valid, telemetry_)) enqueue_ready(s.get());
 }
 
 void WarningService::drop_sensor(EventId id, std::size_t s) {
@@ -205,28 +205,32 @@ std::vector<std::shared_ptr<EventSession>> WarningService::open_sessions()
   return open;
 }
 
-void WarningService::enqueue_ready(std::shared_ptr<EventSession> s) {
+void WarningService::enqueue_ready(EventSession* s) {
   const std::lock_guard<std::mutex> lock(queue_mutex_);
   if (stopping_) return;
-  ready_.push_back(std::move(s));
+  s->ready_next_ = nullptr;
+  (ready_tail_ != nullptr ? ready_tail_->ready_next_ : ready_head_) = s;
+  ready_tail_ = s;
   pump_locked();
 }
 
 void WarningService::pump_locked() {
   while (!stopping_ && active_drains_ < options_.num_workers &&
-         !ready_.empty()) {
-    std::shared_ptr<EventSession> s = std::move(ready_.front());
-    ready_.pop_front();
+         ready_head_ != nullptr) {
+    EventSession* s = std::exchange(ready_head_, ready_head_->ready_next_);
+    if (ready_head_ == nullptr) ready_tail_ = nullptr;
     ++active_drains_;
-    // Submitting under queue_mutex_ is fine: the pool's queues are leaves
-    // below it, and the job itself reacquires queue_mutex_ only at the end
-    // of run_drain.
-    ThreadPool::global().submit(
-        [this, s = std::move(s)]() mutable { run_drain(std::move(s)); });
+    // A raw pointer keeps the capture at 16 bytes, which std::function
+    // stores without allocating. The session stays scheduled until the
+    // job's drain releases it, and close_event (wait_idle) and the
+    // destructor (active_drains_) both wait for that, so it outlives the
+    // job. Submitting under queue_mutex_ is fine: the pool's queues are
+    // leaves below it, and the job reacquires queue_mutex_ only at its end.
+    ThreadPool::global().submit([this, s] { run_drain(s); });
   }
 }
 
-void WarningService::run_drain(std::shared_ptr<EventSession> s) {
+void WarningService::run_drain(EventSession* s) {
   // The session arrives with its scheduled flag held (won by the submit that
   // enqueued it), so this job is its sole drainer until release.
   TRACE_SCOPE("service", "drain");

@@ -30,7 +30,6 @@
 //     ticks/sec, p50/p95/p99 push latency) via telemetry().
 
 #include <cstddef>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -150,13 +149,14 @@ class WarningService {
   /// the owner of an idle session, drain it inline so the corrected
   /// forecast is published before returning.
   void set_sensor(EventId id, std::size_t s, bool live);
-  void enqueue_ready(std::shared_ptr<EventSession> s);
+  /// Queue a session whose scheduled flag the caller just won.
+  void enqueue_ready(EventSession* s);
   /// Launch drain jobs for queued sessions while under the concurrency cap.
   /// Called under queue_mutex_.
   void pump_locked();
   /// Body of one pool drain job: drain the session, then release the drain
   /// slot and pump again.
-  void run_drain(std::shared_ptr<EventSession> s);
+  void run_drain(EventSession* s);
 
   ServiceOptions options_;
   ServiceTelemetry telemetry_;
@@ -170,7 +170,10 @@ class WarningService {
 
   std::mutex queue_mutex_;
   std::condition_variable drains_cv_;  ///< dtor waits for active_drains_ == 0
-  std::deque<std::shared_ptr<EventSession>> ready_;
+  /// Scheduled sessions waiting for a drain slot, oldest first, linked
+  /// through EventSession::ready_next_.
+  EventSession* ready_head_ = nullptr;
+  EventSession* ready_tail_ = nullptr;
   std::size_t active_drains_ = 0;  ///< pool jobs currently draining
   bool stopping_ = false;
 };

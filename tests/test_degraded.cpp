@@ -17,7 +17,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <set>
+#include <string>
 #include <span>
 #include <vector>
 
@@ -634,6 +636,18 @@ TEST(FaultInjectorTest, FromEnvParsesAndValidates) {
   EXPECT_THROW(FaultPlan::from_env(), std::invalid_argument);
   ::setenv("TSUNAMI_FAULT_DROP_SENSOR", "nonsense", 1);
   EXPECT_THROW(FaultPlan::from_env(), std::invalid_argument);
+  // Indices are decimal digits only: no sign (-1 must not wrap to
+  // 2^64 - 1), no whitespace, nothing past 2^64 - 1.
+  for (const char* bad :
+       {"-1@6", "+1@6", " 1@6", "1@-2", "1@ 6", "18446744073709551616@6",
+        "1@6-18446744073709551616"}) {
+    ::setenv("TSUNAMI_FAULT_DROP_SENSOR", bad, 1);
+    EXPECT_THROW(FaultPlan::from_env(), std::invalid_argument) << bad;
+  }
+  const std::size_t max_index = std::numeric_limits<std::size_t>::max();
+  ::setenv("TSUNAMI_FAULT_DROP_SENSOR",
+           (std::to_string(max_index) + "@6").c_str(), 1);
+  EXPECT_EQ(FaultPlan::from_env().sensor_faults.at(0).sensor, max_index);
 
   ::unsetenv("TSUNAMI_FAULT_SEED");
   ::unsetenv("TSUNAMI_FAULT_PACKET_LOSS");

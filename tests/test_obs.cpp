@@ -416,10 +416,16 @@ TEST(Bridge, PoolStatsExportOneSeriesPerWorker) {
   const auto stats = pool.worker_stats();
   ASSERT_EQ(stats.size(), pool.num_threads());
   for (std::size_t i = 0; i < stats.size(); ++i) {
-    EXPECT_NE(text.find("tsunami_pool_worker_jobs_total{worker=\"" +
-                        std::to_string(i) + "\"}"),
+    const std::string label = "{worker=\"" + std::to_string(i) + "\"}";
+    EXPECT_NE(text.find("tsunami_pool_worker_jobs_total" + label),
               std::string::npos);
+    // The idle spin's CPU cost, beside (not inside) the busy time.
+    EXPECT_NE(text.find("tsunami_pool_worker_spin_seconds_total" + label),
+              std::string::npos);
+    EXPECT_GE(stats[i].spin_seconds, 0.0);
   }
+  EXPECT_NE(text.find("# TYPE tsunami_pool_worker_spin_seconds_total counter"),
+            std::string::npos);
   // With >1 worker the loop's helper jobs must have been executed by
   // somebody; at 1 worker the caller runs everything inline.
   if (pool.num_threads() > 1) {

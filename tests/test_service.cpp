@@ -794,15 +794,17 @@ TEST(ServiceTelemetryTest, ConcurrentWritersNeverTearTheHistogram) {
 }
 
 TEST_F(ServiceTest, CloseDuringBatchedDrainHasNoUseAfterRelease) {
-  // A drain job keeps touching its session (pop_next / push / publish)
-  // until release_if_idle succeeds. close_event concurrently removes the
-  // session from the map and waits on wait_idle. The lifetime contract
-  // under test: the session is held by shared_ptr in the drain job,
-  // wait_idle blocks until the job's release drops the scheduled flag, and
-  // the final snapshot reflects a clean tick prefix. Run under the TSan CI
-  // job, this is the use-after-release probe; here it also asserts the
-  // functional postconditions. Many short rounds maximize interleavings
-  // where the close lands exactly while a drain job owns the session.
+  // A drain job keeps touching its session (pop / push / publish) until
+  // its drain releases the scheduled flag. close_event concurrently removes
+  // the session from the map and waits on wait_idle. The lifetime contract
+  // under test: the drain job holds only a raw pointer, wait_idle blocks
+  // until the job's release drops the scheduled flag, the job touches the
+  // session no more after that release (close_event's caller may destroy
+  // it), and the final snapshot reflects a clean tick prefix. Run under
+  // the TSan CI job (and ASan), this is the use-after-release probe; here
+  // it also asserts the functional postconditions. Many short rounds
+  // maximize interleavings where the close lands exactly while a drain job
+  // owns the session.
   constexpr int kRounds = 25;
   constexpr std::size_t kEvents = 6;
   for (int round = 0; round < kRounds; ++round) {
@@ -843,7 +845,7 @@ TEST_F(ServiceTest, CloseDuringBatchedDrainHasNoUseAfterRelease) {
 
 TEST_F(ServiceTest, SetSensorDuringActiveDrainAppliesAtCycleBoundary) {
   // drop/restore ops queued while a worker owns the session must be applied
-  // by that owner (release_if_idle refuses to idle past one), and ops on an
+  // by that owner (its drain never releases past one), and ops on an
   // idle session apply inline. Either way the close-time forecast must be
   // degraded-exact: equal to a serial replay with the drop at SOME tick
   // boundary — and since drops are pure projections of the same stream, any

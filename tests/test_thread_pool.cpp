@@ -2,13 +2,18 @@
 // lifecycle under load, exception propagation out of parallel loops (and
 // that the pool survives it), nested parallel_for without deadlock, fire-
 // and-forget submit under heavy oversubscription, a steal-heavy stress that
-// proves work actually migrates between deques, and resize semantics. This
-// suite is part of the ThreadSanitizer CI job: the deque and the sleep
-// protocol are exactly the code TSan must see clean.
+// proves work actually migrates between deques, resize semantics, and the
+// spin-then-park idle protocol (every job of a stream runs once whatever
+// its gaps, an idle pool parks, at most one worker spins). This suite is
+// part of the ThreadSanitizer CI job: the deque and the sleep protocol are
+// exactly the code TSan must see clean.
 
 #include <gtest/gtest.h>
 
+#include <time.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <stdexcept>
 #include <thread>
@@ -19,6 +24,30 @@
 
 namespace tsunami {
 namespace {
+
+using Clock = std::chrono::steady_clock;
+constexpr std::chrono::nanoseconds kWindow = ThreadPool::kSpinWindow;
+
+/// Busy-waits `d` on the calling thread (a sleep would overshoot a
+/// sub-window gap by the timer slack).
+void busy_wait(std::chrono::nanoseconds d) {
+  const auto until = Clock::now() + d;
+  while (Clock::now() < until) {
+  }
+}
+
+double process_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+double total_spin_seconds(const ThreadPool& pool) {
+  double s = 0.0;
+  for (const auto& w : pool.worker_stats()) s += w.spin_seconds;
+  return s;
+}
 
 TEST(ThreadPoolTest, LifecycleUnderLoad) {
   // Construct/destroy repeatedly with jobs in flight: the dtor must join
@@ -143,6 +172,68 @@ TEST(ThreadPoolTest, ResizePreservesPendingJobs) {
   pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
   pool.wait_idle();
   EXPECT_EQ(ran.load(), 101);
+}
+
+TEST(ThreadPoolTest, JobStreamAcrossTheSpinWindowRunsEveryJobOnce) {
+  // One external submitter (this thread), gaps of 0, 1/2, 1 and 2 spin
+  // windows in turn: jobs land on a spinning worker, on the window's edge
+  // (the spinner releasing its role as the submit skips or sends the
+  // wakeup) and on a parked pool. A lost wakeup would strand a job and
+  // hang wait_idle.
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+    ThreadPool pool(workers);
+    constexpr std::size_t kJobs = 10000;
+    const std::chrono::nanoseconds gaps[] = {std::chrono::nanoseconds{0},
+                                             kWindow / 2, kWindow, 2 * kWindow};
+    std::vector<std::atomic<int>> runs(kJobs);
+    for (std::size_t i = 0; i < kJobs; ++i) {
+      busy_wait(gaps[i % 4]);
+      pool.submit(
+          [&runs, i] { runs[i].fetch_add(1, std::memory_order_relaxed); });
+    }
+    pool.wait_idle();
+    std::size_t wrong = 0;
+    for (const auto& r : runs)
+      if (r.load(std::memory_order_relaxed) != 1) ++wrong;
+    EXPECT_EQ(wrong, 0u) << workers << " workers";
+  }
+}
+
+TEST(ThreadPoolTest, IdlePoolParks) {
+  // The spin is bounded: once the window has passed, every worker sleeps
+  // and the idle process burns (almost) no CPU.
+  ThreadPool pool(4);
+  for (int i = 0; i < 8; ++i) pool.submit([] {});
+  pool.wait_idle();
+  std::this_thread::sleep_for(10 * kWindow);
+  const double cpu0 = process_cpu_seconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const double idle_cpu = process_cpu_seconds() - cpu0;
+  EXPECT_LT(idle_cpu, 5e-3) << "an idle pool kept spinning";
+}
+
+TEST(ThreadPoolTest, AtMostOneWorkerSpins) {
+  // Jobs every quarter window keep the idle workers of a 4-worker pool
+  // wanting to spin. Spin intervals are disjoint when only one worker
+  // holds the spinner role, so their sum cannot exceed the stream's wall
+  // time (plus one window of slack); three spinning workers would sum to
+  // about three times it.
+  ThreadPool pool(4);
+  pool.submit([] {});
+  pool.wait_idle();
+  std::this_thread::sleep_for(2 * kWindow);  // the warm-up spin has ended
+  const double spin0 = total_spin_seconds(pool);
+  const auto t0 = Clock::now();
+  for (int i = 0; i < 2000; ++i) {
+    busy_wait(kWindow / 4);
+    pool.submit([] {});
+  }
+  pool.wait_idle();
+  const double spun = total_spin_seconds(pool) - spin0;
+  const double wall =
+      std::chrono::duration<double>(Clock::now() - t0 + kWindow).count();
+  EXPECT_GT(spun, 0.0);
+  EXPECT_LE(spun, wall);
 }
 
 TEST(ThreadPoolTest, ChunkGridIsIndependentOfWorkerCount) {

@@ -1,17 +1,31 @@
 #!/usr/bin/env python3
-"""Compare two BENCH_*.json reports (bench/bench_util.hpp JsonReport schema).
+"""Compare benchmark results: BENCH_*.json reports or twinbench history.
 
-Matches cases by name between a baseline and a current report, prints the
-median delta per case with the p10/p90 spread of both runs, and flags
-regressions. A case REGRESSES when its median slowed down by more than
---fail-above percent AND the runs' [p10, p90] intervals do not overlap —
-the overlap test keeps noisy quick-mode runs (TSUNAMI_BENCH_QUICK=1) from
-tripping the gate on jitter alone.
+BENCH_*.json (bench/bench_util.hpp JsonReport schema): matches cases by
+name between a baseline and a current report, prints the median delta per
+case with the p10/p90 spread of both runs, and flags regressions. A case
+REGRESSES when its median slowed down by more than --fail-above percent AND
+the runs' [p10, p90] intervals do not overlap — the overlap test keeps
+noisy quick-mode runs (TSUNAMI_BENCH_QUICK=1) from tripping the gate on
+jitter alone.
+
+twinbench history (bench/history/pr-NN.json, written by
+tools/bench/record_pairs.py): one file compares its parent side with its
+change side; two files compare the first file's change side with the
+second's. Every end-to-end metric of BENCHMARK.json (read, never written)
+is gated by its own relative bound: it REGRESSES when the current median
+is worse than the baseline median by more than the bound. Each line also
+says whether the median moved by more than the baseline's interquartile
+range and, for the two halves of one file, in how many seed-matched pairs
+the change was better. The per-layer metrics of the traced runs follow,
+for information.
 
 Usage:
     tools/bench/compare.py baseline.json current.json [--fail-above 10]
+    tools/bench/compare.py bench/history/pr-NN.json [--benchmark PATH]
+    tools/bench/compare.py bench/history/pr-MM.json bench/history/pr-NN.json
 
-Exit status: 0 when no case regresses past the threshold, 1 otherwise,
+Exit status: 0 when nothing regresses past its threshold, 1 otherwise,
 2 on malformed input. CI archives every run's BENCH_*.json under a stable
 name (bench-history/BENCH_<bench>.<sha>.json) so any two points of the
 trajectory can be compared after the fact.
@@ -19,15 +33,111 @@ trajectory can be compared after the fact.
 
 import argparse
 import json
+import os
 import sys
+
+HISTORY_SCHEMA = "twinbench-history/1"
+DEFAULT_BENCHMARK = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "BENCHMARK.json")
+
+
+def load_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        sys.exit(f"compare: cannot read {path}: {e}")
+
+
+def is_history(report):
+    return isinstance(report, dict) and report.get("schema") == HISTORY_SCHEMA
+
+
+def side_workloads(report, side, path):
+    try:
+        return report["sides"][side]["workloads"]
+    except (KeyError, TypeError):
+        sys.exit(f"compare: {path} has no '{side}' side")
+
+
+def compare_history(paths, benchmark_path):
+    """Gate twinbench history files against BENCHMARK.json's bounds."""
+    spec = load_json(benchmark_path)
+    reports = [load_json(p) for p in paths]
+    for p, r in zip(paths, reports):
+        if not is_history(r):
+            sys.exit(f"compare: {p} is not a {HISTORY_SCHEMA} file")
+    if len(paths) == 1:
+        base = side_workloads(reports[0], "parent", paths[0])
+        curr = side_workloads(reports[0], "change", paths[0])
+        labels = ("parent", "change")
+    else:
+        base = side_workloads(reports[0], "change", paths[0])
+        curr = side_workloads(reports[1], "change", paths[1])
+        labels = (os.path.basename(paths[0]), os.path.basename(paths[1]))
+    paired = len(paths) == 1
+
+    regressions, compared = [], 0
+    for workload in (w["name"] for w in spec["workloads"]):
+        if workload not in base or workload not in curr:
+            print(f"{workload}: not in both sides, skipped")
+            continue
+        b_w, c_w = base[workload], curr[workload]
+        print(f"== {workload}: {labels[0]} -> {labels[1]}")
+        print(f"  {'metric':<22} {'baseline':>10} {'current':>10} {'delta':>8} "
+              f"{'bound':>6}  spread")
+        for m in spec["end_to_end"]:
+            name, bound, lower = m["name"], m["bound"], m["better"] == "lower"
+            b, c = b_w["end_to_end"].get(name), c_w["end_to_end"].get(name)
+            if b is None or c is None:
+                print(f"  {name:<22} (missing on one side)")
+                continue
+            compared += 1
+            mb, mc = b["median"], c["median"]
+            rel = (mc - mb) / mb if mb else 0.0
+            worse = rel > 0 if lower else rel < 0
+            iqr = b["q3"] - b["q1"]
+            note = ("moved beyond baseline IQR" if abs(mc - mb) > iqr
+                    else "within baseline IQR")
+            if paired and len(b["runs"]) == len(c["runs"]):
+                wins = sum((cv < bv) if lower else (cv > bv)
+                           for bv, cv in zip(b["runs"], c["runs"]))
+                note += f"; change better in {wins}/{len(b['runs'])} pairs"
+            flag = ""
+            if worse and abs(rel) > bound:
+                flag = " REGRESSION"
+                regressions.append(f"{workload}.{name} {rel * 100:+.1f}%")
+            print(f"  {name:<22} {mb:>10.4g} {mc:>10.4g} {rel * 100:>+7.1f}% "
+                  f"{bound * 100:>5.0f}%  {note}{flag}")
+        b_l, c_l = b_w.get("per_layer", {}), c_w.get("per_layer", {})
+        shared = [m["name"] for m in spec["per_layer"]
+                  if m["name"] in b_l and m["name"] in c_l]
+        if shared:
+            print("  per-layer (one traced run per side):")
+        for name in shared:
+            vb, vc = b_l[name], c_l[name]
+            rel = f"{(vc - vb) / vb * 100:+.1f}%" if vb else "n/a"
+            print(f"    {name:<34} {vb:>12.4g} {vc:>12.4g} {rel:>8}")
+        for side, w in (("baseline", b_w), ("current", c_w)):
+            failed = w.get("failed_operations", 0)
+            if failed:
+                print(f"  {side}: {failed} failed operations")
+        if c_w.get("failed_operations", 0) > b_w.get("failed_operations", 0):
+            regressions.append(f"{workload}: more failed operations")
+    if compared == 0:
+        sys.exit("compare: no end-to-end metric in common")
+    if regressions:
+        print(f"\nFAIL: {len(regressions)} regression(s) beyond the "
+              f"BENCHMARK.json bounds: {', '.join(regressions)}", file=sys.stderr)
+        return 1
+    print(f"\nOK: no end-to-end metric worse than its bound "
+          f"({compared} compared)")
+    return 0
 
 
 def load_cases(path):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            report = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        sys.exit(f"compare: cannot read {path}: {e}")
+    report = load_json(path)
     cases = report.get("cases")
     if not isinstance(cases, list):
         sys.exit(f"compare: {path} has no 'cases' array")
@@ -59,18 +169,27 @@ def intervals_overlap(a, b):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("baseline", help="baseline BENCH_*.json")
-    ap.add_argument("current", help="current BENCH_*.json")
+    ap.add_argument("baseline", help="baseline BENCH_*.json or history file")
+    ap.add_argument("current", nargs="?",
+                    help="current BENCH_*.json or history file")
     ap.add_argument(
         "--fail-above",
         type=float,
         default=10.0,
         metavar="PCT",
-        help="median slowdown percent that fails the gate when the "
-        "p10/p90 intervals also separate (default: 10)",
+        help="BENCH_*.json: median slowdown percent that fails the gate "
+        "when the p10/p90 intervals also separate (default: 10)",
     )
+    ap.add_argument("--benchmark", default=DEFAULT_BENCHMARK,
+                    help="history files: BENCHMARK.json with the bounds "
+                    "(default: the repo's)")
     args = ap.parse_args()
 
+    paths = [p for p in (args.baseline, args.current) if p is not None]
+    if is_history(load_json(args.baseline)):
+        return compare_history(paths, args.benchmark)
+    if args.current is None:
+        sys.exit("compare: BENCH_*.json reports need a baseline and a current")
     base_report, base = load_cases(args.baseline)
     curr_report, curr = load_cases(args.current)
 

@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Record a perf-trajectory point: twinbench on two checkouts, in pairs.
+
+    tools/bench/record_pairs.py --parent ../parent --change . \\
+        --out bench/history/pr-NN.json [--pairs 10] [--seed 1900] [--seconds 5]
+
+PARENT and CHANGE are two source checkouts (each makes its own
+.bench_build/). For every workload of CHANGE's BENCHMARK.json the script
+runs `twinbench/run.py --trace 0` PAIRS times on each side, alternating
+which side runs first, with seeds SEED+1 .. SEED+PAIRS (the same seed on
+both sides of a pair). It then makes one traced run (--trace 1, seed
+SEED+PAIRS+1) per side for the per-layer metrics. The output holds, per
+side and workload, every run's end-to-end metrics with their median and
+quartiles, the traced run's per-layer metrics, and the run counts of
+correct and failed operations; tools/bench/compare.py diffs it.
+
+Run nothing else on the host meanwhile: the workloads pin threads to CPUs.
+Exit status 1 when any run is incorrect or fails operations.
+"""
+
+import argparse
+import datetime
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+SCHEMA = "twinbench-history/1"
+
+
+def run_once(checkout, workload, seed, seconds, trace):
+    cmd = [sys.executable, os.path.join(checkout, "twinbench", "run.py"),
+           "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = [l for l in proc.stdout.splitlines() if l.startswith("{")]
+    if not lines:
+        sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
+        sys.exit(f"record_pairs: no result line from {checkout} ({workload}, "
+                 f"seed {seed})")
+    result = json.loads(lines[-1])
+    return {
+        "seed": seed,
+        "correct": bool(result["correct"]) and proc.returncode == 0,
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+    }
+
+
+def summarize(runs, names):
+    out = {}
+    for name in names:
+        values = [r["metrics"][name] for r in runs]
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        out[name] = {"median": med, "q1": q1, "q3": q3, "runs": values}
+    return out
+
+
+def git_head(checkout):
+    proc = subprocess.run(["git", "rev-parse", "--short=12", "HEAD"],
+                          cwd=checkout, capture_output=True, text=True)
+    return proc.stdout.strip() or None
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="parent checkout (the baseline)")
+    ap.add_argument("--change", required=True, help="changed checkout")
+    ap.add_argument("--out", required=True, help="history JSON to write")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=1900,
+                    help="seed base; pair i uses seed + i")
+    ap.add_argument("--seconds", type=float, default=5.0)
+    ap.add_argument("--note", default="", help="free text stored in the file")
+    args = ap.parse_args()
+    if args.pairs < 2:
+        sys.exit("record_pairs: need at least 2 pairs for quartiles")
+
+    with open(os.path.join(args.change, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    e2e = [m["name"] for m in spec["end_to_end"]]
+    sides = {"parent": args.parent, "change": args.change}
+    out = {
+        "schema": SCHEMA,
+        "recorded": datetime.date.today().isoformat(),
+        "note": args.note,
+        "run_seconds": args.seconds,
+        "pairs": args.pairs,
+        "seeds": [args.seed + i for i in range(1, args.pairs + 1)],
+        "sides": {s: {"commit": git_head(d), "workloads": {}}
+                  for s, d in sides.items()},
+    }
+    ok = True
+    for w in (wl["name"] for wl in spec["workloads"]):
+        runs = {"parent": [], "change": []}
+        for i in range(1, args.pairs + 1):
+            order = ("parent", "change") if i % 2 else ("change", "parent")
+            for side in order:
+                r = run_once(sides[side], w, args.seed + i, args.seconds, 0)
+                runs[side].append(r)
+                print(f"{w} pair {i} {side}: " + ", ".join(
+                    f"{k} {v:.4g}" for k, v in r["metrics"].items()), flush=True)
+        for side in ("parent", "change"):
+            traced = run_once(sides[side], w, args.seed + args.pairs + 1,
+                              args.seconds, 1)
+            every = runs[side] + [traced]
+            ok = ok and all(r["correct"] and r["failed"] == 0 for r in every)
+            out["sides"][side]["workloads"][w] = {
+                "end_to_end": summarize(runs[side], e2e),
+                "per_layer": traced["metrics"],
+                "correct_runs": sum(r["correct"] for r in every),
+                "failed_operations": sum(r["failed"] for r in every),
+            }
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
+    with open(args.out, "w") as f:
+        json.dump(out, f, indent=1)
+        f.write("\n")
+    print(f"wrote {args.out}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -473,6 +473,9 @@ def atomics_doc(sites, exemptions) -> str:
         "`seq_cst` throughout by documented exemption (see",
         "`tools/lint/exemptions.txt`): it matches the TSan-verified model of",
         "the Chase-Lev algorithm, and the deque is not the pool's hot path.",
+        "The pool's idle protocol (`signals`, `spinning`, `sleepers`) needs",
+        "`seq_cst` for its store-then-load pairs: a submitter and a worker",
+        "going idle must not both miss each other's store.",
         "",
         "| File | Operation | Order | Rationale |",
         "|---|---|---|---|",
