@@ -11,7 +11,11 @@
 //   (c) one event that drops channel 2 at nt/3, restores it at 2nt/3, and
 //       submits the block at nt/2 with channel 0 lost on the wire.
 // Each replay runs at num_workers 1 and 3, and both must give the pinned
-// hash.
+// hash. A fourth column pins the MAP slab W*, which the service replays do
+// not read: a track_map engine booted from the same bundle takes
+//   (d) event 0 pushed serially, then replay (c)'s script straight on an
+//       assimilator (its dead rows go through the degraded W* correction),
+// with map_estimate() hashed after every push.
 //
 // The Toeplitz kernels are compiled per instruction set (target_clones), so
 // the bits differ between ISAs: the table is keyed by toeplitz_kernel_isa().
@@ -32,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "core/streaming_assimilator.hpp"
 #include "service/engine_cache.hpp"
 #include "service/warning_service.hpp"
 #include "toeplitz/block_toeplitz.hpp"
@@ -47,13 +52,14 @@ struct GoldenRow {
   std::uint64_t healthy;   ///< replay (a)
   std::uint64_t swapped;   ///< replay (b)
   std::uint64_t degraded;  ///< replay (c)
+  std::uint64_t map;       ///< replay (d)
 };
 
 constexpr GoldenRow kGolden[] = {
     {"x86-64-v3", 0x1e6ce87e6e70a246, 0x37a92a3ad7a5fe14, 0xb45be8cfeaaf1d89,
-     0x5505f3a6a7e43431},
+     0x5505f3a6a7e43431, 0x9e984203bb8e9726},
     {"x86-64", 0x03b29f2067ea42af, 0x1e34df8e1e56ad1e, 0xd3398d517ced22db,
-     0xc96911e0dcbe2c1f},
+     0xc96911e0dcbe2c1f, 0x3b668e000382ff4c},
 };
 
 /// FNV-1a over every field a dashboard reads from one snapshot.
@@ -167,6 +173,34 @@ class GoldenReplay {
     return hash_snapshot(service.close_event(id), h);
   }
 
+  /// (d) The MAP estimate of a track_map engine, serial pushes only.
+  std::uint64_t map(const StreamingEngine& engine) const {
+    const std::vector<double> d = obs(0);
+    std::vector<std::uint8_t> lossy(nd(), 1);
+    lossy[0] = 0;
+    std::uint64_t h = fnv1a(nullptr, 0);
+    const auto hash_map = [&h](const StreamingAssimilator& a) {
+      const std::vector<double>& m = a.map_estimate();
+      h = fnv1a(m.data(), m.size() * sizeof(double), h);
+    };
+    StreamingAssimilator healthy = engine.start();
+    for (std::size_t t = 0; t < nt(); ++t) {
+      healthy.push(t, block(d, t));
+      hash_map(healthy);
+    }
+    StreamingAssimilator faulted = engine.start();
+    for (std::size_t t = 0; t < nt(); ++t) {
+      if (t == nt() / 3) faulted.drop_sensor(2);
+      if (t == 2 * nt() / 3) faulted.restore_sensor(2);
+      faulted.push(t, block(d, t),
+                   t == nt() / 2 ? std::span<const std::uint8_t>(lossy)
+                                 : std::span<const std::uint8_t>{});
+      EXPECT_EQ(faulted.degraded(), t >= nt() / 3) << "tick " << t;
+      hash_map(faulted);
+    }
+    return h;
+  }
+
  private:
   std::shared_ptr<const CachedEngine> engine_;
   const SyntheticEvent& event_;
@@ -209,7 +243,9 @@ TEST(Golden, BundleAndReplayBitsMatchPinnedTable) {
   twin.reset();
 
   EngineCache cache({.track_map = false});
+  EngineCache map_cache({.track_map = true});
   const GoldenReplay replay(cache.load(path), event);
+  const std::shared_ptr<const CachedEngine> map_engine = map_cache.load(path);
   const std::uint64_t bundle = trailing_checksum(path);
   std::filesystem::remove(path);
 
@@ -220,6 +256,7 @@ TEST(Golden, BundleAndReplayBitsMatchPinnedTable) {
     swapped[i] = replay.swapped(kWorkers[i]);
     degraded[i] = replay.degraded(kWorkers[i]);
   }
+  const std::uint64_t map = replay.map(map_engine->engine());
 
   const std::string isa = toeplitz_kernel_isa();
   const GoldenRow* row = nullptr;
@@ -229,6 +266,7 @@ TEST(Golden, BundleAndReplayBitsMatchPinnedTable) {
   for (int i = 0; i < 2; ++i)
     match = match && healthy[i] == row->healthy &&
             swapped[i] == row->swapped && degraded[i] == row->degraded;
+  match = match && map == row->map;
   if (!match) {
     std::string msg = (row ? "hashes differ from the pinned row for ISA \""
                            : "no pinned row for ISA \"") +
@@ -237,8 +275,10 @@ TEST(Golden, BundleAndReplayBitsMatchPinnedTable) {
     msg += "  healthy  " + hex(healthy[0]) + " / " + hex(healthy[1]) + "\n";
     msg += "  swapped  " + hex(swapped[0]) + " / " + hex(swapped[1]) + "\n";
     msg += "  degraded " + hex(degraded[0]) + " / " + hex(degraded[1]) + "\n";
+    msg += "  map      " + hex(map) + "\n";
     msg += "row: {\"" + isa + "\", " + hex(bundle) + ", " + hex(healthy[0]) +
-           ", " + hex(swapped[0]) + ", " + hex(degraded[0]) + "},";
+           ", " + hex(swapped[0]) + ", " + hex(degraded[0]) + ", " + hex(map) +
+           "},";
     FAIL() << msg;
   }
 }
