@@ -16,11 +16,33 @@ namespace {
 
 constexpr std::size_t kAccTile = 1024;  // 8 KB: half of a typical L1d
 
-/// m[c0:c1] += zj * row[c0:c1] — the one FMA stream both the single-event
-/// and the batched accumulation paths are built from. Sharing this kernel is
-/// what makes push_many bit-identical to serial pushes BY CONSTRUCTION: per
-/// (event, output column) the adds are the same operations in the same
-/// order either way.
+/// Rows per pass of the slab sweeps. Sweeping a 16.6 MB packed W*-shaped
+/// slab one 8-row tick at a time on one thread took 41-44 us per tick row by
+/// row, and 26-29, 23-26 and 20-23 us in groups of 2, 4 and 8 rows.
+constexpr std::size_t kRows = 8;
+
+/// m[c0:c1] += z[0] rows[0][c0:c1] + ... + z[kRows-1] rows[kRows-1][c0:c1]
+/// (row r at rows + r * stride) — the group kernel both the single-event
+/// and the batched accumulation paths are built from. Each output column is
+/// loaded once, takes its kRows multiply-adds in r order, and is stored
+/// once: per column the same operations in the same order as kRows calls
+/// of accumulate_row_tile, at one output load and store instead of kRows.
+TSUNAMI_HOT_PATH inline void accumulate_group_tile(const double* rows,
+                                                   std::size_t stride,
+                                                   const double* z, double* m,
+                                                   std::size_t c0,
+                                                   std::size_t c1) {
+  const double* row[kRows];
+  for (std::size_t r = 0; r < kRows; ++r) row[r] = rows + r * stride;
+  for (std::size_t c = c0; c < c1; ++c) {
+    double acc = m[c];
+    for (std::size_t r = 0; r < kRows; ++r) acc += z[r] * row[r][c];
+    m[c] = acc;
+  }
+}
+
+/// m[c0:c1] += zj * row[c0:c1]: one row, for the rows after the last
+/// whole group.
 TSUNAMI_HOT_PATH inline void accumulate_row_tile(const double* row, double zj,
                                                  double* m, std::size_t c0,
                                                  std::size_t c1) {
@@ -28,17 +50,20 @@ TSUNAMI_HOT_PATH inline void accumulate_row_tile(const double* row, double zj,
 }
 
 /// out[0:ncols) += rows^T z[0:nrows) over a row-major block of nrows rows
-/// (row stride ncols) — the per-tick truncated-posterior accumulation.
-/// Column-tiled so the output tile stays in L1 across all rows: the naive
-/// row-by-row axpy re-streams the whole output vector once per sensor,
-/// which dominated push latency for the MAP slab. The slab rows themselves
-/// are read exactly once either way.
+/// (row stride ncols) — the per-tick truncated-posterior accumulation, also
+/// the offline R products. Column-tiled so the output tile stays in L1
+/// across the row groups; the slab rows are read exactly once. Per output
+/// column the adds run j-ascending: the groups in order, then the tail rows.
+/// That order is the contract that keeps push_many bitwise equal to push.
 TSUNAMI_HOT_PATH void accumulate_rows(const double* rows, std::size_t nrows,
                                       std::size_t ncols, const double* z,
                                       double* out) {
   for (std::size_t c0 = 0; c0 < ncols; c0 += kAccTile) {
     const std::size_t c1 = std::min(c0 + kAccTile, ncols);
-    for (std::size_t j = 0; j < nrows; ++j)
+    std::size_t j = 0;
+    for (; j + kRows <= nrows; j += kRows)
+      accumulate_group_tile(rows + j * ncols, ncols, z + j, out, c0, c1);
+    for (; j < nrows; ++j)
       accumulate_row_tile(rows + j * ncols, z[j], out, c0, c1);
   }
 }
@@ -53,11 +78,11 @@ TSUNAMI_HOT_PATH void accumulate_block_rows(const Matrix& slab,
 }
 
 /// Batched variant: outs[k] += rows^T zs[k][0:nrows) for all K events in
-/// ONE sweep over the rows — each row (the bandwidth cost) is loaded once
-/// and reused K times. Tiles are independent (disjoint output columns), so
-/// they run in parallel; within a tile the loop order tile -> j -> k -> c
-/// keeps, for every (k, c), the same j-ascending addition order as
-/// accumulate_rows.
+/// ONE sweep over the rows — each row group (the bandwidth cost) is loaded
+/// once and reused K times. Tiles are independent (disjoint output
+/// columns), so they run in parallel; within a tile every event takes the
+/// same group kernel calls as in accumulate_rows, in the same order, so
+/// every (k, c) sees the same j-ascending additions as a serial push.
 TSUNAMI_HOT_PATH void accumulate_rows_many(const double* rows,
                                            std::size_t nrows,
                                            std::size_t ncols,
@@ -68,11 +93,15 @@ TSUNAMI_HOT_PATH void accumulate_rows_many(const double* rows,
   parallel_for_min(ntiles, 2, [&](std::size_t tile) {
     const std::size_t c0 = tile * kAccTile;
     const std::size_t c1 = std::min(c0 + kAccTile, ncols);
-    for (std::size_t j = 0; j < nrows; ++j) {
-      const double* row = rows + j * ncols;
-      for (std::size_t k = 0; k < nk; ++k) {
-        accumulate_row_tile(row, zs[k][j], outs[k], c0, c1);
-      }
+    std::size_t j = 0;
+    for (; j + kRows <= nrows; j += kRows) {
+      for (std::size_t k = 0; k < nk; ++k)
+        accumulate_group_tile(rows + j * ncols, ncols, zs[k] + j, outs[k], c0,
+                              c1);
+    }
+    for (; j < nrows; ++j) {
+      for (std::size_t k = 0; k < nk; ++k)
+        accumulate_row_tile(rows + j * ncols, zs[k][j], outs[k], c0, c1);
     }
   });
 }
@@ -111,16 +140,15 @@ StreamingEngine::StreamingEngine(const Posterior& posterior,
   const Matrix qt = predictor.data_to_qoi().transposed();  // n x nqoi
   const Matrix& l = chol.factor();
   r_ = Matrix(n_, nqoi_);
-  parallel_for_min(n_, 8, [&](std::size_t i) {
-    // r_(i, :) = sum_{j >= i} L(j, i) Q^T(j, :), all rows contiguous. The
-    // factor is dense below the diagonal — no per-entry zero test (the
-    // branch cost a compare per FMA and defeated vectorization).
-    auto out = r_.row(i);
-    for (std::size_t j = i; j < n_; ++j) {
-      const double lji = l(j, i);
-      const auto qrow = qt.row(j);
-      for (std::size_t c = 0; c < nqoi_; ++c) out[c] += lji * qrow[c];
-    }
+  // r_(i, :) = sum_{j >= i} L(j, i) Q^T(j, :): the slab sweep over rows
+  // [i, n) of Q^T, its coefficients column i of L gathered into slot-local
+  // scratch.
+  std::vector<double> coeffs(static_cast<std::size_t>(num_threads()) * n_);
+  parallel_for_slotted(n_, 8, [&](std::size_t i, std::size_t slot) {
+    double* col = coeffs.data() + slot * n_;
+    for (std::size_t j = i; j < n_; ++j) col[j - i] = l(j, i);
+    accumulate_rows(qt.data() + i * nqoi_, n_ - i, nqoi_, col,
+                    r_.row(i).data());
   });
 
   // Credible-interval schedule: diag Gamma_post(q, t) = diag Gamma_post(q) +
@@ -255,13 +283,9 @@ void StreamingEngine::apply_mask(const SensorMask& mask) {
     Matrix v(n_, slab.cols());
     parallel_for_min(n_, 8, [&](std::size_t i) {
       if (mask.masked(i % nd_)) return;  // row dies below; skip the product
-      auto out_row = v.row(i);
-      for (std::size_t j = 0; j <= i; ++j) {
-        const double lij = l(i, j);
-        const auto srow = slab.row(j);
-        for (std::size_t c = 0; c < out_row.size(); ++c)
-          out_row[c] += lij * srow[c];
-      }
+      // v(i, :) = sum_{j <= i} L(i, j) slab(j, :), coefficients row i of L.
+      accumulate_rows(slab.data(), i + 1, slab.cols(), l.row(i).data(),
+                      v.row(i).data());
     });
     chol.forward_solve_in_place(v);
     slab = std::move(v);
@@ -414,8 +438,8 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::push(
   // applied at forecast/map read time, never folded into q_mean_/m_map_).
   if (!dead_.empty() || tick_has_new_dead(valid))
     advance_degraded(p0, p1, valid);
-  // Accumulate the new block's contribution to the truncated posterior,
-  // column-tiled (one output sweep per tick, not one per sensor).
+  // Accumulate the new block's contribution to the truncated posterior in
+  // row groups (one output load and store per 8 sensor rows, not per row).
   accumulate_block_rows(eng_.r_, z_, p0, p1, q_mean_);
   if (eng_.tracks_map()) eng_.accumulate_wstar(z_, p0, p1, m_map_);
   ++t_;

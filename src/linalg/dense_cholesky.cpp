@@ -9,6 +9,13 @@ namespace tsunami {
 
 namespace {
 
+/// Rows per pass of forward_solve_range: their dot products over the solved
+/// prefix run as kRows independent chains sharing each load of b[j]. On the
+/// bench network (n = 384, 8-row ticks, one thread) the per-tick solve took
+/// 1.6-2.0 us row by row and 0.90-1.16, 0.88-1.15 and 0.81-1.05 us in
+/// groups of 2, 4 and 8.
+constexpr std::size_t kRows = 8;
+
 /// Shared multi-RHS driver: apply `solve_column` to each column of `b`
 /// (parallel over columns, contiguous per-column scratch).
 template <typename Solver>
@@ -27,6 +34,8 @@ void solve_columns(Matrix& b, const Solver& solve_column) {
 DenseCholesky::DenseCholesky(const Matrix& a, std::size_t block) : l_(a) {
   if (a.rows() != a.cols())
     throw std::invalid_argument("DenseCholesky: matrix not square");
+  if (block == 0)
+    throw std::invalid_argument("DenseCholesky: block size 0");
   const std::size_t n = l_.rows();
   double* lp = l_.data();
 
@@ -99,7 +108,28 @@ TSUNAMI_HOT_PATH void DenseCholesky::forward_solve_range(
   if (begin > end || end > n || b.size() < end)
     throw std::invalid_argument("DenseCholesky: bad forward-solve range");
   const double* lp = l_.data();
-  for (std::size_t i = begin; i < end; ++i) {
+  // Row i computes s = b[i]; s -= L(i, j) b[j] for j = 0, 1, ..., i - 1;
+  // b[i] = s / L(i, i). A group of kRows rows runs its terms over the prefix
+  // j < i0 as kRows interleaved chains, then its in-group triangle row by
+  // row: every row keeps that exact sequence of operations.
+  std::size_t i0 = begin;
+  for (; i0 + kRows <= end; i0 += kRows) {
+    const double* row[kRows];
+    double s[kRows];
+    for (std::size_t r = 0; r < kRows; ++r) {
+      row[r] = lp + (i0 + r) * n;
+      s[r] = b[i0 + r];
+    }
+    for (std::size_t j = 0; j < i0; ++j) {
+      const double bj = b[j];
+      for (std::size_t r = 0; r < kRows; ++r) s[r] -= row[r][j] * bj;
+    }
+    for (std::size_t r = 0; r < kRows; ++r) {
+      for (std::size_t j = i0; j < i0 + r; ++j) s[r] -= row[r][j] * b[j];
+      b[i0 + r] = s[r] / row[r][i0 + r];
+    }
+  }
+  for (std::size_t i = i0; i < end; ++i) {
     double s = b[i];
     const double* row = lp + i * n;
     for (std::size_t j = 0; j < i; ++j) s -= row[j] * b[j];

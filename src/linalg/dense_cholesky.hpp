@@ -24,8 +24,9 @@ namespace tsunami {
 /// Cholesky factorization A = L L^T of an SPD matrix (lower triangular L).
 class DenseCholesky {
  public:
-  /// Factorizes a copy of `a`. Throws std::runtime_error if a nonpositive
-  /// pivot is encountered (matrix not SPD to working precision).
+  /// Factorizes a copy of `a` in diagonal blocks of `block` rows. Throws
+  /// std::invalid_argument if `block` is 0, std::runtime_error if a
+  /// nonpositive pivot is encountered (matrix not SPD to working precision).
   explicit DenseCholesky(const Matrix& a, std::size_t block = 64);
 
   /// Rebuild from a previously computed factor (factor export/import: the
@@ -53,6 +54,10 @@ class DenseCholesky {
   /// b[begin:end) holds solution entries. b[end:] is never read or written,
   /// so a full-length buffer can be filled incrementally. Cost O((end-begin)
   /// * end) — extending a solve by one block touches only the new rows.
+  /// Bitwise equal to the textbook loop `s = b[i]; for j < i: s -= L(i,j)
+  /// b[j]; b[i] = s / L(i,i)` over i ascending: rows are solved in groups of
+  /// 8 that share the loads of b, but each row keeps that exact sequence of
+  /// operations, so any split of [0, n) into ranges gives the same bits.
   TSUNAMI_HOT_PATH void forward_solve_range(std::span<double> b,
                                             std::size_t begin,
                                             std::size_t end) const;

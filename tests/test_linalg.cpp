@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "linalg/banded_cholesky.hpp"
 #include "linalg/blas.hpp"
@@ -181,6 +183,58 @@ TEST(DenseCholesky, ForwardSolveRangeResumesExactly) {
   EXPECT_EQ(chunked, full);
 }
 
+/// The textbook forward substitution, row by row, one dependent chain per
+/// row: the operation order forward_solve_range promises to keep.
+void textbook_forward_solve(const Matrix& l, std::vector<double>& b) {
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    double s = b[i];
+    for (std::size_t j = 0; j < i; ++j) s -= l(i, j) * b[j];
+    b[i] = s / l(i, i);
+  }
+}
+
+TEST(DenseCholesky, ForwardSolveRangeMatchesTextbookLoopBitwise) {
+  // forward_solve_range solves its rows in groups that share the loads of
+  // b; every row must still take the textbook sequence of operations, so
+  // any range, aligned or not, of any length reproduces the textbook bits.
+  const std::size_t kSizes[] = {1, 7, 8, 9, 23, 64, 130};
+  const std::size_t kLengths[] = {0, 1, 7, 8, 9, 16, 17};
+  for (const std::size_t n : kSizes) {
+    Rng rng(400 + n);
+    const DenseCholesky chol(random_spd(n, rng));
+    const auto rhs = rng.normal_vector(n);
+    std::vector<double> ref(rhs);
+    textbook_forward_solve(chol.factor(), ref);
+
+    for (const std::size_t len : kLengths) {
+      if (len > n) continue;
+      const std::size_t kBegins[] = {0, 3, 8, n - len};
+      for (const std::size_t begin : kBegins) {
+        if (begin + len > n) continue;
+        // Solved prefix, fresh right-hand side in the range, and a tail the
+        // solve must not touch.
+        std::vector<double> b(ref.begin(),
+                              ref.begin() + static_cast<std::ptrdiff_t>(begin));
+        b.insert(b.end(), rhs.begin() + static_cast<std::ptrdiff_t>(begin),
+                 rhs.end());
+        chol.forward_solve_range(std::span<double>(b), begin, begin + len);
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(b[i], i < begin + len ? ref[i] : rhs[i])
+              << "n " << n << ", range [" << begin << ", " << begin + len
+              << "), row " << i;
+        }
+      }
+    }
+
+    // Consecutive 8-row blocks, as the assimilator issues them per tick.
+    std::vector<double> b(rhs);
+    for (std::size_t p0 = 0; p0 < n; p0 += 8)
+      chol.forward_solve_range(std::span<double>(b), p0, std::min(p0 + 8, n));
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(b[i], ref[i]) << "n " << n << ", 8-row blocks, row " << i;
+  }
+}
+
 TEST(DenseCholesky, PrefixSolvesMatchLeadingSubsystemFactorization) {
   // Cholesky commutes with leading principal submatrices, so prefix forward
   // + backward substitution on the FULL factor must equal a from-scratch
@@ -262,6 +316,14 @@ TEST(DenseCholesky, LogDetMatchesKnownMatrix) {
   a(2, 2) = 4;
   const DenseCholesky chol(a);
   EXPECT_NEAR(chol.log_det(), std::log(24.0), 1e-12);
+}
+
+TEST(DenseCholesky, RejectsZeroBlockSize) {
+  // A block of 0 rows would never advance the factorization.
+  Matrix a(4, 4);
+  for (std::size_t i = 0; i < 4; ++i) a(i, i) = 1.0;
+  EXPECT_THROW((void)DenseCholesky(a, 0), std::invalid_argument);
+  EXPECT_NO_THROW((void)DenseCholesky(a, 1));
 }
 
 TEST(DenseCholesky, RejectsIndefiniteMatrix) {
