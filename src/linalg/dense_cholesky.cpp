@@ -11,9 +11,9 @@ namespace {
 
 /// Rows per pass of forward_solve_range: their dot products over the solved
 /// prefix run as kRows independent chains sharing each load of b[j]. On the
-/// bench network (n = 384, 8-row ticks, one thread) the per-tick solve took
-/// 1.6-2.0 us row by row and 0.90-1.16, 0.88-1.15 and 0.81-1.05 us in
-/// groups of 2, 4 and 8.
+/// bench network (n = 384, 8-row ticks, one thread of a 4-vCPU x86-64 host)
+/// the per-tick solve took 1.6-2.0 us row by row and 0.90-1.16, 0.88-1.15
+/// and 0.81-1.05 us in groups of 2, 4 and 8.
 constexpr std::size_t kRows = 8;
 
 /// Shared multi-RHS driver: apply `solve_column` to each column of `b`

@@ -18,7 +18,10 @@ is worse than the baseline median by more than the bound. Each line also
 says whether the median moved by more than the baseline's interquartile
 range and, for the two halves of one file, in how many seed-matched pairs
 the change was better. The per-layer metrics of the traced runs follow,
-for information.
+for information, and, where the file records them, each side's median host
+steal over its untraced runs, how many of those runs went past the 2%
+validity limit (twinbench reports the attempt with the least steal once
+all six were over it) and how many made more than one attempt.
 
 Usage:
     tools/bench/compare.py baseline.json current.json [--fail-above 10]
@@ -34,9 +37,13 @@ trajectory can be compared after the fact.
 import argparse
 import json
 import os
+import statistics
 import sys
 
 HISTORY_SCHEMA = "twinbench-history/1"
+# twinbench repeats a measured phase while the host steals more than this
+# share of the CPU time (kMaxStealPct in twinbench/twinbench.cpp).
+STEAL_LIMIT_PCT = 2.0
 DEFAULT_BENCHMARK = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
     "BENCHMARK.json")
@@ -120,6 +127,13 @@ def compare_history(paths, benchmark_path):
             rel = f"{(vc - vb) / vb * 100:+.1f}%" if vb else "n/a"
             print(f"    {name:<34} {vb:>12.4g} {vc:>12.4g} {rel:>8}")
         for side, w in (("baseline", b_w), ("current", c_w)):
+            steal = w.get("steal_pct")
+            if steal:
+                over = sum(s > STEAL_LIMIT_PCT for s in steal)
+                repeated = sum(a > 1 for a in w.get("attempts", []))
+                print(f"  {side}: host steal median {statistics.median(steal):.2f}%, "
+                      f"{over}/{len(steal)} runs over the {STEAL_LIMIT_PCT:g}% "
+                      f"limit, {repeated} with more than one attempt")
             failed = w.get("failed_operations", 0)
             if failed:
                 print(f"  {side}: {failed} failed operations")

@@ -12,7 +12,11 @@ both sides of a pair). It then makes one traced run (--trace 1, seed
 SEED+PAIRS+1) per side for the per-layer metrics. The output holds, per
 side and workload, every run's end-to-end metrics with their median and
 quartiles, the traced run's per-layer metrics, and the run counts of
-correct and failed operations; tools/bench/compare.py diffs it.
+correct and failed operations; tools/bench/compare.py diffs it. Each run
+also keeps the host steal of its reported attempt and the number of
+attempts run.py made (the validity rule repeats the measured phase while
+the host steals more than 2% of the CPU time), parsed from run.py's line
+"host steal X% of CPU time over the reported attempt (N made)".
 
 Run nothing else on the host meanwhile: the workloads pin threads to CPUs.
 Exit status 1 when any run is incorrect or fails operations.
@@ -22,11 +26,14 @@ import argparse
 import datetime
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 
 SCHEMA = "twinbench-history/1"
+STEAL_LINE = re.compile(r"host steal ([0-9.]+)% of CPU time over the reported "
+                        r"attempt \((\d+) made\)")
 
 
 def run_once(checkout, workload, seed, seconds, trace):
@@ -40,11 +47,17 @@ def run_once(checkout, workload, seed, seconds, trace):
         sys.exit(f"record_pairs: no result line from {checkout} ({workload}, "
                  f"seed {seed})")
     result = json.loads(lines[-1])
+    steal = STEAL_LINE.search(proc.stdout)
+    if not steal:
+        sys.exit(f"record_pairs: no host steal line from {checkout} "
+                 f"({workload}, seed {seed})")
     return {
         "seed": seed,
         "correct": bool(result["correct"]) and proc.returncode == 0,
         "attempted": result["attempted"],
         "failed": result["failed"],
+        "steal_pct": float(steal.group(1)),
+        "attempts": int(steal.group(2)),
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
     }
 
@@ -101,7 +114,9 @@ def main():
                 r = run_once(sides[side], w, args.seed + i, args.seconds, 0)
                 runs[side].append(r)
                 print(f"{w} pair {i} {side}: " + ", ".join(
-                    f"{k} {v:.4g}" for k, v in r["metrics"].items()), flush=True)
+                    f"{k} {v:.4g}" for k, v in r["metrics"].items())
+                    + f", steal {r['steal_pct']:.2f}% ({r['attempts']} attempts)",
+                    flush=True)
         for side in ("parent", "change"):
             traced = run_once(sides[side], w, args.seed + args.pairs + 1,
                               args.seconds, 1)
@@ -112,6 +127,8 @@ def main():
                 "per_layer": traced["metrics"],
                 "correct_runs": sum(r["correct"] for r in every),
                 "failed_operations": sum(r["failed"] for r in every),
+                "steal_pct": [r["steal_pct"] for r in runs[side]],
+                "attempts": [r["attempts"] for r in runs[side]],
             }
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w") as f:
