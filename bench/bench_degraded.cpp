@@ -17,8 +17,8 @@
 //                           dying mid-event (projection rebuild, no factor
 //                           mutation at all).
 //   reduced() precompute  — StreamingEngine::reduced(mask): the from-scratch
-//                           alternative's setup alone (decoupled factor +
-//                           slab re-solve), before it even replays the
+//                           alternative's setup alone (decoupled factor, R
+//                           re-solve, W*' build), before it even replays the
 //                           event's backlog.
 //
 // Plus the operational curve: forecast error vs channels lost, quantifying

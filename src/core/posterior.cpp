@@ -1,5 +1,6 @@
 #include "core/posterior.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "linalg/blas.hpp"
@@ -45,7 +46,8 @@ TSUNAMI_HOT_PATH void Posterior::apply_gstar_prefix(std::span<const double> y,
                                                     std::span<double> m,
                                                     Workspace& ws) const {
   const std::size_t nd = f_.block_rows();
-  if (ticks > time_dim() || y.size() < ticks * nd)
+  if (ticks > time_dim() || y.size() < ticks * nd ||
+      m.size() != parameter_dim())
     throw std::invalid_argument("Posterior::apply_gstar_prefix: bad prefix");
   // Zero-padding the unseen intervals is exact: the missing rows of F
   // contribute nothing to F^T y when their data weights are zero. The
@@ -53,7 +55,13 @@ TSUNAMI_HOT_PATH void Posterior::apply_gstar_prefix(std::span<const double> y,
   ws.param_a.resize(parameter_dim());  // lint: allow(hot-path-alloc) grow-once workspace
   f_.apply_transpose_prefix(y.first(ticks * nd), ticks,
                             std::span<double>(ws.param_a), ws.toeplitz);
-  prior_.apply_time_blocks(ws.param_a, m, time_dim());
+  // F^T is block upper triangular, so parameter blocks at or past `ticks`
+  // are exactly zero (their FFT output is roundoff): the prior runs on the
+  // causal blocks only.
+  const std::size_t causal = ticks * spatial_dim();
+  prior_.apply_time_blocks(std::span<const double>(ws.param_a).first(causal),
+                           m.first(causal), ticks);
+  std::fill(m.begin() + static_cast<std::ptrdiff_t>(causal), m.end(), 0.0);
 }
 
 TSUNAMI_HOT_PATH void Posterior::apply_gstar_prefix(std::span<const double> y,

@@ -54,7 +54,9 @@ class Posterior {
   /// data-space vector (remaining intervals zero) and applies G*. This is
   /// exactly G restricted to the rows available at tick `ticks` — the
   /// adjoint the truncated (streaming) posterior needs. The zero padding is
-  /// implicit in the FFT pack pass; no padded copy is built.
+  /// implicit in the FFT pack pass; no padded copy is built. The result is
+  /// causal: the prior runs on parameter blocks 0..ticks-1 only, and blocks
+  /// ticks..Nt-1 are written as exact zeros.
   TSUNAMI_HOT_PATH void apply_gstar_prefix(std::span<const double> y,
                                            std::size_t ticks,
                                            std::span<double> m) const;

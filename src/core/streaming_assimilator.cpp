@@ -115,6 +115,15 @@ StreamingEngine::StreamingEngine(const Posterior& posterior,
                                  const StreamingOptions& options,
                                  TimerRegistry* timers,
                                  std::shared_ptr<const void> lifetime)
+    : StreamingEngine(posterior, predictor, options, timers,
+                      std::move(lifetime), SensorMask()) {}
+
+StreamingEngine::StreamingEngine(const Posterior& posterior,
+                                 const QoiPredictor& predictor,
+                                 const StreamingOptions& options,
+                                 TimerRegistry* timers,
+                                 std::shared_ptr<const void> lifetime,
+                                 const SensorMask& mask)
     : post_(posterior),
       pred_(predictor),
       lifetime_(lifetime),
@@ -125,7 +134,8 @@ StreamingEngine::StreamingEngine(const Posterior& posterior,
       nm_(posterior.spatial_dim()),
       n_(posterior.data_dim()),
       np_(posterior.parameter_dim()),
-      nqoi_(predictor.qoi_dim()) {
+      nqoi_(predictor.qoi_dim()),
+      mask_(mask) {
   if (predictor.data_dim() != n_)
     throw std::invalid_argument(
         "StreamingEngine: posterior/predictor data dim mismatch");
@@ -174,6 +184,7 @@ StreamingEngine::StreamingEngine(const Posterior& posterior,
           std::sqrt(std::max(0.0, cov_q(i, i)) + tail[i]);
   }
 
+  if (mask_.any()) apply_mask();
   if (opts_.track_map) build_wstar();
 
   precompute_seconds_ = watch.seconds();
@@ -181,43 +192,61 @@ StreamingEngine::StreamingEngine(const Posterior& posterior,
 }
 
 void StreamingEngine::build_wstar() {
-  // W* = L^{-1} F Gamma_prior, row j = (Gamma_prior F^T L^{-T} e_j)^T. For
-  // j in tick block tau, L^{-T} e_j vanishes below row j, F^T (block upper
-  // triangular) keeps it within parameter blocks 0..tau, and the prior acts
-  // per time block: row block tau is zero beyond column (tau + 1) Nm, and
-  // only that causal part is built and stored. One multi-RHS lift of the
-  // Nd unit solves per tick block; the lift is pool-parallel inside, so the
-  // result is bitwise identical at any worker count. The Toeplitz
-  // workspace and staging below die with this call.
+  // F Gamma_prior is block lower-triangular Toeplitz with blocks G_m =
+  // F_m P (P the spatial prior block), so its last row block [G_{Nt-1} ...
+  // G_0] holds every block, and row block tau is the last (tau + 1) Nm
+  // columns of it. That row block is built first, in place in the slab:
+  // the last block row of F is [F_{Nt-1} ... F_0], so one multi-RHS lift
+  // F^T [e_j, j in tick Nt - 1] yields every row of every F_m, and P, being
+  // symmetric, turns row v of F_m into row v of G_m — Nd Nt prior applies.
+  // The other row blocks are copies; rows of masked channels stay zero
+  // (those rows of F do not exist on a reduced network). The slab is then
+  // forward-substituted in place against chol(), one task per parameter
+  // block k and column panel; column c of block k is zero above row k Nd,
+  // so its solve starts there. Every entry keeps the textbook order
+  // (DenseCholesky::forward_solve_panel), so the bits do not depend on the
+  // tiling or the worker count.
   TRACE_SCOPE("offline", "wstar_build");
-  const DenseCholesky& chol = post_.hessian().cholesky();
-  const BlockToeplitz& f = post_.forward_map();
-  const MaternPrior& prior = post_.prior();
   wstar_.assign(wstar_offset(nt_), 0.0);
-  ToeplitzWorkspace ws;
-  Matrix units(n_, nd_);  // columns: L^{-T} e_j for the rows j of block tau
-  Matrix lifted;          // F^T units, np x Nd
-  std::vector<double> staging(static_cast<std::size_t>(num_threads()) * nm_);
-  for (std::size_t tau = 0; tau < nt_; ++tau) {
-    parallel_for_min(nd_, 4, [&](std::size_t v) {
-      std::vector<double> col(n_, 0.0);
-      col[tau * nd_ + v] = 1.0;
-      chol.backward_solve_in_place(col);
-      for (std::size_t i = 0; i < n_; ++i) units(i, v) = col[i];
+  std::vector<double*> rows(n_);
+  for (std::size_t i = 0; i < n_; ++i)
+    rows[i] = wstar_.data() + wstar_row_offset(i);
+  const auto live = [&](std::size_t v) {
+    return !is_reduced() || !mask_.masked(v);
+  };
+  const std::size_t last = (nt_ - 1) * nd_;
+  {  // the lift's workspace and staging die here
+    Matrix units(n_, nd_);
+    for (std::size_t v = 0; v < nd_; ++v) units(last + v, v) = 1.0;
+    Matrix lifted;  // np x Nd; block k of column v is row v of F_{Nt-1-k}
+    ToeplitzWorkspace ws;
+    post_.forward_map().apply_transpose_many(units, lifted, ws);
+    std::vector<double> staging(static_cast<std::size_t>(num_threads()) * nm_);
+    parallel_for_slotted(nd_ * nt_, 2, [&](std::size_t vk, std::size_t slot) {
+      const std::size_t v = vk / nt_, k = vk % nt_;
+      if (!live(v)) return;
+      const std::span<double> in(staging.data() + slot * nm_, nm_);
+      for (std::size_t i = 0; i < nm_; ++i) in[i] = lifted(k * nm_ + i, v);
+      post_.prior().apply(in, std::span<double>(rows[last + v] + k * nm_, nm_));
     });
-    f.apply_transpose_many(units, lifted, ws);
-    // Row v of the block, parameter block k <= tau: Gamma_prior applied to
-    // that block of lifted column v, written straight into the slab.
-    const std::size_t width = wstar_width(tau);
-    double* block = wstar_.data() + wstar_offset(tau);
-    parallel_for_slotted(
-        nd_ * (tau + 1), 2, [&](std::size_t idx, std::size_t slot) {
-          const std::size_t v = idx / (tau + 1), k = idx % (tau + 1);
-          const std::span<double> in(staging.data() + slot * nm_, nm_);
-          for (std::size_t i = 0; i < nm_; ++i) in[i] = lifted(k * nm_ + i, v);
-          prior.apply(in, std::span<double>(block + v * width + k * nm_, nm_));
-        });
   }
+  parallel_for(last, [&](std::size_t i) {
+    const std::size_t tau = i / nd_, v = i % nd_;
+    if (!live(v)) return;
+    const double* src = rows[last + v] + (nt_ - 1 - tau) * nm_;
+    std::copy(src, src + wstar_width(tau), rows[i]);
+  });
+
+  const DenseCholesky& factor = chol();
+  constexpr std::size_t kPanel = DenseCholesky::kPanelCols;
+  const std::size_t panels = (nm_ + kPanel - 1) / kPanel;
+  parallel_for(nt_ * panels, [&](std::size_t task) {
+    const std::size_t k = task / panels;
+    const std::size_t c0 = k * nm_ + (task % panels) * kPanel;
+    const std::size_t c1 = std::min(c0 + kPanel, (k + 1) * nm_);
+    factor.forward_solve_panel(
+        k * nd_, std::span<double* const>(rows).subspan(k * nd_), c0, c1);
+  });
 }
 
 TSUNAMI_HOT_PATH void StreamingEngine::accumulate_wstar(
@@ -252,18 +281,12 @@ StreamingEngine StreamingEngine::reduced(const SensorMask& mask) const {
   if (mask.size() != nd_)
     throw std::invalid_argument(
         "StreamingEngine::reduced: mask size != channel count");
-  StreamingEngine out(post_, pred_, opts_, nullptr, lifetime_.lock());
-  out.apply_mask(mask);
-  return out;
+  return StreamingEngine(post_, pred_, opts_, nullptr, lifetime_.lock(), mask);
 }
 
-void StreamingEngine::apply_mask(const SensorMask& mask) {
-  mask_ = mask;
-  if (!mask.any()) return;
+void StreamingEngine::apply_mask() {
   TRACE_SCOPE("offline", "streaming_reduce");
-  Stopwatch watch;
-  const DenseCholesky& full = post_.hessian().cholesky();
-  const Matrix& l = full.factor();
+  const Matrix& l = post_.hessian().cholesky().factor();
 
   // Decoupled factor: every dropped channel's rows of K become pure-noise
   // rows via the O(r n^2) rank-2 factor edits — NOT a refactorization. The
@@ -273,27 +296,21 @@ void StreamingEngine::apply_mask(const SensorMask& mask) {
   reduced_hess_ = std::make_unique<DataSpaceHessian>(
       DataSpaceHessian::from_factor(std::move(l_copy),
                                     post_.hessian().noise()));
-  reduced_hess_->decouple_channels(mask, nd_);
-  const DenseCholesky& chol = reduced_hess_->cholesky();
+  reduced_hess_->decouple_channels(mask_, nd_);
 
   // Rebuild the forecast slab against the decoupled factor. The slab V =
   // F Gamma_prior Fq^T is recovered from the full precompute (V = L R since
   // R = L^{-1} V); its dropped rows are zeroed (those rows of F no longer
   // exist) and the reduced R' = L'^{-1} V' re-solved column-free via the
   // multi-RHS forward substitution.
-  const auto resolve_slab = [&](Matrix& slab) {
-    Matrix v(n_, slab.cols());
-    parallel_for_min(n_, 8, [&](std::size_t i) {
-      if (mask.masked(i % nd_)) return;  // row dies below; skip the product
-      // v(i, :) = sum_{j <= i} L(i, j) slab(j, :), coefficients row i of L.
-      accumulate_rows(slab.data(), i + 1, slab.cols(), l.row(i).data(),
-                      v.row(i).data());
-    });
-    chol.forward_solve_in_place(v);
-    slab = std::move(v);
-  };
-  resolve_slab(r_);
-  if (opts_.track_map) resolve_wstar(l, chol, mask);
+  Matrix v(n_, nqoi_);
+  parallel_for_min(n_, 8, [&](std::size_t i) {
+    if (mask_.masked(i % nd_)) return;  // row dies below; skip the product
+    // v(i, :) = sum_{j <= i} L(i, j) R(j, :), coefficients row i of L.
+    accumulate_rows(r_.data(), i + 1, nqoi_, l.row(i).data(), v.row(i).data());
+  });
+  reduced_hess_->cholesky().forward_solve_in_place(v);
+  r_ = std::move(v);
 
   // Credible-interval schedule of the reduced network: the prior QoI
   // variance (schedule row 0, data-independent hence mask-independent)
@@ -312,51 +329,6 @@ void StreamingEngine::apply_mask(const SensorMask& mask) {
       std_schedule_(t + 1, i) =
           std::sqrt(std::max(0.0, prior_var[i] - acc[i]));
   }
-  precompute_seconds_ += watch.seconds();
-}
-
-void StreamingEngine::resolve_wstar(const Matrix& l, const DenseCholesky& chol,
-                                    const SensorMask& mask) {
-  // W*' = L'^{-1} V' with V = L W*, the MAP slab's analogue of the R
-  // re-solve above. Both products keep the causal triangle: row i of V
-  // mixes rows j <= i, whose widths are at most row i's, and column c of
-  // parameter block k is zero above row k Nd, so its forward substitution
-  // starts there.
-  std::vector<double> v(wstar_.size(), 0.0);
-  parallel_for_min(n_, 8, [&](std::size_t i) {
-    if (mask.masked(i % nd_)) return;  // row dies below; skip the product
-    double* out = v.data() + wstar_row_offset(i);
-    for (std::size_t j = 0; j <= i; ++j) {
-      const double lij = l(i, j);
-      const double* src = wstar_.data() + wstar_row_offset(j);
-      const std::size_t width = wstar_width(j / nd_);
-      for (std::size_t c = 0; c < width; ++c) out[c] += lij * src[c];
-    }
-  });
-  // Forward substitution in place, over independent column panels of one
-  // parameter block each: per column, the j-ascending order of
-  // DenseCholesky::forward_solve_range.
-  constexpr std::size_t kPanel = 64;
-  const std::size_t panels_per_block = (nm_ + kPanel - 1) / kPanel;
-  const Matrix& lr = chol.factor();
-  parallel_for(nt_ * panels_per_block, [&](std::size_t panel) {
-    const std::size_t k = panel / panels_per_block;
-    const std::size_t c0 = k * nm_ + (panel % panels_per_block) * kPanel;
-    const std::size_t c1 = std::min(c0 + kPanel, (k + 1) * nm_);
-    double acc[kPanel] = {};
-    for (std::size_t i = k * nd_; i < n_; ++i) {
-      double* row_i = v.data() + wstar_row_offset(i);
-      for (std::size_t c = c0; c < c1; ++c) acc[c - c0] = row_i[c];
-      for (std::size_t j = k * nd_; j < i; ++j) {
-        const double lij = lr(i, j);
-        const double* row_j = v.data() + wstar_row_offset(j);
-        for (std::size_t c = c0; c < c1; ++c) acc[c - c0] -= lij * row_j[c];
-      }
-      const double lii = lr(i, i);
-      for (std::size_t c = c0; c < c1; ++c) row_i[c] = acc[c - c0] / lii;
-    }
-  });
-  wstar_ = std::move(v);
 }
 
 std::span<const double> StreamingEngine::stddev_after(std::size_t ticks) const {
@@ -813,9 +785,8 @@ std::vector<double> StreamingAssimilator::map_snapshot() const {
     }
   }
   eng_.chol().backward_solve_prefix(snapshot_u_, p);
-  std::vector<double> m(eng_.parameter_dim(), 0.0);
-  if (p > 0)
-    eng_.post_.apply_gstar_prefix(snapshot_u_, t_, std::span<double>(m), ws_);
+  std::vector<double> m(eng_.parameter_dim());
+  eng_.post_.apply_gstar_prefix(snapshot_u_, t_, std::span<double>(m), ws_);
   return m;
 }
 

@@ -40,7 +40,11 @@
 //     (t + 1) Nm columns: O(Nd Nq Nt + Nd Nm (t + 1)) flops, with the R
 //     term constant and the W* term growing linearly in the tick index.
 //     Parameter blocks the stream has not reached keep m_map exactly 0,
-//     the prior mean.
+//     the prior mean. F Gamma_prior is itself block lower-triangular
+//     Toeplitz, with blocks G_m = F_m P (P the spatial prior block), so
+//     the build takes every F_m from one multi-RHS lift of F's last block
+//     row, applies P Nd Nt times, copies block (t, k) = G_{t-k} into the
+//     triangle and forward-substitutes it in place against L.
 //
 // The credible-interval schedule Gamma_post(q, t) is data-independent, so
 // the engine precomputes the whole stddev-vs-tick table once; streaming an
@@ -72,9 +76,11 @@ namespace tsunami {
 struct StreamingOptions {
   /// Maintain the rolling MAP estimate m_map(t) incrementally. Costs the
   /// block-lower triangle of W* = L^{-1} F Gamma_prior offline
-  /// (Nd Nm Nt (Nt + 1) / 2 doubles) and one sweep per tick over the
-  /// (t + 1) Nm causal columns of that tick's rows. With tracking off,
-  /// map_snapshot() still recovers m_map(t) on demand in O(p^2).
+  /// (Nd Nm Nt (Nt + 1) / 2 doubles, built with Nd Nt prior applies and a
+  /// forward substitution of about Nd^2 Nm Nt^3 / 6 multiply-adds) and one
+  /// sweep per tick over the (t + 1) Nm causal columns of that tick's rows.
+  /// With tracking off, map_snapshot() still recovers m_map(t) on demand in
+  /// O(p^2).
   bool track_map = true;
 };
 
@@ -108,13 +114,14 @@ class StreamingEngine {
   /// From-scratch reduced-network engine: the streaming precompute rebuilt
   /// as if the masked channels never existed. The dropped rows of the
   /// data-space Hessian are decoupled to pure noise via the O(r n^2)
-  /// rank-2 factor edits (DataSpaceHessian::decouple_channels), the slabs
-  /// re-solved against the decoupled factor, and the credible-interval
-  /// schedule rebuilt — so assimilators started from the result compute the
-  /// exact posterior of the surviving network. This is the oracle that
-  /// StreamingAssimilator::drop_sensor's mid-stream projection is tested
-  /// against, and the refactorize-from-scratch baseline bench_degraded
-  /// times. Works on warm (factor-only) hessians: only the factor is read.
+  /// rank-2 factor edits (DataSpaceHessian::decouple_channels), R re-solved
+  /// and W* (with track_map) built once against the decoupled factor, and
+  /// the credible-interval schedule rebuilt — so assimilators started from
+  /// the result compute the exact posterior of the surviving network. This
+  /// is the oracle that StreamingAssimilator::drop_sensor's mid-stream
+  /// projection is tested against, and the refactorize-from-scratch
+  /// baseline bench_degraded times. Works on warm (factor-only) hessians:
+  /// only the factor is read.
   [[nodiscard]] StreamingEngine reduced(const SensorMask& mask) const;
 
   /// The channel mask this engine was reduced with (empty/all-live for a
@@ -160,15 +167,21 @@ class StreamingEngine {
                          : post_.hessian().cholesky();
   }
 
-  /// reduced(): rebuild the slabs/schedule against the decoupled factor.
-  void apply_mask(const SensorMask& mask);
+  /// The precompute of a network without the channels `mask` drops (an
+  /// empty mask: the full network). reduced() passes its mask here, so a
+  /// reduced engine builds its W*' once, against the decoupled factor.
+  StreamingEngine(const Posterior& posterior, const QoiPredictor& predictor,
+                  const StreamingOptions& options, TimerRegistry* timers,
+                  std::shared_ptr<const void> lifetime,
+                  const SensorMask& mask);
 
-  /// Fills wstar_ one tick block at a time on build-local scratch.
+  /// Decouple the masked channels and rebuild R and the schedule against
+  /// the decoupled factor.
+  void apply_mask();
+
+  /// Fills wstar_ = L^{-1} F Gamma_prior against chol(), the rows of masked
+  /// channels of F Gamma_prior zeroed (see item 5 above).
   void build_wstar();
-  /// apply_mask(): re-solve wstar_ against the decoupled factor `chol`
-  /// (`l` is the full-network factor it was built on).
-  void resolve_wstar(const Matrix& l, const DenseCholesky& chol,
-                     const SensorMask& mask);
   /// Packed W* layout: row block tau holds its Nd x (tau + 1) Nm causal
   /// part row-major, starting at Nd Nm tau (tau + 1) / 2.
   [[nodiscard]] std::size_t wstar_width(std::size_t tau) const {

@@ -1,5 +1,6 @@
 #include "linalg/dense_cholesky.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -134,6 +135,57 @@ TSUNAMI_HOT_PATH void DenseCholesky::forward_solve_range(
     const double* row = lp + i * n;
     for (std::size_t j = 0; j < i; ++j) s -= row[j] * b[j];
     b[i] = s / row[i];
+  }
+}
+
+void DenseCholesky::forward_solve_panel(std::size_t first,
+                                        std::span<double* const> rows,
+                                        std::size_t c0, std::size_t c1) const {
+  const std::size_t n = l_.rows();
+  const std::size_t end = first + rows.size();
+  if (end > n || c0 > c1)
+    throw std::invalid_argument("DenseCholesky: bad forward-solve panel");
+  const double* lp = l_.data();
+  const auto x = [&](std::size_t i) { return rows[i - first]; };
+  for (std::size_t p0 = c0; p0 < c1; p0 += kPanelCols) {
+    const std::size_t w = std::min(kPanelCols, c1 - p0);
+    // A group's kRows x w accumulators stay in L1 while the solved rows
+    // above it stream past once; each loaded x(j, c) serves all kRows.
+    double acc[kRows][kPanelCols];
+    std::size_t i0 = first;
+    for (; i0 + kRows <= end; i0 += kRows) {
+      const double* lrow[kRows];
+      for (std::size_t r = 0; r < kRows; ++r) {
+        lrow[r] = lp + (i0 + r) * n;
+        std::copy(x(i0 + r) + p0, x(i0 + r) + p0 + w, acc[r]);
+      }
+      for (std::size_t j = first; j < i0; ++j) {
+        const double* xj = x(j) + p0;
+        double lij[kRows];
+        for (std::size_t r = 0; r < kRows; ++r) lij[r] = lrow[r][j];
+        for (std::size_t c = 0; c < w; ++c) {
+          const double v = xj[c];
+          for (std::size_t r = 0; r < kRows; ++r) acc[r][c] -= lij[r] * v;
+        }
+      }
+      for (std::size_t r = 0; r < kRows; ++r) {
+        for (std::size_t j = i0; j < i0 + r; ++j) {
+          const double* xj = x(j) + p0;
+          for (std::size_t c = 0; c < w; ++c) acc[r][c] -= lrow[r][j] * xj[c];
+        }
+        double* xi = x(i0 + r) + p0;
+        for (std::size_t c = 0; c < w; ++c) xi[c] = acc[r][c] / lrow[r][i0 + r];
+      }
+    }
+    for (std::size_t i = i0; i < end; ++i) {
+      const double* lrow = lp + i * n;
+      double* xi = x(i) + p0;
+      for (std::size_t j = first; j < i; ++j) {
+        const double* xj = x(j) + p0;
+        for (std::size_t c = 0; c < w; ++c) xi[c] -= lrow[j] * xj[c];
+      }
+      for (std::size_t c = 0; c < w; ++c) xi[c] /= lrow[i];
+    }
   }
 }
 

@@ -235,6 +235,55 @@ TEST(DenseCholesky, ForwardSolveRangeMatchesTextbookLoopBitwise) {
   }
 }
 
+TEST(DenseCholesky, ForwardSolvePanelMatchesTextbookLoopBitwise) {
+  // The W* build's kernel: right-hand sides that vanish above row
+  // first = k Nd, solved in place over a column range. Its 8-row groups
+  // start at `first`, on and off multiples of 8, leave tails of 1-7 rows,
+  // and its column panels are cut at kPanelCols; every entry must still
+  // take the textbook sequence of operations from row `first` on.
+  constexpr std::size_t kTicks = 12;
+  constexpr std::size_t kPanel = DenseCholesky::kPanelCols;
+  const std::size_t kChannels[] = {1, 3, 6, 8, 11};
+  const std::size_t kWidths[] = {kPanel / 2 + 3, kPanel, 2 * kPanel + 7};
+  constexpr std::size_t kC0 = 5, kGuard = 3;  // untouched columns each side
+  for (const std::size_t nd : kChannels) {
+    const std::size_t n = nd * kTicks;
+    Rng rng(500 + nd);
+    const DenseCholesky chol(random_spd(n, rng));
+    const Matrix& l = chol.factor();
+    for (const std::size_t width : kWidths) {
+      const std::size_t c1 = kC0 + width;
+      for (const std::size_t k : {std::size_t{0}, std::size_t{1}, kTicks / 2,
+                                  kTicks - 1}) {
+        const std::size_t first = k * nd;
+        // One buffer per row, as rows of a packed slab sit apart.
+        std::vector<std::vector<double>> rhs;
+        for (std::size_t i = first; i < n; ++i)
+          rhs.push_back(rng.normal_vector(c1 + kGuard));
+        std::vector<std::vector<double>> ref(rhs);
+        for (std::size_t i = first; i < n; ++i) {
+          for (std::size_t c = kC0; c < c1; ++c) {
+            double s = ref[i - first][c];
+            for (std::size_t j = first; j < i; ++j)
+              s -= l(i, j) * ref[j - first][c];
+            ref[i - first][c] = s / l(i, i);
+          }
+        }
+        std::vector<std::vector<double>> x(rhs);
+        std::vector<double*> rows;
+        for (auto& row : x) rows.push_back(row.data());
+        chol.forward_solve_panel(first, rows, kC0, c1);
+        for (std::size_t i = first; i < n; ++i) {
+          for (std::size_t c = 0; c < c1 + kGuard; ++c)
+            EXPECT_EQ(x[i - first][c], ref[i - first][c])
+                << "Nd " << nd << ", width " << width << ", first " << first
+                << ", row " << i << ", column " << c;
+        }
+      }
+    }
+  }
+}
+
 TEST(DenseCholesky, PrefixSolvesMatchLeadingSubsystemFactorization) {
   // Cholesky commutes with leading principal submatrices, so prefix forward
   // + backward substitution on the FULL factor must equal a from-scratch

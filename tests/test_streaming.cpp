@@ -145,6 +145,28 @@ TEST_F(StreamingTest, MidStreamMatchesTruncatedPosterior) {
   }
 }
 
+// The causal snapshot: apply_gstar_prefix runs the prior on the observed
+// parameter blocks only. Blocks before t keep the bits of the full path
+// (the prior over all Nt blocks of the zero-padded transpose), and blocks
+// from t on are exact zeros, whatever the output held before.
+TEST_F(StreamingTest, GstarPrefixIsCausal) {
+  const Posterior& post = twin_->posterior();
+  const std::size_t nt = engine_->num_ticks();
+  const std::size_t nd = engine_->block_size();
+  const std::size_t np = engine_->parameter_dim();
+  for (const std::size_t t : {std::size_t{0}, std::size_t{1}, nt / 2, nt}) {
+    const auto y = std::span<const double>(event_->d_obs).first(t * nd);
+    std::vector<double> ft(np), full(np);
+    post.forward_map().apply_transpose_prefix(y, t, std::span<double>(ft));
+    post.prior().apply_time_blocks(ft, std::span<double>(full), nt);
+    std::vector<double> m(np, 1.0);
+    post.apply_gstar_prefix(y, t, std::span<double>(m));
+    for (std::size_t c = 0; c < np; ++c)
+      EXPECT_EQ(m[c], c < t * spatial_dim() ? full[c] : 0.0)
+          << "t " << t << ", entry " << c;
+  }
+}
+
 // More data can only tighten the posterior: the precomputed stddev schedule
 // must decrease entrywise from the prior width down to the batch width.
 TEST_F(StreamingTest, StddevScheduleShrinksMonotonically) {

@@ -18,8 +18,10 @@ is worse than the baseline median by more than the bound. Each line also
 says whether the median moved by more than the baseline's interquartile
 range and, for the two halves of one file, in how many seed-matched pairs
 the change was better. The per-layer metrics of the traced runs follow,
-for information, and, where the file records them, each side's median host
-steal over its untraced runs, how many of those runs went past the 2%
+for information, headed, where the file records them, by each side's
+traced-run host steal and how many traced runs it was kept from (a table
+recorded over the 2% limit is marked), and followed by each side's median
+host steal over its untraced runs, how many of those runs went past the 2%
 validity limit (twinbench reports the attempt with the least steal once
 all six were over it) and how many made more than one attempt.
 
@@ -122,6 +124,17 @@ def compare_history(paths, benchmark_path):
                   if m["name"] in b_l and m["name"] in c_l]
         if shared:
             print("  per-layer (one traced run per side):")
+            over = False
+            for side, w in (("baseline", b_w), ("current", c_w)):
+                steal = w.get("traced_steal_pct")
+                if steal is None:
+                    continue
+                over = over or steal > STEAL_LIMIT_PCT
+                print(f"    {side} traced run: host steal {steal:.2f}%, "
+                      f"kept from {w.get('traced_runs', 1)} run(s)")
+            if over:
+                print(f"    OVER THE {STEAL_LIMIT_PCT:g}% STEAL LIMIT: only "
+                      "in-process probes (core.*, linalg.*) compare")
         for name in shared:
             vb, vc = b_l[name], c_l[name]
             rel = f"{(vc - vb) / vb * 100:+.1f}%" if vb else "n/a"

@@ -9,14 +9,18 @@ PARENT and CHANGE are two source checkouts (each makes its own
 runs `twinbench/run.py --trace 0` PAIRS times on each side, alternating
 which side runs first, with seeds SEED+1 .. SEED+PAIRS (the same seed on
 both sides of a pair). It then makes one traced run (--trace 1, seed
-SEED+PAIRS+1) per side for the per-layer metrics. The output holds, per
-side and workload, every run's end-to-end metrics with their median and
-quartiles, the traced run's per-layer metrics, and the run counts of
-correct and failed operations; tools/bench/compare.py diffs it. Each run
-also keeps the host steal of its reported attempt and the number of
-attempts run.py made (the validity rule repeats the measured phase while
-the host steals more than 2% of the CPU time), parsed from run.py's line
-"host steal X% of CPU time over the reported attempt (N made)".
+SEED+PAIRS+1) per side for the per-layer metrics; a traced run whose host
+steal is over the 2% limit is run again with the same seed, at most
+TRACED_TRIES times in all, and the run with the least steal is kept. The
+output holds, per side and workload, every run's end-to-end metrics with
+their median and quartiles, the kept traced run's per-layer metrics, its
+steal and the number of traced runs made, and the run counts of correct
+and failed operations (every traced run counts); tools/bench/compare.py
+diffs it. Each run also keeps the host steal of its reported attempt and
+the number of attempts run.py made (the validity rule repeats the
+measured phase while the host steals more than 2% of the CPU time),
+parsed from run.py's line "host steal X% of CPU time over the reported
+attempt (N made)".
 
 Run nothing else on the host meanwhile: the workloads pin threads to CPUs.
 Exit status 1 when any run is incorrect or fails operations.
@@ -32,6 +36,10 @@ import subprocess
 import sys
 
 SCHEMA = "twinbench-history/1"
+# twinbench's validity limit on host steal (kMaxStealPct in
+# twinbench/twinbench.cpp); traced runs over it are repeated.
+STEAL_LIMIT_PCT = 2.0
+TRACED_TRIES = 3
 STEAL_LINE = re.compile(r"host steal ([0-9.]+)% of CPU time over the reported "
                         r"attempt \((\d+) made\)")
 
@@ -60,6 +68,17 @@ def run_once(checkout, workload, seed, seconds, trace):
         "attempts": int(steal.group(2)),
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
     }
+
+
+def traced_runs(checkout, workload, seed, seconds):
+    """Traced runs on one seed until one stays within the steal limit, at
+    most TRACED_TRIES; returns them all, the one with the least steal first."""
+    runs = []
+    while len(runs) < TRACED_TRIES:
+        runs.append(run_once(checkout, workload, seed, seconds, 1))
+        if runs[-1]["steal_pct"] <= STEAL_LIMIT_PCT:
+            break
+    return sorted(runs, key=lambda r: r["steal_pct"])
 
 
 def summarize(runs, names):
@@ -118,13 +137,18 @@ def main():
                     + f", steal {r['steal_pct']:.2f}% ({r['attempts']} attempts)",
                     flush=True)
         for side in ("parent", "change"):
-            traced = run_once(sides[side], w, args.seed + args.pairs + 1,
-                              args.seconds, 1)
-            every = runs[side] + [traced]
+            traced = traced_runs(sides[side], w, args.seed + args.pairs + 1,
+                                 args.seconds)
+            print(f"{w} traced {side}: steal " + ", ".join(
+                f"{r['steal_pct']:.2f}%" for r in traced)
+                + f" ({len(traced)} runs)", flush=True)
+            every = runs[side] + traced
             ok = ok and all(r["correct"] and r["failed"] == 0 for r in every)
             out["sides"][side]["workloads"][w] = {
                 "end_to_end": summarize(runs[side], e2e),
-                "per_layer": traced["metrics"],
+                "per_layer": traced[0]["metrics"],
+                "traced_steal_pct": traced[0]["steal_pct"],
+                "traced_runs": len(traced),
                 "correct_runs": sum(r["correct"] for r in every),
                 "failed_operations": sum(r["failed"] for r in every),
                 "steal_pct": [r["steal_pct"] for r in runs[side]],
