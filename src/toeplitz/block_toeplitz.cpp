@@ -8,31 +8,6 @@
 
 namespace tsunami {
 
-// The per-frequency kernels are pure unit-stride FMA streams: exactly the
-// code that gains from vectors wider than the portable baseline ISA. GCC
-// function multiversioning compiles each kernel additionally for x86-64-v3
-// (AVX2 + FMA) and dispatches by CPUID once at load time — no global -march
-// flag, and non-x86 / non-GNU / sanitizer builds keep the plain definition.
-// Reproducibility note: dispatch is per-machine-deterministic, so every
-// within-process exactness contract (legacy vs workspace API, streaming vs
-// batch, warm vs cold) is unaffected; cross-ISA runs agree to the same
-// tolerances as the FFT path itself.
-#if defined(__x86_64__) && defined(__linux__) && defined(__GNUC__) && \
-    !defined(__clang__) && !defined(__SANITIZE_THREAD__)
-#define TSUNAMI_HOT_KERNEL __attribute__((target_clones("default", "arch=x86-64-v3")))
-// The same CPUID test the clone resolver makes.
-#define TSUNAMI_KERNEL_ISA \
-  (__builtin_cpu_supports("x86-64-v3") ? "x86-64-v3" : "x86-64")
-#elif defined(__x86_64__)
-#define TSUNAMI_HOT_KERNEL
-#define TSUNAMI_KERNEL_ISA "x86-64"
-#else
-#define TSUNAMI_HOT_KERNEL
-#define TSUNAMI_KERNEL_ISA "portable"
-#endif
-
-const char* toeplitz_kernel_isa() { return TSUNAMI_KERNEL_ISA; }
-
 namespace {
 
 // Register tile of the frequency-domain micro-kernel: kTileR output rows x
@@ -45,7 +20,6 @@ constexpr std::size_t kTileV = 8;
 
 /// Single-RHS forward kernel: y(r) = sum_c f(r,c) x(c). Four unit-stride
 /// real dot-product streams per output row.
-TSUNAMI_HOT_KERNEL
 void matvec_freq(const double* fre, const double* fim, const double* xre,
                  const double* xim, double* yre, double* yim, std::size_t rows,
                  std::size_t cols) {
@@ -64,7 +38,6 @@ void matvec_freq(const double* fre, const double* fim, const double* xre,
 
 /// Single-RHS transpose kernel: y(c) = sum_r conj(f(r,c)) x(r). The row
 /// broadcast keeps every stream (f row, y) unit-stride.
-TSUNAMI_HOT_KERNEL
 void matvec_freq_herm(const double* fre, const double* fim, const double* xre,
                       const double* xim, double* yre, double* yim,
                       std::size_t rows, std::size_t cols) {
@@ -83,7 +56,6 @@ void matvec_freq_herm(const double* fre, const double* fim, const double* xre,
 
 /// Multi-RHS forward GEMM: y(r,v) = sum_c f(r,c) x(c,v), tiled kTileR x
 /// kTileV with the accumulators held locally across the whole c sweep.
-TSUNAMI_HOT_KERNEL
 void gemm_freq(const double* fre, const double* fim, const double* xre,
                const double* xim, double* yre, double* yim, std::size_t rows,
                std::size_t cols, std::size_t nrhs) {
@@ -119,7 +91,6 @@ void gemm_freq(const double* fre, const double* fim, const double* xre,
 
 /// Multi-RHS transpose GEMM: y(c,v) = sum_r conj(f(r,c)) x(r,v), tiled over
 /// output columns x RHS with the r reduction innermost-but-one.
-TSUNAMI_HOT_KERNEL
 void gemm_freq_herm(const double* fre, const double* fim, const double* xre,
                     const double* xim, double* yre, double* yim,
                     std::size_t rows, std::size_t cols, std::size_t nrhs) {

@@ -42,12 +42,6 @@
 
 namespace tsunami {
 
-/// The instruction set of the frequency-domain kernel clone this process
-/// dispatches to: "x86-64-v3" (AVX2 + FMA) or "x86-64" on x86-64, and
-/// "portable" elsewhere. Forecast bits depend on it, so bitwise golden
-/// values are keyed by it (tests/test_golden.cpp).
-[[nodiscard]] const char* toeplitz_kernel_isa();
-
 /// Reusable scratch for BlockToeplitz apply paths: the split-complex
 /// frequency slabs plus per-loop-participant FFT scratch. Buffers grow on
 /// demand and never shrink, so after the first call at a given shape no

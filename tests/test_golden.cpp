@@ -17,11 +17,12 @@
 //       assimilator (its dead rows go through the degraded W* correction),
 // with map_estimate() hashed after every push.
 //
-// The Toeplitz kernels are compiled per instruction set (target_clones), so
-// the bits differ between ISAs: the table is keyed by toeplitz_kernel_isa().
-// A new target, or a change that is meant to move the bits, fails with one
-// message that prints the key and every computed hash; pin it by adding (or
-// replacing) one row of kGolden. The test never skips.
+// Every kernel is compiled for the baseline instruction set, so one row
+// holds on every build without a global -march flag (a -march=x86-64-v3
+// build lets GCC fuse the FFT's complex products into FMAs and moves the
+// bits). A change that is meant to move the bits fails with one message
+// that prints every computed hash; pin it by replacing kGolden. The test
+// never skips.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -39,7 +40,6 @@
 #include "core/streaming_assimilator.hpp"
 #include "service/engine_cache.hpp"
 #include "service/warning_service.hpp"
-#include "toeplitz/block_toeplitz.hpp"
 #include "util/artifact_bundle.hpp"
 #include "util/rng.hpp"
 
@@ -47,7 +47,6 @@ namespace tsunami {
 namespace {
 
 struct GoldenRow {
-  const char* isa;
   std::uint64_t bundle;    ///< trailing checksum of the saved bundle
   std::uint64_t healthy;   ///< replay (a)
   std::uint64_t swapped;   ///< replay (b)
@@ -55,12 +54,9 @@ struct GoldenRow {
   std::uint64_t map;       ///< replay (d)
 };
 
-constexpr GoldenRow kGolden[] = {
-    {"x86-64-v3", 0x1e6ce87e6e70a246, 0x37a92a3ad7a5fe14, 0xb45be8cfeaaf1d89,
-     0x5505f3a6a7e43431, 0xa081dc526ab7766c},
-    {"x86-64", 0x03b29f2067ea42af, 0x1e34df8e1e56ad1e, 0xd3398d517ced22db,
-     0xc96911e0dcbe2c1f, 0xc5879f64f8704a08},
-};
+constexpr GoldenRow kGolden = {0x03b29f2067ea42af, 0x1e34df8e1e56ad1e,
+                                0xd3398d517ced22db, 0xc96911e0dcbe2c1f,
+                                0xc5879f64f8704a08};
 
 /// FNV-1a over every field a dashboard reads from one snapshot.
 std::uint64_t hash_snapshot(const EventSnapshot& s, std::uint64_t h) {
@@ -258,27 +254,20 @@ TEST(Golden, BundleAndReplayBitsMatchPinnedTable) {
   }
   const std::uint64_t map = replay.map(map_engine->engine());
 
-  const std::string isa = toeplitz_kernel_isa();
-  const GoldenRow* row = nullptr;
-  for (const GoldenRow& r : kGolden)
-    if (isa == r.isa) row = &r;
-  bool match = row != nullptr && bundle == row->bundle;
+  bool match = bundle == kGolden.bundle && map == kGolden.map;
   for (int i = 0; i < 2; ++i)
-    match = match && healthy[i] == row->healthy &&
-            swapped[i] == row->swapped && degraded[i] == row->degraded;
-  match = match && map == row->map;
+    match = match && healthy[i] == kGolden.healthy &&
+            swapped[i] == kGolden.swapped && degraded[i] == kGolden.degraded;
   if (!match) {
-    std::string msg = (row ? "hashes differ from the pinned row for ISA \""
-                           : "no pinned row for ISA \"") +
-                      isa + "\"\ncomputed (num_workers 1 / 3):\n";
+    std::string msg =
+        "hashes differ from the pinned row\ncomputed (num_workers 1 / 3):\n";
     msg += "  bundle   " + hex(bundle) + "\n";
     msg += "  healthy  " + hex(healthy[0]) + " / " + hex(healthy[1]) + "\n";
     msg += "  swapped  " + hex(swapped[0]) + " / " + hex(swapped[1]) + "\n";
     msg += "  degraded " + hex(degraded[0]) + " / " + hex(degraded[1]) + "\n";
     msg += "  map      " + hex(map) + "\n";
-    msg += "row: {\"" + isa + "\", " + hex(bundle) + ", " + hex(healthy[0]) +
-           ", " + hex(swapped[0]) + ", " + hex(degraded[0]) + ", " + hex(map) +
-           "},";
+    msg += "row: {" + hex(bundle) + ", " + hex(healthy[0]) + ", " +
+           hex(swapped[0]) + ", " + hex(degraded[0]) + ", " + hex(map) + "};";
     FAIL() << msg;
   }
 }
