@@ -1,6 +1,6 @@
 // FFTMatvec micro-benchmarks (SecV-A / SecVII-B of the paper): the FFT-based
 // block-Toeplitz matvec against the O(Nt^2) dense-block reference, plus the
-// batched multi-RHS path that forms the data-space Hessian.
+// batched multi-RHS path (the W* lift of a MAP-tracking engine).
 //
 // Shape expectations: the FFT path wins by a factor growing with Nt (the
 // paper's kernels are memory-bound and reach 80-95% of device bandwidth; on

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/p2o_builder.hpp"
+#include "linalg/blas.hpp"
 #include "parallel/parallel_for.hpp"
 
 namespace tsunami {
@@ -15,83 +17,48 @@ NoiseModel relative_noise(std::span<const double> d, double level) {
   return NoiseModel{level * dmax};
 }
 
-void apply_f_prior(const BlockToeplitz& f, const MaternPrior& prior,
-                   const Matrix& a_cols, Matrix& out_cols, Matrix& ga_scratch,
-                   ToeplitzWorkspace& ws) {
-  const std::size_t n = f.input_dim();
-  if (a_cols.rows() != n)
-    throw std::invalid_argument("apply_f_prior: row mismatch");
-  // Gamma_prior applied column-wise (block diagonal in time); the prior
-  // owns the per-thread contiguous-column staging, so the batched K-forming
-  // loop allocates nothing here after its first iteration.
-  prior.apply_time_blocks_columns(a_cols, ga_scratch, f.num_blocks());
-  f.apply_many(ga_scratch, out_cols, ws);
+Matrix prior_product(const P2oMap& a, const P2oMap& b,
+                     const MaternPrior& prior) {
+  const std::size_t nt = a.nt, nm = a.ncols;
+  const std::size_t ra = nt * a.nrows, rb = nt * b.nrows;
+  if (b.nt != nt || b.ncols != nm || prior.dim() != nm ||
+      a.blocks.size() != ra * nm || b.blocks.size() != rb * nm)
+    throw std::invalid_argument("prior_product: shape mismatch");
+  // Row (k, s) of a.blocks is row s of A_k; P is symmetric, so P applied to
+  // it is row s of A_k P.
+  Matrix ap(ra, nm);
+  const std::span<const double> a_rows(a.blocks);
+  parallel_for(ra, [&](std::size_t r) {
+    prior.apply(a_rows.subspan(r * nm, nm), ap.row(r));
+  });
+  Matrix bt(nm, rb);
+  for (std::size_t r = 0; r < rb; ++r)
+    for (std::size_t c = 0; c < nm; ++c) bt(c, r) = b.blocks[r * nm + c];
+  Matrix out(ra, rb);
+  gemm(ap, bt, out);  // block (i, j) is M(i, j) = A_i P B_j^T
+  // Out(i, j) = M(i, j) + Out(i-1, j-1): row block i-1 is final when row
+  // block i reads it.
+  for (std::size_t r = a.nrows; r < ra; ++r) {
+    const std::span<const double> prev = out.row(r - a.nrows);
+    const std::span<double> cur = out.row(r);
+    for (std::size_t c = b.nrows; c < rb; ++c) cur[c] += prev[c - b.nrows];
+  }
+  return out;
 }
 
-void apply_f_prior(const BlockToeplitz& f, const MaternPrior& prior,
-                   const Matrix& a_cols, Matrix& out_cols) {
-  Matrix ga;
-  ToeplitzWorkspace ws;
-  apply_f_prior(f, prior, a_cols, out_cols, ga, ws);
-}
-
-DataSpaceHessian::DataSpaceHessian(const BlockToeplitz& f,
-                                   const MaternPrior& prior,
-                                   const NoiseModel& noise, std::size_t batch,
+DataSpaceHessian::DataSpaceHessian(const P2oMap& f, const MaternPrior& prior,
+                                   const NoiseModel& noise,
                                    TimerRegistry* timers)
     : noise_(noise) {
-  const std::size_t n = f.output_dim();  // Nd * Nt
-  const std::size_t nt = f.num_blocks();
-  const std::size_t nd = f.block_rows();
-  const std::size_t nm = f.block_cols();
-  k_ = Matrix(n, n);
-
   Stopwatch form_watch;
-  // Columns of F G* = F Gamma_prior F^T in batches. F^T applied to a unit
-  // vector e_(i,s) has the closed form (F^T e)_(j,:) = F_{i-j}[s,:] (j <= i),
-  // read straight out of the Fourier-free transpose; we use the Toeplitz
-  // transpose matvec for exactness and simplicity of batching.
-  // All batch scratch (unit columns, the two staging matrices, the Toeplitz
-  // workspace) is hoisted out of the loop: only the first iteration — or a
-  // smaller final remainder batch — allocates.
-  Matrix units;     // n x nb unit columns
-  Matrix ft_units;  // (Nm Nt) x nb
-  Matrix cols;      // n x nb
-  Matrix ga;        // (Nm Nt) x nb prior staging
-  ToeplitzWorkspace ws;
-  std::size_t col0 = 0;
-  while (col0 < n) {
-    const std::size_t nb = std::min(batch, n - col0);
-    if (units.rows() != n || units.cols() != nb) units = Matrix(n, nb);
-    if (col0 > 0)
-      for (std::size_t v = 0; v < nb; ++v) units(col0 - nb + v, v) = 0.0;
-    for (std::size_t v = 0; v < nb; ++v) units(col0 + v, v) = 1.0;
-    f.apply_transpose_many(units, ft_units, ws);
-    apply_f_prior(f, prior, ft_units, cols, ga, ws);
-    for (std::size_t v = 0; v < nb; ++v)
-      for (std::size_t i = 0; i < n; ++i) k_(i, col0 + v) = cols(i, v);
-    col0 += nb;
+  // The two triangles of the product round differently; the lower one is
+  // kept and mirrored, so K is exactly symmetric.
+  k_ = prior_product(f, f, prior);
+  const std::size_t n = k_.rows();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j) k_(j, i) = k_(i, j);
+    k_(i, i) += noise_.variance();
   }
-  (void)nt;
-  (void)nd;
-  (void)nm;
-
-  // Measure asymmetry, then symmetrize and add the noise diagonal.
-  double asym = 0.0, kmax = 0.0;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j) {
-      asym = std::max(asym, std::abs(k_(i, j) - k_(j, i)));
-      kmax = std::max(kmax, std::abs(k_(i, j)));
-    }
-  for (std::size_t i = 0; i < n; ++i) kmax = std::max(kmax, std::abs(k_(i, i)));
-  asymmetry_ = kmax > 0 ? asym / kmax : 0.0;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double v = 0.5 * (k_(i, j) + k_(j, i));
-      k_(i, j) = v;
-      k_(j, i) = v;
-    }
-  for (std::size_t i = 0; i < n; ++i) k_(i, i) += noise_.variance();
   if (timers) timers->add("form K", form_watch.seconds());
 
   Stopwatch chol_watch;

@@ -8,10 +8,10 @@
 //   K = Gamma_noise + F Gamma_prior F*          ("data-space Hessian"),
 // and the MAP point becomes  m_map = G* K^{-1} d_obs.
 //
-// K is (Nd Nt) x (Nd Nt) dense; each column is one FFT-based Hessian matvec
-// on a unit vector (Table III: "form K: 252k x 24 ms"), batched here through
-// the multi-RHS Toeplitz engine, then Cholesky-factorized (cuSOLVERMp ->
-// DenseCholesky).
+// K is (Nd Nt) x (Nd Nt) dense. The paper forms it one FFT Hessian matvec
+// per column (Table III: "form K: 252k x 24 ms"). Here F's shift invariance
+// gives it from one product of F's first block column (prior_product), and
+// it is then Cholesky-factorized (cuSOLVERMp -> DenseCholesky).
 
 #include <cstddef>
 #include <memory>
@@ -21,10 +21,11 @@
 #include "linalg/dense.hpp"
 #include "linalg/dense_cholesky.hpp"
 #include "prior/matern_prior.hpp"
-#include "toeplitz/block_toeplitz.hpp"
 #include "util/timer.hpp"
 
 namespace tsunami {
+
+struct P2oMap;
 
 /// Gaussian observation-noise model: Gamma_noise = sigma^2 I.
 struct NoiseModel {
@@ -39,16 +40,16 @@ struct NoiseModel {
 
 class DataSpaceHessian {
  public:
-  /// Forms and factorizes K. `batch` controls multi-RHS matvec batching.
-  /// Records "form K" / "factorize K" timer samples.
-  DataSpaceHessian(const BlockToeplitz& f, const MaternPrior& prior,
-                   const NoiseModel& noise, std::size_t batch = 64,
-                   TimerRegistry* timers = nullptr);
+  /// Forms K = Gamma_noise + F Gamma_prior F^T from F's blocks (the lower
+  /// triangle of prior_product(f, f), mirrored, so K is exactly symmetric)
+  /// and factorizes it. Records "form K" / "factorize K" timer samples.
+  DataSpaceHessian(const P2oMap& f, const MaternPrior& prior,
+                   const NoiseModel& noise, TimerRegistry* timers = nullptr);
 
   /// Rebuild from a previously computed Cholesky factor (the warm-start
   /// path: the artifact bundle ships L, not K). Solves are bit-identical to
   /// the cold-built object's; the formed K itself is not retained (it is
-  /// redundant given L), so matrix() throws and asymmetry() reports 0.
+  /// redundant given L), so matrix() throws.
   [[nodiscard]] static DataSpaceHessian from_factor(Matrix l_factor,
                                                     const NoiseModel& noise);
 
@@ -73,29 +74,25 @@ class DataSpaceHessian {
   /// retained K of a cold instance is kept consistent.
   void decouple_channels(const SensorMask& mask, std::size_t channels_per_tick);
 
-  /// Asymmetry of the formed K before symmetrization: max |K - K^T| /
-  /// max |K|; a structural check on F/F* consistency (should be ~1e-14).
-  [[nodiscard]] double asymmetry() const { return asymmetry_; }
-
  private:
   DataSpaceHessian() = default;  ///< for from_factor
 
   Matrix k_;  ///< empty on the from_factor path
   std::unique_ptr<DenseCholesky> chol_;
   NoiseModel noise_;
-  double asymmetry_ = 0.0;
 };
 
-/// B = F Gamma_prior A for a tall matrix A given column-wise (space-time
-/// rows), batched: used for K columns, the V = F Gq* matrix of Phase 3, and
-/// posterior probing. `a_cols` has input_dim rows. The workspace overload
-/// reuses `ga_scratch` (the Gamma_prior A staging matrix) and the Toeplitz
-/// workspace across calls — the K-forming loop invokes this once per column
-/// batch and would otherwise reallocate both every iteration.
-void apply_f_prior(const BlockToeplitz& f, const MaternPrior& prior,
-                   const Matrix& a_cols, Matrix& out_cols);
-void apply_f_prior(const BlockToeplitz& f, const MaternPrior& prior,
-                   const Matrix& a_cols, Matrix& out_cols, Matrix& ga_scratch,
-                   ToeplitzWorkspace& ws);
+/// A Gamma_prior B^T for two Phase 1 maps with the same Nt and Nm: the
+/// (Nt a.nrows) x (Nt b.nrows) matrix, time-major on both sides. K, V and W
+/// of phases 2-3 are all of this form. A and B are block lower-triangular
+/// Toeplitz and Gamma_prior is block diagonal with one spatial block P, so
+/// block (i, j) of the result is sum_{l <= min(i,j)} A_{i-l} P B_{j-l}^T:
+/// the diagonal prefix sum of the blocks M(i, j) = A_i P B_j^T. P is applied
+/// to the Nt a.nrows rows of a.blocks, one gemm against b.blocks gives every
+/// M(i, j), and the displacement identity Out(i, j) = M(i, j) +
+/// Out(i-1, j-1) fills the result row block by row block, so the bits do
+/// not depend on the worker count.
+[[nodiscard]] Matrix prior_product(const P2oMap& a, const P2oMap& b,
+                                   const MaternPrior& prior);
 
 }  // namespace tsunami

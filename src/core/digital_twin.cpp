@@ -296,8 +296,7 @@ void DigitalTwin::run_phase2(const NoiseModel& noise) {
   if (!f_.toeplitz) throw std::logic_error("run_phase2: phase 1 not run");
   TRACE_SCOPE("offline", "phase2");
   ScopedTimer t(timers_, "phase2: form+factorize K");
-  hessian_ = std::make_unique<DataSpaceHessian>(*f_.toeplitz, *prior_, noise,
-                                                64, &timers_);
+  hessian_ = std::make_unique<DataSpaceHessian>(f_, *prior_, noise, &timers_);
   posterior_ = std::make_unique<Posterior>(*f_.toeplitz, *prior_, *hessian_);
   refresh_offline_epoch();
 }
@@ -306,8 +305,8 @@ void DigitalTwin::run_phase3() {
   if (!hessian_) throw std::logic_error("run_phase3: phase 2 not run");
   TRACE_SCOPE("offline", "phase3");
   ScopedTimer t(timers_, "phase3: QoI covariance + Q");
-  predictor_ = std::make_unique<QoiPredictor>(*f_.toeplitz, *fq_.toeplitz,
-                                              *prior_, *hessian_, &timers_);
+  predictor_ =
+      std::make_unique<QoiPredictor>(f_, fq_, *prior_, *hessian_, &timers_);
   refresh_offline_epoch();
 }
 

@@ -3,29 +3,21 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/p2o_builder.hpp"
 #include "linalg/blas.hpp"
 
 namespace tsunami {
 
-QoiPredictor::QoiPredictor(const BlockToeplitz& f, const BlockToeplitz& fq,
+QoiPredictor::QoiPredictor(const P2oMap& f, const P2oMap& fq,
                            const MaternPrior& prior,
                            const DataSpaceHessian& hessian,
                            TimerRegistry* timers)
-    : fq_(fq), nq_(fq.block_rows()), nt_(fq.num_blocks()) {
-  const std::size_t nqoi = fq.output_dim();
+    : fq_(*fq.toeplitz), nq_(fq.nrows), nt_(fq.nt) {
+  const std::size_t nqoi = fq_.output_dim();
 
   Stopwatch cov_watch;
-  // Columns of Fq^T on unit vectors, then V = F Gamma_prior Fq^T and
-  // W = Fq Gamma_prior Fq^T.
-  Matrix units(nqoi, nqoi);
-  for (std::size_t v = 0; v < nqoi; ++v) units(v, v) = 1.0;
-  Matrix fqt_units;  // (Nm Nt) x nqoi
-  fq.apply_transpose_many(units, fqt_units);
-
-  Matrix v_mat;  // ndata x nqoi
-  apply_f_prior(f, prior, fqt_units, v_mat);
-  Matrix w_mat;  // nqoi x nqoi
-  apply_f_prior(fq, prior, fqt_units, w_mat);
+  const Matrix v_mat = prior_product(f, fq, prior);   // ndata x nqoi
+  const Matrix w_mat = prior_product(fq, fq, prior);  // nqoi x nqoi
 
   // K^{-1} V.
   Matrix kinv_v(v_mat);

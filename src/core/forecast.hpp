@@ -6,7 +6,8 @@
 //   V  = F Gq*  = F Gamma_prior Fq^T          (data_dim x qoi_dim),
 //   W  = Fq Gq* = Fq Gamma_prior Fq^T         (qoi_dim  x qoi_dim),
 //   Gamma_post(q) = W - V^T K^{-1} V          ("compute Gamma_post(q)"),
-//   Q  = V^T K^{-1}                           ("compute Q: d -> q"),
+//   Q  = V^T K^{-1}                           ("compute Q"),
+// with V and W from the first block columns of F and Fq (prior_product),
 // so that online prediction is a single dense matvec q_map = Q d_obs with
 // 95% credible intervals from diag(Gamma_post(q)) — deployable "entirely
 // without any HPC infrastructure" (SecVIII).
@@ -45,10 +46,11 @@ struct Forecast {
 
 class QoiPredictor {
  public:
-  /// Phase 3 precomputation. Records "compute Gamma_post(q)" / "compute Q"
+  /// Phase 3 precomputation: V = prior_product(f, fq) and W =
+  /// prior_product(fq, fq). Records "compute Gamma_post(q)" / "compute Q"
   /// timer samples.
-  QoiPredictor(const BlockToeplitz& f, const BlockToeplitz& fq,
-               const MaternPrior& prior, const DataSpaceHessian& hessian,
+  QoiPredictor(const P2oMap& f, const P2oMap& fq, const MaternPrior& prior,
+               const DataSpaceHessian& hessian,
                TimerRegistry* timers = nullptr);
 
   /// Warm start from the shipped Phase 3 products: the dense data-to-QoI

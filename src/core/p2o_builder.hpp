@@ -13,8 +13,9 @@
 
 namespace tsunami {
 
-/// Result of Phase 1 for one observation operator: the Toeplitz map plus the
-/// raw first-block-column storage (kept for dense reference paths/tests).
+/// Result of Phase 1 for one observation operator: the Toeplitz map plus its
+/// first block column in the time domain, which phases 2-3 form K, V and W
+/// from (prior_product) and the artifact bundle ships.
 struct P2oMap {
   std::unique_ptr<BlockToeplitz> toeplitz;
   std::vector<double> blocks;  ///< [(k * nrows + s) * Nm + r]

@@ -108,29 +108,6 @@ void MaternPrior::apply_time_blocks(std::span<const double> x,
   });
 }
 
-void MaternPrior::apply_time_blocks_columns(const Matrix& x_cols,
-                                            Matrix& y_cols,
-                                            std::size_t nt) const {
-  const std::size_t rows = n_ * nt;
-  if (x_cols.rows() != rows)
-    throw std::invalid_argument(
-        "MaternPrior::apply_time_blocks_columns: row mismatch");
-  const std::size_t ncols = x_cols.cols();
-  if (y_cols.rows() != rows || y_cols.cols() != ncols)
-    y_cols = Matrix(rows, ncols);
-  parallel_for_min(ncols, 2, [&](std::size_t v) {
-    // Persistent per-thread staging: the banded solves want contiguous
-    // columns, the matrices are row-major. thread_local outlives the call,
-    // so batched callers never re-allocate it.
-    static thread_local std::vector<double> col, out;
-    col.resize(rows);
-    out.resize(rows);
-    for (std::size_t i = 0; i < rows; ++i) col[i] = x_cols(i, v);
-    apply_time_blocks(col, std::span<double>(out), nt);
-    for (std::size_t i = 0; i < rows; ++i) y_cols(i, v) = out[i];
-  });
-}
-
 double MaternPrior::pointwise_variance(std::size_t r) const {
   if (r >= n_) throw std::out_of_range("MaternPrior::pointwise_variance");
   // C_rr = e_r^T A^{-1} M A^{-1} e_r = || M^{1/2} A^{-1} e_r ||^2.

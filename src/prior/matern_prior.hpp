@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "linalg/banded_cholesky.hpp"
-#include "linalg/dense.hpp"
 #include "util/rng.hpp"
 
 namespace tsunami {
@@ -56,16 +55,6 @@ class MaternPrior {
   /// with `nt` blocks (pool-parallel over blocks).
   void apply_time_blocks(std::span<const double> x, std::span<double> y,
                          std::size_t nt) const;
-
-  /// Column-wise apply_time_blocks over a row-major (dim * nt) x ncols
-  /// matrix: y_cols(:, v) = blockdiag(C) x_cols(:, v), parallel over
-  /// columns. The gather/scatter staging each column needs (the banded
-  /// solves want contiguous vectors) lives in persistent per-thread
-  /// buffers, so repeated batched calls (the K-forming loop) do not
-  /// allocate after warmup.
-  /// y_cols is resized only if its shape differs.
-  void apply_time_blocks_columns(const Matrix& x_cols, Matrix& y_cols,
-                                 std::size_t nt) const;
 
   /// Exact pointwise prior variance at grid node r: (C)_rr.
   [[nodiscard]] double pointwise_variance(std::size_t r) const;

@@ -82,7 +82,7 @@ TEST(BaselineCg, AgreesWithOfflineOnlineFramework) {
   BaselineProblem bp;
   // Offline-online (exact) side.
   const P2oMap map = build_p2o_map(bp.model, *bp.obs, bp.grid);
-  const DataSpaceHessian hess(*map.toeplitz, *bp.prior, bp.noise, 16);
+  const DataSpaceHessian hess(map, *bp.prior, bp.noise);
   const Posterior posterior(*map.toeplitz, *bp.prior, hess);
 
   const auto& d_obs = bp.d_obs;

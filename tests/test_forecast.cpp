@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/data_space_hessian.hpp"
@@ -16,8 +17,9 @@
 namespace tsunami {
 namespace {
 
-struct QoiProblem {
-  QoiProblem()
+/// Phase 1 of a small problem, with its prior and noise model.
+struct QoiMaps {
+  QoiMaps()
       : bathy(flat_basin(1500.0, 30e3, 30e3)),
         mesh(bathy, 2, 2, 1),
         model(mesh, 1) {
@@ -50,13 +52,24 @@ struct QoiProblem {
     std::vector<double> d_typ(f.toeplitz->output_dim());
     f.toeplitz->apply(m_typ, std::span<double>(d_typ));
     noise = relative_noise(d_typ, 0.05);
-
-    hessian =
-        std::make_unique<DataSpaceHessian>(*f.toeplitz, *prior, noise, 16);
-    posterior = std::make_unique<Posterior>(*f.toeplitz, *prior, *hessian);
-    predictor = std::make_unique<QoiPredictor>(*f.toeplitz, *fq.toeplitz,
-                                               *prior, *hessian);
   }
+
+  Bathymetry bathy;
+  HexMesh mesh;
+  AcousticGravityModel model;
+  std::unique_ptr<ObservationOperator> sensors, gauges;
+  TimeGrid grid;
+  P2oMap f, fq;
+  std::unique_ptr<MaternPrior> prior;
+  NoiseModel noise;
+};
+
+/// Phases 2-3 on top of QoiMaps.
+struct QoiProblem : QoiMaps {
+  QoiProblem()
+      : hessian(std::make_unique<DataSpaceHessian>(f, *prior, noise)),
+        posterior(std::make_unique<Posterior>(*f.toeplitz, *prior, *hessian)),
+        predictor(std::make_unique<QoiPredictor>(f, fq, *prior, *hessian)) {}
 
   /// Noisy observations from a fresh prior-distributed truth.
   std::vector<double> make_data(Rng& rng) const {
@@ -72,14 +85,6 @@ struct QoiProblem {
     return d;
   }
 
-  Bathymetry bathy;
-  HexMesh mesh;
-  AcousticGravityModel model;
-  std::unique_ptr<ObservationOperator> sensors, gauges;
-  TimeGrid grid;
-  P2oMap f, fq;
-  std::unique_ptr<MaternPrior> prior;
-  NoiseModel noise;
   std::unique_ptr<DataSpaceHessian> hessian;
   std::unique_ptr<Posterior> posterior;
   std::unique_ptr<QoiPredictor> predictor;
@@ -117,6 +122,55 @@ TEST(QoiPredictor, CovarianceIsSymmetricPsd) {
       EXPECT_NEAR(cov(i, j), cov(j, i), 1e-12);
   const auto eigs = symmetric_eigenvalues(cov);
   for (double e : eigs) EXPECT_GE(e, -1e-10 * std::abs(eigs.front()));
+}
+
+/// A Gamma_prior B^T through the FFT engine, one unit column at a time: B^T
+/// on unit vectors through the transpose matvec, the prior per column, then
+/// A through the multi-RHS matvec.
+Matrix fft_prior_product(const BlockToeplitz& a, const BlockToeplitz& b,
+                         const MaternPrior& prior) {
+  const std::size_t nb = b.output_dim();
+  Matrix units(nb, nb);
+  for (std::size_t v = 0; v < nb; ++v) units(v, v) = 1.0;
+  Matrix bt_cols;  // (Nm Nt) x nb
+  b.apply_transpose_many(units, bt_cols);
+  const Matrix bt_rows = bt_cols.transposed();
+  Matrix g_rows(nb, b.input_dim());
+  for (std::size_t v = 0; v < nb; ++v)
+    prior.apply_time_blocks(bt_rows.row(v), g_rows.row(v), b.num_blocks());
+  Matrix out;
+  a.apply_many(g_rows.transposed(), out);
+  return out;
+}
+
+/// max |x - ref| over max |ref|.
+double relative_max_diff(const Matrix& x, const Matrix& ref) {
+  double ref_max = 0.0;
+  for (std::size_t i = 0; i < ref.rows(); ++i)
+    ref_max = std::max(ref_max, amax(ref.row(i)));
+  return x.max_abs_diff(ref) / ref_max;
+}
+
+TEST(PriorProduct, KVWMatchFftUnitColumnPath) {
+  const QoiMaps qm;
+  const BlockToeplitz& f = *qm.f.toeplitz;
+  const BlockToeplitz& fq = *qm.fq.toeplitz;
+  EXPECT_LE(relative_max_diff(prior_product(qm.f, qm.fq, *qm.prior),
+                              fft_prior_product(f, fq, *qm.prior)),
+            1e-13);
+  EXPECT_LE(relative_max_diff(prior_product(qm.fq, qm.fq, *qm.prior),
+                              fft_prior_product(fq, fq, *qm.prior)),
+            1e-13);
+  const DataSpaceHessian hessian(qm.f, *qm.prior, qm.noise);
+  const Matrix& k = hessian.matrix();
+  const std::size_t n = k.rows();
+  Matrix k_prior(k);  // K - sigma^2 I
+  for (std::size_t i = 0; i < n; ++i) k_prior(i, i) -= qm.noise.variance();
+  EXPECT_LE(relative_max_diff(k_prior, fft_prior_product(f, f, *qm.prior)),
+            1e-13);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < i; ++j)
+      ASSERT_EQ(k(i, j), k(j, i)) << "K(" << i << ", " << j << ")";
 }
 
 TEST(QoiPredictor, PosteriorQoiVarianceBelowPrior) {

@@ -306,11 +306,13 @@ TEST_F(StreamingTest, MapEstimateMatchesDenseReferenceEveryTick) {
     chol.backward_solve_in_place(col);
     for (std::size_t i = 0; i < n; ++i) linv_t(i, j) = col[i];
   }
-  Matrix ft_cols, gstar_cols;  // np x n
+  Matrix ft_cols;  // np x n
   post.forward_map().apply_transpose_many(linv_t, ft_cols);
-  post.prior().apply_time_blocks_columns(ft_cols, gstar_cols,
-                                         engine_->num_ticks());
-  const Matrix wstar = gstar_cols.transposed();  // n x np, dense
+  const Matrix ft_rows = ft_cols.transposed();  // n x np
+  Matrix wstar(n, np);                           // dense
+  for (std::size_t j = 0; j < n; ++j)
+    post.prior().apply_time_blocks(ft_rows.row(j), wstar.row(j),
+                                   engine_->num_ticks());
 
   std::vector<double> z(event_->d_obs);
   chol.forward_solve_in_place(std::span<double>(z));

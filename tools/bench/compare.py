@@ -23,7 +23,11 @@ traced-run host steal and how many traced runs it was kept from (a table
 recorded over the 2% limit is marked), and followed by each side's median
 host steal over its untraced runs, how many of those runs went past the 2%
 validity limit (twinbench reports the attempt with the least steal once
-all six were over it) and how many made more than one attempt.
+all six were over it) and how many made more than one attempt. Where both
+sides record offline-build runs (record_pairs.py --builds), their medians
+and quartiles of build_s and the phase split close the report, for
+information; a build whose warm boot differed from its cold twin fails
+the gate.
 
 Usage:
     tools/bench/compare.py baseline.json current.json [--fail-above 10]
@@ -68,6 +72,34 @@ def side_workloads(report, side, path):
         return report["sides"][side]["workloads"]
     except (KeyError, TypeError):
         sys.exit(f"compare: {path} has no '{side}' side")
+
+
+def print_builds(base, curr, labels, paired, regressions):
+    """The offline-build runs of record_pairs.py --builds, for information;
+    incorrect builds on the current side count as a regression."""
+    if not base or not curr:
+        return
+    print(f"== offline build: {labels[0]} -> {labels[1]}, median [q1, q3]")
+    for name, b in base["metrics"].items():
+        c = curr["metrics"].get(name)
+        if c is None:
+            continue
+        rel = (c["median"] - b["median"]) / b["median"] if b["median"] else 0.0
+        note = ""
+        if paired and len(b["runs"]) == len(c["runs"]):
+            wins = sum(cv < bv for bv, cv in zip(b["runs"], c["runs"]))
+            note = f"  change faster in {wins}/{len(b['runs'])} pairs"
+        print(f"  {name:<9} {b['median']:>8.4g} [{b['q1']:.4g}, {b['q3']:.4g}]"
+              f"  {c['median']:>8.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
+              f"  {rel * 100:>+7.1f}%{note}")
+    for side, w in (("baseline", base), ("current", curr)):
+        steal = w["steal_pct"]
+        over = sum(s > STEAL_LIMIT_PCT for s in steal)
+        print(f"  {side}: {w['correct_runs']}/{len(steal)} builds correct, "
+              f"host steal median {statistics.median(steal):.2f}%, {over} "
+              f"over the {STEAL_LIMIT_PCT:g}% limit")
+    if curr["correct_runs"] < len(curr["steal_pct"]):
+        regressions.append("offline build: warm boot differs from the cold twin")
 
 
 def compare_history(paths, benchmark_path):
@@ -152,6 +184,10 @@ def compare_history(paths, benchmark_path):
                 print(f"  {side}: {failed} failed operations")
         if c_w.get("failed_operations", 0) > b_w.get("failed_operations", 0):
             regressions.append(f"{workload}: more failed operations")
+    base_side = "parent" if paired else "change"
+    print_builds(reports[0]["sides"][base_side].get("builds"),
+                 reports[-1]["sides"]["change"].get("builds"), labels, paired,
+                 regressions)
     if compared == 0:
         sys.exit("compare: no end-to-end metric in common")
     if regressions:

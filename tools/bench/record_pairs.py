@@ -2,7 +2,8 @@
 """Record a perf-trajectory point: twinbench on two checkouts, in pairs.
 
     tools/bench/record_pairs.py --parent ../parent --change . \\
-        --out bench/history/pr-NN.json [--pairs 10] [--seed 1900] [--seconds 5]
+        --out bench/history/pr-NN.json [--pairs 10] [--builds 10] \\
+        [--seed 1900] [--seconds 5]
 
 PARENT and CHANGE are two source checkouts (each makes its own
 .bench_build/). For every workload of CHANGE's BENCHMARK.json the script
@@ -21,6 +22,15 @@ the number of attempts run.py made (the validity rule repeats the
 measured phase while the host steals more than 2% of the CPU time),
 parsed from run.py's line "host steal X% of CPU time over the reported
 attempt (N made)".
+
+With --builds N the script then times the offline build: N alternating
+pairs of `.bench_build/twinbench prepare` runs (seeds SEED+1 .. SEED+N)
+at run.py's build pool of BUILD_POOL threads, each building the bundle in
+its own directory. Every run keeps build_s, the phase split and the host
+steal, parsed from prepare's line "prepare: bundle built in ..."; a run
+whose warm boot differs from the cold twin counts as incorrect. Untraced
+workload runs reuse their bundle, so these runs are the offline build's
+only untraced timing.
 
 Run nothing else on the host meanwhile: the workloads pin threads to CPUs.
 Exit status 1 when any run is incorrect or fails operations.
@@ -42,6 +52,14 @@ STEAL_LIMIT_PCT = 2.0
 TRACED_TRIES = 3
 STEAL_LINE = re.compile(r"host steal ([0-9.]+)% of CPU time over the reported "
                         r"attempt \((\d+) made\)")
+# Threads of the offline build (BUILD_POOL in twinbench/run.py).
+BUILD_POOL = 4
+BUILD_METRICS = ("build_s", "phase1_s", "phase2_s", "phase3_s")
+PREPARE_LINE = re.compile(
+    r"prepare: bundle built in ([0-9.]+) s \(phase1 ([0-9.]+) s, "
+    r"phase2 ([0-9.]+) s, phase3 ([0-9.]+) s, write [0-9.]+ ms, \d+ bytes, "
+    r"host steal ([0-9.]+)%\); warm boot differs from the cold twin on "
+    r"(\d+) of (\d+) events")
 
 
 def run_once(checkout, workload, seed, seconds, trace):
@@ -67,6 +85,30 @@ def run_once(checkout, workload, seed, seconds, trace):
         "steal_pct": float(steal.group(1)),
         "attempts": int(steal.group(2)),
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+    }
+
+
+def build_once(checkout, seed):
+    """One offline build by the checkout's twinbench (built by its workload
+    runs) into its own directory."""
+    work = os.path.join(checkout, ".bench_build", "work", "builds")
+    os.makedirs(work, exist_ok=True)
+    cmd = [os.path.join(checkout, ".bench_build", "twinbench"), "prepare",
+           "--seed", str(seed), "--dir", work, "--trace", "0"]
+    env = dict(os.environ, TSUNAMI_NUM_THREADS=str(BUILD_POOL))
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True,
+                          text=True)
+    line = PREPARE_LINE.search(proc.stdout)
+    if not line:
+        sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
+        sys.exit(f"record_pairs: no prepare line from {checkout} (seed {seed})")
+    differs, events = int(line.group(6)), int(line.group(7))
+    return {
+        "seed": seed,
+        "correct": proc.returncode == 0 and events > 0 and differs == 0,
+        "steal_pct": float(line.group(5)),
+        "metrics": dict(zip(BUILD_METRICS,
+                            (float(v) for v in line.group(1, 2, 3, 4)))),
     }
 
 
@@ -102,12 +144,14 @@ def main():
     ap.add_argument("--change", required=True, help="changed checkout")
     ap.add_argument("--out", required=True, help="history JSON to write")
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--builds", type=int, default=0,
+                    help="offline-build pairs after the workloads")
     ap.add_argument("--seed", type=int, default=1900,
                     help="seed base; pair i uses seed + i")
     ap.add_argument("--seconds", type=float, default=5.0)
     ap.add_argument("--note", default="", help="free text stored in the file")
     args = ap.parse_args()
-    if args.pairs < 2:
+    if args.pairs < 2 or args.builds == 1:
         sys.exit("record_pairs: need at least 2 pairs for quartiles")
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
@@ -121,6 +165,7 @@ def main():
         "run_seconds": args.seconds,
         "pairs": args.pairs,
         "seeds": [args.seed + i for i in range(1, args.pairs + 1)],
+        "builds": args.builds,
         "sides": {s: {"commit": git_head(d), "workloads": {}}
                   for s, d in sides.items()},
     }
@@ -154,6 +199,24 @@ def main():
                 "steal_pct": [r["steal_pct"] for r in runs[side]],
                 "attempts": [r["attempts"] for r in runs[side]],
             }
+    builds = {"parent": [], "change": []}
+    for i in range(1, args.builds + 1):
+        order = ("parent", "change") if i % 2 else ("change", "parent")
+        for side in order:
+            r = build_once(sides[side], args.seed + i)
+            builds[side].append(r)
+            print(f"build pair {i} {side}: " + ", ".join(
+                f"{k} {v:.4g}" for k, v in r["metrics"].items())
+                + f", steal {r['steal_pct']:.2f}%", flush=True)
+    for side, runs in builds.items():
+        if not runs:
+            continue
+        ok = ok and all(r["correct"] for r in runs)
+        out["sides"][side]["builds"] = {
+            "metrics": summarize(runs, BUILD_METRICS),
+            "correct_runs": sum(r["correct"] for r in runs),
+            "steal_pct": [r["steal_pct"] for r in runs],
+        }
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w") as f:
         json.dump(out, f, indent=1)
