@@ -1,6 +1,6 @@
 // FFTMatvec micro-benchmarks (SecV-A / SecVII-B of the paper): the FFT-based
 // block-Toeplitz matvec against the O(Nt^2) dense-block reference, plus the
-// batched multi-RHS path (the W* lift of a MAP-tracking engine).
+// batched multi-RHS transpose (the W* lift of a MAP-tracking engine).
 //
 // Shape expectations: the FFT path wins by a factor growing with Nt (the
 // paper's kernels are memory-bound and reach 80-95% of device bandwidth; on
@@ -24,6 +24,10 @@
 //   apply_many   nrhs=1           3.07  ms    0.714 ms    4.3x
 //   apply_many   nrhs=8          21.7   ms    5.16  ms    4.2x
 //   apply_many   nrhs=32         93.2   ms   28.5   ms    3.3x
+//
+// apply_many, the forward multi-RHS apply, has since been deleted (nothing
+// ran it once phases 2-3 formed K, V and W from F's blocks); the multi-RHS
+// cases below time apply_transpose_many, the path the W* lift runs.
 //
 // The structured JSON pass below re-measures these shapes on every run and
 // writes BENCH_fftmatvec.json so the trajectory stays machine-readable; the
@@ -108,13 +112,13 @@ void BM_FftMatvecBatched(benchmark::State& state) {
   ToeplitzFixture fx(8, 512, 64);
   const auto nrhs = static_cast<std::size_t>(state.range(0));
   Rng rng(4);
-  Matrix x(fx.t.input_dim(), nrhs);
+  Matrix x(fx.t.output_dim(), nrhs);
   for (std::size_t i = 0; i < x.rows(); ++i)
     for (std::size_t v = 0; v < nrhs; ++v) x(i, v) = rng.normal();
   Matrix y;
   ToeplitzWorkspace ws;
   for (auto _ : state) {
-    fx.t.apply_many(x, y, ws);
+    fx.t.apply_transpose_many(x, y, ws);
     benchmark::DoNotOptimize(y.data());
   }
   state.counters["matvecs/s"] = benchmark::Counter(
@@ -163,17 +167,18 @@ void run_json_pass() {
                                  std::size_t{32}}) {
     ToeplitzFixture fx(8, 512, 64);
     Rng rng(4);
-    Matrix x(fx.t.input_dim(), nrhs);
+    Matrix x(fx.t.output_dim(), nrhs);
     for (std::size_t i = 0; i < x.rows(); ++i)
       for (std::size_t v = 0; v < nrhs; ++v) x(i, v) = rng.normal();
     Matrix y;
     ToeplitzWorkspace ws;
-    const auto stat = bu::time_reps(n, [&] { fx.t.apply_many(x, y, ws); });
-    report.add("apply_many",
+    const auto stat =
+        bu::time_reps(n, [&] { fx.t.apply_transpose_many(x, y, ws); });
+    report.add("apply_transpose_many",
                {{"rows", 8.0}, {"cols", 512.0}, {"nt", 64.0},
                 {"nrhs", static_cast<double>(nrhs)}},
                stat);
-    std::printf("  apply_many nrhs=%2zu       median %8.0f ns\n", nrhs,
+    std::printf("  apply_T_many nrhs=%2zu     median %8.0f ns\n", nrhs,
                 stat.median_ns);
   }
   report.write();

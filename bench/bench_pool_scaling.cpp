@@ -4,9 +4,9 @@
 //   1. compute:   a pure-flops parallel_reduce (no memory traffic to
 //                 saturate) across worker counts — the pool's raw scaling
 //                 ceiling on this machine;
-//   2. apply_many: the multi-RHS FFT Toeplitz apply (the path the W* lift
-//                 runs) across worker counts — scaling with real bandwidth
-//                 limits;
+//   2. apply_transpose_many: the multi-RHS FFT Toeplitz transpose (the
+//                 path the W* lift runs) across worker counts — scaling
+//                 with real bandwidth limits;
 //   3. push_many: K tick-aligned streaming pushes fused into one multi-RHS
 //                 sweep versus K independent serial pushes, K in {1, 4, 16}
 //                 — the cross-event batching win, which is an ALGORITHMIC
@@ -76,23 +76,23 @@ int main() {
   if (compute_t4 > 0.0)
     report.note("speedup_at_4_workers", compute_t1 / compute_t4);
 
-  // ---- 2. multi-RHS Toeplitz apply --------------------------------------
+  // ---- 2. multi-RHS Toeplitz transpose ----------------------------------
   const std::size_t rows = 8, cols = 8, nt = quick ? 32 : 128, nrhs = 16;
   Rng rng(11);
   BlockToeplitz toep(rows, cols, nt, rng.normal_vector(rows * cols * nt));
-  Matrix x(toep.input_dim(), nrhs), y(toep.output_dim(), nrhs);
+  Matrix x(toep.output_dim(), nrhs), y(toep.input_dim(), nrhs);
   for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.normal();
 
   double apply_t1 = 0.0;
   for (const std::size_t w : workers) {
     ThreadPool::global().resize(w);
     const bu::Stat s =
-        bu::time_reps(bu::reps(10), [&] { toep.apply_many(x, y); });
+        bu::time_reps(bu::reps(10), [&] { toep.apply_transpose_many(x, y); });
     if (w == 1) apply_t1 = s.median_ns;
     const double speedup = apply_t1 > 0.0 ? apply_t1 / s.median_ns : 1.0;
-    std::printf("%-28s %8zu %10.2f ms %9.2fx\n", "toeplitz_apply_many", w,
+    std::printf("%-28s %8zu %10.2f ms %9.2fx\n", "toeplitz_apply_T_many", w,
                 s.median_ns * 1e-6, speedup);
-    report.add("toeplitz_apply_many",
+    report.add("toeplitz_apply_transpose_many",
                {{"workers", static_cast<double>(w)},
                 {"nt", static_cast<double>(nt)},
                 {"nrhs", static_cast<double>(nrhs)}},

@@ -3,7 +3,9 @@
 // The digital twin: end-to-end orchestration of the paper's four phases.
 //
 //   Phase 1 (offline): Nd + Nq adjoint wave propagations -> F, Fq.
-//   Phase 2 (offline): prior solves + FFT Hessian matvecs -> K; Cholesky.
+//   Phase 2 (offline): prior_product of F's first block column (prior
+//                      solves, one GEMM, a diagonal prefix sum) -> K;
+//                      Cholesky.
 //   Phase 3 (offline): Gamma_post(q) and the data-to-QoI map Q.
 //   Phase 4 (online) : given d_obs, infer m_map and forecast q with 95% CIs
 //                      in real time (no PDE solves).

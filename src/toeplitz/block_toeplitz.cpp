@@ -10,8 +10,8 @@ namespace tsunami {
 
 namespace {
 
-// Register tile of the frequency-domain micro-kernel: kTileR output rows x
-// kTileV right-hand sides accumulate in local (register) storage while the
+// Register tile of the multi-RHS frequency-domain micro-kernel: kTileR
+// outputs x kTileV right-hand sides accumulate in local (register) storage while the
 // reduction dimension streams through split-complex planes at unit stride.
 // No zero-test branch in the inner loop: block spectra are dense, and the
 // branch both defeated vectorization and cost a compare per FMA.
@@ -50,41 +50,6 @@ void matvec_freq_herm(const double* fre, const double* fim, const double* xre,
     for (std::size_t c = 0; c < cols; ++c) {
       yre[c] += fr[c] * ar + fi[c] * ai;
       yim[c] += fr[c] * ai - fi[c] * ar;
-    }
-  }
-}
-
-/// Multi-RHS forward GEMM: y(r,v) = sum_c f(r,c) x(c,v), tiled kTileR x
-/// kTileV with the accumulators held locally across the whole c sweep.
-void gemm_freq(const double* fre, const double* fim, const double* xre,
-               const double* xim, double* yre, double* yim, std::size_t rows,
-               std::size_t cols, std::size_t nrhs) {
-  for (std::size_t r0 = 0; r0 < rows; r0 += kTileR) {
-    const std::size_t rl = std::min(kTileR, rows - r0);
-    for (std::size_t v0 = 0; v0 < nrhs; v0 += kTileV) {
-      const std::size_t vl = std::min(kTileV, nrhs - v0);
-      double are[kTileR][kTileV] = {};
-      double aim[kTileR][kTileV] = {};
-      for (std::size_t c = 0; c < cols; ++c) {
-        const double* xr = xre + c * nrhs + v0;
-        const double* xi = xim + c * nrhs + v0;
-        for (std::size_t rr = 0; rr < rl; ++rr) {
-          const double f_re = fre[(r0 + rr) * cols + c];
-          const double f_im = fim[(r0 + rr) * cols + c];
-          for (std::size_t vv = 0; vv < vl; ++vv) {
-            are[rr][vv] += f_re * xr[vv] - f_im * xi[vv];
-            aim[rr][vv] += f_re * xi[vv] + f_im * xr[vv];
-          }
-        }
-      }
-      for (std::size_t rr = 0; rr < rl; ++rr) {
-        double* yr = yre + (r0 + rr) * nrhs + v0;
-        double* yi = yim + (r0 + rr) * nrhs + v0;
-        for (std::size_t vv = 0; vv < vl; ++vv) {
-          yr[vv] = are[rr][vv];
-          yi[vv] = aim[rr][vv];
-        }
-      }
     }
   }
 }
@@ -261,17 +226,12 @@ TSUNAMI_HOT_PATH void BlockToeplitz::apply_impl(const double* x, double* y,
       const double* xwim = xim + w * nin * nrhs;
       double* ywre = yre + w * nout * nrhs;
       double* ywim = yim + w * nout * nrhs;
-      if (transpose) {
-        if (nrhs == 1)
-          matvec_freq_herm(fwre, fwim, xwre, xwim, ywre, ywim, rows, cols);
-        else
-          gemm_freq_herm(fwre, fwim, xwre, xwim, ywre, ywim, rows, cols, nrhs);
-      } else {
-        if (nrhs == 1)
-          matvec_freq(fwre, fwim, xwre, xwim, ywre, ywim, rows, cols);
-        else
-          gemm_freq(fwre, fwim, xwre, xwim, ywre, ywim, rows, cols, nrhs);
-      }
+      if (!transpose)
+        matvec_freq(fwre, fwim, xwre, xwim, ywre, ywim, rows, cols);
+      else if (nrhs == 1)
+        matvec_freq_herm(fwre, fwim, xwre, xwim, ywre, ywim, rows, cols);
+      else
+        gemm_freq_herm(fwre, fwim, xwre, xwim, ywre, ywim, rows, cols, nrhs);
     });
   }
   inverse_channels(nout, nrhs, std::span<double>(y, nt_ * nout * nrhs), ws);
@@ -324,23 +284,6 @@ TSUNAMI_HOT_PATH void BlockToeplitz::apply_transpose_prefix(
     return;
   }
   apply_impl(x.data(), y.data(), 1, ticks, /*transpose=*/true, ws);
-}
-
-TSUNAMI_HOT_PATH void BlockToeplitz::apply_many(const Matrix& x_cols,
-                                                Matrix& y_cols,
-                                                ToeplitzWorkspace& ws) const {
-  const std::size_t nrhs = x_cols.cols();
-  if (x_cols.rows() != input_dim())
-    throw std::invalid_argument("apply_many: input rows mismatch");
-  if (y_cols.rows() != output_dim() || y_cols.cols() != nrhs)
-    y_cols = Matrix(output_dim(), nrhs);
-  if (nrhs == 0) return;
-  apply_impl(x_cols.data(), y_cols.data(), nrhs, nt_, /*transpose=*/false, ws);
-}
-
-TSUNAMI_HOT_PATH void BlockToeplitz::apply_many(const Matrix& x_cols,
-                                                Matrix& y_cols) const {
-  apply_many(x_cols, y_cols, tls_workspace());
 }
 
 TSUNAMI_HOT_PATH void BlockToeplitz::apply_transpose_many(

@@ -106,12 +106,9 @@ class BlockToeplitz {
                                                std::size_t ticks,
                                                std::span<double> y) const;
 
-  /// Multi-RHS versions: columns of X are independent vectors. The
+  /// Multi-RHS transpose: columns of X are independent vectors. The
   /// per-frequency kernel becomes a split-complex GEMM (the batched-BLAS
-  /// path). y_cols is resized only if its shape differs.
-  TSUNAMI_HOT_PATH void apply_many(const Matrix& x_cols, Matrix& y_cols) const;
-  TSUNAMI_HOT_PATH void apply_many(const Matrix& x_cols, Matrix& y_cols,
-                                   ToeplitzWorkspace& ws) const;
+  /// path the W* lift runs). y_cols is resized only if its shape differs.
   TSUNAMI_HOT_PATH void apply_transpose_many(const Matrix& x_cols,
                                              Matrix& y_cols) const;
   TSUNAMI_HOT_PATH void apply_transpose_many(const Matrix& x_cols,

@@ -125,8 +125,8 @@ TEST(QoiPredictor, CovarianceIsSymmetricPsd) {
 }
 
 /// A Gamma_prior B^T through the FFT engine, one unit column at a time: B^T
-/// on unit vectors through the transpose matvec, the prior per column, then
-/// A through the multi-RHS matvec.
+/// on unit vectors through the multi-RHS transpose matvec, then the prior
+/// and the A matvec per column.
 Matrix fft_prior_product(const BlockToeplitz& a, const BlockToeplitz& b,
                          const MaternPrior& prior) {
   const std::size_t nb = b.output_dim();
@@ -135,12 +135,14 @@ Matrix fft_prior_product(const BlockToeplitz& a, const BlockToeplitz& b,
   Matrix bt_cols;  // (Nm Nt) x nb
   b.apply_transpose_many(units, bt_cols);
   const Matrix bt_rows = bt_cols.transposed();
-  Matrix g_rows(nb, b.input_dim());
-  for (std::size_t v = 0; v < nb; ++v)
-    prior.apply_time_blocks(bt_rows.row(v), g_rows.row(v), b.num_blocks());
-  Matrix out;
-  a.apply_many(g_rows.transposed(), out);
-  return out;
+  std::vector<double> g(b.input_dim());
+  Matrix out_rows(nb, a.output_dim());
+  for (std::size_t v = 0; v < nb; ++v) {
+    prior.apply_time_blocks(bt_rows.row(v), std::span<double>(g),
+                            b.num_blocks());
+    a.apply(g, out_rows.row(v));
+  }
+  return out_rows.transposed();
 }
 
 /// max |x - ref| over max |ref|.

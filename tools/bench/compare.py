@@ -24,8 +24,8 @@ recorded over the 2% limit is marked), and followed by each side's median
 host steal over its untraced runs, how many of those runs went past the 2%
 validity limit (twinbench reports the attempt with the least steal once
 all six were over it) and how many made more than one attempt. Where both
-sides record offline-build runs (record_pairs.py --builds), their medians
-and quartiles of build_s and the phase split close the report, for
+sides record offline-build runs (record_pairs.py, from pr-22 on), their
+medians and quartiles of build_s and the phase split close the report, for
 information; a build whose warm boot differed from its cold twin fails
 the gate.
 
@@ -75,7 +75,7 @@ def side_workloads(report, side, path):
 
 
 def print_builds(base, curr, labels, paired, regressions):
-    """The offline-build runs of record_pairs.py --builds, for information;
+    """The offline-build runs of record_pairs.py, for information;
     incorrect builds on the current side count as a regression."""
     if not base or not curr:
         return

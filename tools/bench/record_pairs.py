@@ -2,8 +2,8 @@
 """Record a perf-trajectory point: twinbench on two checkouts, in pairs.
 
     tools/bench/record_pairs.py --parent ../parent --change . \\
-        --out bench/history/pr-NN.json [--pairs 10] [--builds 10] \\
-        [--seed 1900] [--seconds 5]
+        --out bench/history/pr-NN.json [--pairs 10] [--seed 1900] \\
+        [--seconds 5]
 
 PARENT and CHANGE are two source checkouts (each makes its own
 .bench_build/). For every workload of CHANGE's BENCHMARK.json the script
@@ -23,14 +23,18 @@ measured phase while the host steals more than 2% of the CPU time),
 parsed from run.py's line "host steal X% of CPU time over the reported
 attempt (N made)".
 
-With --builds N the script then times the offline build: N alternating
-pairs of `.bench_build/twinbench prepare` runs (seeds SEED+1 .. SEED+N)
-at run.py's build pool of BUILD_POOL threads, each building the bundle in
+The script then times the offline build: PAIRS alternating pairs of
+`.bench_build/twinbench prepare` runs (seeds SEED+1 .. SEED+PAIRS) at
+run.py's build pool of BUILD_POOL threads, each building the bundle in
 its own directory. Every run keeps build_s, the phase split and the host
 steal, parsed from prepare's line "prepare: bundle built in ..."; a run
 whose warm boot differs from the cold twin counts as incorrect. Untraced
 workload runs reuse their bundle, so these runs are the offline build's
 only untraced timing.
+
+Each side's commit is stored as `git rev-parse` names it, marked "+dirty"
+when tracked files differ from it, so a checkout made with `git clone` is
+named exactly; an export without git (`git archive`) is stored as null.
 
 Run nothing else on the host meanwhile: the workloads pin threads to CPUs.
 Exit status 1 when any run is incorrect or fails operations.
@@ -133,9 +137,17 @@ def summarize(runs, names):
 
 
 def git_head(checkout):
+    """The checkout's commit, marked "+dirty" when tracked files differ from
+    it; None outside git (a `git archive` export)."""
     proc = subprocess.run(["git", "rev-parse", "--short=12", "HEAD"],
                           cwd=checkout, capture_output=True, text=True)
-    return proc.stdout.strip() or None
+    head = proc.stdout.strip()
+    if not head:
+        return None
+    status = subprocess.run(["git", "status", "--porcelain",
+                             "--untracked-files=no"],
+                            cwd=checkout, capture_output=True, text=True)
+    return head + "+dirty" if status.stdout.strip() else head
 
 
 def main():
@@ -144,14 +156,12 @@ def main():
     ap.add_argument("--change", required=True, help="changed checkout")
     ap.add_argument("--out", required=True, help="history JSON to write")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--builds", type=int, default=0,
-                    help="offline-build pairs after the workloads")
     ap.add_argument("--seed", type=int, default=1900,
                     help="seed base; pair i uses seed + i")
     ap.add_argument("--seconds", type=float, default=5.0)
     ap.add_argument("--note", default="", help="free text stored in the file")
     args = ap.parse_args()
-    if args.pairs < 2 or args.builds == 1:
+    if args.pairs < 2:
         sys.exit("record_pairs: need at least 2 pairs for quartiles")
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
@@ -165,7 +175,6 @@ def main():
         "run_seconds": args.seconds,
         "pairs": args.pairs,
         "seeds": [args.seed + i for i in range(1, args.pairs + 1)],
-        "builds": args.builds,
         "sides": {s: {"commit": git_head(d), "workloads": {}}
                   for s, d in sides.items()},
     }
@@ -200,7 +209,7 @@ def main():
                 "attempts": [r["attempts"] for r in runs[side]],
             }
     builds = {"parent": [], "change": []}
-    for i in range(1, args.builds + 1):
+    for i in range(1, args.pairs + 1):
         order = ("parent", "change") if i % 2 else ("change", "parent")
         for side in order:
             r = build_once(sides[side], args.seed + i)
@@ -209,8 +218,6 @@ def main():
                 f"{k} {v:.4g}" for k, v in r["metrics"].items())
                 + f", steal {r['steal_pct']:.2f}%", flush=True)
     for side, runs in builds.items():
-        if not runs:
-            continue
         ok = ok and all(r["correct"] for r in runs)
         out["sides"][side]["builds"] = {
             "metrics": summarize(runs, BUILD_METRICS),
