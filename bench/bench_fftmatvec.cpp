@@ -25,9 +25,8 @@
 //   apply_many   nrhs=8          21.7   ms    5.16  ms    4.2x
 //   apply_many   nrhs=32         93.2   ms   28.5   ms    3.3x
 //
-// apply_many, the forward multi-RHS apply, has since been deleted (nothing
-// ran it once phases 2-3 formed K, V and W from F's blocks); the multi-RHS
-// cases below time apply_transpose_many, the path the W* lift runs.
+// The multi-RHS cases below time apply_transpose_many, the one multi-RHS
+// path left (the W* lift runs it; apply_many is gone).
 //
 // The structured JSON pass below re-measures these shapes on every run and
 // writes BENCH_fftmatvec.json so the trajectory stays machine-readable; the
