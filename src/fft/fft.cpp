@@ -5,8 +5,6 @@
 #include <numbers>
 #include <stdexcept>
 
-#include "parallel/parallel_for.hpp"
-
 namespace tsunami {
 
 namespace {
@@ -14,6 +12,15 @@ namespace {
 constexpr double kPi = std::numbers::pi;
 
 bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
+
+// Length of a RealFftPlan's complex half plan. An odd length has to be
+// rejected here: its truncated half (3 / 2 = 1) can be a power of two.
+std::size_t half_length(std::size_t n) {
+  if (n < 2 || !is_pow2(n))
+    throw std::invalid_argument(
+        "RealFftPlan: length must be a power of two >= 2");
+  return n / 2;
+}
 
 std::vector<std::size_t> make_bitrev(std::size_t n) {
   std::vector<std::size_t> rev(n, 0);
@@ -109,35 +116,15 @@ void radix2_core(std::span<Complex> a, const std::vector<std::size_t>& bitrev,
 
 }  // namespace
 
-FftPlan::FftPlan(std::size_t length) : n_(length), pow2_(is_pow2(length)) {
-  if (n_ == 0) throw std::invalid_argument("FftPlan: zero length");
-  if (pow2_) {
-    bitrev_ = make_bitrev(n_);
-    twiddle_ = make_twiddles(n_);
-    return;
-  }
-  // Bluestein: x_k * chirp_k convolved with conj-chirp, on padded length m.
-  m_ = next_pow2(2 * n_ - 1);
-  chirp_.resize(n_);
-  for (std::size_t k = 0; k < n_; ++k) {
-    // exp(-i pi k^2 / n); reduce k^2 mod 2n to keep the angle accurate.
-    const std::size_t k2 = (k * k) % (2 * n_);
-    const double ang = -kPi * static_cast<double>(k2) / static_cast<double>(n_);
-    chirp_[k] = Complex(std::cos(ang), std::sin(ang));
-  }
-  m_bitrev_ = make_bitrev(m_);
-  m_twiddle_ = make_twiddles(m_);
-  std::vector<Complex> b(m_, Complex(0.0, 0.0));
-  b[0] = std::conj(chirp_[0]);
-  for (std::size_t k = 1; k < n_; ++k) {
-    b[k] = std::conj(chirp_[k]);
-    b[m_ - k] = std::conj(chirp_[k]);
-  }
-  radix2_core(std::span<Complex>(b), m_bitrev_, m_twiddle_, false);
-  chirp_fft_ = std::move(b);
+FftPlan::FftPlan(std::size_t length) : n_(length) {
+  if (!is_pow2(n_))
+    throw std::invalid_argument("FftPlan: length must be a power of two");
+  bitrev_ = make_bitrev(n_);
+  twiddle_ = make_twiddles(n_);
 }
 
-void FftPlan::radix2(std::span<Complex> data, bool inverse) const {
+void FftPlan::execute(std::span<Complex> data, bool inverse) const {
+  if (data.size() != n_) throw std::invalid_argument("FftPlan: length mismatch");
   radix2_core(data, bitrev_, twiddle_, inverse);
   if (inverse) {
     const double inv = 1.0 / static_cast<double>(n_);
@@ -145,139 +132,22 @@ void FftPlan::radix2(std::span<Complex> data, bool inverse) const {
   }
 }
 
-void FftPlan::bluestein(std::span<Complex> data, bool inverse,
-                        std::span<Complex> scratch) const {
-  // Inverse via conjugation: ifft(x) = conj(fft(conj(x))) / n.
-  Complex* a = scratch.data();
-  if (inverse) {
-    for (std::size_t k = 0; k < n_; ++k)
-      a[k] = std::conj(data[k]) * chirp_[k];
-  } else {
-    for (std::size_t k = 0; k < n_; ++k) a[k] = data[k] * chirp_[k];
-  }
-  std::fill(a + n_, a + m_, Complex(0.0, 0.0));
-  radix2_core(std::span<Complex>(a, m_), m_bitrev_, m_twiddle_, false);
-  for (std::size_t k = 0; k < m_; ++k) a[k] *= chirp_fft_[k];
-  radix2_core(std::span<Complex>(a, m_), m_bitrev_, m_twiddle_, true);
-  const double inv_m = 1.0 / static_cast<double>(m_);
-  if (inverse) {
-    const double inv_n = 1.0 / static_cast<double>(n_);
-    for (std::size_t k = 0; k < n_; ++k)
-      data[k] = std::conj(a[k] * inv_m * chirp_[k]) * inv_n;
-  } else {
-    for (std::size_t k = 0; k < n_; ++k) data[k] = a[k] * inv_m * chirp_[k];
-  }
-}
+void FftPlan::forward(std::span<Complex> data) const { execute(data, false); }
 
-void FftPlan::execute(std::span<Complex> data, bool inverse,
-                      std::span<Complex> scratch) const {
-  if (data.size() != n_) throw std::invalid_argument("FftPlan: length mismatch");
-  if (pow2_) {
-    radix2(data, inverse);
-    return;
-  }
-  if (scratch.size() < m_)
-    throw std::invalid_argument("FftPlan: scratch too small");
-  bluestein(data, inverse, scratch);
-}
-
-void FftPlan::forward(std::span<Complex> data) const {
-  if (pow2_) {
-    execute(data, false, {});
-    return;
-  }
-  std::vector<Complex> scratch(m_);
-  execute(data, false, std::span<Complex>(scratch));
-}
-
-void FftPlan::forward(std::span<Complex> data,
-                      std::span<Complex> scratch) const {
-  execute(data, false, scratch);
-}
-
-void FftPlan::inverse(std::span<Complex> data) const {
-  if (pow2_) {
-    execute(data, true, {});
-    return;
-  }
-  std::vector<Complex> scratch(m_);
-  execute(data, true, std::span<Complex>(scratch));
-}
-
-void FftPlan::inverse(std::span<Complex> data,
-                      std::span<Complex> scratch) const {
-  execute(data, true, scratch);
-}
-
-void FftPlan::batch_execute(std::span<Complex> data, std::size_t batch,
-                            bool inverse) const {
-  if (data.size() != n_ * batch)
-    throw std::invalid_argument("FftPlan: batch size mismatch");
-  Complex* p = data.data();
-  const std::size_t scr = scratch_size();
-  if (scr == 0) {
-    parallel_for_min(batch, 2, [&](std::size_t b) {
-      execute(std::span<Complex>(p + b * n_, n_), inverse, {});
-    });
-    return;
-  }
-  // One scratch slab per loop participant, reused across the whole batch —
-  // the plan's tables are shared and read-only, so the slab is the only
-  // per-participant state.
-  const std::size_t nthreads =
-      std::min<std::size_t>(static_cast<std::size_t>(num_threads()),
-                            std::max<std::size_t>(batch, 1));
-  std::vector<Complex> scratch(nthreads * scr);
-  parallel_for_slotted(batch, 2, [&](std::size_t b, std::size_t slot) {
-    execute(std::span<Complex>(p + b * n_, n_), inverse,
-            std::span<Complex>(scratch.data() + slot * scr, scr));
-  });
-}
-
-void FftPlan::forward_batch(std::span<Complex> data, std::size_t batch) const {
-  batch_execute(data, batch, false);
-}
-
-void FftPlan::inverse_batch(std::span<Complex> data, std::size_t batch) const {
-  batch_execute(data, batch, true);
-}
+void FftPlan::inverse(std::span<Complex> data) const { execute(data, true); }
 
 // ---------------------------------------------------------------------------
 // Real-input transforms.
 // ---------------------------------------------------------------------------
 
 RealFftPlan::RealFftPlan(std::size_t length)
-    : n_(length), half_((length == 0 || length % 2) ? 1 : length / 2) {
-  if (n_ == 0 || n_ % 2)
-    throw std::invalid_argument(
-        "RealFftPlan: length must be even and nonzero (use fft_real_pair for "
-        "odd lengths)");
+    : n_(length), half_(half_length(length)) {
   untangle_.resize(n_ / 2 + 1);
   for (std::size_t k = 0; k <= n_ / 2; ++k) {
     const double ang = -2.0 * kPi * static_cast<double>(k) /
                        static_cast<double>(n_);
     untangle_[k] = Complex(std::cos(ang), std::sin(ang));
   }
-}
-
-void RealFftPlan::forward(std::span<const double> x,
-                          std::span<Complex> spectrum,
-                          std::span<Complex> scratch) const {
-  if (x.size() > n_)
-    throw std::invalid_argument("RealFftPlan::forward: signal too long");
-  forward_strided(x.data(), 1, x.size(), spectrum, scratch);
-}
-
-void RealFftPlan::forward_strided(const double* x, std::size_t stride,
-                                  std::size_t nsamples,
-                                  std::span<Complex> spectrum,
-                                  std::span<Complex> scratch) const {
-  if (spectrum.size() < spectrum_size())
-    throw std::invalid_argument("RealFftPlan: buffer too small");
-  // std::complex<double> is layout-compatible with double[2]: the AoS
-  // spectrum is the split writer with interleave stride 2.
-  auto* planes = reinterpret_cast<double*>(spectrum.data());
-  forward_strided_split(x, stride, nsamples, planes, planes + 1, 2, scratch);
 }
 
 void RealFftPlan::forward_strided_split(const double* x, std::size_t xstride,
@@ -300,8 +170,7 @@ void RealFftPlan::forward_strided_split(const double* x, std::size_t xstride,
                              : Complex(0.0, 0.0);
     std::fill(z + full + 1, z + nh, Complex(0.0, 0.0));
   }
-  half_.forward(std::span<Complex>(z, nh),
-                scratch.subspan(nh, half_.scratch_size()));
+  half_.forward(std::span<Complex>(z, nh));
   // Untangle straight into the destination planes: with E/O the spectra of
   // the even/odd subsequences, X_k = E_k + w_k O_k, w_k = exp(-2 pi i k / n).
   // Bins k and nh-k share their inputs, so one traversal of the first half
@@ -332,23 +201,6 @@ void RealFftPlan::forward_strided_split(const double* x, std::size_t xstride,
       im[kn * sstride] = xkn.imag();
     }
   }
-}
-
-void RealFftPlan::inverse(std::span<const Complex> spectrum,
-                          std::span<double> x,
-                          std::span<Complex> scratch) const {
-  if (x.size() > n_)
-    throw std::invalid_argument("RealFftPlan::inverse: output too long");
-  inverse_strided(spectrum, x.data(), 1, x.size(), scratch);
-}
-
-void RealFftPlan::inverse_strided(std::span<const Complex> spectrum, double* x,
-                                  std::size_t stride, std::size_t nsamples,
-                                  std::span<Complex> scratch) const {
-  if (spectrum.size() < spectrum_size())
-    throw std::invalid_argument("RealFftPlan: buffer too small");
-  const auto* planes = reinterpret_cast<const double*>(spectrum.data());
-  inverse_strided_split(planes, planes + 1, 2, x, stride, nsamples, scratch);
 }
 
 void RealFftPlan::inverse_strided_split(const double* re, const double* im,
@@ -383,8 +235,7 @@ void RealFftPlan::inverse_strided_split(const double* re, const double* im,
     z[k] = e + Complex(0.0, 1.0) * o;
     if (kn != k) z[kn] = std::conj(e) + Complex(0.0, 1.0) * std::conj(o);
   }
-  half_.inverse(std::span<Complex>(z, nh),
-                scratch.subspan(nh, half_.scratch_size()));
+  half_.inverse(std::span<Complex>(z, nh));
   // Unpack x_{2k} = Re z_k, x_{2k+1} = Im z_k; scatter with the caller's
   // stride, emitting only the requested time prefix.
   const std::size_t full = nsamples / 2;
@@ -393,63 +244,6 @@ void RealFftPlan::inverse_strided_split(const double* re, const double* im,
     x[(2 * k + 1) * xstride] = z[k].imag();
   }
   if (nsamples % 2) x[(2 * full) * xstride] = z[full].real();
-}
-
-void fft_real_pair(const FftPlan& plan, std::span<const double> a,
-                   std::span<const double> b, std::span<Complex> ahat,
-                   std::span<Complex> bhat, std::span<Complex> scratch) {
-  const std::size_t n = plan.length();
-  const std::size_t nspec = n / 2 + 1;
-  if (a.size() != n || b.size() != n)
-    throw std::invalid_argument("fft_real_pair: signal length mismatch");
-  if (ahat.size() < nspec || bhat.size() < nspec ||
-      scratch.size() < n + plan.scratch_size())
-    throw std::invalid_argument("fft_real_pair: buffer too small");
-  Complex* z = scratch.data();
-  for (std::size_t j = 0; j < n; ++j) z[j] = Complex(a[j], b[j]);
-  plan.forward(std::span<Complex>(z, n),
-               scratch.subspan(n, plan.scratch_size()));
-  // Split by conjugate symmetry: A_k = (Z_k + conj(Z_{n-k}))/2,
-  // B_k = -i (Z_k - conj(Z_{n-k}))/2.
-  for (std::size_t k = 0; k < nspec; ++k) {
-    const Complex zk = z[k];
-    const Complex znk = std::conj(z[(n - k) % n]);
-    ahat[k] = 0.5 * (zk + znk);
-    bhat[k] = Complex(0.0, -0.5) * (zk - znk);
-  }
-}
-
-void ifft_real_pair(const FftPlan& plan, std::span<const Complex> ahat,
-                    std::span<const Complex> bhat, std::span<double> a,
-                    std::span<double> b, std::span<Complex> scratch) {
-  const std::size_t n = plan.length();
-  const std::size_t nspec = n / 2 + 1;
-  if (a.size() != n || b.size() != n)
-    throw std::invalid_argument("ifft_real_pair: signal length mismatch");
-  if (ahat.size() < nspec || bhat.size() < nspec ||
-      scratch.size() < n + plan.scratch_size())
-    throw std::invalid_argument("ifft_real_pair: buffer too small");
-  Complex* z = scratch.data();
-  const Complex i_unit(0.0, 1.0);
-  for (std::size_t k = 0; k < n; ++k) {
-    const Complex ak = k < nspec ? ahat[k] : std::conj(ahat[n - k]);
-    const Complex bk = k < nspec ? bhat[k] : std::conj(bhat[n - k]);
-    z[k] = ak + i_unit * bk;
-  }
-  plan.inverse(std::span<Complex>(z, n),
-               scratch.subspan(n, plan.scratch_size()));
-  for (std::size_t j = 0; j < n; ++j) {
-    a[j] = z[j].real();
-    b[j] = z[j].imag();
-  }
-}
-
-void fft(std::vector<Complex>& data) {
-  FftPlan(data.size()).forward(std::span<Complex>(data));
-}
-
-void ifft(std::vector<Complex>& data) {
-  FftPlan(data.size()).inverse(std::span<Complex>(data));
 }
 
 std::vector<Complex> dft_reference(std::span<const Complex> x, bool inverse) {
@@ -464,24 +258,6 @@ std::vector<Complex> dft_reference(std::span<const Complex> x, bool inverse) {
     }
     if (inverse) out[k] /= static_cast<double>(n);
   }
-  return out;
-}
-
-std::vector<double> fft_convolve(std::span<const double> a,
-                                 std::span<const double> b) {
-  if (a.empty() || b.empty()) return {};
-  const std::size_t out_len = a.size() + b.size() - 1;
-  const std::size_t m = next_pow2(out_len);
-  std::vector<Complex> fa(m, Complex(0.0, 0.0)), fb(m, Complex(0.0, 0.0));
-  for (std::size_t i = 0; i < a.size(); ++i) fa[i] = Complex(a[i], 0.0);
-  for (std::size_t i = 0; i < b.size(); ++i) fb[i] = Complex(b[i], 0.0);
-  FftPlan plan(m);
-  plan.forward(std::span<Complex>(fa));
-  plan.forward(std::span<Complex>(fb));
-  for (std::size_t i = 0; i < m; ++i) fa[i] *= fb[i];
-  plan.inverse(std::span<Complex>(fa));
-  std::vector<double> out(out_len);
-  for (std::size_t i = 0; i < out_len; ++i) out[i] = fa[i].real();
   return out;
 }
 

@@ -2,29 +2,25 @@
 
 // From-scratch FFT library (the {cu,roc}FFT stand-in for FFTMatvec).
 //
-// Provides complex forward/inverse transforms of arbitrary length:
-//  - iterative radix-2 Cooley-Tukey for powers of two,
-//  - Bluestein's chirp-z algorithm for everything else (so Toeplitz
-//    embeddings never need size padding beyond 2*Nt),
-// plus batched multi-signal transforms (pool-parallel over the batch), the
-// access pattern of the block-circulant matvec: many independent length-L
-// transforms, one per spatial index.
+// The block-Toeplitz engine embeds every channel's time series in a
+// circulant of length next_pow2(2 Nt), so every transform it runs has a
+// power-of-two length, and that is the only length provided: an iterative
+// radix-2 Cooley-Tukey complex transform (FftPlan), which the real-input
+// plan runs at half length.
 //
 // Real-input transforms: the block-Toeplitz matvec transforms purely real
 // signals, whose spectra are conjugate-symmetric — a full complex FFT wastes
-// half its flops and bandwidth on redundant bins. Two classic remedies are
-// provided, both exact rearrangements (no approximation):
-//  - RealFftPlan: one real signal of even length n through ONE complex FFT
-//    of length n/2 (pack even samples into the real lane, odd samples into
-//    the imaginary lane, then untangle with a twiddle pass) — the r2c/c2r
-//    path used by the Toeplitz engine, ~2x cheaper than the complex plan.
-//  - fft_real_pair / ifft_real_pair: TWO real signals of any length n
-//    (including Bluestein lengths) through one complex FFT of length n,
-//    split by conjugate symmetry.
+// half its flops and bandwidth on redundant bins. RealFftPlan is the exact
+// rearrangement (no approximation) that avoids this: one real signal of
+// length n through ONE complex FFT of length n/2 (pack even samples into the
+// real lane, odd samples into the imaginary lane, then untangle with a
+// twiddle pass) — the r2c/c2r path used by the Toeplitz engine, ~2x cheaper
+// than the complex plan.
 //
-// Zero-allocation execution: every transform has a span-scratch overload
-// (scratch_size() complex elements, caller-owned), so batch drivers reuse
-// one scratch slab per thread and the hot apply paths never touch the heap.
+// Zero-allocation execution: the complex transform runs in place, and the
+// real plan works in caller-owned scratch (scratch_size() complex
+// elements), so batch drivers reuse one scratch slab per thread and the hot
+// apply paths never touch the heap.
 
 #include <complex>
 #include <cstddef>
@@ -35,110 +31,65 @@ namespace tsunami {
 
 using Complex = std::complex<double>;
 
-/// Precomputed plan for complex transforms of a fixed length.
-/// Immutable after construction; execute() is const and thread-safe, so one
-/// plan can serve all worker threads of a batch (each participant passing
-/// its own scratch slab to the span-scratch overloads).
+/// Precomputed plan for in-place complex transforms of a fixed power-of-two
+/// length. Immutable after construction; forward/inverse are const and
+/// thread-safe, so one plan can serve all worker threads of a batch.
 class FftPlan {
  public:
+  /// Throws std::invalid_argument unless `length` is a power of two.
   explicit FftPlan(std::size_t length);
 
   [[nodiscard]] std::size_t length() const { return n_; }
 
-  /// Complex scratch elements the span-scratch overloads need: 0 for
-  /// power-of-two lengths (radix-2 is fully in-place), the padded chirp
-  /// length m for Bluestein.
-  [[nodiscard]] std::size_t scratch_size() const { return pow2_ ? 0 : m_; }
-
   /// In-place forward DFT: X_k = sum_j x_j exp(-2 pi i j k / n).
   void forward(std::span<Complex> data) const;
-  void forward(std::span<Complex> data, std::span<Complex> scratch) const;
 
   /// In-place inverse DFT (includes the 1/n normalization).
   void inverse(std::span<Complex> data) const;
-  void inverse(std::span<Complex> data, std::span<Complex> scratch) const;
-
-  /// Batched forward transform: `batch` contiguous signals of length n.
-  /// Per-thread scratch is managed internally (no per-signal temporaries).
-  void forward_batch(std::span<Complex> data, std::size_t batch) const;
-  void inverse_batch(std::span<Complex> data, std::size_t batch) const;
 
  private:
-  void radix2(std::span<Complex> data, bool inverse) const;
-  void bluestein(std::span<Complex> data, bool inverse,
-                 std::span<Complex> scratch) const;
-  void execute(std::span<Complex> data, bool inverse,
-               std::span<Complex> scratch) const;
-  void batch_execute(std::span<Complex> data, std::size_t batch,
-                     bool inverse) const;
+  void execute(std::span<Complex> data, bool inverse) const;
 
   std::size_t n_;
-  bool pow2_;
-  // Radix-2 tables.
   std::vector<std::size_t> bitrev_;
   std::vector<Complex> twiddle_;      // forward twiddles, n/2 entries
-  // Bluestein tables (empty if pow2).
-  std::size_t m_ = 0;                 // padded power-of-two length >= 2n-1
-  std::vector<Complex> chirp_;        // exp(-i pi k^2 / n), k = 0..n-1
-  std::vector<Complex> chirp_fft_;    // FFT of the padded conjugate chirp
-  std::vector<std::size_t> m_bitrev_;
-  std::vector<Complex> m_twiddle_;
 };
 
-/// Real-input transform plan of fixed EVEN length n via one complex FFT of
-/// length n/2 (the packing trick). Produces/consumes the non-redundant half
-/// spectrum of n/2 + 1 bins; the redundant upper bins are implied by
-/// conjugate symmetry. Immutable after construction; both transforms are
-/// const and thread-safe given per-thread scratch.
+/// Real-input transform plan of fixed power-of-two length n via one complex
+/// FFT of length n/2 (the packing trick). Produces/consumes the
+/// non-redundant half spectrum of n/2 + 1 bins; the redundant upper bins are
+/// implied by conjugate symmetry. Immutable after construction; both
+/// transforms are const and thread-safe given per-thread scratch.
 ///
 /// Strided entry points serve the Toeplitz engine directly: channel signals
 /// live interleaved in time-major slabs, and the pack/unpack pass absorbs
 /// the gather/scatter, so no staging copy of the signal is ever made.
 class RealFftPlan {
  public:
-  /// `length` must be even and nonzero (the Toeplitz circulant embedding is
-  /// always a power of two >= 2, so this costs the engine nothing).
+  /// `length` must be a power of two >= 2 (the Toeplitz circulant embedding
+  /// always is); throws std::invalid_argument otherwise.
   explicit RealFftPlan(std::size_t length);
 
   [[nodiscard]] std::size_t length() const { return n_; }
   /// Number of retained spectrum bins: n/2 + 1.
   [[nodiscard]] std::size_t spectrum_size() const { return n_ / 2 + 1; }
   /// Complex scratch elements required by forward/inverse.
-  [[nodiscard]] std::size_t scratch_size() const {
-    return n_ / 2 + half_.scratch_size();
-  }
+  [[nodiscard]] std::size_t scratch_size() const { return n_ / 2; }
 
-  /// Half spectrum of the real signal x, zero-padded to length n if
-  /// x.size() < n. `spectrum` receives spectrum_size() bins.
-  void forward(std::span<const double> x, std::span<Complex> spectrum,
-               std::span<Complex> scratch) const;
-
-  /// As forward, reading x[t * stride] for t in [0, nsamples) (zero beyond).
-  void forward_strided(const double* x, std::size_t stride,
-                       std::size_t nsamples, std::span<Complex> spectrum,
-                       std::span<Complex> scratch) const;
-
-  /// Split-complex output: bin k lands at re[k * sstride] / im[k * sstride]
-  /// (strides in doubles). The untangle pass writes the planes directly —
-  /// no AoS spectrum staging between the FFT and a frequency-major slab.
+  /// Half spectrum of the real signal x[t * xstride], t in [0, nsamples),
+  /// zero-padded to length n. Split-complex output: bin k lands at
+  /// re[k * sstride] / im[k * sstride] (strides in doubles). The untangle
+  /// pass writes the planes directly — no AoS spectrum staging between the
+  /// FFT and a frequency-major slab.
   void forward_strided_split(const double* x, std::size_t xstride,
                              std::size_t nsamples, double* re, double* im,
                              std::size_t sstride,
                              std::span<Complex> scratch) const;
 
-  /// Real signal from its half spectrum (conjugate symmetry assumed; the
-  /// imaginary parts of bins 0 and n/2 are ignored as they are structurally
-  /// zero). Writes the first x.size() <= n samples only.
-  void inverse(std::span<const Complex> spectrum, std::span<double> x,
-               std::span<Complex> scratch) const;
-
-  /// As inverse, writing x[t * stride] for t in [0, nsamples).
-  void inverse_strided(std::span<const Complex> spectrum, double* x,
-                       std::size_t stride, std::size_t nsamples,
-                       std::span<Complex> scratch) const;
-
-  /// Split-complex input counterpart of forward_strided_split: the
-  /// re-tangle pass reads the planes directly.
+  /// Real signal from its split-complex half spectrum (conjugate symmetry
+  /// assumed; the imaginary parts of bins 0 and n/2 are ignored as they are
+  /// structurally zero): the re-tangle pass reads the planes directly, and
+  /// only x[t * xstride] for t in [0, nsamples) is written.
   void inverse_strided_split(const double* re, const double* im,
                              std::size_t sstride, double* x,
                              std::size_t xstride, std::size_t nsamples,
@@ -150,31 +101,9 @@ class RealFftPlan {
   std::vector<Complex> untangle_;  // exp(-2 pi i k / n), k = 0..n/2
 };
 
-/// Half spectra (n/2 + 1 bins each) of TWO equal-length real signals via ONE
-/// complex FFT of length n = plan.length() — any length, including Bluestein
-/// lengths, which is what makes this the real-input path for odd/composite
-/// sizes where the half-length packing does not apply. scratch needs
-/// plan.length() + plan.scratch_size() complex elements.
-void fft_real_pair(const FftPlan& plan, std::span<const double> a,
-                   std::span<const double> b, std::span<Complex> ahat,
-                   std::span<Complex> bhat, std::span<Complex> scratch);
-
-/// Inverse of fft_real_pair: two real signals from their half spectra.
-void ifft_real_pair(const FftPlan& plan, std::span<const Complex> ahat,
-                    std::span<const Complex> bhat, std::span<double> a,
-                    std::span<double> b, std::span<Complex> scratch);
-
-/// One-shot convenience transforms (plan constructed internally).
-void fft(std::vector<Complex>& data);
-void ifft(std::vector<Complex>& data);
-
 /// Naive O(n^2) DFT used as the test oracle.
 [[nodiscard]] std::vector<Complex> dft_reference(std::span<const Complex> x,
                                                  bool inverse = false);
-
-/// Linear convolution of two real sequences via FFT (length a+b-1).
-[[nodiscard]] std::vector<double> fft_convolve(std::span<const double> a,
-                                               std::span<const double> b);
 
 /// Smallest power of two >= n.
 [[nodiscard]] std::size_t next_pow2(std::size_t n);
