@@ -321,37 +321,6 @@ std::string prometheus_text(const MetricsSnapshot& snapshot) {
   return out;
 }
 
-std::string json_text(const MetricsSnapshot& snapshot) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < snapshot.samples.size(); ++i) {
-    const MetricSample& s = snapshot.samples[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "  {\"name\": \"" + s.name + "\", \"kind\": \"" +
-           kind_str(s.kind) + "\", \"labels\": {";
-    for (std::size_t j = 0; j < s.labels.size(); ++j) {
-      if (j != 0) out += ", ";
-      out += "\"" + s.labels[j].first + "\": \"";
-      append_label_value_escaped(out, s.labels[j].second);
-      out += "\"";
-    }
-    out += "}";
-    if (s.kind == MetricSample::Kind::kHistogram) {
-      out += ", \"count\": " + std::to_string(s.hist.count);
-      out += ", \"sum\": " + format_value(s.hist.sum);
-      out += ", \"min\": " + format_value(s.hist.min);
-      out += ", \"max\": " + format_value(s.hist.max);
-      out += ", \"p50\": " + format_value(s.hist.percentile(50.0));
-      out += ", \"p95\": " + format_value(s.hist.percentile(95.0));
-      out += ", \"p99\": " + format_value(s.hist.percentile(99.0));
-    } else {
-      out += ", \"value\": " + format_value(s.value);
-    }
-    out += "}";
-  }
-  out += "\n]\n";
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Validator
 // ---------------------------------------------------------------------------
@@ -471,102 +440,6 @@ std::string validate_prometheus(const std::string& text) {
     if (!series.insert(key).second) return "duplicate series " + key;
   }
   return {};
-}
-
-// ---------------------------------------------------------------------------
-// MetricsRegistry
-// ---------------------------------------------------------------------------
-
-struct MetricsRegistry::Entry {
-  std::string name;
-  Labels labels;
-  std::string help;
-  MetricSample::Kind kind;
-  std::string key;  ///< rendered name + sorted labels (uniqueness)
-  Counter counter;
-  Gauge gauge;
-  std::unique_ptr<Histogram> hist;  ///< only for kHistogram (20 KB each)
-};
-
-MetricsRegistry::MetricsRegistry() = default;
-MetricsRegistry::~MetricsRegistry() = default;
-
-MetricsRegistry::Entry& MetricsRegistry::find_or_create(
-    const std::string& name, const Labels& labels, const std::string& help,
-    MetricSample::Kind kind) {
-  if (!valid_metric_name(name))
-    throw std::invalid_argument("MetricsRegistry: invalid metric name '" +
-                                name + "'");
-  Labels sorted = labels;
-  std::sort(sorted.begin(), sorted.end());
-  std::string key = name;
-  for (const auto& [k, v] : sorted) key += "\x1f" + k + "\x1f" + v;
-
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& e : entries_) {
-    if (e->key != key) continue;
-    if (e->kind != kind)
-      throw std::invalid_argument("MetricsRegistry: metric '" + name +
-                                  "' already registered with another kind");
-    return *e;
-  }
-  auto e = std::make_unique<Entry>();
-  e->name = name;
-  e->labels = labels;
-  e->help = help;
-  e->kind = kind;
-  e->key = std::move(key);
-  if (kind == MetricSample::Kind::kHistogram)
-    e->hist = std::make_unique<Histogram>();
-  entries_.push_back(std::move(e));
-  return *entries_.back();
-}
-
-Counter& MetricsRegistry::counter(const std::string& name,
-                                  const Labels& labels,
-                                  const std::string& help) {
-  return find_or_create(name, labels, help, MetricSample::Kind::kCounter)
-      .counter;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name, const Labels& labels,
-                              const std::string& help) {
-  return find_or_create(name, labels, help, MetricSample::Kind::kGauge).gauge;
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      const Labels& labels,
-                                      const std::string& help) {
-  return *find_or_create(name, labels, help, MetricSample::Kind::kHistogram)
-              .hist;
-}
-
-void MetricsRegistry::collect_into(MetricsSnapshot& snapshot) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& e : entries_) {
-    switch (e->kind) {
-      case MetricSample::Kind::kCounter:
-        snapshot.counter(e->name, static_cast<double>(e->counter.value()),
-                         e->labels, e->help);
-        break;
-      case MetricSample::Kind::kGauge:
-        snapshot.gauge(e->name, e->gauge.value(), e->labels, e->help);
-        break;
-      case MetricSample::Kind::kHistogram:
-        snapshot.histogram(e->name, e->hist->snapshot(), e->labels, e->help);
-        break;
-    }
-  }
-}
-
-std::size_t MetricsRegistry::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry* r = new MetricsRegistry;
-  return *r;
 }
 
 }  // namespace tsunami::obs

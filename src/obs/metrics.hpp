@@ -1,8 +1,9 @@
 #pragma once
 
-// Unified metrics: counters, gauges, log-bucketed mergeable histograms, and
-// one export path (Prometheus text exposition + JSON) shared by the offline
-// phase tables, the thread pool, and the online warning service.
+// Unified metrics: log-bucketed mergeable histograms, point-in-time
+// counter/gauge/histogram samples, and one export path (Prometheus text
+// exposition) shared by the offline phase tables, the thread pool, and the
+// online warning service.
 //
 // Why a histogram and not a sample ring: the serving layer used to keep the
 // most recent 64k push latencies and sort them per snapshot — percentiles
@@ -22,7 +23,7 @@
 // Export model: components keep their own live instruments (ServiceTelemetry
 // its histogram, ThreadPool its per-worker counters, TimerRegistry its phase
 // accumulators) and contribute point-in-time samples into a MetricsSnapshot;
-// prometheus_text()/json_text() render a snapshot. One snapshot, one scrape,
+// prometheus_text() renders a snapshot. One snapshot, one scrape,
 // whatever the source — that is the "one export path" the offline tables and
 // the online service now share (see obs/bridge.hpp for the collectors).
 
@@ -30,7 +31,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,33 +42,6 @@ namespace tsunami::obs {
 // ---------------------------------------------------------------------------
 // Instruments
 // ---------------------------------------------------------------------------
-
-/// Monotonically increasing count. Wait-free, multi-writer.
-class Counter {
- public:
-  // mo: relaxed — an independent statistic; no other memory is published
-  // through it, and scrapes tolerate slightly-stale values.
-  void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t value() const {
-    return v_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> v_{0};
-};
-
-/// Last-write-wins scalar.
-class Gauge {
- public:
-  // mo: relaxed — last-write-wins sample point, carries no ordering duty.
-  void set(double v) { v_.store(v, std::memory_order_relaxed); }
-  [[nodiscard]] double value() const {
-    return v_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<double> v_{0.0};
-};
 
 /// Point-in-time copy of a Histogram; plain data, mergeable, and the thing
 /// percentiles are computed from.
@@ -158,8 +131,8 @@ struct MetricSample {
 };
 
 /// The unit of export: an ordered bag of samples contributed by any number
-/// of components (registry instruments, pool stats, timer tables, service
-/// telemetry), rendered once.
+/// of components (pool stats, timer tables, service telemetry), rendered
+/// once.
 struct MetricsSnapshot {
   std::vector<MetricSample> samples;
 
@@ -178,53 +151,10 @@ struct MetricsSnapshot {
 /// (name, labels) series — the bugs a scrape endpoint must not ship.
 [[nodiscard]] std::string prometheus_text(const MetricsSnapshot& snapshot);
 
-/// The same snapshot as a JSON array (histograms summarized as count/sum/
-/// min/max/p50/p95/p99).
-[[nodiscard]] std::string json_text(const MetricsSnapshot& snapshot);
-
 /// Validate a Prometheus text exposition: line grammar, metric-name and
 /// label syntax, numeric values, no duplicate (name, labels) series, TYPE
 /// declared at most once per family. Returns an empty string when valid,
 /// else a description of the first problem (used by the CI smoke test).
 [[nodiscard]] std::string validate_prometheus(const std::string& text);
-
-// ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
-
-/// Named live instruments with stable addresses: counter("x") returns the
-/// same Counter& every time, creating it on first use. Thread-safe; lookup
-/// takes one mutex (hot paths hold the returned reference, they do not
-/// re-look-up per event). Kind conflicts on a (name, labels) key throw.
-class MetricsRegistry {
- public:
-  MetricsRegistry();
-  ~MetricsRegistry();  // out-of-line: Entry is incomplete here
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  Counter& counter(const std::string& name, const Labels& labels = {},
-                   const std::string& help = {});
-  Gauge& gauge(const std::string& name, const Labels& labels = {},
-               const std::string& help = {});
-  Histogram& histogram(const std::string& name, const Labels& labels = {},
-                       const std::string& help = {});
-
-  /// Append one sample per registered instrument.
-  void collect_into(MetricsSnapshot& snapshot) const;
-
-  [[nodiscard]] std::size_t size() const;
-
-  /// Process-wide registry for call sites without a natural owner.
-  static MetricsRegistry& global();
-
- private:
-  struct Entry;
-  Entry& find_or_create(const std::string& name, const Labels& labels,
-                        const std::string& help, MetricSample::Kind kind);
-
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<Entry>> entries_;  ///< registration order
-};
 
 }  // namespace tsunami::obs

@@ -123,10 +123,10 @@ class WarningService {
     return telemetry_.snapshot();
   }
   /// Contribute the service's metric series to an export snapshot; render
-  /// with obs::prometheus_text / obs::json_text. Beyond the telemetry
-  /// counters and SLO histograms (tsunami_service_* / tsunami_slo_*) this
-  /// adds a per-live-session tsunami_service_forecast_staleness_seconds
-  /// gauge (labelled by event id, computed at scrape time) and the journal
+  /// with obs::prometheus_text. Beyond the telemetry counters and SLO
+  /// histograms (tsunami_service_* / tsunami_slo_*) this adds a
+  /// per-live-session tsunami_service_forecast_staleness_seconds gauge
+  /// (labelled by event id, computed at scrape time) and the journal
   /// record/drop counters.
   void collect_metrics(obs::MetricsSnapshot& snapshot) const;
   /// The service-wide lifecycle journal (export with journal().json_lines()).

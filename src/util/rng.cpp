@@ -8,10 +8,4 @@ std::vector<double> Rng::normal_vector(std::size_t n) {
   return v;
 }
 
-std::vector<double> Rng::uniform_vector(std::size_t n, double lo, double hi) {
-  std::vector<double> v(n);
-  for (auto& x : v) x = uniform(lo, hi);
-  return v;
-}
-
 }  // namespace tsunami

@@ -31,10 +31,6 @@ class Rng {
   /// Vector of iid standard normals.
   std::vector<double> normal_vector(std::size_t n);
 
-  /// Vector of iid uniforms in [lo, hi).
-  std::vector<double> uniform_vector(std::size_t n, double lo = 0.0,
-                                     double hi = 1.0);
-
   std::mt19937_64& engine() { return engine_; }
 
  private:

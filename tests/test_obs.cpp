@@ -250,41 +250,6 @@ TEST(HistogramConcurrency, ParallelWritersLoseNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Counters, gauges, registry
-// ---------------------------------------------------------------------------
-
-TEST(MetricsRegistry, ReturnsStableInstruments) {
-  MetricsRegistry reg;
-  Counter& c1 = reg.counter("requests_total");
-  Counter& c2 = reg.counter("requests_total");
-  EXPECT_EQ(&c1, &c2);
-  c1.add(3);
-  c2.add();
-  EXPECT_EQ(c1.value(), 4u);
-
-  Gauge& g = reg.gauge("depth");
-  g.set(7.5);
-  Histogram& h = reg.histogram("latency_seconds");
-  h.record(1e-3);
-  EXPECT_EQ(reg.size(), 3u);
-
-  // Same name, different labels: distinct series.
-  Counter& l0 = reg.counter("worker_jobs_total", {{"worker", "0"}});
-  Counter& l1 = reg.counter("worker_jobs_total", {{"worker", "1"}});
-  EXPECT_NE(&l0, &l1);
-  EXPECT_EQ(reg.size(), 5u);
-
-  // Kind conflict on an existing key throws.
-  EXPECT_THROW((void)reg.gauge("requests_total"), std::invalid_argument);
-  EXPECT_THROW((void)reg.counter("bad name"), std::invalid_argument);
-
-  MetricsSnapshot snap;
-  reg.collect_into(snap);
-  EXPECT_EQ(snap.samples.size(), 5u);
-  EXPECT_EQ(validate_prometheus(prometheus_text(snap)), "");
-}
-
-// ---------------------------------------------------------------------------
 // Prometheus exposition + validator round-trip
 // ---------------------------------------------------------------------------
 
@@ -362,18 +327,6 @@ TEST(Prometheus, LabelValuesAreEscaped) {
   const std::string text = prometheus_text(snap);
   EXPECT_EQ(validate_prometheus(text), "");
   EXPECT_NE(text.find("g{path=\"a\\\"b\\\\c\\nd\"} 1"), std::string::npos);
-}
-
-TEST(JsonExport, SummarizesHistograms) {
-  MetricsSnapshot snap;
-  snap.counter("ticks_total", 5);
-  Histogram h;
-  for (int i = 0; i < 100; ++i) h.record(1e-3);
-  snap.histogram("lat", h.snapshot());
-  const std::string j = json_text(snap);
-  EXPECT_NE(j.find("\"name\": \"ticks_total\""), std::string::npos);
-  EXPECT_NE(j.find("\"count\": 100"), std::string::npos);
-  EXPECT_NE(j.find("\"p99\":"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
