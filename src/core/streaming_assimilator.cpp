@@ -127,7 +127,6 @@ StreamingEngine::StreamingEngine(const Posterior& posterior,
     : post_(posterior),
       pred_(predictor),
       lifetime_(lifetime),
-      guarded_(lifetime != nullptr),
       opts_(options),
       nd_(posterior.forward_map().block_rows()),
       nt_(posterior.time_dim()),
@@ -136,6 +135,8 @@ StreamingEngine::StreamingEngine(const Posterior& posterior,
       np_(posterior.parameter_dim()),
       nqoi_(predictor.qoi_dim()),
       mask_(mask) {
+  if (lifetime == nullptr)
+    throw std::invalid_argument("StreamingEngine: null lifetime token");
   if (predictor.data_dim() != n_)
     throw std::invalid_argument(
         "StreamingEngine: posterior/predictor data dim mismatch");

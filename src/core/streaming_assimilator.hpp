@@ -100,13 +100,11 @@ class StreamingEngine {
   /// posterior). Records a "streaming: precompute" timer sample. `lifetime`
   /// is the owner's validity token (DigitalTwin passes its offline-state
   /// epoch): when the token expires, start()/push()/forecast()/map_snapshot()
-  /// throw std::logic_error instead of dereferencing freed operators.
-  /// Engines built without a token (direct construction in tests) keep the
-  /// legacy unguarded contract.
+  /// throw std::logic_error instead of dereferencing freed operators. A null
+  /// token throws std::invalid_argument.
   StreamingEngine(const Posterior& posterior, const QoiPredictor& predictor,
-                  const StreamingOptions& options = {},
-                  TimerRegistry* timers = nullptr,
-                  std::shared_ptr<const void> lifetime = {});
+                  const StreamingOptions& options, TimerRegistry* timers,
+                  std::shared_ptr<const void> lifetime);
 
   /// Begin assimilating a new event.
   [[nodiscard]] StreamingAssimilator start() const;
@@ -148,11 +146,8 @@ class StreamingEngine {
   [[nodiscard]] const Posterior& posterior() const { return post_; }
   [[nodiscard]] const QoiPredictor& predictor() const { return pred_; }
 
-  /// True while the operators this engine slices are guaranteed alive
-  /// (always true for unguarded engines).
-  [[nodiscard]] bool operators_alive() const {
-    return !guarded_ || !lifetime_.expired();
-  }
+  /// True while the operators this engine slices are guaranteed alive.
+  [[nodiscard]] bool operators_alive() const { return !lifetime_.expired(); }
 
  private:
   friend class StreamingAssimilator;
@@ -203,7 +198,6 @@ class StreamingEngine {
   const Posterior& post_;
   const QoiPredictor& pred_;
   std::weak_ptr<const void> lifetime_;
-  bool guarded_ = false;
   StreamingOptions opts_;
   std::size_t nd_, nt_, nm_, n_, np_, nqoi_;
   Matrix r_;             ///< L^{-1} V, (Nd Nt) x nqoi; row j contiguous

@@ -343,13 +343,20 @@ TEST(ArtifactBundleRoundTrip, SectionsSurviveSaveLoad) {
 TEST_F(ArtifactBundleTest, EngineOutlivingItsTwinThrowsInsteadOfDangling) {
   auto victim = std::make_unique<DigitalTwin>(DigitalTwin::load_offline(*path_));
   const StreamingEngine engine = victim->make_streaming({.track_map = false});
+  // A reduced() engine inherits the twin's token, so it is guarded too.
+  SensorMask mask(engine.block_size());
+  mask.drop(0);
+  const StreamingEngine reduced = engine.reduced(mask);
   StreamingAssimilator assim = engine.start();
   assim.push(0, std::span<const double>(event_->d_obs)
                     .first(engine.block_size()));
   EXPECT_TRUE(engine.operators_alive());
+  EXPECT_TRUE(reduced.operators_alive());
   victim.reset();  // destroy the twin under the engine
   EXPECT_FALSE(engine.operators_alive());
+  EXPECT_FALSE(reduced.operators_alive());
   EXPECT_THROW((void)engine.start(), std::logic_error);
+  EXPECT_THROW((void)reduced.start(), std::logic_error);
   EXPECT_THROW(assim.push(1, std::span<const double>(event_->d_obs)
                                  .subspan(engine.block_size(),
                                           engine.block_size())),
@@ -371,6 +378,10 @@ TEST_F(ArtifactBundleTest, RebuildingOfflineStateInvalidatesOldEngines) {
   const StreamingEngine fresh = twin.make_streaming();
   EXPECT_TRUE(fresh.operators_alive());
   EXPECT_NO_THROW((void)fresh.start());
+  // Every engine is guarded: there is no token-less construction.
+  EXPECT_THROW(StreamingEngine(twin.posterior(), twin.predictor(), {}, nullptr,
+                               nullptr),
+               std::invalid_argument);
 }
 
 // ---- ScenarioBank warm-start path -----------------------------------------
