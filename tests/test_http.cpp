@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -301,16 +302,33 @@ TEST_F(HttpTest, ConcurrentScrapeDuringReplayIsBitIdentical) {
     }
   });
 
-  std::vector<std::thread> producers;
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (std::size_t t = 0; t < nt(); ++t)
-        for (unsigned e = static_cast<unsigned>(p); e < kEvents;
-             e += kProducers)
-          service.submit(ids[e], t, block(obs[e], t));
-    });
-  }
-  for (auto& th : producers) th.join();
+  // Producers submit ticks [t0, t1) of every event, in tick order.
+  auto submit_ticks = [&](std::size_t t0, std::size_t t1) {
+    std::vector<std::thread> producers;
+    for (std::size_t p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        for (std::size_t t = t0; t < t1; ++t)
+          for (unsigned e = static_cast<unsigned>(p); e < kEvents;
+               e += kProducers)
+            service.submit(ids[e], t, block(obs[e], t));
+      });
+    }
+    for (auto& th : producers) th.join();
+  };
+  // Half of every event goes in, then the replay holds until one whole
+  // /metrics + /events pair has run after that point (the pair in flight
+  // may have started earlier, hence two), so some scrape overlaps the
+  // replay however the host schedules the threads.
+  submit_ticks(0, nt() / 2);
+  const int target = scrapes.load(std::memory_order_relaxed) + 2;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (scrapes.load(std::memory_order_relaxed) < target &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  if (scrapes.load(std::memory_order_relaxed) < target)
+    ADD_FAILURE() << "no scrape completed during the replay within 30 s";
+  submit_ticks(nt() / 2, nt());
   service.drain();
   done.store(true, std::memory_order_release);
   scraper.join();

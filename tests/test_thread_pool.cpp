@@ -134,7 +134,9 @@ TEST(ThreadPoolTest, OversubscribedSubmitDrains) {
 TEST(ThreadPoolTest, WorkMigratesBetweenDeques) {
   // Steal-heavy stress: one parent job fans 512 children into ITS OWN
   // deque (worker-local push), so the only way the other three workers can
-  // participate is by stealing. Assert they did.
+  // participate is by stealing. Assert they did. The parent then waits for
+  // a child to finish: its own worker is busy running it and cannot pop
+  // its deque, so that child was stolen however loaded the host is.
   ThreadPool pool(4);
   const std::size_t steals_before = pool.steal_count();
   std::atomic<int> ran{0};
@@ -148,6 +150,11 @@ TEST(ThreadPoolTest, WorkMigratesBetweenDeques) {
         ran.fetch_add(1, std::memory_order_relaxed);
       });
     }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (ran.load(std::memory_order_relaxed) == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
     done.store(true, std::memory_order_release);
   });
   pool.wait_idle();
