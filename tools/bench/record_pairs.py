@@ -36,6 +36,11 @@ Each side's commit is stored as `git rev-parse` names it, marked "+dirty"
 when tracked files differ from it, so a checkout made with `git clone` is
 named exactly; an export without git (`git archive`) is stored as null.
 
+Before its first run the script exits with status 1, naming the file, if
+either checkout's .bench_build/history/<workload>.jsonl is non-empty:
+run.py takes the untraced basis of a traced run's trace.overhead_pct from
+every line of that file, runs of earlier builds of the checkout included.
+
 Run nothing else on the host meanwhile: the workloads pin threads to CPUs.
 Exit status 1 when any run is incorrect or fails operations.
 """
@@ -150,6 +155,15 @@ def git_head(checkout):
     return head + "+dirty" if status.stdout.strip() else head
 
 
+def stale_history(checkout, workloads):
+    """Path of CHECKOUT's first non-empty run history, or None."""
+    for w in workloads:
+        path = os.path.join(checkout, ".bench_build", "history", w + ".jsonl")
+        if os.path.isfile(path) and os.path.getsize(path) > 0:
+            return path
+    return None
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="parent checkout (the baseline)")
@@ -167,7 +181,14 @@ def main():
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         spec = json.load(f)
     e2e = [m["name"] for m in spec["end_to_end"]]
+    workloads = [wl["name"] for wl in spec["workloads"]]
     sides = {"parent": args.parent, "change": args.change}
+    for checkout in sides.values():
+        stale = stale_history(checkout, workloads)
+        if stale:
+            sys.exit(f"record_pairs: {stale} holds earlier runs, which run.py "
+                     "would take as the untraced basis of trace.overhead_pct; "
+                     "record from fresh clones or delete the file")
     out = {
         "schema": SCHEMA,
         "recorded": datetime.date.today().isoformat(),
@@ -179,7 +200,7 @@ def main():
                   for s, d in sides.items()},
     }
     ok = True
-    for w in (wl["name"] for wl in spec["workloads"]):
+    for w in workloads:
         runs = {"parent": [], "change": []}
         for i in range(1, args.pairs + 1):
             order = ("parent", "change") if i % 2 else ("change", "parent")
