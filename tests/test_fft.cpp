@@ -140,7 +140,7 @@ TEST(Fft, TimeShiftBecomesPhaseRamp) {
 
 class RealFftSizeTest : public ::testing::TestWithParam<std::size_t> {};
 
-/// Half spectrum of x[0 .. nsamples) into split planes at unit stride.
+/// Half spectrum of all of x into split planes at unit stride.
 void forward_split(const RealFftPlan& plan, const std::vector<double>& x,
                    std::vector<double>& re, std::vector<double>& im) {
   std::vector<Complex> scratch(plan.scratch_size());
