@@ -16,7 +16,7 @@
 //        "reps": 25, "median_ns": ..., "p10_ns": ..., "p90_ns": ...},
 //       ...
 //     ],
-//     "notes": {"speedup_at_64": 0.63, ...}
+//     "notes": {"sec_vii_c.matvec_speedup": 3590.0, ...}
 //   }
 //
 // Quick mode: setting TSUNAMI_BENCH_QUICK=1 caps every repetition count at 1

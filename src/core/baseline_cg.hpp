@@ -6,8 +6,9 @@
 //   (F^T Gn^{-1} F + Gp^{-1}) m_map = F^T Gn^{-1} d_obs,
 // where EVERY Hessian application costs one forward + one adjoint wave
 // propagation. On the paper's problem this is 50 years of compute; at our
-// reduced scale it is merely minutes — bench_speedup runs both sides on the
-// SAME problem and reports the measured ratio (the paper's 10^10 factor).
+// reduced scale it is merely seconds — bench_paper's SecVII-C section runs
+// both sides on the SAME problem and reports the measured ratio (the paper's
+// 10^10 factor).
 
 #include <cstddef>
 #include <span>

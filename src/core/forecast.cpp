@@ -81,18 +81,6 @@ Forecast QoiPredictor::predict(std::span<const double> d_obs) const {
   return fc;
 }
 
-Forecast QoiPredictor::predict_prefix(std::span<const double> d_prefix,
-                                      std::size_t ticks) const {
-  const std::size_t nd = data_dim() / nt_;
-  if (ticks > nt_ || d_prefix.size() < ticks * nd)
-    throw std::invalid_argument("QoiPredictor::predict_prefix: bad prefix");
-  std::vector<double> padded(data_dim(), 0.0);
-  std::copy(d_prefix.begin(),
-            d_prefix.begin() + static_cast<std::ptrdiff_t>(ticks * nd),
-            padded.begin());
-  return predict(padded);
-}
-
 void QoiPredictor::apply_fq_mean(std::span<const double> m,
                                  std::span<double> q) const {
   fq_.apply(m, q);

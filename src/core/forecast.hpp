@@ -68,16 +68,6 @@ class QoiPredictor {
   /// Online: q with CIs directly from data (bypasses the parameter space).
   [[nodiscard]] Forecast predict(std::span<const double> d_obs) const;
 
-  /// Naive partial-data forecast: the leading `ticks` observation intervals
-  /// of `d_prefix` pushed through the full-window operator Q with the unseen
-  /// intervals zero-padded. This is what a deployment that only shipped Q
-  /// can do mid-event; it is *not* the Bayesian posterior given the prefix
-  /// (that is StreamingAssimilator's job) — its mean is biased toward zero
-  /// and its intervals stay at the full-data width. Kept as the baseline the
-  /// streaming engine is compared against (bench_streaming).
-  [[nodiscard]] Forecast predict_prefix(std::span<const double> d_prefix,
-                                        std::size_t ticks) const;
-
   /// The dense data-to-QoI operator Q (for export / deployment).
   [[nodiscard]] const Matrix& data_to_qoi() const { return q_map_op_; }
 

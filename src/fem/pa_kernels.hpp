@@ -68,7 +68,6 @@ class MixedOperator {
                     double sign_grad, double sign_div) const;
 
   [[nodiscard]] KernelVariant variant() const { return variant_; }
-  void set_variant(KernelVariant v) { variant_ = v; }
 
   [[nodiscard]] const H1Space& h1() const { return h1_; }
   [[nodiscard]] const L2Space& l2() const { return l2_; }

@@ -5,8 +5,8 @@
 // Two roles, both from the paper:
 //  1. The SoA baseline (SecIV): prior-preconditioned CG on the full Hessian
 //     H = F* Gn^-1 F + Gp^-1, where every operator application costs a
-//     forward/adjoint PDE pair. bench_speedup measures this against the
-//     offline-online framework.
+//     forward/adjoint PDE pair. bench_paper's SecVII-C section measures this
+//     against the offline-online framework.
 //  2. Generic iterative solves in tests.
 
 #include <functional>

@@ -4,10 +4,10 @@
 //
 // SecIV of the paper argues the prior-preconditioned data-misfit Hessian is
 // NOT low rank for seafloor-pressure inversion (effective rank ~ data
-// dimension), which is what rules out low-rank SoA methods. bench_spectrum
-// reproduces that diagnosis on the data-space Hessian. A cyclic Jacobi
-// eigensolver is exact and robust at the dense sizes we need (<= a few
-// thousand); a Lanczos path covers matrix-free operators.
+// dimension), which is what rules out low-rank SoA methods. bench_paper's
+// SecIV section reproduces that diagnosis on the data-space Hessian. A cyclic
+// Jacobi eigensolver is exact and robust at the dense sizes we need (<= a
+// few thousand); a Lanczos path covers matrix-free operators.
 
 #include <vector>
 
@@ -41,7 +41,7 @@ namespace tsunami {
 ///
 /// This is the workhorse of low-rank SoA Bayesian inversion ([17, 18] in the
 /// paper): it is efficient exactly when the operator has fast spectral
-/// decay. bench_spectrum uses it to demonstrate the paper's SecIV point —
+/// decay. bench_paper's SecIV section uses it to show the paper's point —
 /// for the seafloor-pressure p2o Hessian the required rank approaches the
 /// data dimension, so the "low-rank" method degenerates to dense cost.
 struct RandomizedEigResult {

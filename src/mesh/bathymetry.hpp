@@ -34,9 +34,6 @@ class Bathymetry {
   /// Water depth (positive, meters) at margin coordinates (x, y).
   [[nodiscard]] double depth(double x, double y) const;
 
-  /// Seafloor elevation z = -depth(x, y).
-  [[nodiscard]] double floor_z(double x, double y) const { return -depth(x, y); }
-
   [[nodiscard]] const BathymetryConfig& config() const { return cfg_; }
 
  private:

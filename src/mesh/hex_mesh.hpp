@@ -60,11 +60,6 @@ class HexMesh {
   [[nodiscard]] std::array<std::array<double, 3>, 8> element_vertices(
       std::size_t e) const;
 
-  /// Water depth at the column containing footprint position (x, y).
-  [[nodiscard]] double depth_at(double x, double y) const {
-    return bathy_.depth(x, y);
-  }
-
   [[nodiscard]] const Bathymetry& bathymetry() const { return bathy_; }
 
   /// Shortest element edge over the whole mesh (drives the CFL bound).

@@ -13,10 +13,11 @@
 // directly in Perfetto / chrome://tracing.
 //
 // Cost model — the reason this can instrument the push hot path:
-//   * disabled (default): TRACE_SCOPE is one relaxed atomic load and a
-//     predictable branch; no clock read, no allocation, no store. The A/B in
-//     bench_streaming's BENCH_streaming.json guards this ("trace_off" vs
-//     untraced push medians).
+//   * disabled (default): TRACE_SCOPE is one relaxed atomic load per scope
+//     (trace_enabled() in the constructor) and a predictable null check in
+//     the destructor; no clock read, no allocation, no shared store.
+//     twinbench's untraced runs (--trace 0), whose end-to-end metrics
+//     BENCHMARK.json bounds, guard this cost.
 //   * enabled: two steady_clock reads plus four relaxed atomic stores into a
 //     thread-private slot (~40 ns) — negligible against the >= µs spans the
 //     instrumentation marks.

@@ -164,7 +164,6 @@ class EventSession {
   [[nodiscard]] double staleness_seconds() const;
 
   [[nodiscard]] EventId id() const { return id_; }
-  [[nodiscard]] const CachedEngine& cached_engine() const { return *engine_; }
 
  private:
   /// WarningService journals closes.

@@ -28,7 +28,7 @@
 //
 // Cost per matvec: O((rows + cols) L log L + L rows cols) versus a pair of
 // PDE solves for the same Hessian action — the source of the paper's
-// 260,000x matvec speedup (bench_speedup measures our ratio).
+// 260,000x matvec speedup (bench_paper's SecVII-C section measures ours).
 
 #include <complex>
 #include <cstddef>

@@ -149,13 +149,6 @@ std::vector<double> ArtifactBundle::vector(const std::string& name) const {
   return s.data;
 }
 
-std::uint64_t ArtifactBundle::payload_bytes() const {
-  std::uint64_t n = 0;
-  for (const auto& s : sections_)
-    n += static_cast<std::uint64_t>(s.data.size()) * sizeof(double);
-  return n;
-}
-
 void save_bundle(const std::string& path, const ArtifactBundle& bundle) {
   std::vector<char> buf;
   append_u64(buf, kBundleMagic);

@@ -88,8 +88,6 @@ class ArtifactBundle {
   [[nodiscard]] const std::vector<BundleSection>& sections() const {
     return sections_;
   }
-  /// Payload bytes across all sections (the shippable size).
-  [[nodiscard]] std::uint64_t payload_bytes() const;
 
  private:
   std::vector<BundleSection> sections_;  ///< insertion order preserved

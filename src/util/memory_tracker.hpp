@@ -6,7 +6,8 @@
 // 5.33x footprint reduction from storage optimizations (recomputing geometry
 // factors, fusing permutations, reusing RK4 temporaries, ...). We reproduce
 // the accounting: every major allocation registers its logical size under a
-// component name, and bench_memory reports bytes/DOF per assembly variant.
+// component name, and bench_paper's SecVII-B section reports bytes/DOF per
+// assembly variant.
 
 #include <cstddef>
 #include <map>

@@ -64,16 +64,6 @@ void ObservationOperator::apply_transpose_add(std::span<const double> coeffs,
   }
 }
 
-std::vector<double> ObservationOperator::dense_row(std::size_t j) const {
-  if (j >= rows_.size())
-    throw std::out_of_range("ObservationOperator::dense_row");
-  std::vector<double> out(model_.pressure_dim(), 0.0);
-  const auto& row = rows_[j];
-  for (std::size_t k = 0; k < row.dofs.size(); ++k)
-    out[row.dofs[k]] = row.weights[k];
-  return out;
-}
-
 std::vector<std::array<double, 2>> sensor_grid(std::size_t n, double x0,
                                                double x1, double y0,
                                                double y1) {

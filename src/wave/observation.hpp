@@ -43,9 +43,6 @@ class ObservationOperator {
   void apply_transpose_add(std::span<const double> coeffs,
                            std::span<double> state) const;
 
-  /// The sparse row of output j as a dense pressure-space vector.
-  [[nodiscard]] std::vector<double> dense_row(std::size_t j) const;
-
   [[nodiscard]] const std::vector<std::array<double, 2>>& positions() const {
     return positions_;
   }

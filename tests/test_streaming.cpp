@@ -183,6 +183,11 @@ TEST_F(StreamingTest, StddevScheduleShrinksMonotonically) {
   const auto& batch_sd = twin_->predictor().predict(event_->d_obs).stddev;
   for (std::size_t i = 0; i < batch_sd.size(); ++i)
     EXPECT_NEAR(final_sd[i], batch_sd[i], 1e-12 * (batch_sd[i] + 1.0));
+  // Half the window leaves the intervals strictly wider than the full data.
+  double half_w = 0.0, full_w = 0.0;
+  for (double s : engine_->stddev_after(engine_->num_ticks() / 2)) half_w += s;
+  for (double s : batch_sd) full_w += s;
+  EXPECT_GT(half_w, full_w);
 }
 
 // The rolling forecast's band must come from the schedule row of the
@@ -424,31 +429,6 @@ TEST_F(StreamingTest, PushValidation) {
 TEST_F(StreamingTest, EngineRequiresOfflinePhases) {
   const DigitalTwin cold(TwinConfig::tiny());
   EXPECT_THROW((void)cold.make_streaming(), std::logic_error);
-}
-
-TEST_F(StreamingTest, PredictPrefixIsTheNaiveZeroPaddedBaseline) {
-  const std::size_t nd = engine_->block_size();
-  const std::size_t half = engine_->num_ticks() / 2;
-  const Forecast naive = twin_->predictor().predict_prefix(
-      std::span<const double>(event_->d_obs).first(half * nd), half);
-  // Same operator as zero-padding by hand...
-  std::vector<double> padded(event_->d_obs.size(), 0.0);
-  std::copy(event_->d_obs.begin(),
-            event_->d_obs.begin() + static_cast<std::ptrdiff_t>(half * nd),
-            padded.begin());
-  const Forecast manual = twin_->predictor().predict(padded);
-  EXPECT_EQ(naive.mean, manual.mean);
-  // ...and with the full prefix it reduces to the batch predict.
-  const Forecast full = twin_->predictor().predict_prefix(
-      event_->d_obs, engine_->num_ticks());
-  EXPECT_EQ(full.mean, twin_->predictor().predict(event_->d_obs).mean);
-  // Its intervals do NOT tighten mid-event — the streaming posterior's do.
-  EXPECT_EQ(naive.stddev, full.stddev);
-  const auto streaming_sd = engine_->stddev_after(half);
-  double naive_w = 0.0, stream_w = 0.0;
-  for (double s : naive.stddev) naive_w += s;
-  for (double s : streaming_sd) stream_w += s;
-  EXPECT_LT(naive_w, stream_w);  // zero-padded width claims full-data info
 }
 
 }  // namespace

@@ -55,12 +55,18 @@ DEFAULT_BENCHMARK = os.path.join(
     "BENCHMARK.json")
 
 
+def malformed(message):
+    """Malformed input: exit 2, not the regression status 1."""
+    print(f"compare: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
 def load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        sys.exit(f"compare: cannot read {path}: {e}")
+    except (OSError, ValueError) as e:
+        malformed(f"cannot read {path}: {e}")
 
 
 def is_history(report):
@@ -71,7 +77,7 @@ def side_workloads(report, side, path):
     try:
         return report["sides"][side]["workloads"]
     except (KeyError, TypeError):
-        sys.exit(f"compare: {path} has no '{side}' side")
+        malformed(f"{path} has no '{side}' side")
 
 
 def print_builds(base, curr, labels, paired, regressions):
@@ -108,7 +114,7 @@ def compare_history(paths, benchmark_path):
     reports = [load_json(p) for p in paths]
     for p, r in zip(paths, reports):
         if not is_history(r):
-            sys.exit(f"compare: {p} is not a {HISTORY_SCHEMA} file")
+            malformed(f"{p} is not a {HISTORY_SCHEMA} file")
     if len(paths) == 1:
         base = side_workloads(reports[0], "parent", paths[0])
         curr = side_workloads(reports[0], "change", paths[0])
@@ -189,7 +195,7 @@ def compare_history(paths, benchmark_path):
                  reports[-1]["sides"]["change"].get("builds"), labels, paired,
                  regressions)
     if compared == 0:
-        sys.exit("compare: no end-to-end metric in common")
+        malformed("no end-to-end metric in common")
     if regressions:
         print(f"\nFAIL: {len(regressions)} regression(s) beyond the "
               f"BENCHMARK.json bounds: {', '.join(regressions)}", file=sys.stderr)
@@ -201,15 +207,15 @@ def compare_history(paths, benchmark_path):
 
 def load_cases(path):
     report = load_json(path)
-    cases = report.get("cases")
+    cases = report.get("cases") if isinstance(report, dict) else None
     if not isinstance(cases, list):
-        sys.exit(f"compare: {path} has no 'cases' array")
+        malformed(f"{path} has no 'cases' array")
     out = {}
     for case in cases:
-        name = case.get("name")
-        if not name or "median_ns" not in case:
-            sys.exit(f"compare: {path} case missing name/median_ns: {case}")
-        out[name] = case
+        if not isinstance(case, dict) or not case.get("name") \
+                or "median_ns" not in case:
+            malformed(f"{path} case missing name/median_ns: {case}")
+        out[case["name"]] = case
     return report, out
 
 
@@ -252,7 +258,7 @@ def main():
     if is_history(load_json(args.baseline)):
         return compare_history(paths, args.benchmark)
     if args.current is None:
-        sys.exit("compare: BENCH_*.json reports need a baseline and a current")
+        malformed("BENCH_*.json reports need a baseline and a current")
     base_report, base = load_cases(args.baseline)
     curr_report, curr = load_cases(args.current)
 
@@ -264,7 +270,7 @@ def main():
     only_base = sorted(set(base) - set(curr))
     only_curr = sorted(set(curr) - set(base))
     if not shared:
-        sys.exit("compare: no case names in common")
+        malformed("no case names in common")
 
     width = max(len(n) for n in shared)
     regressions = []
