@@ -52,11 +52,12 @@ TSUNAMI_HOT_PATH inline void accumulate_row_tile(const double* row, double zj,
 }
 
 /// out[0:ncols) += rows^T z[0:nrows) over a row-major block of nrows rows
-/// (row stride ncols) — the per-tick truncated-posterior accumulation, also
-/// the offline R products. Column-tiled so the output tile stays in L1
-/// across the row groups; the slab rows are read exactly once. Per output
-/// column the adds run j-ascending: the groups in order, then the tail rows.
-/// That order is the contract that keeps push_many bitwise equal to push.
+/// (row stride ncols) — the per-tick forecast accumulation, the MAP fold on
+/// read, also the offline R products. Column-tiled so the output tile stays
+/// in L1 across the row groups; the slab rows are read exactly once. Per
+/// output column the adds run j-ascending: the groups in order, then the
+/// tail rows. That order is the contract that keeps push_many bitwise equal
+/// to push, and the MAP bits independent of when they are read.
 TSUNAMI_HOT_PATH void accumulate_rows(const double* rows, std::size_t nrows,
                                       std::size_t ncols, const double* z,
                                       double* out) {
@@ -409,14 +410,14 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::push(
   // Extend z = L^{-1} d by one block row (causality of forward substitution).
   eng_.chol().forward_solve_range(z_, p0, p1);
   // Extend the dead-row projection over the new rows before anything reads
-  // it (the accumulators below are projection-agnostic: corrections are
-  // applied at forecast/map read time, never folded into q_mean_/m_map_).
+  // it (the accumulators are projection-agnostic: corrections are applied
+  // at forecast/map read time, never folded into q_mean_/m_map_).
   if (!dead_.empty() || tick_has_new_dead(valid))
     advance_degraded(p0, p1, valid);
-  // Accumulate the new block's contribution to the truncated posterior in
-  // row groups (one output load and store per 8 sensor rows, not per row).
+  // Accumulate the new block's contribution to the forecast in row groups
+  // (one output load and store per 8 sensor rows, not per row). The MAP
+  // slab is not swept here: map_estimate() folds the new rows on read.
   accumulate_block_rows(eng_.r_, z_, p0, p1, q_mean_);
-  if (eng_.tracks_map()) eng_.accumulate_wstar(z_, p0, p1, m_map_);
   ++t_;
   last_push_seconds_ = watch.seconds();
   total_push_seconds_ += last_push_seconds_;
@@ -654,14 +655,13 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::push_many(
       ev->advance_degraded(p0, p1, {});
   });
 
-  // One sweep over each slab's new block rows serves every event; the W*
-  // rows of this tick stop at their causal width. The pointer tables live
-  // in thread_local scratch that grows to the largest batch this thread
-  // has seen and is then reused, so steady-state batched pushes stay
+  // One sweep over R's new block rows serves every event (the MAP slab is
+  // folded on read, as after push()). The pointer tables live in
+  // thread_local scratch that grows to the largest batch this thread has
+  // seen and is then reused, so steady-state batched pushes stay
   // allocation-free (proved by tests/test_debug.cpp).
   static thread_local std::vector<const double*> zs;
   static thread_local std::vector<double*> q_outs;
-  static thread_local std::vector<double*> m_outs;
   zs.resize(nk);      // lint: allow(hot-path-alloc) grow-once scratch
   q_outs.resize(nk);  // lint: allow(hot-path-alloc) grow-once scratch
   for (std::size_t k = 0; k < nk; ++k) {
@@ -671,14 +671,6 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::push_many(
   accumulate_rows_many(eng.r_.data() + p0 * eng.nqoi_, nd, eng.nqoi_,
                        std::span<const double* const>(zs),
                        std::span<double* const>(q_outs));
-  if (eng.tracks_map()) {
-    m_outs.resize(nk);  // lint: allow(hot-path-alloc) grow-once scratch
-    for (std::size_t k = 0; k < nk; ++k) m_outs[k] = events[k]->m_map_.data();
-    accumulate_rows_many(eng.wstar_.data() + eng.wstar_offset(tick), nd,
-                         eng.wstar_width(tick),
-                         std::span<const double* const>(zs),
-                         std::span<double* const>(m_outs));
-  }
 
   const double per_event = watch.seconds() / static_cast<double>(nk);
   for (std::size_t k = 0; k < nk; ++k) {
@@ -743,12 +735,18 @@ const std::vector<double>& StreamingAssimilator::map_estimate() const {
     throw std::logic_error(
         "StreamingAssimilator::map_estimate: engine built with track_map off "
         "(use map_snapshot)");
+  // Fold the rows pushed since the last read, whole tick blocks in
+  // j-ascending order. z_ never changes after its push (drop/restore touch
+  // only the projection), so the bits do not depend on when or how often
+  // reads happen.
+  const std::size_t p = t_ * eng_.block_size();
+  eng_.accumulate_wstar(z_, map_rows_, p, m_map_);
+  map_rows_ = p;
   if (dead_.empty()) return m_map_;
   // m' = m_map - W*^T (Y S^{-1} h): one slab sweep over the rows at or
   // below the first dead row (each over its causal columns), materialized
   // into the correction cache.
   compute_projection_coeffs();
-  const std::size_t p = t_ * eng_.block_size();
   const std::size_t first = dead_.front().row;
   m_corr_.assign(m_map_.begin(), m_map_.end());
   proj_scratch_.assign(z_.size(), 0.0);
@@ -796,6 +794,7 @@ void StreamingAssimilator::reset() {
   std::fill(z_.begin(), z_.end(), 0.0);
   std::fill(q_mean_.begin(), q_mean_.end(), 0.0);
   std::fill(m_map_.begin(), m_map_.end(), 0.0);
+  map_rows_ = 0;
   mask_ = SensorMask(eng_.block_size());
   dead_.clear();
   s_chol_.reset();

@@ -32,13 +32,18 @@
 //         m_map(t)   = W*[0:p,:]^T z[0:p],
 //         Gamma_post(q, t) = W - R[0:p,:]^T R[0:p,:],
 //     because the leading block of the inverse of a triangular matrix is
-//     the inverse of its leading block. Each push adds one block row.
+//     the inverse of its leading block. Each push adds one block row to
+//     q_map. m_map is the same running sum, but nothing on the tick path
+//     reads it, so map_estimate() folds the rows pushed since its last
+//     read instead (item 5).
 //  5. W* is block lower triangular in time: F is causal, Gamma_prior acts
 //     on each time block alone, and L^{-1} is lower triangular, so row
 //     block t of W* is zero beyond parameter block t. The engine stores
-//     only that causal triangle, and a push at tick t sweeps its
-//     (t + 1) Nm columns: O(Nd Nq Nt + Nd Nm (t + 1)) flops, with the R
-//     term constant and the W* term growing linearly in the tick index.
+//     only that causal triangle. A push sweeps one block row of R,
+//     O(Nd Nq Nt) flops at every tick. A MAP read folds each row block tau
+//     pushed since the last read over its (tau + 1) Nm causal columns, so
+//     its cost grows with the ticks since that read: O(Nd Nm (t + 1)) for
+//     a read after every push, O(Nd Nm Nt^2 / 2) for one read at event end.
 //     Parameter blocks the stream has not reached keep m_map exactly 0,
 //     the prior mean. F Gamma_prior is itself block lower-triangular
 //     Toeplitz, with blocks G_m = F_m P (P the spatial prior block), so
@@ -48,8 +53,8 @@
 //
 // The credible-interval schedule Gamma_post(q, t) is data-independent, so
 // the engine precomputes the whole stddev-vs-tick table once; streaming an
-// event costs only the forward-substitution extension plus two slab
-// matvecs per tick.
+// event costs only the forward-substitution extension plus one R block-row
+// matvec per tick, and a tracked MAP costs its W* rows once, on read.
 //
 // Split of responsibilities:
 //   StreamingEngine      — immutable per-network precompute (R, W*, the CI
@@ -74,13 +79,13 @@
 namespace tsunami {
 
 struct StreamingOptions {
-  /// Maintain the rolling MAP estimate m_map(t) incrementally. Costs the
-  /// block-lower triangle of W* = L^{-1} F Gamma_prior offline
+  /// Serve the MAP estimate m_map(t) from the W* slab (map_estimate()).
+  /// Costs the block-lower triangle of W* = L^{-1} F Gamma_prior offline
   /// (Nd Nm Nt (Nt + 1) / 2 doubles, built with Nd Nt prior applies and a
-  /// forward substitution of about Nd^2 Nm Nt^3 / 6 multiply-adds) and one
-  /// sweep per tick over the (t + 1) Nm causal columns of that tick's rows.
-  /// With tracking off, map_snapshot() still recovers m_map(t) on demand in
-  /// O(p^2).
+  /// forward substitution of about Nd^2 Nm Nt^3 / 6 multiply-adds), and per
+  /// read one sweep over the causal columns of the rows pushed since the
+  /// previous read; push() never touches the slab. With tracking off,
+  /// map_snapshot() still recovers m_map(t) on demand in O(p^2).
   bool track_map = true;
 };
 
@@ -221,7 +226,8 @@ class StreamingAssimilator {
   /// Ingest observation interval `tick` (must be ticks_received(): intervals
   /// arrive in order at 1 Hz in deployment; gaps/reordering are the
   /// transport layer's problem). `d_block` holds the Nd sensor values of
-  /// that interval. Updates z, q_map, and (if tracked) m_map incrementally.
+  /// that interval. Extends z and q_map incrementally; a tracked m_map
+  /// catches up on the next map_estimate().
   TSUNAMI_HOT_PATH void push(std::size_t tick, std::span<const double> d_block);
 
   /// As push(), but with a per-channel validity bitmap (`valid[c] != 0`
@@ -238,15 +244,14 @@ class StreamingAssimilator {
   /// Batched cross-event push: assimilate interval `tick` for K events at
   /// once. All assimilators must share the SAME engine (the slabs are
   /// immutable and shared) and all must be exactly at `tick`; blocks[k] is
-  /// event k's Nd-vector. One pass over the slab block rows serves every
-  /// event — the slab is the bandwidth bottleneck of a push, so K events
-  /// cost barely more than one. Bit-identical to K serial push() calls:
-  /// the batched accumulation performs, per (event, output) pair, the same
-  /// additions in the same j-ascending order as the single-event path
-  /// (asserted by the streaming, determinism and degraded suites; events
-  /// with dropped channels advance their projections as push() does).
-  /// K == 1 degenerates to push(). Per-event timers record the batch time
-  /// divided by K.
+  /// event k's Nd-vector. One pass over R's new block rows serves every
+  /// event; like push(), it leaves the W* slab to map_estimate().
+  /// Bit-identical to K serial push() calls: the batched accumulation
+  /// performs, per (event, output) pair, the same additions in the same
+  /// j-ascending order as the single-event path (asserted by the streaming,
+  /// determinism and degraded suites; events with dropped channels advance
+  /// their projections as push() does). K == 1 degenerates to push().
+  /// Per-event timers record the batch time divided by K.
   TSUNAMI_HOT_PATH static void push_many(
       std::span<StreamingAssimilator* const> events, std::size_t tick,
       std::span<const std::span<const double>> blocks);
@@ -299,10 +304,16 @@ class StreamingAssimilator {
   /// forecast(); no allocation).
   [[nodiscard]] const std::vector<double>& qoi_mean() const { return q_mean_; }
 
-  /// Rolling MAP estimate m_map(t). Requires an engine with track_map.
+  /// MAP estimate m_map(t) after the ticks received so far. Requires an
+  /// engine with track_map. Each call first folds the W* rows pushed since
+  /// the previous call into the running sum, so its cost grows with the
+  /// ticks since that call; the bits do not depend on the read cadence.
   /// When degraded, returns the projection-corrected estimate (materialized
   /// on demand into a per-assimilator cache — O(p Nm t), so callers on the
   /// hot publish path should prefer forecast_into, which never needs it).
+  /// Logically const but writes the running sum: single-caller by contract,
+  /// like map_snapshot(). The reference stays valid, but goes stale at the
+  /// next push; read again to see it.
   [[nodiscard]] const std::vector<double>& map_estimate() const;
 
   /// On-demand MAP estimate via prefix backward substitution — O(p^2) but
@@ -355,7 +366,10 @@ class StreamingAssimilator {
   std::size_t t_ = 0;
   std::vector<double> z_;       ///< L^{-1} d prefix, extended causally
   std::vector<double> q_mean_;  ///< R[0:p,:]^T z[0:p]
-  std::vector<double> m_map_;   ///< W*[0:p,:]^T z[0:p] (if tracked)
+  /// W*[0:map_rows_,:]^T z[0:map_rows_] (if tracked). Folded forward to the
+  /// pushed prefix by map_estimate(), hence mutable like the scratch below.
+  mutable std::vector<double> m_map_;
+  mutable std::size_t map_rows_ = 0;  ///< rows of z folded into m_map_
 
   // Degraded-mode state (all empty on the healthy path).
   SensorMask mask_;              ///< currently dropped channels

@@ -2,11 +2,11 @@
 // executable half of the TSUNAMI_HOT_PATH contract. Positive cases prove the
 // interposers really count (an allocation/lock inside a scope is seen);
 // steady-state cases prove the repo's zero-allocation claims on the real hot
-// paths — StreamingAssimilator push/push_many/forecast_into, the
-// BlockToeplitz apply family, the EventSession submit and drain + publish
-// paths — the drain's count of mutex acquisitions per tick, and
-// bounded-allocation claims on the WarningService drain cycle and its
-// closed-loop tick.
+// paths — StreamingAssimilator push/push_many/forecast_into, the healthy
+// map_estimate() fold, the BlockToeplitz apply family, the EventSession
+// submit and drain + publish paths — the drain's count of mutex
+// acquisitions per tick, and bounded-allocation claims on the
+// WarningService drain cycle and its closed-loop tick.
 //
 // The whole suite GTEST_SKIPs unless built with -DTSUNAMI_CHECKS=ON (the
 // interposers are a debug/CI configuration); the `checks` CI job runs it.
@@ -179,6 +179,27 @@ TEST_F(SteadyStateTest, PushIsAllocAndLockFree) {
   }
   EXPECT_EQ(allocs, 0u) << "steady-state push allocated";
   EXPECT_EQ(locks, 0u) << "steady-state push took a mutex";
+  EXPECT_TRUE(assim.complete());
+}
+
+TEST_F(SteadyStateTest, MapEstimateFoldIsAllocAndLockFree) {
+  SKIP_WITHOUT_CHECKS();
+  StreamingAssimilator assim = engine().start();
+  warm_up(assim);
+  std::uint64_t allocs = 0, locks = 0;
+  {
+    const ScopedNoAlloc no_alloc;
+    const ScopedNoLock no_lock;
+    for (std::size_t t = 0; t < engine().num_ticks(); ++t) {
+      assim.push(t, block(t));
+      (void)assim.map_estimate();
+    }
+    (void)assim.map_estimate();
+    allocs = no_alloc.allocations();
+    locks = no_lock.locks();
+  }
+  EXPECT_EQ(allocs, 0u) << "healthy map_estimate fold allocated";
+  EXPECT_EQ(locks, 0u) << "healthy map_estimate fold took a mutex";
   EXPECT_TRUE(assim.complete());
 }
 

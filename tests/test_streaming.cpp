@@ -3,12 +3,16 @@
 // mid-stream (against explicit prefix solves), the monotone credible-interval
 // schedule, both MAP paths (incremental vs on-demand snapshot), the causal
 // triangle of the MAP slab (exact zeros and a dense reference), replay
-// determinism, and input validation.
+// determinism, MAP bits independent of the read cadence, and input
+// validation.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <span>
+#include <string>
 #include <thread>
 
 #include "core/digital_twin.hpp"
@@ -410,6 +414,86 @@ TEST_F(StreamingTest, ResetReplayIsBitIdentical) {
   // equal, not merely close.
   EXPECT_EQ(assim.qoi_mean(), q_first);
   EXPECT_EQ(assim.map_estimate(), m_first);
+}
+
+// map_estimate() folds the W* rows pushed since its previous read, so the
+// MAP bits must not depend on when, or how often, it is read. The same
+// blocks feed four assimilators of one track_map engine: (a) read after
+// every push, (b) read once at the end, (c) read after ticks 1, 7, nt/2 and
+// nt - 1, and (d) pushed through push_many beside a second event and read
+// at the end. Healthy, through golden replay (d)'s fault script (channel 2
+// dropped at nt/3 and restored at 2nt/3, channel 0 lost at nt/2), and with
+// a mid-event reset() and replay of all four.
+TEST_F(StreamingTest, MapEstimateBitsDoNotDependOnReadCadence) {
+  const std::size_t nt = engine_->num_ticks(), nd = engine_->block_size();
+  const auto same_bits = [](const std::vector<double>& x,
+                            const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+  const auto scattered = [nt](std::size_t t) {
+    return t == 1 || t == 7 || t == nt / 2 || t == nt - 1;
+  };
+  std::vector<std::uint8_t> lossy(nd, 1);
+  lossy[0] = 0;
+  std::vector<double> partner = event_->d_true;
+  Rng rng(77);
+  for (auto& v : partner) v += event_->noise.sigma * rng.normal();
+
+  for (const bool faults : {false, true}) {
+    std::vector<double> reference;
+    for (const bool with_reset : {false, true}) {
+      const std::string label = std::string(faults ? "faulted" : "healthy") +
+                                (with_reset ? ", reset" : "");
+      StreamingAssimilator a = engine_->start(), b = engine_->start(),
+                           c = engine_->start(), d = engine_->start(),
+                           d_partner = engine_->start();
+      StreamingAssimilator* const serial[] = {&a, &b, &c};
+      StreamingAssimilator* const batch[] = {&d, &d_partner};
+      const auto run = [&](std::size_t ticks) {
+        for (std::size_t t = 0; t < ticks; ++t) {
+          for (StreamingAssimilator* x : {&a, &b, &c, &d}) {
+            if (faults && t == nt / 3) x->drop_sensor(2);
+            if (faults && t == 2 * nt / 3) x->restore_sensor(2);
+          }
+          const std::span<const double> partner_block =
+              std::span<const double>(partner).subspan(t * nd, nd);
+          if (faults && t == nt / 2) {
+            // push_many takes no validity bitmap: the lossy block goes
+            // through push() on both events of the batch.
+            for (StreamingAssimilator* x : serial) x->push(t, block(t), lossy);
+            d.push(t, block(t), lossy);
+            d_partner.push(t, partner_block);
+          } else {
+            for (StreamingAssimilator* x : serial) x->push(t, block(t));
+            const std::span<const double> blocks[] = {block(t), partner_block};
+            StreamingAssimilator::push_many(batch, t, blocks);
+          }
+          const std::vector<double> read_a = a.map_estimate();
+          if (scattered(t)) {
+            EXPECT_TRUE(same_bits(c.map_estimate(), read_a))
+                << label << ": (c) differs from (a) after tick " << t;
+          }
+        }
+      };
+      if (with_reset) {
+        run(nt / 2 + 3);
+        for (StreamingAssimilator* x : {&a, &b, &c, &d, &d_partner})
+          x->reset();
+      }
+      run(nt);
+      const std::vector<double> final_a = a.map_estimate();
+      EXPECT_TRUE(same_bits(b.map_estimate(), final_a)) << label << ": (b)";
+      EXPECT_TRUE(same_bits(c.map_estimate(), final_a)) << label << ": (c)";
+      EXPECT_TRUE(same_bits(d.map_estimate(), final_a)) << label << ": (d)";
+      EXPECT_EQ(a.degraded(), faults) << label;
+      if (with_reset) {
+        EXPECT_TRUE(same_bits(final_a, reference)) << label;
+      } else {
+        reference = final_a;
+      }
+    }
+  }
 }
 
 TEST_F(StreamingTest, PushValidation) {
