@@ -1,6 +1,7 @@
 #include "fem/pa_kernels.hpp"
 
 #include <array>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
@@ -13,6 +14,14 @@ namespace {
 // Stack-buffer capacity: supports pressure order <= 7 in the dynamic kernels.
 constexpr std::size_t kMaxN1 = 8;
 constexpr std::size_t kMaxQ = 7;
+
+// Element work (estimate_kernel_costs' flop count) below which an element
+// loop runs serially. At order 2 an element is about 1,440 flops and
+// 0.45 us of fused work on one thread of a 4-vCPU x86-64 host, and a
+// fork-join over the pool costs about 10 us: the bench network's 8
+// per-color loops of 12 elements took one apply from 40-46 us at 1 thread
+// to 121-127 us at 3. 1e5 flops is a few fork-joins' worth of work.
+constexpr double kParallelGrainFlops = 1e5;
 
 }  // namespace
 
@@ -72,6 +81,9 @@ MixedOperator::MixedOperator(const H1Space& h1, const L2Space& l2,
     : h1_(h1), l2_(l2), geom_(geom), tables_(tables), variant_(variant) {
   if (tables_.n1 > kMaxN1)
     throw std::invalid_argument("MixedOperator: order too high for kernels");
+  min_parallel_ = static_cast<std::size_t>(std::ceil(
+      kParallelGrainFlops /
+      estimate_kernel_costs(variant_, tables_.order, 1).flops));
   const auto& mesh = h1_.mesh();
   for (std::size_t e = 0; e < mesh.num_elements(); ++e) {
     const auto c = mesh.element_coords(e);
@@ -205,7 +217,7 @@ void MixedOperator::apply_initial(std::span<const double> p_in,
   const double* tab = phi_grad_.data();
 
   for (const auto& color : colors_) {
-    parallel_for(color.size(), [&](std::size_t ci) {
+    parallel_for_min(color.size(), min_parallel_, [&](std::size_t ci) {
       const std::size_t e = color[ci];
       const auto ec = mesh.element_coords(e);
       double pe[kMaxN1 * kMaxN1 * kMaxN1];
@@ -263,7 +275,7 @@ void MixedOperator::apply_shared(std::span<const double> p_in,
   const double* D = tables_.deriv.data();
 
   // Sweep 1 (all elements in parallel): gradient block into u_out.
-  parallel_for(mesh.num_elements(), [&](std::size_t e) {
+  parallel_for_min(mesh.num_elements(), min_parallel_, [&](std::size_t e) {
     {
       const auto ec = mesh.element_coords(e);
       double pe[kMaxN1 * kMaxN1 * kMaxN1];
@@ -328,7 +340,7 @@ void MixedOperator::apply_shared(std::span<const double> p_in,
 
   // Sweep 2 (colored): divergence block into p_out.
   for (const auto& color : colors_) {
-    parallel_for(color.size(), [&](std::size_t ci) {
+    parallel_for_min(color.size(), min_parallel_, [&](std::size_t ci) {
       const std::size_t e = color[ci];
       const auto ec = mesh.element_coords(e);
       const double* ue = u_in.data() + l2_.block_offset(e, 0);
@@ -564,7 +576,7 @@ void MixedOperator::apply_optimized(std::span<const double> p_in,
     // One sweep: both blocks per element visit (colored for the scatter),
     // geometry factors loaded exactly once per point.
     for (const auto& color : colors_) {
-      parallel_for(color.size(), [&](std::size_t ci) {
+      parallel_for_min(color.size(), min_parallel_, [&](std::size_t ci) {
         const std::size_t e = color[ci];
         double g_pt[3][q3], s_pt[3][q3];
         element_grad(e, g_pt);
@@ -576,13 +588,13 @@ void MixedOperator::apply_optimized(std::span<const double> p_in,
   } else {
     // Two sweeps: gradient over all elements (element-private writes), then
     // divergence over colors; geometry factors are traversed twice.
-    parallel_for(mesh.num_elements(), [&](std::size_t e) {
+    parallel_for_min(mesh.num_elements(), min_parallel_, [&](std::size_t e) {
       double g_pt[3][q3];
       element_grad(e, g_pt);
       geometry_grad(e, g_pt, u_out.data() + l2_.block_offset(e, 0));
     });
     for (const auto& color : colors_) {
-      parallel_for(color.size(), [&](std::size_t ci) {
+      parallel_for_min(color.size(), min_parallel_, [&](std::size_t ci) {
         const std::size_t e = color[ci];
         double s_pt[3][q3];
         geometry_div(e, u_in.data() + l2_.block_offset(e, 0), s_pt);

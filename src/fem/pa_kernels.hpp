@@ -89,6 +89,12 @@ class MixedOperator {
   // shared pressure vector is race-free within one color.
   std::array<std::vector<std::size_t>, 8> colors_;
 
+  // Elements an element loop needs before it runs on the pool: a fixed
+  // flop floor over one element's estimated work at this variant and
+  // order. Either way each element writes the same DOFs (disjoint within
+  // a color), so the bits do not depend on it.
+  std::size_t min_parallel_ = 1;
+
   // InitialPA reference-element tables: value/grad of each pressure basis
   // function at each volume quadrature point.
   // phi_grad_[ (pt * n1^3 + dof) * 3 + d ].
