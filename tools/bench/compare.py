@@ -80,6 +80,25 @@ def side_workloads(report, side, path):
         malformed(f"{path} has no '{side}' side")
 
 
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def end_to_end(workload, name, label):
+    """The end-to-end metrics of one side's workload, each with a numeric
+    median, q1, q3 and runs."""
+    metrics = workload.get("end_to_end") if isinstance(workload, dict) else None
+    if not isinstance(metrics, dict):
+        malformed(f"{label}: workload {name} has no 'end_to_end' object")
+    for metric, m in metrics.items():
+        ok = isinstance(m, dict) and isinstance(m.get("runs"), list)
+        if not ok or not all(map(is_number, [m.get("median"), m.get("q1"),
+                                             m.get("q3"), *m["runs"]])):
+            malformed(f"{label}: {name}.{metric} needs a numeric median, "
+                      f"q1, q3 and runs: {m}")
+    return metrics
+
+
 def print_builds(base, curr, labels, paired, regressions):
     """The offline-build runs of record_pairs.py, for information;
     incorrect builds on the current side count as a regression."""
@@ -131,12 +150,14 @@ def compare_history(paths, benchmark_path):
             print(f"{workload}: not in both sides, skipped")
             continue
         b_w, c_w = base[workload], curr[workload]
+        b_e2e = end_to_end(b_w, workload, labels[0])
+        c_e2e = end_to_end(c_w, workload, labels[1])
         print(f"== {workload}: {labels[0]} -> {labels[1]}")
         print(f"  {'metric':<22} {'baseline':>10} {'current':>10} {'delta':>8} "
               f"{'bound':>6}  spread")
         for m in spec["end_to_end"]:
             name, bound, lower = m["name"], m["bound"], m["better"] == "lower"
-            b, c = b_w["end_to_end"].get(name), c_w["end_to_end"].get(name)
+            b, c = b_e2e.get(name), c_e2e.get(name)
             if b is None or c is None:
                 print(f"  {name:<22} (missing on one side)")
                 continue
@@ -213,8 +234,11 @@ def load_cases(path):
     out = {}
     for case in cases:
         if not isinstance(case, dict) or not case.get("name") \
-                or "median_ns" not in case:
-            malformed(f"{path} case missing name/median_ns: {case}")
+                or not is_number(case.get("median_ns")) \
+                or not all(is_number(case.get(k, 0))
+                           for k in ("p10_ns", "p90_ns")):
+            malformed(f"{path} case needs a name and a numeric median_ns "
+                      f"(p10_ns/p90_ns numeric if present): {case}")
         out[case["name"]] = case
     return report, out
 

@@ -104,6 +104,8 @@ class CompareExitTest(unittest.TestCase):
         good = self.write("good.json", bench_report(100.0, 95.0, 105.0))
         other = self.write("other.json", {
             "cases": [{"name": "elsewhere", "median_ns": 1.0}]})
+        string_median = side(1.0)
+        string_median["workloads"]["w"]["end_to_end"]["tick_us"]["median"] = "1"
         cases = {
             "not JSON": [self.write("bad.json", "{not json")],
             "missing file": [str(self.dir / "absent.json"), good],
@@ -120,6 +122,16 @@ class CompareExitTest(unittest.TestCase):
             "history pair with a report": [
                 self.write("p.json", history(side(1.0), side(1.0))), good,
                 "--benchmark", self.benchmark],
+            "history workload without end_to_end": [
+                self.write("w.json", history({"workloads": {"w": {}}},
+                                             side(1.0))),
+                "--benchmark", self.benchmark],
+            "history metric with a string median": [
+                self.write("t.json", history(string_median, side(1.0))),
+                "--benchmark", self.benchmark],
+            "case with a string median_ns": [
+                self.write("s.json", {"cases": [
+                    {"name": "case", "median_ns": "100"}]}), good],
             "no end-to-end metric in common": [
                 self.write("e.json", history(
                     {"workloads": {"w": {"end_to_end": {}}}},
