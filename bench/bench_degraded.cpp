@@ -18,8 +18,8 @@
 //                           mutation at all).
 //   reduced() precompute  — StreamingEngine::reduced(mask): the from-scratch
 //                           alternative's setup alone (decoupled factor, R
-//                           re-solve, W*' build), before it even replays the
-//                           event's backlog.
+//                           re-solve, schedule rebuild), before it even
+//                           replays the event's backlog.
 //
 // Plus the operational curve: forecast error vs channels lost, quantifying
 // how gracefully the posterior widens as the network dies (notes

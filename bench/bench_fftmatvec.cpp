@@ -1,6 +1,6 @@
 // FFTMatvec micro-benchmarks (SecV-A / SecVII-B of the paper): the FFT-based
-// block-Toeplitz matvec against the O(Nt^2) dense-block reference, plus the
-// batched multi-RHS transpose (the W* lift of a MAP-tracking engine).
+// block-Toeplitz matvec and its transpose against the O(Nt^2) dense-block
+// reference.
 //
 // Shape expectations: the FFT path wins by a factor growing with Nt (the
 // paper's kernels are memory-bound and reach 80-95% of device bandwidth; on
@@ -25,8 +25,8 @@
 //   apply_many   nrhs=8          21.7   ms    5.16  ms    4.2x
 //   apply_many   nrhs=32         93.2   ms   28.5   ms    3.3x
 //
-// The multi-RHS cases below time apply_transpose_many, the one multi-RHS
-// path left (the W* lift runs it; apply_many is gone).
+// The apply_many rows are history: every multi-RHS path is gone, and every
+// case below applies one right-hand side.
 //
 // The structured JSON pass below re-measures these shapes on every run and
 // writes BENCH_fftmatvec.json so the trajectory stays machine-readable; the
@@ -107,23 +107,6 @@ void BM_FftMatvecTranspose(benchmark::State& state) {
   }
 }
 
-void BM_FftMatvecBatched(benchmark::State& state) {
-  ToeplitzFixture fx(8, 512, 64);
-  const auto nrhs = static_cast<std::size_t>(state.range(0));
-  Rng rng(4);
-  Matrix x(fx.t.output_dim(), nrhs);
-  for (std::size_t i = 0; i < x.rows(); ++i)
-    for (std::size_t v = 0; v < nrhs; ++v) x(i, v) = rng.normal();
-  Matrix y;
-  ToeplitzWorkspace ws;
-  for (auto _ : state) {
-    fx.t.apply_transpose_many(x, y, ws);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.counters["matvecs/s"] = benchmark::Counter(
-      static_cast<double>(nrhs), benchmark::Counter::kIsIterationInvariantRate);
-}
-
 // ---------------------------------------------------------------------------
 // Structured pass: fixed seed shapes, min-of-reps statistics, JSON output.
 // ---------------------------------------------------------------------------
@@ -162,24 +145,6 @@ void run_json_pass() {
                 trans_stat.median_ns);
   }
 
-  for (const std::size_t nrhs : {std::size_t{1}, std::size_t{8},
-                                 std::size_t{32}}) {
-    ToeplitzFixture fx(8, 512, 64);
-    Rng rng(4);
-    Matrix x(fx.t.output_dim(), nrhs);
-    for (std::size_t i = 0; i < x.rows(); ++i)
-      for (std::size_t v = 0; v < nrhs; ++v) x(i, v) = rng.normal();
-    Matrix y;
-    ToeplitzWorkspace ws;
-    const auto stat =
-        bu::time_reps(n, [&] { fx.t.apply_transpose_many(x, y, ws); });
-    report.add("apply_transpose_many",
-               {{"rows", 8.0}, {"cols", 512.0}, {"nt", 64.0},
-                {"nrhs", static_cast<double>(nrhs)}},
-               stat);
-    std::printf("  apply_T_many nrhs=%2zu     median %8.0f ns\n", nrhs,
-                stat.median_ns);
-  }
   report.write();
 }
 
@@ -201,8 +166,6 @@ BENCHMARK(BM_FftMatvecTranspose)
     ->Args({8, 256, 128})
     ->Args({32, 1024, 128})
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FftMatvecBatched)->Arg(1)->Arg(8)->Arg(32)->Unit(
-    benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   run_json_pass();

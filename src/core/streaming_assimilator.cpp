@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "linalg/blas.hpp"
 #include "obs/trace.hpp"
 #include "parallel/parallel_for.hpp"
 
@@ -16,11 +15,11 @@ namespace {
 
 constexpr std::size_t kAccTile = 1024;  // 8 KB: half of a typical L1d
 
-/// Rows per pass of the slab sweeps. Sweeping a 16.6 MB packed W*-shaped
-/// slab one 8-row tick at a time on one thread of a 4-vCPU x86-64 host took
-/// 41-44 us per tick row by row, and 26-29, 23-26 and 20-23 us in groups of
-/// 2, 4 and 8 rows; an AVX2 clone of the 8-row sweep gained only 5% more,
-/// and its FMA contraction would move bits.
+/// Rows per pass of the slab sweeps. Sweeping a 16.6 MB packed slab one
+/// 8-row tick at a time on one thread of a 4-vCPU x86-64 host took 41-44 us
+/// per tick row by row, and 26-29, 23-26 and 20-23 us in groups of 2, 4 and
+/// 8 rows; an AVX2 clone of the 8-row sweep gained only 5% more, and its FMA
+/// contraction would move bits.
 constexpr std::size_t kRows = 8;
 
 /// m[c0:c1] += z[0] rows[0][c0:c1] + ... + z[kRows-1] rows[kRows-1][c0:c1]
@@ -52,12 +51,11 @@ TSUNAMI_HOT_PATH inline void accumulate_row_tile(const double* row, double zj,
 }
 
 /// out[0:ncols) += rows^T z[0:nrows) over a row-major block of nrows rows
-/// (row stride ncols) — the per-tick forecast accumulation, the MAP fold on
-/// read, also the offline R products. Column-tiled so the output tile stays
-/// in L1 across the row groups; the slab rows are read exactly once. Per
-/// output column the adds run j-ascending: the groups in order, then the
-/// tail rows. That order is the contract that keeps push_many bitwise equal
-/// to push, and the MAP bits independent of when they are read.
+/// (row stride ncols) — the per-tick forecast accumulation, also the offline
+/// R products. Column-tiled so the output tile stays in L1 across the row
+/// groups; the slab rows are read exactly once. Per output column the adds
+/// run j-ascending: the groups in order, then the tail rows. That order is
+/// the contract that keeps push_many bitwise equal to push.
 TSUNAMI_HOT_PATH void accumulate_rows(const double* rows, std::size_t nrows,
                                       std::size_t ncols, const double* z,
                                       double* out) {
@@ -131,7 +129,6 @@ StreamingEngine::StreamingEngine(const Posterior& posterior,
       opts_(options),
       nd_(posterior.forward_map().block_rows()),
       nt_(posterior.time_dim()),
-      nm_(posterior.spatial_dim()),
       n_(posterior.data_dim()),
       np_(posterior.parameter_dim()),
       nqoi_(predictor.qoi_dim()),
@@ -187,82 +184,9 @@ StreamingEngine::StreamingEngine(const Posterior& posterior,
   }
 
   if (mask_.any()) apply_mask();
-  if (opts_.track_map) build_wstar();
 
   precompute_seconds_ = watch.seconds();
   if (timers) timers->add("streaming: precompute", precompute_seconds_);
-}
-
-void StreamingEngine::build_wstar() {
-  // F Gamma_prior is block lower-triangular Toeplitz with blocks G_m =
-  // F_m P (P the spatial prior block), so its last row block [G_{Nt-1} ...
-  // G_0] holds every block, and row block tau is the last (tau + 1) Nm
-  // columns of it. That row block is built first, in place in the slab:
-  // the last block row of F is [F_{Nt-1} ... F_0], so one multi-RHS lift
-  // F^T [e_j, j in tick Nt - 1] yields every row of every F_m, and P, being
-  // symmetric, turns row v of F_m into row v of G_m — Nd Nt prior applies.
-  // The other row blocks are copies; rows of masked channels stay zero
-  // (those rows of F do not exist on a reduced network). The slab is then
-  // forward-substituted in place against chol(), one task per parameter
-  // block k and column panel; column c of block k is zero above row k Nd,
-  // so its solve starts there. Every entry keeps the textbook order
-  // (DenseCholesky::forward_solve_panel), so the bits do not depend on the
-  // tiling or the worker count.
-  TRACE_SCOPE("offline", "wstar_build");
-  wstar_.assign(wstar_offset(nt_), 0.0);
-  std::vector<double*> rows(n_);
-  for (std::size_t i = 0; i < n_; ++i)
-    rows[i] = wstar_.data() + wstar_row_offset(i);
-  const auto live = [&](std::size_t v) {
-    return !is_reduced() || !mask_.masked(v);
-  };
-  const std::size_t last = (nt_ - 1) * nd_;
-  {  // the lift's workspace and staging die here
-    Matrix units(n_, nd_);
-    for (std::size_t v = 0; v < nd_; ++v) units(last + v, v) = 1.0;
-    Matrix lifted;  // np x Nd; block k of column v is row v of F_{Nt-1-k}
-    ToeplitzWorkspace ws;
-    post_.forward_map().apply_transpose_many(units, lifted, ws);
-    std::vector<double> staging(static_cast<std::size_t>(num_threads()) * nm_);
-    parallel_for_slotted(nd_ * nt_, 2, [&](std::size_t vk, std::size_t slot) {
-      const std::size_t v = vk / nt_, k = vk % nt_;
-      if (!live(v)) return;
-      const std::span<double> in(staging.data() + slot * nm_, nm_);
-      for (std::size_t i = 0; i < nm_; ++i) in[i] = lifted(k * nm_ + i, v);
-      post_.prior().apply(in, std::span<double>(rows[last + v] + k * nm_, nm_));
-    });
-  }
-  parallel_for(last, [&](std::size_t i) {
-    const std::size_t tau = i / nd_, v = i % nd_;
-    if (!live(v)) return;
-    const double* src = rows[last + v] + (nt_ - 1 - tau) * nm_;
-    std::copy(src, src + wstar_width(tau), rows[i]);
-  });
-
-  const DenseCholesky& factor = chol();
-  constexpr std::size_t kPanel = DenseCholesky::kPanelCols;
-  const std::size_t panels = (nm_ + kPanel - 1) / kPanel;
-  parallel_for(nt_ * panels, [&](std::size_t task) {
-    const std::size_t k = task / panels;
-    const std::size_t c0 = k * nm_ + (task % panels) * kPanel;
-    const std::size_t c1 = std::min(c0 + kPanel, (k + 1) * nm_);
-    factor.forward_solve_panel(
-        k * nd_, std::span<double* const>(rows).subspan(k * nd_), c0, c1);
-  });
-}
-
-TSUNAMI_HOT_PATH void StreamingEngine::accumulate_wstar(
-    const std::vector<double>& z, std::size_t p0, std::size_t p1,
-    std::vector<double>& out) const {
-  // One tick block at a time (its rows share a width); per output column
-  // the adds stay j-ascending across blocks.
-  for (std::size_t j0 = p0; j0 < p1;) {
-    const std::size_t tau = j0 / nd_;
-    const std::size_t j1 = std::min(p1, (tau + 1) * nd_);
-    accumulate_rows(wstar_.data() + wstar_row_offset(j0), j1 - j0,
-                    wstar_width(tau), z.data() + j0, out.data());
-    j0 = j1;
-  }
 }
 
 void StreamingEngine::check_alive(const char* what) const {
@@ -343,7 +267,6 @@ StreamingAssimilator::StreamingAssimilator(const StreamingEngine& engine)
     : eng_(engine),
       z_(engine.data_dim(), 0.0),
       q_mean_(engine.qoi_dim(), 0.0),
-      m_map_(engine.tracks_map() ? engine.parameter_dim() : 0, 0.0),
       mask_(engine.block_size()) {}
 
 TSUNAMI_HOT_PATH void StreamingAssimilator::stage_block(
@@ -410,13 +333,12 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::push(
   // Extend z = L^{-1} d by one block row (causality of forward substitution).
   eng_.chol().forward_solve_range(z_, p0, p1);
   // Extend the dead-row projection over the new rows before anything reads
-  // it (the accumulators are projection-agnostic: corrections are applied
-  // at forecast/map read time, never folded into q_mean_/m_map_).
+  // it (the accumulator is projection-agnostic: corrections are applied at
+  // forecast/map read time, never folded into q_mean_).
   if (!dead_.empty() || tick_has_new_dead(valid))
     advance_degraded(p0, p1, valid);
   // Accumulate the new block's contribution to the forecast in row groups
-  // (one output load and store per 8 sensor rows, not per row). The MAP
-  // slab is not swept here: map_estimate() folds the new rows on read.
+  // (one output load and store per 8 sensor rows, not per row).
   accumulate_block_rows(eng_.r_, z_, p0, p1, q_mean_);
   ++t_;
   last_push_seconds_ = watch.seconds();
@@ -440,9 +362,10 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::push(
 //   G = V^T K_p^{-1} E = R_p^T Y_p            (nqoi x r, per-column in g)
 //
 // so the corrected posterior reads  q' = q_mean - G S^{-1} h  and
-// var' = schedule^2 + diag(G S^{-1} G^T): read-time corrections, with
-// q_mean_/m_map_/z_ never mutated — which is what makes a drop/restore
-// cycle return the assimilator bitwise to its pristine state.
+// var' = schedule^2 + diag(G S^{-1} G^T), and a MAP read solves from
+// z - Y S^{-1} h: read-time corrections, with q_mean_/z_ never mutated —
+// which is what makes a drop/restore cycle return the assimilator bitwise
+// to its pristine state.
 //
 // Per tick the state advances incrementally: each Y column extends by one
 // forward_solve_range block, chol(S) absorbs one rank-1 update per new
@@ -655,11 +578,10 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::push_many(
       ev->advance_degraded(p0, p1, {});
   });
 
-  // One sweep over R's new block rows serves every event (the MAP slab is
-  // folded on read, as after push()). The pointer tables live in
-  // thread_local scratch that grows to the largest batch this thread has
-  // seen and is then reused, so steady-state batched pushes stay
-  // allocation-free (proved by tests/test_debug.cpp).
+  // One sweep over R's new block rows serves every event. The pointer
+  // tables live in thread_local scratch that grows to the largest batch
+  // this thread has seen and is then reused, so steady-state batched
+  // pushes stay allocation-free (proved by tests/test_debug.cpp).
   static thread_local std::vector<const double*> zs;
   static thread_local std::vector<double*> q_outs;
   zs.resize(nk);      // lint: allow(hot-path-alloc) grow-once scratch
@@ -735,40 +657,28 @@ const std::vector<double>& StreamingAssimilator::map_estimate() const {
     throw std::logic_error(
         "StreamingAssimilator::map_estimate: engine built with track_map off "
         "(use map_snapshot)");
-  // Fold the rows pushed since the last read, whole tick blocks in
-  // j-ascending order. z_ never changes after its push (drop/restore touch
-  // only the projection), so the bits do not depend on when or how often
-  // reads happen.
-  const std::size_t p = t_ * eng_.block_size();
-  eng_.accumulate_wstar(z_, map_rows_, p, m_map_);
-  map_rows_ = p;
-  if (dead_.empty()) return m_map_;
-  // m' = m_map - W*^T (Y S^{-1} h): one slab sweep over the rows at or
-  // below the first dead row (each over its causal columns), materialized
-  // into the correction cache.
-  compute_projection_coeffs();
-  const std::size_t first = dead_.front().row;
-  m_corr_.assign(m_map_.begin(), m_map_.end());
-  proj_scratch_.assign(z_.size(), 0.0);
-  for (std::size_t j = 0; j < dead_.size(); ++j) {
-    const DeadRow& dr = dead_[j];
-    const double cj = c_scratch_[j];
-    for (std::size_t i = dr.row; i < p; ++i)
-      proj_scratch_[i] -= cj * dr.y[i];
-  }
-  eng_.accumulate_wstar(proj_scratch_, first, p, m_corr_);
-  return m_corr_;
+  eng_.check_alive("StreamingAssimilator::map_estimate");
+  // Sized on the first read; reset() keeps the capacity, so a session on a
+  // MAP-tracking engine pays for the buffer only if it reads the MAP.
+  m_map_.resize(eng_.parameter_dim());
+  map_into(std::span<double>(m_map_));
+  return m_map_;
 }
 
 std::vector<double> StreamingAssimilator::map_snapshot() const {
   eng_.check_alive("StreamingAssimilator::map_snapshot");
+  std::vector<double> m(eng_.parameter_dim());
+  map_into(std::span<double>(m));
+  return m;
+}
+
+void StreamingAssimilator::map_into(std::span<double> m) const {
   const std::size_t p = t_ * eng_.block_size();
   // u = K_p^{-1} d_p: the forward half is already cached in z; finish with
   // the prefix backward substitution, then lift through G* on the prefix.
-  // Scratch lives in the per-event workspace (this object is single-caller
-  // by contract — the service hands a session to one worker at a time), so
-  // only the returned vector allocates.
-  snapshot_u_.resize(p);
+  // The scratch is sized for the whole window once, so no read allocates
+  // after the first; only its first p entries are read or written.
+  snapshot_u_.resize(eng_.data_dim());
   std::copy(z_.begin(), z_.begin() + static_cast<std::ptrdiff_t>(p),
             snapshot_u_.begin());
   if (!dead_.empty()) {
@@ -784,17 +694,13 @@ std::vector<double> StreamingAssimilator::map_snapshot() const {
     }
   }
   eng_.chol().backward_solve_prefix(snapshot_u_, p);
-  std::vector<double> m(eng_.parameter_dim());
-  eng_.post_.apply_gstar_prefix(snapshot_u_, t_, std::span<double>(m), ws_);
-  return m;
+  eng_.post_.apply_gstar_prefix(snapshot_u_, t_, m, ws_);
 }
 
 void StreamingAssimilator::reset() {
   t_ = 0;
   std::fill(z_.begin(), z_.end(), 0.0);
   std::fill(q_mean_.begin(), q_mean_.end(), 0.0);
-  std::fill(m_map_.begin(), m_map_.end(), 0.0);
-  map_rows_ = 0;
   mask_ = SensorMask(eng_.block_size());
   dead_.clear();
   s_chol_.reset();

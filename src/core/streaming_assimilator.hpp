@@ -23,45 +23,35 @@
 //  3. Forward substitution is causal: z = L^{-1} d satisfies z[0:p] =
 //     L_p^{-1} d[0:p]. Each tick only *extends* the cached z by one block
 //     row (DenseCholesky::forward_solve_range) — O(Nd^2 t) work.
-//  4. The non-causal backward substitution is eliminated by baking L^{-T}
-//     into the offline operators: with
-//         R  = L^{-1} V            (V = F Gamma_prior Fq^T),
-//         W* = L^{-1} F Gamma_prior,
-//     the truncated posterior at tick t is a running sum over block rows,
-//         q_map(t)   = R[0:p,:]^T  z[0:p]      (p = t Nd),
-//         m_map(t)   = W*[0:p,:]^T z[0:p],
+//  4. The non-causal backward substitution is eliminated from the forecast
+//     by baking L^{-T} into the offline QoI operator: with
+//         R = L^{-1} V            (V = F Gamma_prior Fq^T),
+//     the truncated posterior of the QoI at tick t is a running sum over
+//     block rows,
+//         q_map(t)         = R[0:p,:]^T z[0:p]      (p = t Nd),
 //         Gamma_post(q, t) = W - R[0:p,:]^T R[0:p,:],
 //     because the leading block of the inverse of a triangular matrix is
 //     the inverse of its leading block. Each push adds one block row to
-//     q_map. m_map is the same running sum, but nothing on the tick path
-//     reads it, so map_estimate() folds the rows pushed since its last
-//     read instead (item 5).
-//  5. W* is block lower triangular in time: F is causal, Gamma_prior acts
-//     on each time block alone, and L^{-1} is lower triangular, so row
-//     block t of W* is zero beyond parameter block t. The engine stores
-//     only that causal triangle. A push sweeps one block row of R,
-//     O(Nd Nq Nt) flops at every tick. A MAP read folds each row block tau
-//     pushed since the last read over its (tau + 1) Nm causal columns, so
-//     its cost grows with the ticks since that read: O(Nd Nm (t + 1)) for
-//     a read after every push, O(Nd Nm Nt^2 / 2) for one read at event end.
-//     Parameter blocks the stream has not reached keep m_map exactly 0,
-//     the prior mean. F Gamma_prior is itself block lower-triangular
-//     Toeplitz, with blocks G_m = F_m P (P the spatial prior block), so
-//     the build takes every F_m from one multi-RHS lift of F's last block
-//     row, applies P Nd Nt times, copies block (t, k) = G_{t-k} into the
-//     triangle and forward-substitutes it in place against L.
+//     q_map.
+//  5. The parameter-space MAP m_map(t) = Gamma_prior F_p^T K_p^{-1} d_p is
+//     computed on read, never kept: the read finishes the solve with the
+//     prefix backward substitution u = L_p^{-T} z[0:p] and lifts u through
+//     the causal prefix of G* = Gamma_prior F^T (Posterior::
+//     apply_gstar_prefix) — O(p^2) plus one FFT transpose and t prior
+//     applies, and no parameter-space operator stored offline. Parameter
+//     blocks the stream has not reached hold exactly 0, the prior mean.
 //
 // The credible-interval schedule Gamma_post(q, t) is data-independent, so
 // the engine precomputes the whole stddev-vs-tick table once; streaming an
 // event costs only the forward-substitution extension plus one R block-row
-// matvec per tick, and a tracked MAP costs its W* rows once, on read.
+// matvec per tick, and a MAP read costs one backward solve and one lift.
 //
 // Split of responsibilities:
-//   StreamingEngine      — immutable per-network precompute (R, W*, the CI
+//   StreamingEngine      — immutable per-network precompute (R, the CI
 //                          schedule); shared by any number of concurrent
 //                          event streams (ScenarioBank::run_streaming).
-//   StreamingAssimilator — per-event mutable state (z, rolling m_map and
-//                          q_map); cheap to create, reset, and replay.
+//   StreamingAssimilator — per-event mutable state (z, rolling q_map);
+//                          cheap to create, reset, and replay.
 
 #include <cstddef>
 #include <cstdint>
@@ -79,13 +69,12 @@
 namespace tsunami {
 
 struct StreamingOptions {
-  /// Serve the MAP estimate m_map(t) from the W* slab (map_estimate()).
-  /// Costs the block-lower triangle of W* = L^{-1} F Gamma_prior offline
-  /// (Nd Nm Nt (Nt + 1) / 2 doubles, built with Nd Nt prior applies and a
-  /// forward substitution of about Nd^2 Nm Nt^3 / 6 multiply-adds), and per
-  /// read one sweep over the causal columns of the rows pushed since the
-  /// previous read; push() never touches the slab. With tracking off,
-  /// map_snapshot() still recovers m_map(t) on demand in O(p^2).
+  /// Permits map_estimate(); without it that call throws std::logic_error.
+  /// It no longer changes what the engine builds: every engine serves the
+  /// MAP on read from the causal snapshot (map_snapshot()), so a tracking
+  /// and a lean engine hold the same operators and give the same bits. It
+  /// stays only because the benchmark harness still sets it and reads
+  /// tracks_map(); ROADMAP item 1 deletes it.
   bool track_map = true;
 };
 
@@ -118,13 +107,13 @@ class StreamingEngine {
   /// as if the masked channels never existed. The dropped rows of the
   /// data-space Hessian are decoupled to pure noise via the O(r n^2)
   /// rank-2 factor edits (DataSpaceHessian::decouple_channels), R re-solved
-  /// and W* (with track_map) built once against the decoupled factor, and
-  /// the credible-interval schedule rebuilt — so assimilators started from
-  /// the result compute the exact posterior of the surviving network. This
-  /// is the oracle that StreamingAssimilator::drop_sensor's mid-stream
-  /// projection is tested against, and the refactorize-from-scratch
-  /// baseline bench_degraded times. Works on warm (factor-only) hessians:
-  /// only the factor is read.
+  /// against the decoupled factor, and the credible-interval schedule
+  /// rebuilt — so assimilators started from the result compute the exact
+  /// posterior of the surviving network (their MAP reads solve against the
+  /// decoupled factor too). This is the oracle that StreamingAssimilator::
+  /// drop_sensor's mid-stream projection is tested against, and the
+  /// refactorize-from-scratch baseline bench_degraded times. Works on warm
+  /// (factor-only) hessians: only the factor is read.
   [[nodiscard]] StreamingEngine reduced(const SensorMask& mask) const;
 
   /// The channel mask this engine was reduced with (empty/all-live for a
@@ -168,8 +157,7 @@ class StreamingEngine {
   }
 
   /// The precompute of a network without the channels `mask` drops (an
-  /// empty mask: the full network). reduced() passes its mask here, so a
-  /// reduced engine builds its W*' once, against the decoupled factor.
+  /// empty mask: the full network). reduced() passes its mask here.
   StreamingEngine(const Posterior& posterior, const QoiPredictor& predictor,
                   const StreamingOptions& options, TimerRegistry* timers,
                   std::shared_ptr<const void> lifetime,
@@ -179,36 +167,12 @@ class StreamingEngine {
   /// the decoupled factor.
   void apply_mask();
 
-  /// Fills wstar_ = L^{-1} F Gamma_prior against chol(), the rows of masked
-  /// channels of F Gamma_prior zeroed (see item 5 above).
-  void build_wstar();
-  /// Packed W* layout: row block tau holds its Nd x (tau + 1) Nm causal
-  /// part row-major, starting at Nd Nm tau (tau + 1) / 2.
-  [[nodiscard]] std::size_t wstar_width(std::size_t tau) const {
-    return (tau + 1) * nm_;
-  }
-  [[nodiscard]] std::size_t wstar_offset(std::size_t tau) const {
-    return nd_ * nm_ * (tau * (tau + 1) / 2);
-  }
-  /// Start of W* row j (width wstar_width(j / Nd)).
-  [[nodiscard]] std::size_t wstar_row_offset(std::size_t j) const {
-    const std::size_t tau = j / nd_;
-    return wstar_offset(tau) + (j - tau * nd_) * wstar_width(tau);
-  }
-  /// out += W*[p0:p1, :]^T z[p0:p1], each row over its causal columns only.
-  TSUNAMI_HOT_PATH void accumulate_wstar(const std::vector<double>& z,
-                                         std::size_t p0, std::size_t p1,
-                                         std::vector<double>& out) const;
-
   const Posterior& post_;
   const QoiPredictor& pred_;
   std::weak_ptr<const void> lifetime_;
   StreamingOptions opts_;
-  std::size_t nd_, nt_, nm_, n_, np_, nqoi_;
+  std::size_t nd_, nt_, n_, np_, nqoi_;
   Matrix r_;             ///< L^{-1} V, (Nd Nt) x nqoi; row j contiguous
-  /// Causal triangle of L^{-1} F Gamma_prior, packed by tick block
-  /// (wstar_offset); Nd Nm Nt (Nt + 1) / 2 doubles. Empty without track_map.
-  std::vector<double> wstar_;
   Matrix std_schedule_;  ///< (Nt + 1) x nqoi; row t = stddev after t ticks
   SensorMask mask_;      ///< channels this engine was reduced without
   /// Decoupled-factor hessian of a reduced() engine (null on full-network
@@ -226,8 +190,8 @@ class StreamingAssimilator {
   /// Ingest observation interval `tick` (must be ticks_received(): intervals
   /// arrive in order at 1 Hz in deployment; gaps/reordering are the
   /// transport layer's problem). `d_block` holds the Nd sensor values of
-  /// that interval. Extends z and q_map incrementally; a tracked m_map
-  /// catches up on the next map_estimate().
+  /// that interval. Extends z and q_map incrementally; the MAP is computed
+  /// only when read (map_estimate(), map_snapshot()).
   TSUNAMI_HOT_PATH void push(std::size_t tick, std::span<const double> d_block);
 
   /// As push(), but with a per-channel validity bitmap (`valid[c] != 0`
@@ -242,10 +206,9 @@ class StreamingAssimilator {
                              std::span<const std::uint8_t> valid);
 
   /// Batched cross-event push: assimilate interval `tick` for K events at
-  /// once. All assimilators must share the SAME engine (the slabs are
-  /// immutable and shared) and all must be exactly at `tick`; blocks[k] is
-  /// event k's Nd-vector. One pass over R's new block rows serves every
-  /// event; like push(), it leaves the W* slab to map_estimate().
+  /// once. All assimilators must share the SAME engine (R is immutable and
+  /// shared) and all must be exactly at `tick`; blocks[k] is event k's
+  /// Nd-vector. One pass over R's new block rows serves every event.
   /// Bit-identical to K serial push() calls: the batched accumulation
   /// performs, per (event, output) pair, the same additions in the same
   /// j-ascending order as the single-event path (asserted by the streaming,
@@ -305,20 +268,20 @@ class StreamingAssimilator {
   [[nodiscard]] const std::vector<double>& qoi_mean() const { return q_mean_; }
 
   /// MAP estimate m_map(t) after the ticks received so far. Requires an
-  /// engine with track_map. Each call first folds the W* rows pushed since
-  /// the previous call into the running sum, so its cost grows with the
-  /// ticks since that call; the bits do not depend on the read cadence.
-  /// When degraded, returns the projection-corrected estimate (materialized
-  /// on demand into a per-assimilator cache — O(p Nm t), so callers on the
-  /// hot publish path should prefer forecast_into, which never needs it).
-  /// Logically const but writes the running sum: single-caller by contract,
-  /// like map_snapshot(). The reference stays valid, but goes stale at the
-  /// next push; read again to see it.
+  /// engine with track_map (throws std::logic_error otherwise). Each call
+  /// recomputes it as map_snapshot() does, with the same bits, into a
+  /// per-assimilator buffer sized on the first call, so later calls do not
+  /// allocate. O(p^2) plus one FFT transpose and t prior applies: callers on
+  /// the hot publish path should prefer forecast_into, which never needs
+  /// it. When degraded, the dead rows are projected out first. Logically
+  /// const but writes the buffer: single-caller by contract, like
+  /// map_snapshot(). The reference stays valid, but goes stale at the next
+  /// push; read again to see it.
   [[nodiscard]] const std::vector<double>& map_estimate() const;
 
-  /// On-demand MAP estimate via prefix backward substitution — O(p^2) but
-  /// needs no baked parameter-space operator. Identical (to roundoff) to
-  /// map_estimate(); the cross-check between the two paths is tested.
+  /// The same MAP estimate returned by value, on any engine: the prefix
+  /// backward substitution and the causal G* lift, which need no baked
+  /// parameter-space operator. Only the returned vector allocates.
   [[nodiscard]] std::vector<double> map_snapshot() const;
 
   [[nodiscard]] double last_push_seconds() const { return last_push_seconds_; }
@@ -361,15 +324,18 @@ class StreamingAssimilator {
   void rebuild_projections();
   /// c = S^{-1} h into c_scratch_ (empty when not degraded).
   void compute_projection_coeffs() const;
+  /// m = m_map(t), the body of map_estimate() and map_snapshot(): project
+  /// the dead rows out of z, finish with the prefix backward solve, lift
+  /// through the causal G* prefix. m.size() == parameter_dim().
+  void map_into(std::span<double> m) const;
 
   const StreamingEngine& eng_;
   std::size_t t_ = 0;
   std::vector<double> z_;       ///< L^{-1} d prefix, extended causally
   std::vector<double> q_mean_;  ///< R[0:p,:]^T z[0:p]
-  /// W*[0:map_rows_,:]^T z[0:map_rows_] (if tracked). Folded forward to the
-  /// pushed prefix by map_estimate(), hence mutable like the scratch below.
+  /// map_estimate()'s output: empty until the first call sizes it, then
+  /// rewritten by every call (mutable like the scratch below).
   mutable std::vector<double> m_map_;
-  mutable std::size_t map_rows_ = 0;  ///< rows of z folded into m_map_
 
   // Degraded-mode state (all empty on the healthy path).
   SensorMask mask_;              ///< currently dropped channels
@@ -379,12 +345,12 @@ class StreamingAssimilator {
   std::vector<double> u_scratch_;          ///< rank-1 update staging (r)
   mutable std::vector<double> c_scratch_;  ///< S^{-1} h (r)
   mutable std::vector<double> var_scratch_;  ///< per-QoI S^{-1} G^T column (r)
-  mutable std::vector<double> proj_scratch_;  ///< -Y S^{-1} h staging (n)
-  mutable std::vector<double> m_corr_;     ///< corrected MAP cache
-  /// map_snapshot scratch: the prefix backward-substitution vector and the
-  /// Toeplitz/prior workspace for the prefix G* lift. mutable because the
-  /// snapshot is logically const; the assimilator is single-caller by
-  /// contract (one worker drains an event at a time), so no guard is needed.
+  /// MAP scratch (map_into): the backward-substitution vector, sized to the
+  /// whole data dimension on first use, and the Toeplitz/prior workspace
+  /// for the prefix G* lift. Nothing in it carries over between reads.
+  /// mutable because the reads are logically const; the assimilator is
+  /// single-caller by contract (one worker drains an event at a time), so
+  /// no guard is needed.
   mutable std::vector<double> snapshot_u_;
   mutable Posterior::Workspace ws_;
   double last_push_seconds_ = 0.0;

@@ -62,23 +62,6 @@ class DenseCholesky {
                                             std::size_t begin,
                                             std::size_t end) const;
 
-  /// Columns per pass of forward_solve_panel.
-  static constexpr std::size_t kPanelCols = 64;
-
-  /// Forward substitution L X = B over the columns [c0, c1) of right-hand
-  /// sides that vanish above row `first`: row i of B, for first <= i <
-  /// first + rows.size() <= dim(), is rows[i - first][c0:c1) and is
-  /// overwritten by row i of X. Rows above `first` are never touched (X is
-  /// zero there), so this is the solve against L's trailing principal block
-  /// L[first:, first:], and each row may live anywhere (a packed slab).
-  /// Rows run in groups of 8 over panels of kPanelCols columns, the 8 rows
-  /// sharing each load of an already-solved row; every entry still takes
-  /// the textbook sequence `s = b(i, c); s -= L(i, j) x(j, c)` for j =
-  /// first, ..., i - 1; `x(i, c) = s / L(i, i)`, so any split of the
-  /// columns into calls gives the same bits.
-  void forward_solve_panel(std::size_t first, std::span<double* const> rows,
-                           std::size_t c0, std::size_t c1) const;
-
   /// Backward substitution L^T x = b (completes a solve of A x = rhs after
   /// forward_solve_*).
   void backward_solve_in_place(std::span<double> b) const;

@@ -3,8 +3,8 @@
 // EngineCache: one immutable StreamingEngine per sensor network, shared by
 // every concurrent event session.
 //
-// The offline products (F, L, Q, Gamma_post(q)) and the streaming slabs
-// baked from them (R, W*) are by far the largest allocations in the online
+// The offline products (F, L, Q, Gamma_post(q)) and the streaming slab
+// baked from them (R) are by far the largest allocations in the online
 // system, and they are event-independent: a warning service tracking
 // hundreds of simultaneous events over the same network must hold exactly
 // one copy. The cache keys engines by TwinConfig::fingerprint() — the same
@@ -43,14 +43,16 @@ class CachedEngine {
  private:
   std::shared_ptr<const DigitalTwin> twin_;  ///< keeps the operators alive
   std::uint64_t fingerprint_;
-  StreamingEngine engine_;  ///< slabs over *twin_; built after twin_
+  StreamingEngine engine_;  ///< R over *twin_; built after twin_
 };
 
 /// Thread-safe registry of CachedEngines keyed by config fingerprint.
 class EngineCache {
  public:
-  /// `options` apply to every engine the cache builds (a service that needs
-  /// both a MAP-tracking and a lean engine uses two caches).
+  /// `options` apply to every engine the cache builds. MAP tracking builds
+  /// nothing extra, so one cache serves every session of a network; its
+  /// track_map only decides whether map_estimate() may be called
+  /// (map_snapshot() works on either).
   explicit EngineCache(const StreamingOptions& options = {});
 
   /// Boot-or-reuse from an artifact bundle file. A known path is a pure

@@ -10,15 +10,7 @@ namespace tsunami {
 
 namespace {
 
-// Register tile of the multi-RHS frequency-domain micro-kernel: kTileR
-// outputs x kTileV right-hand sides accumulate in local (register) storage while the
-// reduction dimension streams through split-complex planes at unit stride.
-// No zero-test branch in the inner loop: block spectra are dense, and the
-// branch both defeated vectorization and cost a compare per FMA.
-constexpr std::size_t kTileR = 4;
-constexpr std::size_t kTileV = 8;
-
-/// Single-RHS forward kernel: y(r) = sum_c f(r,c) x(c). Four unit-stride
+/// Forward kernel: y(r) = sum_c f(r,c) x(c). Four unit-stride
 /// real dot-product streams per output row.
 void matvec_freq(const double* fre, const double* fim, const double* xre,
                  const double* xim, double* yre, double* yim, std::size_t rows,
@@ -36,7 +28,7 @@ void matvec_freq(const double* fre, const double* fim, const double* xre,
   }
 }
 
-/// Single-RHS transpose kernel: y(c) = sum_r conj(f(r,c)) x(r). The row
+/// Transpose kernel: y(c) = sum_r conj(f(r,c)) x(r). The row
 /// broadcast keeps every stream (f row, y) unit-stride.
 void matvec_freq_herm(const double* fre, const double* fim, const double* xre,
                       const double* xim, double* yre, double* yim,
@@ -50,42 +42,6 @@ void matvec_freq_herm(const double* fre, const double* fim, const double* xre,
     for (std::size_t c = 0; c < cols; ++c) {
       yre[c] += fr[c] * ar + fi[c] * ai;
       yim[c] += fr[c] * ai - fi[c] * ar;
-    }
-  }
-}
-
-/// Multi-RHS transpose GEMM: y(c,v) = sum_r conj(f(r,c)) x(r,v), tiled over
-/// output columns x RHS with the r reduction innermost-but-one.
-void gemm_freq_herm(const double* fre, const double* fim, const double* xre,
-                    const double* xim, double* yre, double* yim,
-                    std::size_t rows, std::size_t cols, std::size_t nrhs) {
-  for (std::size_t c0 = 0; c0 < cols; c0 += kTileR) {
-    const std::size_t cl = std::min(kTileR, cols - c0);
-    for (std::size_t v0 = 0; v0 < nrhs; v0 += kTileV) {
-      const std::size_t vl = std::min(kTileV, nrhs - v0);
-      double are[kTileR][kTileV] = {};
-      double aim[kTileR][kTileV] = {};
-      for (std::size_t r = 0; r < rows; ++r) {
-        const double* xr = xre + r * nrhs + v0;
-        const double* xi = xim + r * nrhs + v0;
-        const double* fr = fre + r * cols + c0;
-        const double* fi = fim + r * cols + c0;
-        for (std::size_t cc = 0; cc < cl; ++cc) {
-          const double f_re = fr[cc], f_im = fi[cc];
-          for (std::size_t vv = 0; vv < vl; ++vv) {
-            are[cc][vv] += f_re * xr[vv] + f_im * xi[vv];
-            aim[cc][vv] += f_re * xi[vv] - f_im * xr[vv];
-          }
-        }
-      }
-      for (std::size_t cc = 0; cc < cl; ++cc) {
-        double* yr = yre + (c0 + cc) * nrhs + v0;
-        double* yi = yim + (c0 + cc) * nrhs + v0;
-        for (std::size_t vv = 0; vv < vl; ++vv) {
-          yr[vv] = are[cc][vv];
-          yi[vv] = aim[cc][vv];
-        }
-      }
     }
   }
 }
@@ -150,59 +106,55 @@ BlockToeplitz::prepare_thread_scratch(ToeplitzWorkspace& ws) const {
 }
 
 TSUNAMI_HOT_PATH void BlockToeplitz::forward_channels(
-    const double* x, std::size_t nchan, std::size_t nrhs, std::size_t in_ticks,
+    const double* x, std::size_t nchan, std::size_t in_ticks,
     ToeplitzWorkspace& ws) const {
   TRACE_SCOPE("kernel", "fft_forward");
-  // Signal s = c * nrhs + v lives at x[t * nsig + s]: base s, stride nsig.
-  // Spectra land in the split-complex slab at [w * nsig + s].
-  const std::size_t nsig = nchan * nrhs;
-  if (ws.xhat_re_.size() < nfreq_ * nsig) {
-    ws.xhat_re_.resize(nfreq_ * nsig);  // lint: allow(hot-path-alloc) grow-once workspace
-    ws.xhat_im_.resize(nfreq_ * nsig);  // lint: allow(hot-path-alloc) grow-once workspace
+  // Channel c lives at x[t * nchan + c]: base c, stride nchan. Spectra land
+  // in the split-complex slab at [w * nchan + c].
+  if (ws.xhat_re_.size() < nfreq_ * nchan) {
+    ws.xhat_re_.resize(nfreq_ * nchan);  // lint: allow(hot-path-alloc) grow-once workspace
+    ws.xhat_im_.resize(nfreq_ * nchan);  // lint: allow(hot-path-alloc) grow-once workspace
   }
   const std::size_t scr = prepare_thread_scratch(ws);
   double* xre = ws.xhat_re_.data();
   double* xim = ws.xhat_im_.data();
   Complex* fft_base = ws.fft_.data();
-  parallel_for_slotted(nsig, 2, [&](std::size_t s, std::size_t slot) {
+  parallel_for_slotted(nchan, 2, [&](std::size_t c, std::size_t slot) {
     // The untangle pass of the r2c transform writes the split slab planes
-    // directly (bin stride nsig): no AoS spectrum staging.
+    // directly (bin stride nchan): no AoS spectrum staging.
     plan_.forward_strided_split(
-        x + s, nsig, in_ticks, xre + s, xim + s, nsig,
+        x + c, nchan, in_ticks, xre + c, xim + c, nchan,
         std::span<Complex>(fft_base + slot * scr, scr));
   });
 }
 
 TSUNAMI_HOT_PATH void BlockToeplitz::inverse_channels(
-    std::size_t nchan, std::size_t nrhs, std::span<double> y,
-    ToeplitzWorkspace& ws) const {
+    std::size_t nchan, std::span<double> y, ToeplitzWorkspace& ws) const {
   TRACE_SCOPE("kernel", "fft_inverse");
-  const std::size_t nsig = nchan * nrhs;
   const std::size_t scr = prepare_thread_scratch(ws);
   const double* yre = ws.yhat_re_.data();
   const double* yim = ws.yhat_im_.data();
   Complex* fft_base = ws.fft_.data();
   double* yp = y.data();
-  parallel_for_slotted(nsig, 2, [&](std::size_t s, std::size_t slot) {
+  parallel_for_slotted(nchan, 2, [&](std::size_t c, std::size_t slot) {
     // The c2r inverse reads the split slab planes directly, rebuilds the
     // redundant half spectrum implicitly, and emits only the nt_ retained
     // (real) samples, scattered time-major.
     plan_.inverse_strided_split(
-        yre + s, yim + s, nsig, yp + s, nsig, nt_,
+        yre + c, yim + c, nchan, yp + c, nchan, nt_,
         std::span<Complex>(fft_base + slot * scr, scr));
   });
 }
 
 TSUNAMI_HOT_PATH void BlockToeplitz::apply_impl(const double* x, double* y,
-                                                std::size_t nrhs,
                                                 std::size_t in_ticks,
                                                 bool transpose,
                                                 ToeplitzWorkspace& ws) const {
   TRACE_SCOPE("kernel", "toeplitz_apply");
   const std::size_t nin = transpose ? rows_ : cols_;
   const std::size_t nout = transpose ? cols_ : rows_;
-  forward_channels(x, nin, nrhs, in_ticks, ws);
-  const std::size_t ylen = nfreq_ * nout * nrhs;
+  forward_channels(x, nin, in_ticks, ws);
+  const std::size_t ylen = nfreq_ * nout;
   if (ws.yhat_re_.size() < ylen) {
     ws.yhat_re_.resize(ylen);  // lint: allow(hot-path-alloc) grow-once workspace
     ws.yhat_im_.resize(ylen);  // lint: allow(hot-path-alloc) grow-once workspace
@@ -214,7 +166,7 @@ TSUNAMI_HOT_PATH void BlockToeplitz::apply_impl(const double* x, double* y,
   double* yre = ws.yhat_re_.data();
   double* yim = ws.yhat_im_.data();
   const std::size_t rows = rows_, cols = cols_;
-  // Per-frequency block GEMM — the paper's batched-BLAS kernel. Every
+  // Per-frequency block matvec — the paper's batched-BLAS kernel. Every
   // frequency is independent; each writes a disjoint slab slice, so the
   // result is deterministic for any thread count.
   {
@@ -222,19 +174,17 @@ TSUNAMI_HOT_PATH void BlockToeplitz::apply_impl(const double* x, double* y,
     parallel_for(nfreq_, [&](std::size_t w) {
       const double* fwre = fre + w * rows * cols;
       const double* fwim = fim + w * rows * cols;
-      const double* xwre = xre + w * nin * nrhs;
-      const double* xwim = xim + w * nin * nrhs;
-      double* ywre = yre + w * nout * nrhs;
-      double* ywim = yim + w * nout * nrhs;
+      const double* xwre = xre + w * nin;
+      const double* xwim = xim + w * nin;
+      double* ywre = yre + w * nout;
+      double* ywim = yim + w * nout;
       if (!transpose)
         matvec_freq(fwre, fwim, xwre, xwim, ywre, ywim, rows, cols);
-      else if (nrhs == 1)
-        matvec_freq_herm(fwre, fwim, xwre, xwim, ywre, ywim, rows, cols);
       else
-        gemm_freq_herm(fwre, fwim, xwre, xwim, ywre, ywim, rows, cols, nrhs);
+        matvec_freq_herm(fwre, fwim, xwre, xwim, ywre, ywim, rows, cols);
     });
   }
-  inverse_channels(nout, nrhs, std::span<double>(y, nt_ * nout * nrhs), ws);
+  inverse_channels(nout, std::span<double>(y, nt_ * nout), ws);
 }
 
 TSUNAMI_HOT_PATH void BlockToeplitz::apply(std::span<const double> x,
@@ -242,7 +192,7 @@ TSUNAMI_HOT_PATH void BlockToeplitz::apply(std::span<const double> x,
                                            ToeplitzWorkspace& ws) const {
   if (x.size() != input_dim() || y.size() != output_dim())
     throw std::invalid_argument("BlockToeplitz::apply: size mismatch");
-  apply_impl(x.data(), y.data(), 1, nt_, /*transpose=*/false, ws);
+  apply_impl(x.data(), y.data(), nt_, /*transpose=*/false, ws);
 }
 
 TSUNAMI_HOT_PATH void BlockToeplitz::apply(std::span<const double> x,
@@ -255,7 +205,7 @@ TSUNAMI_HOT_PATH void BlockToeplitz::apply_transpose(
     ToeplitzWorkspace& ws) const {
   if (x.size() != output_dim() || y.size() != input_dim())
     throw std::invalid_argument("BlockToeplitz::apply_transpose: mismatch");
-  apply_impl(x.data(), y.data(), 1, nt_, /*transpose=*/true, ws);
+  apply_impl(x.data(), y.data(), nt_, /*transpose=*/true, ws);
 }
 
 TSUNAMI_HOT_PATH void BlockToeplitz::apply_transpose(
@@ -283,23 +233,7 @@ TSUNAMI_HOT_PATH void BlockToeplitz::apply_transpose_prefix(
     std::fill(y.begin(), y.end(), 0.0);
     return;
   }
-  apply_impl(x.data(), y.data(), 1, ticks, /*transpose=*/true, ws);
-}
-
-TSUNAMI_HOT_PATH void BlockToeplitz::apply_transpose_many(
-    const Matrix& x_cols, Matrix& y_cols, ToeplitzWorkspace& ws) const {
-  const std::size_t nrhs = x_cols.cols();
-  if (x_cols.rows() != output_dim())
-    throw std::invalid_argument("apply_transpose_many: input rows mismatch");
-  if (y_cols.rows() != input_dim() || y_cols.cols() != nrhs)
-    y_cols = Matrix(input_dim(), nrhs);
-  if (nrhs == 0) return;
-  apply_impl(x_cols.data(), y_cols.data(), nrhs, nt_, /*transpose=*/true, ws);
-}
-
-TSUNAMI_HOT_PATH void BlockToeplitz::apply_transpose_many(
-    const Matrix& x_cols, Matrix& y_cols) const {
-  apply_transpose_many(x_cols, y_cols, tls_workspace());
+  apply_impl(x.data(), y.data(), ticks, /*transpose=*/true, ws);
 }
 
 void BlockToeplitz::apply_dense_reference(std::span<const double> x,

@@ -22,7 +22,7 @@
 // L/2 + 1 frequencies are kept.
 //
 // Frequency-domain data lives in SPLIT-COMPLEX layout — separate real and
-// imaginary planes, frequency-major — so the per-frequency block GEMM is
+// imaginary planes, frequency-major — so the per-frequency block matvec is
 // four unit-stride real FMA streams the compiler vectorizes, instead of
 // interleaved std::complex AoS.
 //
@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "fft/fft.hpp"
-#include "linalg/dense.hpp"
 #include "parallel/numa.hpp"
 #include "util/hot_path.hpp"
 
@@ -60,7 +59,7 @@ class ToeplitzWorkspace {
 
  private:
   friend class BlockToeplitz;
-  std::vector<double> xhat_re_, xhat_im_;  ///< input slab, [(w*nchan+c)*nrhs+v]
+  std::vector<double> xhat_re_, xhat_im_;  ///< input slab, [w*nchan+c]
   std::vector<double> yhat_re_, yhat_im_;  ///< output slab, same layout
   std::vector<Complex> fft_;               ///< per-slot: real-plan scratch
 };
@@ -106,15 +105,6 @@ class BlockToeplitz {
                                                std::size_t ticks,
                                                std::span<double> y) const;
 
-  /// Multi-RHS transpose: columns of X are independent vectors. The
-  /// per-frequency kernel becomes a split-complex GEMM (the batched-BLAS
-  /// path the W* lift runs). y_cols is resized only if its shape differs.
-  TSUNAMI_HOT_PATH void apply_transpose_many(const Matrix& x_cols,
-                                             Matrix& y_cols) const;
-  TSUNAMI_HOT_PATH void apply_transpose_many(const Matrix& x_cols,
-                                             Matrix& y_cols,
-                                             ToeplitzWorkspace& ws) const;
-
   /// Fourier-domain storage footprint (the paper's O(Nm Nd Nt) compact
   /// representation; here 2x for the half-complex spectrum).
   [[nodiscard]] std::size_t storage_bytes() const {
@@ -129,14 +119,13 @@ class BlockToeplitz {
   void set_keep_blocks(std::span<const double> blocks);
 
  private:
-  /// Strided real-input FFTs of `nchan * nrhs` interleaved channels into the
+  /// Strided real-input FFTs of `nchan` interleaved channels into the
   /// split-complex slab; reads `in_ticks` time blocks (zero-pads the rest).
   TSUNAMI_HOT_PATH void forward_channels(const double* x, std::size_t nchan,
-                                         std::size_t nrhs,
                                          std::size_t in_ticks,
                                          ToeplitzWorkspace& ws) const;
   /// Inverse real-output FFTs of the yhat slab back into time-major y.
-  TSUNAMI_HOT_PATH void inverse_channels(std::size_t nchan, std::size_t nrhs,
+  TSUNAMI_HOT_PATH void inverse_channels(std::size_t nchan,
                                          std::span<double> y,
                                          ToeplitzWorkspace& ws) const;
   /// Grows the per-slot FFT scratch in `ws` for the current plan.
@@ -144,8 +133,8 @@ class BlockToeplitz {
   prepare_thread_scratch(ToeplitzWorkspace& ws) const;
 
   TSUNAMI_HOT_PATH void apply_impl(const double* x, double* y,
-                                   std::size_t nrhs, std::size_t in_ticks,
-                                   bool transpose, ToeplitzWorkspace& ws) const;
+                                   std::size_t in_ticks, bool transpose,
+                                   ToeplitzWorkspace& ws) const;
 
   std::size_t rows_, cols_, nt_;
   std::size_t fft_len_;   ///< L = next_pow2(2 nt)

@@ -125,21 +125,18 @@ TEST(QoiPredictor, CovarianceIsSymmetricPsd) {
 }
 
 /// A Gamma_prior B^T through the FFT engine, one unit column at a time: B^T
-/// on unit vectors through the multi-RHS transpose matvec, then the prior
-/// and the A matvec per column.
+/// on each unit vector through the transpose matvec, then the prior and the
+/// A matvec.
 Matrix fft_prior_product(const BlockToeplitz& a, const BlockToeplitz& b,
                          const MaternPrior& prior) {
   const std::size_t nb = b.output_dim();
-  Matrix units(nb, nb);
-  for (std::size_t v = 0; v < nb; ++v) units(v, v) = 1.0;
-  Matrix bt_cols;  // (Nm Nt) x nb
-  b.apply_transpose_many(units, bt_cols);
-  const Matrix bt_rows = bt_cols.transposed();
-  std::vector<double> g(b.input_dim());
+  std::vector<double> unit(nb, 0.0), bt(b.input_dim()), g(b.input_dim());
   Matrix out_rows(nb, a.output_dim());
   for (std::size_t v = 0; v < nb; ++v) {
-    prior.apply_time_blocks(bt_rows.row(v), std::span<double>(g),
-                            b.num_blocks());
+    unit[v] = 1.0;
+    b.apply_transpose(unit, std::span<double>(bt));
+    unit[v] = 0.0;
+    prior.apply_time_blocks(bt, std::span<double>(g), b.num_blocks());
     a.apply(g, out_rows.row(v));
   }
   return out_rows.transposed();

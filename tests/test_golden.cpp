@@ -11,11 +11,12 @@
 //   (c) one event that drops channel 2 at nt/3, restores it at 2nt/3, and
 //       submits the block at nt/2 with channel 0 lost on the wire.
 // Each replay runs at num_workers 1 and 3, and both must give the pinned
-// hash. A fourth column pins the MAP slab W*, which the service replays do
-// not read: a track_map engine booted from the same bundle takes
+// hash. A fourth column pins the MAP, which the service replays do not
+// read: a track_map engine booted from the same bundle takes
 //   (d) event 0 pushed serially, then replay (c)'s script straight on an
-//       assimilator (its dead rows go through the degraded W* correction),
-// with map_estimate() hashed after every push.
+//       assimilator (its dead rows are projected out before the backward
+//       solve),
+// with map_estimate() — the causal snapshot — hashed after every push.
 //
 // Every kernel is compiled for the baseline instruction set, so one row
 // holds on every build without a global -march flag (a -march=x86-64-v3
@@ -56,7 +57,7 @@ struct GoldenRow {
 
 constexpr GoldenRow kGolden = {0x894355dd61023c8d, 0x3727f81b5aa6652d,
                                 0x036502b36ca5f698, 0xb0d803c54d7c728d,
-                                0xb64d4e96ac053f9c};
+                                0xccf17c2f4096d325};
 
 /// FNV-1a over every field a dashboard reads from one snapshot.
 std::uint64_t hash_snapshot(const EventSnapshot& s, std::uint64_t h) {

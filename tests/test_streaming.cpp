@@ -1,13 +1,14 @@
 // Tests for the streaming assimilation engine: exact streaming/batch
 // equivalence at the final tick, exact truncated-posterior semantics
 // mid-stream (against explicit prefix solves), the monotone credible-interval
-// schedule, both MAP paths (incremental vs on-demand snapshot), the causal
-// triangle of the MAP slab (exact zeros and a dense reference), replay
+// schedule, the same bits from MAP-tracking and lean engines, the causal MAP
+// (exact zeros beyond the observed blocks and a dense reference), replay
 // determinism, MAP bits independent of the read cadence, and input
 // validation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -214,30 +215,59 @@ TEST_F(StreamingTest, ForecastBandsTightenAsDataArrives) {
   }
 }
 
-// Both MAP paths — the incremental slab accumulation and the on-demand
-// prefix backward-substitution snapshot — must agree mid-stream.
-TEST_F(StreamingTest, MapSnapshotMatchesIncrementalEstimate) {
-  for (const std::size_t ticks :
-       {std::size_t{0}, std::size_t{1}, engine_->num_ticks() / 2,
-        engine_->num_ticks()}) {
-    const StreamingAssimilator assim = stream(ticks);
-    const auto snapshot = assim.map_snapshot();
-    ASSERT_EQ(snapshot.size(), assim.map_estimate().size());
-    if (ticks == 0) {
-      for (double v : snapshot) EXPECT_EQ(v, 0.0);
-      continue;
+// Every engine serves the MAP from the causal snapshot, so MAP tracking
+// only decides whether map_estimate() may be called. A track_map engine and
+// a lean one fed the same blocks must give the same forecast bits, and
+// map_estimate() the bits of map_snapshot() on either. Checked after 0, 1,
+// nt/2 and nt ticks, healthy and through golden replay (c)'s fault script
+// (channel 2 dropped at nt/3 and restored at 2nt/3, channel 0 lost at nt/2).
+TEST_F(StreamingTest, TrackingAndLeanEnginesServeTheSameBits) {
+  const StreamingEngine lean = twin_->make_streaming({.track_map = false});
+  const std::size_t nt = engine_->num_ticks(), nd = engine_->block_size();
+  const auto same_bits = [](const std::vector<double>& x,
+                            const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+  std::vector<std::uint8_t> lossy(nd, 1);
+  lossy[0] = 0;
+  for (const bool faults : {false, true}) {
+    const std::string label = faults ? "faulted" : "healthy";
+    StreamingAssimilator tracking = engine_->start(), plain = lean.start();
+    std::size_t checked = 0;
+    for (std::size_t t = 0; t <= nt; ++t) {
+      if (t == 0 || t == 1 || t == nt / 2 || t == nt) {
+        const std::vector<double> snapshot = tracking.map_snapshot();
+        EXPECT_TRUE(same_bits(tracking.map_estimate(), snapshot))
+            << label << ": map_estimate vs map_snapshot after " << t;
+        EXPECT_TRUE(same_bits(plain.map_snapshot(), snapshot))
+            << label << ": lean vs tracking snapshot after " << t;
+        const Forecast ft = tracking.forecast(), fl = plain.forecast();
+        EXPECT_TRUE(same_bits(ft.mean, fl.mean))
+            << label << ": forecast mean after " << t;
+        EXPECT_TRUE(same_bits(ft.stddev, fl.stddev))
+            << label << ": forecast stddev after " << t;
+        ++checked;
+      }
+      if (t == nt) break;
+      for (StreamingAssimilator* x : {&tracking, &plain}) {
+        if (faults && t == nt / 3) x->drop_sensor(2);
+        if (faults && t == 2 * nt / 3) x->restore_sensor(2);
+        x->push(t, block(t),
+                faults && t == nt / 2 ? std::span<const std::uint8_t>(lossy)
+                                      : std::span<const std::uint8_t>{});
+      }
     }
-    EXPECT_LE(DigitalTwin::relative_error(snapshot, assim.map_estimate()),
-              1e-11)
-        << "ticks = " << ticks;
+    EXPECT_EQ(checked, 4u) << label;
+    EXPECT_EQ(tracking.degraded(), faults) << label;
+    EXPECT_EQ(plain.degraded(), faults) << label;
   }
 }
 
-// W* = L^{-1} F Gamma_prior is block lower triangular in time, and the
-// engine keeps only that triangle: after the push of tick t, the parameter
-// blocks > t (prior mean zero, not yet observed) must hold exactly 0.0 —
-// through serial push, push_many, the degraded correction and a reduced()
-// engine alike.
+// The MAP is causal: after the push of tick t, the parameter blocks > t
+// (prior mean zero, not yet observed) must hold exactly 0.0, which the
+// snapshot's G* lift writes — through serial push, push_many, the degraded
+// projection and a reduced() engine alike.
 TEST_F(StreamingTest, MapIsExactlyZeroBeyondObservedBlocks) {
   const std::size_t nt = engine_->num_ticks();
   StreamingAssimilator serial = engine_->start();
@@ -247,9 +277,7 @@ TEST_F(StreamingTest, MapIsExactlyZeroBeyondObservedBlocks) {
         << "serial, tick " << t;
   }
 
-  // push_many, K = 4: per-event noise on the shared truth. The accumulation
-  // tiles are 1024 columns wide; count the ticks whose causal width ends
-  // inside the second or a later tile.
+  // push_many, K = 4: per-event noise on the shared truth.
   constexpr unsigned kEvents = 4;
   std::vector<std::vector<double>> d(kEvents, event_->d_true);
   std::vector<StreamingAssimilator> batch;
@@ -261,22 +289,18 @@ TEST_F(StreamingTest, MapIsExactlyZeroBeyondObservedBlocks) {
   std::vector<StreamingAssimilator*> evs;
   for (auto& b : batch) evs.push_back(&b);
   const std::size_t nd = engine_->block_size();
-  std::size_t partial_tile_ticks = 0;
   for (std::size_t t = 0; t < nt; ++t) {
     std::vector<std::span<const double>> blocks;
     for (unsigned e = 0; e < kEvents; ++e)
       blocks.push_back(std::span<const double>(d[e]).subspan(t * nd, nd));
     StreamingAssimilator::push_many(evs, t, blocks);
-    const std::size_t width = (t + 1) * spatial_dim();
-    if (width > 1024 && width % 1024 != 0) ++partial_tile_ticks;
     for (unsigned e = 0; e < kEvents; ++e)
       EXPECT_EQ(nonzeros_beyond(batch[e].map_estimate(), t + 1), 0u)
           << "push_many, event " << e << ", tick " << t;
   }
-  EXPECT_GT(partial_tile_ticks, 0u);
 
-  // Degraded: channel 1 dropped mid-stream, so map_estimate() is the
-  // projection-corrected sweep over every row since the first dead one.
+  // Degraded: channel 1 dropped mid-stream, so map_estimate() solves from
+  // z with the dead rows projected out.
   StreamingAssimilator degraded = engine_->start();
   for (std::size_t t = 0; t < nt; ++t) {
     if (t == nt / 2) degraded.drop_sensor(1);
@@ -286,7 +310,7 @@ TEST_F(StreamingTest, MapIsExactlyZeroBeyondObservedBlocks) {
         << "degraded, tick " << t;
   }
 
-  // reduced(): the W* re-solve against the decoupled factor.
+  // reduced(): the snapshot against the decoupled factor.
   SensorMask mask(nd);
   mask.drop(0);
   const StreamingEngine reduced = engine_->reduced(mask);
@@ -298,30 +322,27 @@ TEST_F(StreamingTest, MapIsExactlyZeroBeyondObservedBlocks) {
   }
 }
 
-// The packed causal slab against the dense operator it replaces: W*^T built
-// whole through the public API (G* = Gamma_prior F^T over the L^{-T} unit
-// columns), swept over z = L^{-1} d. Its entries beyond the triangle are
-// FFT roundoff, so the two agree to roundoff at every tick.
+// The MAP against an independent dense reference: W* = L^{-1} F Gamma_prior
+// built whole in the test through the public API (G* = Gamma_prior F^T over
+// the L^{-T} unit columns, one transpose matvec each) and swept over
+// z = L^{-1} d one tick block at a time. The engine keeps no such operator:
+// it solves backward and lifts on every read. W*'s entries beyond the causal
+// triangle are FFT roundoff, so the two agree to roundoff at every tick.
 TEST_F(StreamingTest, MapEstimateMatchesDenseReferenceEveryTick) {
   const Posterior& post = twin_->posterior();
   const DenseCholesky& chol = twin_->hessian().cholesky();
   const std::size_t n = engine_->data_dim();
   const std::size_t np = engine_->parameter_dim();
   const std::size_t nd = engine_->block_size();
-  Matrix linv_t(n, n);  // columns: L^{-T} e_j
+  Matrix wstar(n, np);  // dense
+  std::vector<double> col(n), ft(np);
   for (std::size_t j = 0; j < n; ++j) {
-    std::vector<double> col(n, 0.0);
+    std::fill(col.begin(), col.end(), 0.0);
     col[j] = 1.0;
-    chol.backward_solve_in_place(col);
-    for (std::size_t i = 0; i < n; ++i) linv_t(i, j) = col[i];
+    chol.backward_solve_in_place(col);  // L^{-T} e_j
+    post.forward_map().apply_transpose(col, std::span<double>(ft));
+    post.prior().apply_time_blocks(ft, wstar.row(j), engine_->num_ticks());
   }
-  Matrix ft_cols;  // np x n
-  post.forward_map().apply_transpose_many(linv_t, ft_cols);
-  const Matrix ft_rows = ft_cols.transposed();  // n x np
-  Matrix wstar(n, np);                           // dense
-  for (std::size_t j = 0; j < n; ++j)
-    post.prior().apply_time_blocks(ft_rows.row(j), wstar.row(j),
-                                   engine_->num_ticks());
 
   std::vector<double> z(event_->d_obs);
   chol.forward_solve_in_place(std::span<double>(z));
@@ -416,12 +437,13 @@ TEST_F(StreamingTest, ResetReplayIsBitIdentical) {
   EXPECT_EQ(assim.map_estimate(), m_first);
 }
 
-// map_estimate() folds the W* rows pushed since its previous read, so the
-// MAP bits must not depend on when, or how often, it is read. The same
-// blocks feed four assimilators of one track_map engine: (a) read after
-// every push, (b) read once at the end, (c) read after ticks 1, 7, nt/2 and
-// nt - 1, and (d) pushed through push_many beside a second event and read
-// at the end. Healthy, through golden replay (d)'s fault script (channel 2
+// map_estimate() recomputes the MAP from z on every read, and the
+// per-assimilator scratch it reuses must carry nothing from one read to the
+// next, so the MAP bits must not depend on when, or how often, it is read.
+// The same blocks feed four assimilators of one track_map engine: (a) read
+// after every push, (b) read once at the end, (c) read after ticks 1, 7,
+// nt/2 and nt - 1, and (d) pushed through push_many beside a second event
+// and read at the end. Healthy, through golden replay (d)'s fault script (channel 2
 // dropped at nt/3 and restored at 2nt/3, channel 0 lost at nt/2), and with
 // a mid-event reset() and replay of all four.
 TEST_F(StreamingTest, MapEstimateBitsDoNotDependOnReadCadence) {
