@@ -270,16 +270,18 @@ StreamingSweepReport ScenarioBank::run_streaming(const StreamingEngine& engine,
 
     StreamingAssimilator assim = engine.start();
     Matrix q_history(nt, engine.qoi_dim());
+    double sum_push_seconds = 0.0;
     for (std::size_t t = 0; t < nt; ++t) {
+      Stopwatch push_watch;
       assim.push(t, std::span<const double>(ev.d_obs).subspan(t * nd, nd));
-      push_samples[i].push_back(assim.last_push_seconds());
-      res.max_push_seconds =
-          std::max(res.max_push_seconds, assim.last_push_seconds());
+      const double push_seconds = push_watch.seconds();
+      push_samples[i].push_back(push_seconds);
+      res.max_push_seconds = std::max(res.max_push_seconds, push_seconds);
+      sum_push_seconds += push_seconds;
       const auto& q = assim.qoi_mean();
       std::copy(q.begin(), q.end(), q_history.row(t).begin());
     }
-    res.mean_push_seconds =
-        assim.total_push_seconds() / static_cast<double>(nt);
+    res.mean_push_seconds = sum_push_seconds / static_cast<double>(nt);
 
     // Time-to-confident-forecast: walk back from the final tick while the
     // rolling mean stays within tolerance of the full-data forecast.
@@ -302,12 +304,9 @@ StreamingSweepReport ScenarioBank::run_streaming(const StreamingEngine& engine,
     res.final_forecast_error =
         DigitalTwin::relative_error(q_final, ev.q_true);
     res.final_forecast_correlation = correlation(q_final, ev.q_true);
-    res.map_tracked = engine.tracks_map();
-    if (res.map_tracked) {
-      const auto b_true = twin_.displacement_field(ev.m_true);
-      const auto b_map = twin_.displacement_field(assim.map_estimate());
-      res.displacement_correlation = correlation(b_map, b_true);
-    }
+    const auto b_true = twin_.displacement_field(ev.m_true);
+    const auto b_map = twin_.displacement_field(assim.map_snapshot());
+    res.displacement_correlation = correlation(b_map, b_true);
   };
 
   if (parallel) {
@@ -352,12 +351,8 @@ std::string StreamingSweepReport::table() const {
         .cell(format_duration(r.mean_push_seconds))
         .cell(format_duration(r.max_push_seconds))
         .cell(r.final_forecast_error, 3)
-        .cell(r.final_forecast_correlation, 3);
-    if (r.map_tracked) {
-      t.cell(r.displacement_correlation, 3);
-    } else {
-      t.cell("n/a");
-    }
+        .cell(r.final_forecast_correlation, 3)
+        .cell(r.displacement_correlation, 3);
   }
   t.row()
       .cell("sweep mean")

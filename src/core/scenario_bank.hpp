@@ -94,10 +94,9 @@ struct StreamingScenarioResult {
   double max_push_seconds = 0.0;   ///< worst per-tick assimilation latency
   double final_forecast_error = 0.0;        ///< rel. L2 of final q vs q_true
   double final_forecast_correlation = 0.0;  ///< normalized <q, q_true>
-  /// Normalized <b_map, b_true> at the final tick. Only meaningful when
-  /// `map_tracked`; the table prints "n/a" otherwise.
+  /// Normalized <b_map, b_true> at the final tick, the MAP read with
+  /// map_snapshot() (any engine).
   double displacement_correlation = 0.0;
-  bool map_tracked = false;  ///< whether the engine maintained m_map
 };
 
 /// Aggregates + per-scenario table for one streaming sweep of the bank.

@@ -15,19 +15,19 @@ namespace {
 
 constexpr std::size_t kAccTile = 1024;  // 8 KB: half of a typical L1d
 
-/// Rows per pass of the slab sweeps. Sweeping a 16.6 MB packed slab one
-/// 8-row tick at a time on one thread of a 4-vCPU x86-64 host took 41-44 us
-/// per tick row by row, and 26-29, 23-26 and 20-23 us in groups of 2, 4 and
-/// 8 rows; an AVX2 clone of the 8-row sweep gained only 5% more, and its FMA
-/// contraction would move bits.
+/// Rows per pass of accumulate_rows: each output column is loaded and
+/// stored once per group of rows instead of once per row. forward_solve_range
+/// groups the same 8 rows (dense_cholesky.cpp), and one tick of an
+/// 8-channel network is one whole group. The group size moves no bits: the
+/// adds per column stay j-ascending whatever it is.
 constexpr std::size_t kRows = 8;
 
 /// m[c0:c1] += z[0] rows[0][c0:c1] + ... + z[kRows-1] rows[kRows-1][c0:c1]
-/// (row r at rows + r * stride) — the group kernel both the single-event
-/// and the batched accumulation paths are built from. Each output column is
-/// loaded once, takes its kRows multiply-adds in r order, and is stored
-/// once: per column the same operations in the same order as kRows calls
-/// of accumulate_row_tile, at one output load and store instead of kRows.
+/// (row r at rows + r * stride) — the group kernel of accumulate_rows. Each
+/// output column is loaded once, takes its kRows multiply-adds in r order,
+/// and is stored once: per column the same operations in the same order as
+/// kRows calls of accumulate_row_tile, at one output load and store instead
+/// of kRows.
 TSUNAMI_HOT_PATH inline void accumulate_group_tile(const double* rows,
                                                    std::size_t stride,
                                                    const double* z, double* m,
@@ -55,7 +55,9 @@ TSUNAMI_HOT_PATH inline void accumulate_row_tile(const double* row, double zj,
 /// R products. Column-tiled so the output tile stays in L1 across the row
 /// groups; the slab rows are read exactly once. Per output column the adds
 /// run j-ascending: the groups in order, then the tail rows. That order is
-/// the contract that keeps push_many bitwise equal to push.
+/// the contract: the bits are those of the row-at-a-time loop, so a sweep
+/// split into ranges (a tick at a time, or one call over many ticks as
+/// rebuild_projections makes) gives the same bits.
 TSUNAMI_HOT_PATH void accumulate_rows(const double* rows, std::size_t nrows,
                                       std::size_t ncols, const double* z,
                                       double* out) {
@@ -76,35 +78,6 @@ TSUNAMI_HOT_PATH void accumulate_block_rows(const Matrix& slab,
                                             std::vector<double>& out) {
   accumulate_rows(slab.data() + p0 * slab.cols(), p1 - p0, slab.cols(),
                   z.data() + p0, out.data());
-}
-
-/// Batched variant: outs[k] += rows^T zs[k][0:nrows) for all K events in
-/// ONE sweep over the rows — each row group (the bandwidth cost) is loaded
-/// once and reused K times. Tiles are independent (disjoint output
-/// columns), so they run in parallel; within a tile every event takes the
-/// same group kernel calls as in accumulate_rows, in the same order, so
-/// every (k, c) sees the same j-ascending additions as a serial push.
-TSUNAMI_HOT_PATH void accumulate_rows_many(const double* rows,
-                                           std::size_t nrows,
-                                           std::size_t ncols,
-                                           std::span<const double* const> zs,
-                                           std::span<double* const> outs) {
-  const std::size_t nk = zs.size();
-  const std::size_t ntiles = (ncols + kAccTile - 1) / kAccTile;
-  parallel_for_min(ntiles, 2, [&](std::size_t tile) {
-    const std::size_t c0 = tile * kAccTile;
-    const std::size_t c1 = std::min(c0 + kAccTile, ncols);
-    std::size_t j = 0;
-    for (; j + kRows <= nrows; j += kRows) {
-      for (std::size_t k = 0; k < nk; ++k)
-        accumulate_group_tile(rows + j * ncols, ncols, zs[k] + j, outs[k], c0,
-                              c1);
-    }
-    for (; j < nrows; ++j) {
-      for (std::size_t k = 0; k < nk; ++k)
-        accumulate_row_tile(rows + j * ncols, zs[k][j], outs[k], c0, c1);
-    }
-  });
 }
 
 }  // namespace
@@ -326,7 +299,6 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::push(
         "StreamingAssimilator::push: validity bitmap size mismatch");
 
   TRACE_SCOPE("stream", "push");
-  Stopwatch watch;
   const std::size_t p0 = t_ * eng_.block_size();
   const std::size_t p1 = p0 + eng_.block_size();
   stage_block(d_block, valid, p0);
@@ -341,8 +313,6 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::push(
   // (one output load and store per 8 sensor rows, not per row).
   accumulate_block_rows(eng_.r_, z_, p0, p1, q_mean_);
   ++t_;
-  last_push_seconds_ = watch.seconds();
-  total_push_seconds_ += last_push_seconds_;
 }
 
 // ---- degraded-mode projection ----------------------------------------------
@@ -533,13 +503,10 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::push_many(
   if (blocks.size() != nk)
     throw std::invalid_argument(
         "StreamingAssimilator::push_many: events/blocks count mismatch");
-  if (nk == 1) {
-    events[0]->push(tick, blocks[0]);
-    return;
-  }
   const StreamingEngine& eng = events[0]->eng_;
   eng.check_alive("StreamingAssimilator::push_many");
   const std::size_t nd = eng.block_size();
+  // Every check runs before the first push, so a bad batch moves no event.
   for (std::size_t k = 0; k < nk; ++k) {
     StreamingAssimilator* ev = events[k];
     if (&ev->eng_ != &eng)
@@ -560,47 +527,7 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::push_many(
             "StreamingAssimilator::push_many: duplicate event");
     }
   }
-
-  TRACE_SCOPE("stream", "push_many");
-  Stopwatch watch;
-  const std::size_t p0 = tick * nd;
-  const std::size_t p1 = p0 + nd;
-  // Per-event forward-substitution extension: independent events, so the
-  // batch dimension parallelizes freely (each body touches only event k).
-  // Degraded events also advance their private projection state here — it
-  // reads only this event's z and the shared immutable factor, so the
-  // per-(event, output) operation order is identical to a serial push.
-  parallel_for_min(nk, 2, [&](std::size_t k) {
-    StreamingAssimilator* ev = events[k];
-    ev->stage_block(blocks[k], {}, p0);
-    eng.chol().forward_solve_range(ev->z_, p0, p1);
-    if (!ev->dead_.empty() || ev->tick_has_new_dead({}))
-      ev->advance_degraded(p0, p1, {});
-  });
-
-  // One sweep over R's new block rows serves every event. The pointer
-  // tables live in thread_local scratch that grows to the largest batch
-  // this thread has seen and is then reused, so steady-state batched
-  // pushes stay allocation-free (proved by tests/test_debug.cpp).
-  static thread_local std::vector<const double*> zs;
-  static thread_local std::vector<double*> q_outs;
-  zs.resize(nk);      // lint: allow(hot-path-alloc) grow-once scratch
-  q_outs.resize(nk);  // lint: allow(hot-path-alloc) grow-once scratch
-  for (std::size_t k = 0; k < nk; ++k) {
-    zs[k] = events[k]->z_.data() + p0;
-    q_outs[k] = events[k]->q_mean_.data();
-  }
-  accumulate_rows_many(eng.r_.data() + p0 * eng.nqoi_, nd, eng.nqoi_,
-                       std::span<const double* const>(zs),
-                       std::span<double* const>(q_outs));
-
-  const double per_event = watch.seconds() / static_cast<double>(nk);
-  for (std::size_t k = 0; k < nk; ++k) {
-    StreamingAssimilator* ev = events[k];
-    ++ev->t_;
-    ev->last_push_seconds_ = per_event;
-    ev->total_push_seconds_ += per_event;
-  }
+  for (std::size_t k = 0; k < nk; ++k) events[k]->push(tick, blocks[k]);
 }
 
 TSUNAMI_HOT_PATH void StreamingAssimilator::forecast_into(Forecast& fc) const {
@@ -705,8 +632,6 @@ void StreamingAssimilator::reset() {
   dead_.clear();
   s_chol_.reset();
   h_.clear();
-  last_push_seconds_ = 0.0;
-  total_push_seconds_ = 0.0;
 }
 
 }  // namespace tsunami

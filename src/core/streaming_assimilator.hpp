@@ -129,7 +129,6 @@ class StreamingEngine {
   [[nodiscard]] std::size_t qoi_dim() const { return nqoi_; }
 
   [[nodiscard]] bool tracks_map() const { return opts_.track_map; }
-  [[nodiscard]] const StreamingOptions& options() const { return opts_; }
   [[nodiscard]] double precompute_seconds() const { return precompute_seconds_; }
 
   /// Posterior QoI stddev after `ticks` observation intervals (0 = prior).
@@ -191,7 +190,9 @@ class StreamingAssimilator {
   /// arrive in order at 1 Hz in deployment; gaps/reordering are the
   /// transport layer's problem). `d_block` holds the Nd sensor values of
   /// that interval. Extends z and q_map incrementally; the MAP is computed
-  /// only when read (map_estimate(), map_snapshot()).
+  /// only when read (map_estimate(), map_snapshot()). A push does not time
+  /// itself: a caller that wants its latency reads the clock around it (the
+  /// service's drain stamps, ScenarioBank::run_streaming's Stopwatch).
   TSUNAMI_HOT_PATH void push(std::size_t tick, std::span<const double> d_block);
 
   /// As push(), but with a per-channel validity bitmap (`valid[c] != 0`
@@ -205,16 +206,13 @@ class StreamingAssimilator {
   TSUNAMI_HOT_PATH void push(std::size_t tick, std::span<const double> d_block,
                              std::span<const std::uint8_t> valid);
 
-  /// Batched cross-event push: assimilate interval `tick` for K events at
-  /// once. All assimilators must share the SAME engine (R is immutable and
-  /// shared) and all must be exactly at `tick`; blocks[k] is event k's
-  /// Nd-vector. One pass over R's new block rows serves every event.
-  /// Bit-identical to K serial push() calls: the batched accumulation
-  /// performs, per (event, output) pair, the same additions in the same
-  /// j-ascending order as the single-event path (asserted by the streaming,
-  /// determinism and degraded suites; events with dropped channels advance
-  /// their projections as push() does). K == 1 degenerates to push().
-  /// Per-event timers record the batch time divided by K.
+  /// Push interval `tick` to K events, checked as one batch: blocks[k] is
+  /// event k's Nd-vector, every event must share one engine and sit at
+  /// `tick`, and no event may appear twice. Every check runs before the
+  /// first push, so a batch that throws leaves every event as it was. Then
+  /// it is push(tick, blocks[k]) for k = 0..K-1, with the same bits. It
+  /// stays only because the benchmark harness still calls it; ROADMAP item
+  /// 1 retires it.
   TSUNAMI_HOT_PATH static void push_many(
       std::span<StreamingAssimilator* const> events, std::size_t tick,
       std::span<const std::span<const double>> blocks);
@@ -284,8 +282,6 @@ class StreamingAssimilator {
   /// parameter-space operator. Only the returned vector allocates.
   [[nodiscard]] std::vector<double> map_snapshot() const;
 
-  [[nodiscard]] double last_push_seconds() const { return last_push_seconds_; }
-  [[nodiscard]] double total_push_seconds() const { return total_push_seconds_; }
   [[nodiscard]] const StreamingEngine& engine() const { return eng_; }
 
   /// Forget the event (state back to tick 0); the engine is untouched.
@@ -353,8 +349,6 @@ class StreamingAssimilator {
   /// no guard is needed.
   mutable std::vector<double> snapshot_u_;
   mutable Posterior::Workspace ws_;
-  double last_push_seconds_ = 0.0;
-  double total_push_seconds_ = 0.0;
 };
 
 }  // namespace tsunami

@@ -138,17 +138,12 @@ void append_json_escaped(std::string& out, const char* s) {
 struct TraceBoot {
   TraceBoot() {
     (void)epoch_ns();
-    // TSUNAMI_TRACE_RING is the documented knob; TSUNAMI_TRACE_BUFFER is the
-    // legacy alias (first one set wins, RING preferred).
-    for (const char* var : {"TSUNAMI_TRACE_RING", "TSUNAMI_TRACE_BUFFER"}) {
-      const char* cap = std::getenv(var);
-      if (cap == nullptr || *cap == '\0') continue;
+    const char* cap = std::getenv("TSUNAMI_TRACE_RING");
+    if (cap != nullptr && *cap != '\0') {
       char* end = nullptr;
       const long v = std::strtol(cap, &end, 10);
-      if (end != cap && v > 0) {
+      if (end != cap && v > 0)
         set_trace_buffer_capacity(static_cast<std::size_t>(v));
-        break;
-      }
     }
     const char* path = std::getenv("TSUNAMI_TRACE");
     if (path != nullptr && *path != '\0') {

@@ -32,7 +32,7 @@
 // workers still appear in the export.
 //
 // Categories in use: "pool" (job execution, steals, parallel loops),
-// "service" (drain jobs, publishes), "stream" (push / push_many sweeps),
+// "service" (drain jobs, publishes), "stream" (push),
 // "kernel" (FFT/GEMM phases of the block-Toeplitz apply), "offline"
 // (phase 1-3 builds, streaming precompute).
 
@@ -73,8 +73,8 @@ void set_trace_enabled(bool enabled);
 
 /// Per-thread ring capacity in spans for buffers created AFTER this call
 /// (existing buffers keep their size). Also settable via the
-/// TSUNAMI_TRACE_RING environment variable (TSUNAMI_TRACE_BUFFER is honored
-/// as a legacy alias). Clamped to [64, 1 << 22]; default 8192.
+/// TSUNAMI_TRACE_RING environment variable. Clamped to [64, 1 << 22];
+/// default 8192.
 void set_trace_buffer_capacity(std::size_t spans);
 
 /// The ring capacity new per-thread buffers are created with.

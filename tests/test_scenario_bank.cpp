@@ -149,7 +149,8 @@ TEST_F(ScenarioBankTest, ParallelMatchesSerial) {
 }
 
 TEST_F(ScenarioBankTest, StreamingSweepConvergesToBatchForecasts) {
-  const StreamingEngine engine = twin_->make_streaming({.track_map = true});
+  // A lean engine: the sweep reads the MAP with map_snapshot() on any engine.
+  const StreamingEngine engine = twin_->make_streaming({.track_map = false});
   const StreamingSweepReport sweep = bank_->run_streaming(engine);
   const EnsembleReport batch = bank_->run_online();
   ASSERT_EQ(sweep.scenarios.size(), bank_->size());

@@ -4,7 +4,7 @@
 // schedule, the same bits from MAP-tracking and lean engines, the causal MAP
 // (exact zeros beyond the observed blocks and a dense reference), replay
 // determinism, MAP bits independent of the read cadence, and input
-// validation.
+// validation (push, and push_many's checks of the whole batch).
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,8 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/digital_twin.hpp"
 
@@ -530,6 +532,87 @@ TEST_F(StreamingTest, PushValidation) {
   for (std::size_t t = 1; t < engine_->num_ticks(); ++t) assim.push(t, b);
   EXPECT_TRUE(assim.complete());
   EXPECT_THROW(assim.push(engine_->num_ticks(), b), std::logic_error);
+}
+
+// push_many checks the whole batch before its first push. Each bad batch
+// below throws, and every event keeps its tick count and forecast bits. The
+// bad entry comes after a good one, so a check made only inside the push
+// loop would already have moved the good event.
+TEST_F(StreamingTest, PushManyRejectsBadBatchesBeforeMovingAnyEvent) {
+  const std::size_t nt = engine_->num_ticks(), nd = engine_->block_size();
+  const StreamingEngine other = twin_->make_streaming({.track_map = false});
+  StreamingAssimilator a = stream(2), b = stream(2), behind = stream(1),
+                       last = stream(nt - 1), full = stream(nt),
+                       foreign = other.start();
+  for (std::size_t t = 0; t < 2; ++t) foreign.push(t, block(t));
+  const StreamingAssimilator* const all[] = {&a,    &b,    &behind,
+                                             &last, &full, &foreign};
+  const auto state = [&] {
+    std::vector<std::pair<std::size_t, Forecast>> s;
+    for (const StreamingAssimilator* x : all)
+      s.emplace_back(x->ticks_received(), x->forecast());
+    return s;
+  };
+  const auto same_bits = [](const std::vector<double>& x,
+                            const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+  const auto before = state();
+  const auto expect_unchanged = [&](const char* label) {
+    const auto now = state();
+    for (std::size_t i = 0; i < now.size(); ++i) {
+      EXPECT_EQ(now[i].first, before[i].first) << label << ", event " << i;
+      EXPECT_TRUE(same_bits(now[i].second.mean, before[i].second.mean))
+          << label << ", event " << i;
+      EXPECT_TRUE(same_bits(now[i].second.stddev, before[i].second.stddev))
+          << label << ", event " << i;
+    }
+  };
+
+  {
+    StreamingAssimilator* const evs[] = {&a, &b};
+    const std::span<const double> blocks[] = {block(2)};
+    EXPECT_THROW(StreamingAssimilator::push_many(evs, 2, blocks),
+                 std::invalid_argument);
+    expect_unchanged("block count != event count");
+  }
+  {
+    StreamingAssimilator* const evs[] = {&a, &foreign};
+    const std::span<const double> blocks[] = {block(2), block(2)};
+    EXPECT_THROW(StreamingAssimilator::push_many(evs, 2, blocks),
+                 std::invalid_argument);
+    expect_unchanged("events on two engines");
+  }
+  {
+    StreamingAssimilator* const evs[] = {&a, &behind};
+    const std::span<const double> blocks[] = {block(2), block(2)};
+    EXPECT_THROW(StreamingAssimilator::push_many(evs, 2, blocks),
+                 std::invalid_argument);
+    expect_unchanged("misaligned tick");
+  }
+  {
+    StreamingAssimilator* const evs[] = {&a, &b, &a};
+    const std::span<const double> blocks[] = {block(2), block(2), block(2)};
+    EXPECT_THROW(StreamingAssimilator::push_many(evs, 2, blocks),
+                 std::invalid_argument);
+    expect_unchanged("duplicate event");
+  }
+  {
+    StreamingAssimilator* const evs[] = {&last, &full};
+    const std::span<const double> blocks[] = {block(nt - 1), block(nt - 1)};
+    EXPECT_THROW(StreamingAssimilator::push_many(evs, nt - 1, blocks),
+                 std::logic_error);
+    expect_unchanged("full window");
+  }
+  {
+    StreamingAssimilator* const evs[] = {&a, &b};
+    const std::span<const double> blocks[] = {block(2),
+                                              block(2).first(nd - 1)};
+    EXPECT_THROW(StreamingAssimilator::push_many(evs, 2, blocks),
+                 std::invalid_argument);
+    expect_unchanged("wrong block size");
+  }
 }
 
 TEST_F(StreamingTest, EngineRequiresOfflinePhases) {
