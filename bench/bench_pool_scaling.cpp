@@ -1,4 +1,4 @@
-// Scaling study of the work-stealing thread pool: a pure-flops
+// Scaling study of the thread pool: a pure-flops
 // parallel_reduce (no memory traffic to saturate) across worker counts —
 // the pool's raw scaling ceiling on this machine.
 //

@@ -18,6 +18,9 @@ namespace {
 // change how artifacts are computed, never what they contain.
 constexpr std::size_t kNumConfigFields = 25;
 
+/// Most CFL substeps one observation interval may take (2^24).
+constexpr double kMaxSubsteps = 16777216.0;
+
 std::vector<double> pack_config(const TwinConfig& c) {
   return {
       c.bathymetry.length_x,       c.bathymetry.length_y,
@@ -59,6 +62,9 @@ TwinConfig unpack_config(const std::vector<double>& p) {
   if (p.size() != kNumConfigFields)
     throw std::runtime_error(
         "artifact bundle config: unexpected field count");
+  for (const double v : p)
+    if (!std::isfinite(v))
+      throw std::runtime_error("artifact bundle config: non-finite field");
   TwinConfig c;
   c.bathymetry.length_x = p[0];
   c.bathymetry.length_y = p[1];
@@ -141,6 +147,10 @@ TwinConfig TwinConfig::tiny() {
 
 DigitalTwin::DigitalTwin(const TwinConfig& config)
     : cfg_(config), bathy_(config.bathymetry) {
+  if (!(std::isfinite(cfg_.cfl) && cfg_.cfl > 0.0) ||
+      !(std::isfinite(cfg_.observation_dt) && cfg_.observation_dt > 0.0))
+    throw std::invalid_argument(
+        "TwinConfig: cfl and observation_dt must be positive and finite");
   mesh_ = std::make_unique<HexMesh>(bathy_, cfg_.mesh_nx, cfg_.mesh_ny,
                                     cfg_.mesh_nz);
   model_ = std::make_unique<AcousticGravityModel>(*mesh_, cfg_.order,
@@ -159,10 +169,14 @@ DigitalTwin::DigitalTwin(const TwinConfig& config)
           *model_, sensor_grid(cfg_.num_gauges, 0.78 * lx, 0.92 * lx,
                                0.10 * ly, 0.90 * ly)));
 
-  // Temporal grid: substep count from the CFL bound.
+  // Temporal grid: substep count from the CFL bound, range-checked before
+  // the cast (a tiny cfl gives a count no size_t holds).
   const double dt_cfl = model_->cfl_timestep(cfg_.cfl);
-  const auto substeps = static_cast<std::size_t>(
-      std::max(1.0, std::ceil(cfg_.observation_dt / dt_cfl)));
+  const double steps = std::ceil(cfg_.observation_dt / dt_cfl);
+  if (!std::isfinite(steps) || steps > kMaxSubsteps)
+    throw std::invalid_argument(
+        "TwinConfig: observation_dt needs too many CFL substeps");
+  const auto substeps = static_cast<std::size_t>(std::max(1.0, steps));
   time_.num_intervals = cfg_.num_intervals;
   time_.substeps = substeps;
   time_.dt = cfg_.observation_dt / static_cast<double>(substeps);

@@ -117,12 +117,15 @@ struct InversionResult {
 
 class DigitalTwin {
  public:
+  /// Throws std::invalid_argument unless cfl and observation_dt are positive
+  /// and finite and one observation interval takes at most 2^24 CFL substeps.
   explicit DigitalTwin(const TwinConfig& config);
 
   /// Warm start (the warning-center boot path): reconstruct the full online
   /// state — posterior, predictor, streaming support — from a Phase 1-3
   /// artifact bundle without a single PDE solve or factorization. The twin's
-  /// configuration is read from the bundle itself; the stored fingerprint is
+  /// configuration is read from the bundle itself (a non-finite or
+  /// out-of-range field throws std::runtime_error); the stored fingerprint is
   /// verified against the reconstructed config before anything is trusted.
   /// infer() and streaming push() on the result are bit-identical to the
   /// cold-path twin that produced the bundle (tests/test_artifact_bundle.cpp).

@@ -25,9 +25,9 @@ void collect_pool(const ThreadPool& pool, MetricsSnapshot& snapshot) {
   snapshot.gauge("tsunami_pool_workers",
                  static_cast<double>(pool.num_threads()), {},
                  "Worker threads in the process-wide pool");
-  snapshot.counter("tsunami_pool_steals_total",
-                   static_cast<double>(pool.steal_count()), {},
-                   "Cross-worker deque steals since pool spawn");
+  snapshot.gauge("tsunami_pool_queue_depth",
+                 static_cast<double>(pool.queue_depth()), {},
+                 "Jobs waiting in the pool's queue");
   const double uptime = pool.uptime_seconds();
   snapshot.gauge("tsunami_pool_uptime_seconds", uptime, {},
                  "Seconds since the current worker set was spawned");
@@ -37,9 +37,6 @@ void collect_pool(const ThreadPool& pool, MetricsSnapshot& snapshot) {
     snapshot.counter("tsunami_pool_worker_jobs_total",
                      static_cast<double>(stats[i].jobs), labels,
                      "Jobs and loop items executed by this worker");
-    snapshot.counter("tsunami_pool_worker_steals_total",
-                     static_cast<double>(stats[i].steals), labels,
-                     "Successful steals performed by this worker");
     snapshot.counter("tsunami_pool_worker_busy_seconds_total",
                      stats[i].busy_seconds, labels,
                      "Wall-clock seconds spent executing work");
@@ -47,9 +44,6 @@ void collect_pool(const ThreadPool& pool, MetricsSnapshot& snapshot) {
                      stats[i].spin_seconds, labels,
                      "Wall-clock seconds spent spinning for work before "
                      "parking");
-    snapshot.gauge("tsunami_pool_worker_queue_depth",
-                   static_cast<double>(stats[i].queue_depth), labels,
-                   "Entries currently in this worker's deque");
     snapshot.gauge(
         "tsunami_pool_worker_utilization",
         uptime > 0.0 ? std::min(1.0, stats[i].busy_seconds / uptime) : 0.0,

@@ -31,7 +31,7 @@
 // their threads (the registry keeps them alive), so spans from joined pool
 // workers still appear in the export.
 //
-// Categories in use: "pool" (job execution, steals, parallel loops),
+// Categories in use: "pool" (job execution, parallel loops),
 // "service" (drain jobs, publishes), "stream" (push),
 // "kernel" (FFT/GEMM phases of the block-Toeplitz apply), "offline"
 // (phase 1-3 builds, streaming precompute).
@@ -144,7 +144,7 @@ class TraceScope {
 #define TRACE_SCOPE(category, name)                              \
   const ::tsunami::obs::TraceScope TSUNAMI_TRACE_CAT(            \
       tsunami_trace_scope_, __LINE__)((category), (name))
-/// One instantaneous marker (steals, wakeups, rejections).
+/// One instantaneous marker, exported as a Chrome trace `i` event.
 #define TRACE_INSTANT(category, name)                                \
   do {                                                               \
     if (::tsunami::obs::trace_enabled())                             \

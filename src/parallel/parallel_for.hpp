@@ -1,6 +1,6 @@
 #pragma once
 
-// Parallel-loop front ends over the persistent work-stealing ThreadPool.
+// Parallel-loop front ends over the persistent ThreadPool.
 // Keeping the scheduling in one place lets the numeric kernels read like
 // serial code (Core Guidelines: isolate concurrency).
 //

@@ -40,156 +40,7 @@ std::size_t env_threads(std::initializer_list<const char*> names) {
 
 struct Job {
   std::function<void()> fn;
-  Job* next = nullptr;  ///< injection-queue link (guarded by inject_mutex)
-};
-
-/// Chase-Lev work-stealing deque of Job*. The owner pushes and pops at the
-/// bottom; thieves race a CAS on the top. The racy loads/stores use seq_cst
-/// atomics rather than the textbook standalone fences: standalone
-/// atomic_thread_fence is both easy to get subtly wrong and invisible to
-/// TSan (which would then report false races through the deque), while
-/// seq_cst operations on top_/bottom_ are strictly stronger and fully
-/// modeled. The deque is far from the bottleneck — steals are rare under
-/// chunked loops — so the stronger ordering costs nothing measurable.
-class StealDeque {
- public:
-  StealDeque() : array_(new Slots(kInitialCapacity)) {}
-
-  ~StealDeque() {
-    // mo: relaxed — destruction implies every other thread is done with the
-    // deque; no concurrent access remains to order against.
-    delete array_.load(std::memory_order_relaxed);
-    for (Slots* retired : retired_) delete retired;
-  }
-
-  StealDeque(const StealDeque&) = delete;
-  StealDeque& operator=(const StealDeque&) = delete;
-
-  /// Owner only.
-  void push(Job* job) {
-    // mo: relaxed on owner-private bottom_/array_ reads (only this thread
-    // writes them); acquire on top_ to see thieves' claims before sizing;
-    // release on the array_ store publishes the grown slots to thieves.
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-    const std::int64_t t = top_.load(std::memory_order_acquire);
-    Slots* a = array_.load(std::memory_order_relaxed);
-    if (b - t >= static_cast<std::int64_t>(a->capacity)) {
-      // Full: publish a doubled array. The old array is retired, not freed —
-      // a concurrent thief may still hold a pointer to it.
-      Slots* grown = a->grow(t, b);
-      retired_.push_back(a);
-      // mo: release — pairs with steal()'s acquire load of array_ so the
-      // copied slots are visible before a thief dereferences them.
-      array_.store(grown, std::memory_order_release);
-      a = grown;
-    }
-    a->put(b, job);
-    // mo: seq_cst — deque-protocol publication of the new bottom; see the
-    // class comment for why the protocol runs entirely on seq_cst.
-    bottom_.store(b + 1, std::memory_order_seq_cst);
-  }
-
-  /// Owner only. Null when empty (or when a thief won the last element).
-  Job* pop() {
-    // mo: relaxed for the owner-private reads; seq_cst for the reservation
-    // store + top load — the store/load pair must be globally ordered
-    // against steal()'s top/bottom pair (the classic Chase-Lev SC fence,
-    // expressed as seq_cst ops per the class comment).
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-    Slots* a = array_.load(std::memory_order_relaxed);
-    bottom_.store(b, std::memory_order_seq_cst);
-    std::int64_t t = top_.load(std::memory_order_seq_cst);
-    if (t > b) {
-      // Empty: restore bottom.
-      // mo: relaxed — owner-private undo; only this thread reads bottom_
-      // without the protocol's seq_cst accesses in between.
-      bottom_.store(b + 1, std::memory_order_relaxed);
-      return nullptr;
-    }
-    Job* job = a->get(b);
-    if (t == b) {
-      // Last element: race thieves for it via the top CAS.
-      // mo: seq_cst CAS decides the race for the final element; relaxed on
-      // failure (losing carries no data) and on the bottom_ restore, which
-      // only this owner reads.
-      if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                        std::memory_order_relaxed)) {
-        job = nullptr;
-      }
-      bottom_.store(b + 1, std::memory_order_relaxed);
-    }
-    return job;
-  }
-
-  /// Any thread. Null on empty or lost race.
-  Job* steal() {
-    // mo: seq_cst top/bottom reads + claiming CAS — the thief half of the
-    // protocol ordering described in pop(); acquire on array_ pairs with
-    // push()'s release so the grown slots are visible before get(). CAS
-    // failure is relaxed: a lost race returns null, no data crosses.
-    std::int64_t t = top_.load(std::memory_order_seq_cst);
-    const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
-    if (t >= b) return nullptr;
-    Slots* a = array_.load(std::memory_order_acquire);
-    Job* job = a->get(t);
-    // mo: seq_cst claim CAS / relaxed failure — see the comment above.
-    if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                      std::memory_order_relaxed)) {
-      return nullptr;
-    }
-    return job;
-  }
-
-  // mo: seq_cst — reuses the protocol order for a racy emptiness hint;
-  // weaker orders would be fine but the uniform rule keeps TSan's model
-  // identical to shipped code (class comment).
-  [[nodiscard]] bool looks_empty() const {
-    return bottom_.load(std::memory_order_seq_cst) <=
-           top_.load(std::memory_order_seq_cst);
-  }
-
-  /// Any thread; a racy snapshot suitable for metrics only.
-  // mo: seq_cst — same uniform-protocol-order rationale as looks_empty().
-  [[nodiscard]] std::size_t size() const {
-    const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
-    const std::int64_t t = top_.load(std::memory_order_seq_cst);
-    return b > t ? static_cast<std::size_t>(b - t) : 0;
-  }
-
- private:
-  static constexpr std::size_t kInitialCapacity = 64;  // power of two
-
-  struct Slots {
-    explicit Slots(std::size_t cap)
-        : capacity(cap), mask(cap - 1),
-          entries(new std::atomic<Job*>[cap]) {}
-
-    // mo: relaxed — slot contents are ordered by the top_/bottom_ protocol,
-    // not by the slot accesses themselves (Chase-Lev invariant: a claimed
-    // index is never concurrently rewritten).
-    [[nodiscard]] Job* get(std::int64_t i) const {
-      return entries[static_cast<std::size_t>(i) & mask].load(
-          std::memory_order_relaxed);
-    }
-    void put(std::int64_t i, Job* job) {
-      entries[static_cast<std::size_t>(i) & mask].store(
-          job, std::memory_order_relaxed);
-    }
-    [[nodiscard]] Slots* grow(std::int64_t t, std::int64_t b) const {
-      auto* next = new Slots(capacity * 2);
-      for (std::int64_t i = t; i < b; ++i) next->put(i, get(i));
-      return next;
-    }
-
-    std::size_t capacity;
-    std::size_t mask;
-    std::unique_ptr<std::atomic<Job*>[]> entries;
-  };
-
-  std::atomic<std::int64_t> top_{0};
-  std::atomic<std::int64_t> bottom_{0};
-  std::atomic<Slots*> array_;
-  std::vector<Slots*> retired_;  // owner-only; freed at destruction
+  Job* next = nullptr;  ///< job-queue link (guarded by queue_mutex)
 };
 
 /// State of one in-flight run() loop, shared by the caller and its helper
@@ -246,22 +97,11 @@ void work_on(LoopState& state) {
   }
 }
 
-struct Worker;
-
-struct WorkerTls {
-  void* pool = nullptr;  // the ThreadPool::Impl this thread belongs to
-  Worker* worker = nullptr;
-};
-
-thread_local WorkerTls tls_worker;
-
 struct Worker {
-  StealDeque deque;
   std::size_t index = 0;
   // Per-worker observability counters; relaxed atomics so worker_stats()
   // can read them while the worker runs.
   std::atomic<std::uint64_t> jobs{0};
-  std::atomic<std::uint64_t> steals{0};
   std::atomic<std::int64_t> busy_ns{0};
   std::atomic<std::int64_t> spin_ns{0};
   std::thread thread;
@@ -283,11 +123,13 @@ struct ThreadPool::Impl {
   std::size_t threads = 1;
   std::vector<std::unique_ptr<Worker>> workers;
 
-  // FIFO of jobs from non-worker threads, linked through Job::next so an
-  // enqueue allocates nothing beyond the Job itself.
-  std::mutex inject_mutex;
-  Job* inject_head = nullptr;
-  Job* inject_tail = nullptr;
+  // The one FIFO every job goes through: submit() jobs and run() helpers,
+  // from any thread. Linked through Job::next, so an enqueue allocates
+  // nothing beyond the Job itself.
+  std::mutex queue_mutex;
+  Job* queue_head = nullptr;
+  Job* queue_tail = nullptr;
+  std::size_t queued = 0;  ///< jobs in the FIFO (guarded by queue_mutex)
 
   // Idle protocol. `signals` is bumped on every job submission; a worker
   // snapshots it before its final empty re-check, then waits for it to
@@ -315,8 +157,6 @@ struct ThreadPool::Impl {
   std::mutex idle_mutex;
   std::condition_variable idle_cv;
 
-  std::atomic<std::uint64_t> steals{0};
-
   /// Epoch of the current worker set (reset on spawn) for utilization.
   std::chrono::steady_clock::time_point spawned_at =
       std::chrono::steady_clock::now();
@@ -325,14 +165,10 @@ struct ThreadPool::Impl {
     // mo: relaxed — inflight is a pure count; the paired acq_rel decrement
     // in execute() orders the idle handoff.
     inflight.fetch_add(1, std::memory_order_relaxed);
-    if (tls_worker.pool == this && tls_worker.worker != nullptr) {
-      tls_worker.worker->deque.push(job);
-    } else {
-      push_injected(job);
-    }
-    // mo: seq_cst — the bump releases the job enqueued above to whichever
-    // worker reads it, and is the submitter's store of the store-then-load
-    // pair in the Impl comment; the spinning/sleepers reads are its loads.
+    enqueue(job);
+    // mo: seq_cst — the submitter's store of the store-then-load pair in
+    // the Impl comment (queue_mutex publishes the job itself); the
+    // spinning/sleepers reads are its loads.
     signals.fetch_add(1, std::memory_order_seq_cst);
     if (spinning.load(std::memory_order_seq_cst)) return;
     wake_sleepers(/*all=*/false);
@@ -351,39 +187,24 @@ struct ThreadPool::Impl {
       wake_cv.notify_one();
   }
 
-  void push_injected(Job* job) {
-    const std::lock_guard<std::mutex> lock(inject_mutex);
-    if (inject_tail != nullptr)
-      inject_tail->next = job;
+  void enqueue(Job* job) {
+    const std::lock_guard<std::mutex> lock(queue_mutex);
+    if (queue_tail != nullptr)
+      queue_tail->next = job;
     else
-      inject_head = job;
-    inject_tail = job;
+      queue_head = job;
+    queue_tail = job;
+    ++queued;
   }
 
-  Job* pop_injected() {
-    const std::lock_guard<std::mutex> lock(inject_mutex);
-    Job* job = inject_head;
+  Job* dequeue() {
+    const std::lock_guard<std::mutex> lock(queue_mutex);
+    Job* job = queue_head;
     if (job == nullptr) return nullptr;
-    inject_head = job->next;
-    if (inject_head == nullptr) inject_tail = nullptr;
-    job->next = nullptr;
+    queue_head = job->next;
+    if (queue_head == nullptr) queue_tail = nullptr;
+    --queued;
     return job;
-  }
-
-  Job* find_work(Worker& me) {
-    if (Job* job = me.deque.pop()) return job;
-    if (Job* job = pop_injected()) return job;
-    for (const auto& victim : workers) {
-      if (victim.get() == &me) continue;
-      if (Job* job = victim->deque.steal()) {
-        // mo: relaxed — observability counters, read racily by stats calls.
-        steals.fetch_add(1, std::memory_order_relaxed);
-        me.steals.fetch_add(1, std::memory_order_relaxed);
-        TRACE_INSTANT("pool", "steal");
-        return job;
-      }
-    }
-    return nullptr;
   }
 
   void execute(Worker& me, Job* job) {
@@ -446,10 +267,9 @@ struct ThreadPool::Impl {
   }
 
   void worker_main(Worker& me) {
-    tls_worker = {this, &me};
     obs::set_thread_name("pool-worker-" + std::to_string(me.index));
     for (;;) {
-      if (Job* job = find_work(me)) {
+      if (Job* job = dequeue()) {
         execute(me, job);
         continue;
       }
@@ -457,7 +277,7 @@ struct ThreadPool::Impl {
       // before this snapshot, the re-check below must find its job (the
       // no-lost-wakeup argument in the Impl comment).
       const std::uint64_t seen = signals.load(std::memory_order_seq_cst);
-      if (Job* job = find_work(me)) {
+      if (Job* job = dequeue()) {
         execute(me, job);
         continue;
       }
@@ -491,14 +311,9 @@ struct ThreadPool::Impl {
     workers.reserve(n);
     spawned_at = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < n; ++i) {
-      workers.push_back(std::make_unique<Worker>());
-      workers.back()->index = i;
-    }
-    // Spawn only after the vector is fully built: workers scan each other's
-    // deques when stealing.
-    for (auto& w : workers) {
-      Worker* self = w.get();
-      w->thread = std::thread([this, self] { worker_main(*self); });
+      Worker* self = workers.emplace_back(std::make_unique<Worker>()).get();
+      self->index = i;
+      self->thread = std::thread([this, self] { worker_main(*self); });
     }
   }
 
@@ -512,14 +327,6 @@ struct ThreadPool::Impl {
     wake_cv.notify_all();
     for (auto& w : workers) {
       if (w->thread.joinable()) w->thread.join();
-    }
-  }
-
-  /// Moves jobs stranded in worker deques back to the injection queue
-  /// (workers are joined, so owner/thief roles are moot).
-  void salvage_deques() {
-    for (auto& w : workers) {
-      while (Job* job = w->deque.steal()) push_injected(job);
     }
   }
 };
@@ -538,10 +345,9 @@ ThreadPool::ThreadPool(std::size_t threads) : impl_(std::make_unique<Impl>()) {
 
 ThreadPool::~ThreadPool() {
   impl_->join_all();
-  impl_->salvage_deques();
   // Unexecuted jobs (there normally are none: owners wait for their work)
   // are dropped, not run — destruction is not a drain point.
-  while (Job* job = impl_->pop_injected()) {
+  while (Job* job = impl_->dequeue()) {
     delete job;
     // mo: relaxed — workers are joined; this is single-threaded cleanup.
     impl_->inflight.fetch_sub(1, std::memory_order_relaxed);
@@ -580,17 +386,14 @@ void ThreadPool::resize(std::size_t threads) {
   n = std::clamp<std::size_t>(n, 1, kMaxThreads);
   if (n == impl_->threads) return;
   impl_->join_all();
-  impl_->salvage_deques();
+  // Pending jobs stay queued: each new worker checks the queue before it
+  // first goes idle.
   impl_->spawn(n);
-  // Re-signal in case jobs were salvaged into the injection queue.
-  // mo: seq_cst — same protocol as push_job's signal bump.
-  impl_->signals.fetch_add(1, std::memory_order_seq_cst);
-  impl_->wake_sleepers(/*all=*/true);
 }
 
-std::size_t ThreadPool::steal_count() const {
-  // mo: relaxed — racy observability read of a statistics counter.
-  return impl_->steals.load(std::memory_order_relaxed);
+std::size_t ThreadPool::queue_depth() const {
+  const std::lock_guard<std::mutex> lock(impl_->queue_mutex);
+  return impl_->queued;
 }
 
 std::vector<ThreadPool::WorkerStats> ThreadPool::worker_stats() const {
@@ -601,12 +404,10 @@ std::vector<ThreadPool::WorkerStats> ThreadPool::worker_stats() const {
     // mo: relaxed — racy snapshot of per-worker statistics while the
     // workers keep running; staleness is fine by contract.
     s.jobs = w->jobs.load(std::memory_order_relaxed);
-    s.steals = w->steals.load(std::memory_order_relaxed);
     s.busy_seconds =
         static_cast<double>(w->busy_ns.load(std::memory_order_relaxed)) / 1e9;
     s.spin_seconds =
         static_cast<double>(w->spin_ns.load(std::memory_order_relaxed)) / 1e9;
-    s.queue_depth = w->deque.size();
     out.push_back(s);
   }
   return out;

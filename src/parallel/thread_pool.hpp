@@ -1,6 +1,6 @@
 #pragma once
 
-// Persistent work-stealing thread pool — the process-wide compute substrate.
+// Persistent thread pool — the process-wide compute substrate.
 //
 // One pool, created on first use, serves every parallel loop in the repo:
 // offline phase builds, ScenarioBank sweeps, the FFT/GEMM hot paths, and the
@@ -8,15 +8,14 @@
 // same workers the numeric loops run on, so a busy tick and a background
 // sweep share one set of threads instead of oversubscribing the machine).
 //
-// Scheduling: each worker owns a Chase-Lev deque (owner pushes/pops the
-// bottom, idle thieves CAS the top), plus a mutex-guarded injection queue for
-// jobs submitted from non-worker threads. A worker that runs out of work
-// first spins on the pool's submission counter for up to kSpinWindow, then
-// parks on a condition variable. At most one worker spins at a time, so an
-// idle pool burns at most one core for one window before every worker
-// sleeps. A submit skips the wakeup while a spinner is active (the spinner
-// wakes parked workers if a burst arrived); otherwise it wakes one parked
-// worker. The submission counter is a generation count, so no submit can
+// Scheduling: every job — a submit()ted job or a run() loop's helper, from
+// any thread — goes through one mutex-guarded FIFO that all workers pop. A
+// worker that finds it empty first spins on the pool's submission counter
+// for up to kSpinWindow, then parks on a condition variable. At most one
+// worker spins at a time, so an idle pool burns at most one core for one
+// window before every worker sleeps. A submit skips the wakeup while a
+// spinner is active (the spinner wakes parked workers if a burst arrived);
+// otherwise it wakes one parked worker. The submission counter is a generation count, so no submit can
 // race a worker into missing its wakeup.
 //
 // Determinism contract (load-balancing without result drift): `run()` splits
@@ -92,18 +91,19 @@ class ThreadPool {
   /// the determinism tests and the scaling bench.
   void resize(std::size_t threads);
 
-  /// Cumulative cross-worker steals (observability for the stress tests).
-  [[nodiscard]] std::size_t steal_count() const;
+  /// Jobs waiting in the queue right now (read under the queue's mutex).
+  [[nodiscard]] std::size_t queue_depth() const;
 
   /// Point-in-time counters of one worker thread, indexed [0, num_threads()).
-  /// Counts reset when the worker set is respawned (construction, resize());
-  /// the pool-wide steal_count() persists across resizes.
+  /// Counts reset when the worker set is respawned (construction, resize()).
   struct WorkerStats {
-    std::uint64_t jobs = 0;       ///< jobs executed (submit jobs + loop helpers)
-    std::uint64_t steals = 0;     ///< successful steals performed BY this worker
-    double busy_seconds = 0.0;    ///< wall time spent inside job bodies
-    double spin_seconds = 0.0;    ///< wall time spent spinning while idle
-    std::size_t queue_depth = 0;  ///< entries currently in its deque
+    std::uint64_t jobs = 0;     ///< jobs executed (submit jobs + loop helpers)
+    /// Always 0: the pool has one shared queue and no worker steals. It
+    /// stays only because the benchmark harness still reads it; ROADMAP
+    /// item 1 stops that and deletes it.
+    std::uint64_t steals = 0;
+    double busy_seconds = 0.0;  ///< wall time spent inside job bodies
+    double spin_seconds = 0.0;  ///< wall time spent spinning while idle
   };
 
   /// Per-worker counters, one entry per worker. Safe to call concurrently

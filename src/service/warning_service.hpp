@@ -5,11 +5,11 @@
 // The paper's online phase serves ONE event; an operational warning center
 // during a Cascadia sequence (mainshock, aftershocks, far-field arrivals —
 // and scenario sweeps running alongside live events) needs many at once.
-// This is the serving layer: drain jobs on the process-wide work-stealing
-// ThreadPool pull per-event ingest queues and push observations through
-// per-event StreamingAssimilators, all of which share the immutable
-// per-network StreamingEngine slabs held by an EngineCache — hundreds of
-// sessions, one copy of the operators. Each drain job owns one session.
+// This is the serving layer: drain jobs on the process-wide ThreadPool pull
+// per-event ingest queues and push observations through per-event
+// StreamingAssimilators, all of which share the immutable per-network
+// StreamingEngine slabs held by an EngineCache — hundreds of sessions, one
+// copy of the operators. Each drain job owns one session.
 //
 //   EngineCache cache;                          // one per process
 //   WarningService service({.num_workers = 8});

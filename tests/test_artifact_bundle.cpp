@@ -10,7 +10,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "core/digital_twin.hpp"
@@ -305,6 +307,27 @@ TEST_F(ArtifactBundleTest, RejectsHostileConfigBeforeConstruction) {
   cfg[18] = 0.0;  // num_sensors
   zero_sensors.set("config", {cfg.size()}, cfg);
   EXPECT_THROW((void)DigitalTwin(zero_sensors), std::runtime_error);
+
+  // Time-step fields, each with a self-consistent fingerprint (FNV-1a of
+  // the packed fields): cfl = 0 makes the CFL substep count infinite and
+  // cfl = 1e-300 one no size_t holds, and observation_dt = NaN would give
+  // a NaN time step.
+  const auto crafted = [&](std::size_t field, double value) {
+    ArtifactBundle b = twin_->make_bundle();
+    std::vector<double> fields = b.vector("config");
+    fields[field] = value;
+    b.set("config", {fields.size()}, fields);
+    b.fingerprint = fnv1a(fields.data(), fields.size() * sizeof(double));
+    return b;
+  };
+  constexpr std::size_t kCfl = 17, kObservationDt = 21;
+  EXPECT_THROW((void)DigitalTwin(crafted(kCfl, 0.0)), std::invalid_argument);
+  EXPECT_THROW((void)DigitalTwin(crafted(kCfl, 1e-300)),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)DigitalTwin(crafted(kObservationDt,
+                                std::numeric_limits<double>::quiet_NaN())),
+      std::runtime_error);
 }
 
 TEST_F(ArtifactBundleTest, RejectsSectionDimensionMismatch) {

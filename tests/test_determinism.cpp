@@ -3,8 +3,8 @@
 // makes this testable once, centrally: the chunk grid depends only on the
 // item count (never on the worker count), chunks write disjoint data, and
 // reductions combine per-chunk partials serially in chunk order — so worker
-// count and steal order can change WHO computes a chunk but never WHAT is
-// computed or in which order partials meet. Each test recomputes a result
+// count and scheduling order can change WHO computes a chunk but never WHAT
+// is computed or in which order partials meet. Each test recomputes a result
 // at the parameterized worker count and compares it bitwise (EXPECT_EQ on
 // doubles, no tolerance) against a reference computed at 1 worker in
 // SetUpTestSuite. This suite replaces the scattered per-suite thread-count

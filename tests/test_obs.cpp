@@ -366,6 +366,11 @@ TEST(Bridge, PoolStatsExportOneSeriesPerWorker) {
   const std::string text = prometheus_text(snap);
   EXPECT_EQ(validate_prometheus(text), "");
   EXPECT_NE(text.find("tsunami_pool_workers"), std::string::npos);
+  // One pool-wide queue gauge; no steal series, since no worker steals.
+  EXPECT_NE(text.find("# TYPE tsunami_pool_queue_depth gauge"),
+            std::string::npos);
+  EXPECT_EQ(text.find("_steals_total"), std::string::npos);
+  EXPECT_EQ(text.find("tsunami_pool_worker_queue_depth"), std::string::npos);
   const auto stats = pool.worker_stats();
   ASSERT_EQ(stats.size(), pool.num_threads());
   for (std::size_t i = 0; i < stats.size(); ++i) {

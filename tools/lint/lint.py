@@ -15,7 +15,7 @@ Enforces repo-specific contracts that no generic analyzer expresses:
   atomic-seq-cst          memory_order_seq_cst requires a documented
                           exemption (exemptions.txt) or an inline allow: the
                           default fence is either a bug or a deliberate,
-                          explained choice (the Chase-Lev deque).
+                          explained choice (the pool's idle protocol).
   hot-path-alloc          No heap allocation (`new`, malloc family) or
                           container growth (push_back/resize/reserve/...)
                           inside a function annotated TSUNAMI_HOT_PATH.
@@ -469,13 +469,11 @@ def atomics_doc(sites, exemptions) -> str:
         "`lint_atomics_doc` CTest fails when this table is stale, so the doc",
         "is always in sync with the code.",
         "",
-        "The work-stealing deque in `src/parallel/thread_pool.cpp` uses",
-        "`seq_cst` throughout by documented exemption (see",
-        "`tools/lint/exemptions.txt`): it matches the TSan-verified model of",
-        "the Chase-Lev algorithm, and the deque is not the pool's hot path.",
-        "The pool's idle protocol (`signals`, `spinning`, `sleepers`) needs",
-        "`seq_cst` for its store-then-load pairs: a submitter and a worker",
-        "going idle must not both miss each other's store.",
+        "The pool's idle protocol in `src/parallel/thread_pool.cpp`",
+        "(`signals`, `spinning`, `sleepers`) uses `seq_cst` by documented",
+        "exemption (see `tools/lint/exemptions.txt`): its store-then-load",
+        "pairs need it, because a submitter and a worker going idle must not",
+        "both miss each other's store.",
         "",
         "| File | Operation | Order | Rationale |",
         "|---|---|---|---|",
