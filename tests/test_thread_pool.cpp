@@ -114,8 +114,8 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
 
 TEST(ThreadPoolTest, OversubscribedSubmitDrains) {
   // Far more jobs than workers, submitted from several external threads at
-  // once (all landing in the injection queue): every job runs exactly once
-  // and wait_idle observes completion.
+  // once (all contending for the one job queue): every job runs exactly
+  // once and wait_idle observes completion.
   ThreadPool pool(4);
   constexpr int kJobs = 1000;
   std::atomic<int> ran{0};
@@ -171,7 +171,7 @@ TEST(ThreadPoolTest, ResizePreservesPendingJobs) {
   for (int i = 0; i < 100; ++i)
     pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
   // Jobs still queued (or mid-run) when the worker set is torn down must be
-  // salvaged into the new workers, not dropped.
+  // run by the new workers, not dropped.
   pool.resize(4);
   EXPECT_EQ(pool.num_threads(), 4u);
   pool.wait_idle();
