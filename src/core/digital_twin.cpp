@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "linalg/blas.hpp"
 #include "obs/trace.hpp"
@@ -100,24 +102,37 @@ TwinConfig unpack_config(const std::vector<double>& p) {
   return c;
 }
 
-/// Rebuild a P2oMap (blocks + FFT Toeplitz engine) from a bundle section.
-P2oMap p2o_from_section(const BundleSection& s) {
+/// Take a p2o section out of the bundle, check its dims against this
+/// configuration, and adopt its blocks (no copy) into a P2oMap. The FFT
+/// Toeplitz engine is built by the caller once every section checks out.
+P2oMap take_p2o(ArtifactBundle& bundle, const std::string& name,
+                std::size_t nrows, std::size_t ncols, std::size_t nt) {
+  BundleSection s = bundle.take(name);
+  if (s.dims.size() != 3 || s.dims[0] != nrows || s.dims[1] != ncols ||
+      s.dims[2] != nt)
+    throw std::runtime_error("artifact bundle: section '" + name +
+                             "' dimensions do not match this configuration");
   P2oMap m;
-  m.nrows = static_cast<std::size_t>(s.dims[0]);
-  m.ncols = static_cast<std::size_t>(s.dims[1]);
-  m.nt = static_cast<std::size_t>(s.dims[2]);
-  m.blocks = s.data;
-  m.toeplitz = std::make_unique<BlockToeplitz>(
-      m.nrows, m.ncols, m.nt, std::span<const double>(m.blocks));
+  m.nrows = nrows;
+  m.ncols = ncols;
+  m.nt = nt;
+  m.blocks = std::move(s.data);
   return m;
 }
 
-void expect_p2o_dims(const BundleSection& s, std::size_t nrows,
-                     std::size_t ncols, std::size_t nt) {
-  if (s.dims.size() != 3 || s.dims[0] != nrows || s.dims[1] != ncols ||
-      s.dims[2] != nt)
-    throw std::runtime_error("artifact bundle: section '" + s.name +
-                             "' dimensions do not match this configuration");
+void build_toeplitz(P2oMap& m) {
+  m.toeplitz = std::make_unique<BlockToeplitz>(
+      m.nrows, m.ncols, m.nt, std::span<const double>(m.blocks));
+}
+
+/// Take a 2-D section and check its shape; `what` names it in the error.
+Matrix take_shaped(ArtifactBundle& bundle, const std::string& name,
+                   std::size_t rows, std::size_t cols, const char* what) {
+  Matrix m = bundle.take_matrix(name);
+  if (m.rows() != rows || m.cols() != cols)
+    throw std::runtime_error(std::string("artifact bundle: ") + what +
+                             " dimensions do not match this configuration");
+  return m;
 }
 
 }  // namespace
@@ -189,7 +204,7 @@ DigitalTwin::DigitalTwin(const TwinConfig& config)
                                          cfg_.prior);
 }
 
-DigitalTwin::DigitalTwin(const ArtifactBundle& bundle)
+DigitalTwin::DigitalTwin(ArtifactBundle bundle)
     : DigitalTwin(config_from_bundle(bundle)) {
   install_offline(bundle);
 }
@@ -206,46 +221,34 @@ TwinConfig DigitalTwin::config_from_bundle(const ArtifactBundle& bundle) {
   return cfg;
 }
 
-void DigitalTwin::install_offline(const ArtifactBundle& bundle) {
+void DigitalTwin::install_offline(ArtifactBundle& bundle) {
   ScopedTimer t(timers_, "warm start: install bundle");
   const std::size_t nm = model_->source_map().parameter_dim();
   const std::size_t nt = time_.num_intervals;
   const std::size_t n = data_dim();
-
-  const BundleSection& f_sec = bundle.at("p2o/F");
-  expect_p2o_dims(f_sec, sensors_->num_outputs(), nm, nt);
-  const BundleSection& fq_sec = bundle.at("p2o/Fq");
-  expect_p2o_dims(fq_sec, gauges_->num_outputs(), nm, nt);
+  const std::size_t nqoi = cfg_.num_gauges * nt;
 
   const std::vector<double> sigma = bundle.vector("noise/sigma");
   if (sigma.size() != 1 || !(sigma[0] > 0.0))
     throw std::runtime_error("artifact bundle: bad noise/sigma section");
-
-  Matrix l = bundle.matrix("hessian/chol_L");
-  if (l.rows() != n || l.cols() != n)
-    throw std::runtime_error(
-        "artifact bundle: Cholesky factor dimensions do not match this "
-        "configuration");
-  Matrix q = bundle.matrix("qoi/Q");
-  const std::size_t nqoi = cfg_.num_gauges * nt;
-  if (q.rows() != nqoi || q.cols() != n)
-    throw std::runtime_error(
-        "artifact bundle: Q dimensions do not match this configuration");
-  Matrix cov = bundle.matrix("qoi/cov");
-  if (cov.rows() != nqoi || cov.cols() != nqoi)
-    throw std::runtime_error(
-        "artifact bundle: Gamma_post(q) dimensions do not match this "
-        "configuration");
+  P2oMap f = take_p2o(bundle, "p2o/F", sensors_->num_outputs(), nm, nt);
+  P2oMap fq = take_p2o(bundle, "p2o/Fq", gauges_->num_outputs(), nm, nt);
+  Matrix l = take_shaped(bundle, "hessian/chol_L", n, n, "Cholesky factor");
+  Matrix q = take_shaped(bundle, "qoi/Q", nqoi, n, "Q");
+  Matrix cov = take_shaped(bundle, "qoi/cov", nqoi, nqoi, "Gamma_post(q)");
+  Matrix r = take_shaped(bundle, "qoi/R", n, nqoi, "R");
 
   // All sections validated; rebuild the online operators. No PDE solves, no
   // Hessian formation, no factorization — the whole point of the split.
-  f_ = p2o_from_section(f_sec);
-  fq_ = p2o_from_section(fq_sec);
+  f_ = std::move(f);
+  fq_ = std::move(fq);
+  build_toeplitz(f_);
+  build_toeplitz(fq_);
   hessian_ = std::make_unique<DataSpaceHessian>(
       DataSpaceHessian::from_factor(std::move(l), NoiseModel{sigma[0]}));
   posterior_ = std::make_unique<Posterior>(*f_.toeplitz, *prior_, *hessian_);
-  predictor_ = std::make_unique<QoiPredictor>(*fq_.toeplitz, std::move(q),
-                                              std::move(cov));
+  predictor_ = std::make_unique<QoiPredictor>(
+      *fq_.toeplitz, std::move(q), std::move(cov), std::move(r));
   refresh_offline_epoch();
 }
 
@@ -262,6 +265,7 @@ ArtifactBundle DigitalTwin::make_bundle() const {
   b.set_matrix("hessian/chol_L", hessian_->cholesky().factor());
   b.set_matrix("qoi/Q", predictor_->data_to_qoi());
   b.set_matrix("qoi/cov", predictor_->qoi_covariance());
+  b.set_matrix("qoi/R", predictor_->forecast_slab());
   return b;
 }
 
@@ -275,13 +279,13 @@ DigitalTwin DigitalTwin::load_offline(const std::string& path) {
 
 DigitalTwin DigitalTwin::load_offline(const std::string& path,
                                       const TwinConfig& expected) {
-  const ArtifactBundle bundle = load_bundle(path);
+  ArtifactBundle bundle = load_bundle(path);
   if (bundle.fingerprint != expected.fingerprint())
     throw std::runtime_error(
         "load_offline: bundle was produced by a different twin "
         "configuration: " +
         path);
-  return DigitalTwin(bundle);
+  return DigitalTwin(std::move(bundle));
 }
 
 void DigitalTwin::refresh_offline_epoch() {

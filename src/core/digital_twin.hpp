@@ -127,15 +127,17 @@ class DigitalTwin {
   /// configuration is read from the bundle itself (a non-finite or
   /// out-of-range field throws std::runtime_error); the stored fingerprint is
   /// verified against the reconstructed config before anything is trusted.
-  /// infer() and streaming push() on the result are bit-identical to the
-  /// cold-path twin that produced the bundle (tests/test_artifact_bundle.cpp).
-  explicit DigitalTwin(const ArtifactBundle& bundle);
+  /// Each section's payload is moved into its owner, not copied, so pass an
+  /// rvalue when the bundle is not needed afterwards. infer() and streaming
+  /// push() on the result are bit-identical to the cold-path twin that
+  /// produced the bundle (tests/test_artifact_bundle.cpp).
+  explicit DigitalTwin(ArtifactBundle bundle);
 
   // ---- offline artifact shipping -------------------------------------------
-  /// Serialize everything Phase 4 needs (config + fingerprint, F/Fq block
-  /// columns, the Cholesky factor of K, Q, Gamma_post(q), the calibrated
-  /// noise) into one versioned, checksummed bundle file. Requires completed
-  /// offline phases.
+  /// Serialize everything Phase 4 reads (config + fingerprint, F/Fq block
+  /// columns, the Cholesky factor of K, Q, Gamma_post(q), the forecast slab
+  /// R, the calibrated noise) into one versioned, checksummed bundle file.
+  /// Requires completed offline phases.
   void save_offline(const std::string& path) const;
 
   /// The in-memory form of save_offline (exposed for tests and tooling).
@@ -227,8 +229,9 @@ class DigitalTwin {
   [[nodiscard]] static TwinConfig config_from_bundle(
       const ArtifactBundle& bundle);
   /// Rebuild posterior_/predictor_ (and f_/fq_/hessian_) from bundle
-  /// sections, with per-section dimension checks against this twin.
-  void install_offline(const ArtifactBundle& bundle);
+  /// sections, with per-section dimension checks against this twin. Moves
+  /// each payload out of `bundle`.
+  void install_offline(ArtifactBundle& bundle);
   /// Replace the offline-state epoch token: any streaming engine built over
   /// the previous offline state now throws instead of slicing stale slabs.
   void refresh_offline_epoch();

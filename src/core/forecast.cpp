@@ -5,6 +5,7 @@
 
 #include "core/p2o_builder.hpp"
 #include "linalg/blas.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace tsunami {
 
@@ -44,20 +45,43 @@ QoiPredictor::QoiPredictor(const P2oMap& f, const P2oMap& fq,
   // Q = V^T K^{-1} = (K^{-1} V)^T (K symmetric).
   q_map_op_ = kinv_v.transposed();
   if (timers) timers->add("compute Q", q_watch.seconds());
+
+  Stopwatch r_watch;
+  // R = L^{-1} V, the forecast slab. Forward substitution keeps the rows
+  // causal, so row block t is exactly what tick t contributes. From
+  // Q = V^T K^{-1} and K = L L^T it follows that R = L^{-1} (K Q^T) =
+  // L^T Q^T, a triangular product with Q^T = K^{-1} V:
+  // r_(i, :) = sum_{j >= i} L(j, i) Q^T(j, :), the slab sweep over rows
+  // [i, n) of Q^T, its coefficients column i of L gathered into slot-local
+  // scratch.
+  const std::size_t n = kinv_v.rows();
+  const Matrix& l = hessian.cholesky().factor();
+  r_ = Matrix(n, nqoi);
+  std::vector<double> coeffs(static_cast<std::size_t>(num_threads()) * n);
+  parallel_for_slotted(n, 8, [&](std::size_t i, std::size_t slot) {
+    double* col = coeffs.data() + slot * n;
+    for (std::size_t j = i; j < n; ++j) col[j - i] = l(j, i);
+    accumulate_rows(kinv_v.data() + i * nqoi, n - i, nqoi, col,
+                    r_.row(i).data());
+  });
+  if (timers) timers->add("compute R", r_watch.seconds());
 }
 
 QoiPredictor::QoiPredictor(const BlockToeplitz& fq, Matrix data_to_qoi,
-                           Matrix qoi_cov)
+                           Matrix qoi_cov, Matrix forecast_slab)
     : fq_(fq),
       nq_(fq.block_rows()),
       nt_(fq.num_blocks()),
       q_map_op_(std::move(data_to_qoi)),
-      cov_q_(std::move(qoi_cov)) {
+      cov_q_(std::move(qoi_cov)),
+      r_(std::move(forecast_slab)) {
   const std::size_t nqoi = fq.output_dim();
   if (q_map_op_.rows() != nqoi)
     throw std::invalid_argument("QoiPredictor: Q rows != Fq output dim");
   if (cov_q_.rows() != nqoi || cov_q_.cols() != nqoi)
     throw std::invalid_argument("QoiPredictor: Gamma_post(q) shape mismatch");
+  if (r_.rows() != q_map_op_.cols() || r_.cols() != nqoi)
+    throw std::invalid_argument("QoiPredictor: R shape mismatch");
   std_q_.resize(nqoi);
   for (std::size_t i = 0; i < nqoi; ++i)
     std_q_[i] = std::sqrt(std::max(0.0, cov_q_(i, i)));

@@ -6,70 +6,13 @@
 #include <stdexcept>
 #include <string>
 
+#include "linalg/blas.hpp"
 #include "obs/trace.hpp"
 #include "parallel/parallel_for.hpp"
 
 namespace tsunami {
 
 namespace {
-
-constexpr std::size_t kAccTile = 1024;  // 8 KB: half of a typical L1d
-
-/// Rows per pass of accumulate_rows: each output column is loaded and
-/// stored once per group of rows instead of once per row. forward_solve_range
-/// groups the same 8 rows (dense_cholesky.cpp), and one tick of an
-/// 8-channel network is one whole group. The group size moves no bits: the
-/// adds per column stay j-ascending whatever it is.
-constexpr std::size_t kRows = 8;
-
-/// m[c0:c1] += z[0] rows[0][c0:c1] + ... + z[kRows-1] rows[kRows-1][c0:c1]
-/// (row r at rows + r * stride) — the group kernel of accumulate_rows. Each
-/// output column is loaded once, takes its kRows multiply-adds in r order,
-/// and is stored once: per column the same operations in the same order as
-/// kRows calls of accumulate_row_tile, at one output load and store instead
-/// of kRows.
-TSUNAMI_HOT_PATH inline void accumulate_group_tile(const double* rows,
-                                                   std::size_t stride,
-                                                   const double* z, double* m,
-                                                   std::size_t c0,
-                                                   std::size_t c1) {
-  const double* row[kRows];
-  for (std::size_t r = 0; r < kRows; ++r) row[r] = rows + r * stride;
-  for (std::size_t c = c0; c < c1; ++c) {
-    double acc = m[c];
-    for (std::size_t r = 0; r < kRows; ++r) acc += z[r] * row[r][c];
-    m[c] = acc;
-  }
-}
-
-/// m[c0:c1] += zj * row[c0:c1]: one row, for the rows after the last
-/// whole group.
-TSUNAMI_HOT_PATH inline void accumulate_row_tile(const double* row, double zj,
-                                                 double* m, std::size_t c0,
-                                                 std::size_t c1) {
-  for (std::size_t c = c0; c < c1; ++c) m[c] += zj * row[c];
-}
-
-/// out[0:ncols) += rows^T z[0:nrows) over a row-major block of nrows rows
-/// (row stride ncols) — the per-tick forecast accumulation, also the offline
-/// R products. Column-tiled so the output tile stays in L1 across the row
-/// groups; the slab rows are read exactly once. Per output column the adds
-/// run j-ascending: the groups in order, then the tail rows. That order is
-/// the contract: the bits are those of the row-at-a-time loop, so a sweep
-/// split into ranges (a tick at a time, or one call over many ticks as
-/// rebuild_projections makes) gives the same bits.
-TSUNAMI_HOT_PATH void accumulate_rows(const double* rows, std::size_t nrows,
-                                      std::size_t ncols, const double* z,
-                                      double* out) {
-  for (std::size_t c0 = 0; c0 < ncols; c0 += kAccTile) {
-    const std::size_t c1 = std::min(c0 + kAccTile, ncols);
-    std::size_t j = 0;
-    for (; j + kRows <= nrows; j += kRows)
-      accumulate_group_tile(rows + j * ncols, ncols, z + j, out, c0, c1);
-    for (; j < nrows; ++j)
-      accumulate_row_tile(rows + j * ncols, z[j], out, c0, c1);
-  }
-}
 
 /// out += slab[p0:p1, :]^T z[p0:p1] over a dense slab (R).
 TSUNAMI_HOT_PATH void accumulate_block_rows(const Matrix& slab,
@@ -114,26 +57,7 @@ StreamingEngine::StreamingEngine(const Posterior& posterior,
 
   TRACE_SCOPE("offline", "streaming_precompute");
   Stopwatch watch;
-  const DenseCholesky& chol = post_.hessian().cholesky();
-
-  // R = L^{-1} V: the forecast slab. Forward substitution keeps the rows
-  // causal, so row block t is exactly what tick t contributes. Computed
-  // without materializing V: from Q = V^T K^{-1} and K = L L^T it follows
-  // that R = L^{-1} (K Q^T) = L^T Q^T — a triangular product of operators
-  // the predictor already retains (no extra Phase 3 storage).
-  const Matrix qt = predictor.data_to_qoi().transposed();  // n x nqoi
-  const Matrix& l = chol.factor();
-  r_ = Matrix(n_, nqoi_);
-  // r_(i, :) = sum_{j >= i} L(j, i) Q^T(j, :): the slab sweep over rows
-  // [i, n) of Q^T, its coefficients column i of L gathered into slot-local
-  // scratch.
-  std::vector<double> coeffs(static_cast<std::size_t>(num_threads()) * n_);
-  parallel_for_slotted(n_, 8, [&](std::size_t i, std::size_t slot) {
-    double* col = coeffs.data() + slot * n_;
-    for (std::size_t j = i; j < n_; ++j) col[j - i] = l(j, i);
-    accumulate_rows(qt.data() + i * nqoi_, n_ - i, nqoi_, col,
-                    r_.row(i).data());
-  });
+  const Matrix& r = predictor.forecast_slab();
 
   // Credible-interval schedule: diag Gamma_post(q, t) = diag Gamma_post(q) +
   // the *tail* sum of squares down the columns of R (the information the
@@ -148,7 +72,7 @@ StreamingEngine::StreamingEngine(const Posterior& posterior,
     std_schedule_(nt_, i) = std::sqrt(std::max(0.0, cov_q(i, i)));
   for (std::size_t t = nt_; t-- > 0;) {
     for (std::size_t j = t * nd_; j < (t + 1) * nd_; ++j) {
-      const auto row = r_.row(j);
+      const auto row = r.row(j);
       for (std::size_t i = 0; i < nqoi_; ++i) tail[i] += row[i] * row[i];
     }
     for (std::size_t i = 0; i < nqoi_; ++i)
@@ -198,15 +122,16 @@ void StreamingEngine::apply_mask() {
   reduced_hess_->decouple_channels(mask_, nd_);
 
   // Rebuild the forecast slab against the decoupled factor. The slab V =
-  // F Gamma_prior Fq^T is recovered from the full precompute (V = L R since
-  // R = L^{-1} V); its dropped rows are zeroed (those rows of F no longer
-  // exist) and the reduced R' = L'^{-1} V' re-solved column-free via the
-  // multi-RHS forward substitution.
+  // F Gamma_prior Fq^T is recovered from the predictor's full R (V = L R
+  // since R = L^{-1} V); its dropped rows are zeroed (those rows of F no
+  // longer exist) and the reduced R' = L'^{-1} V' re-solved column-free via
+  // the multi-RHS forward substitution.
+  const Matrix& r = pred_.forecast_slab();
   Matrix v(n_, nqoi_);
   parallel_for_min(n_, 8, [&](std::size_t i) {
     if (mask_.masked(i % nd_)) return;  // row dies below; skip the product
     // v(i, :) = sum_{j <= i} L(i, j) R(j, :), coefficients row i of L.
-    accumulate_rows(r_.data(), i + 1, nqoi_, l.row(i).data(), v.row(i).data());
+    accumulate_rows(r.data(), i + 1, nqoi_, l.row(i).data(), v.row(i).data());
   });
   reduced_hess_->cholesky().forward_solve_in_place(v);
   r_ = std::move(v);
@@ -311,7 +236,7 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::push(
     advance_degraded(p0, p1, valid);
   // Accumulate the new block's contribution to the forecast in row groups
   // (one output load and store per 8 sensor rows, not per row).
-  accumulate_block_rows(eng_.r_, z_, p0, p1, q_mean_);
+  accumulate_block_rows(eng_.slab(), z_, p0, p1, q_mean_);
   ++t_;
 }
 
@@ -352,7 +277,7 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::advance_degraded(
     DeadRow& dr = dead_[j];
     chol.forward_solve_range(dr.y, p0, p1);
     for (std::size_t i = p0; i < p1; ++i) h_[j] += dr.y[i] * z_[i];
-    accumulate_block_rows(eng_.r_, dr.y, p0, p1, dr.g);
+    accumulate_block_rows(eng_.slab(), dr.y, p0, p1, dr.g);
   }
   // (b) chol(S) absorbs the new prefix rows: one rank-1 update per row,
   // over the pre-existing columns (appended columns compute their own full
@@ -401,7 +326,7 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::advance_degraded(
     double h0 = 0.0;
     for (std::size_t i = row; i < p1; ++i) h0 += dr.y[i] * z_[i];
     h_.push_back(h0);  // lint: allow(hot-path-alloc) sensor-death control event
-    accumulate_block_rows(eng_.r_, dr.y, row, p1, dr.g);
+    accumulate_block_rows(eng_.slab(), dr.y, row, p1, dr.g);
     dead_.push_back(std::move(dr));  // lint: allow(hot-path-alloc) sensor-death control event
   }
 }
@@ -421,7 +346,7 @@ void StreamingAssimilator::rebuild_projections() {
     dr.g.assign(eng_.qoi_dim(), 0.0);
     dr.y[dr.row] = 1.0;
     chol.forward_solve_range(dr.y, dr.row, p);
-    accumulate_block_rows(eng_.r_, dr.y, dr.row, p, dr.g);
+    accumulate_block_rows(eng_.slab(), dr.y, dr.row, p, dr.g);
     for (std::size_t i = dr.row; i < p; ++i) h_[j] += dr.y[i] * z_[i];
   }
   // S = Y^T Y, exploiting causal sparsity (column j is zero above row_j;

@@ -41,15 +41,19 @@
 //     applies, and no parameter-space operator stored offline. Parameter
 //     blocks the stream has not reached hold exactly 0, the prior mean.
 //
-// The credible-interval schedule Gamma_post(q, t) is data-independent, so
-// the engine precomputes the whole stddev-vs-tick table once; streaming an
-// event costs only the forward-substitution extension plus one R block-row
-// matvec per tick, and a MAP read costs one backward solve and one lift.
+// R is a Phase 3 product (QoiPredictor::forecast_slab), shipped in the
+// artifact bundle: it costs O(n^2 qoi_dim) flops to derive and O(n qoi_dim)
+// bytes to read. The credible-interval schedule Gamma_post(q, t) is
+// data-independent, so the engine precomputes the whole stddev-vs-tick
+// table once; streaming an event costs only the forward-substitution
+// extension plus one R block-row matvec per tick, and a MAP read costs one
+// backward solve and one lift.
 //
 // Split of responsibilities:
-//   StreamingEngine      — immutable per-network precompute (R, the CI
-//                          schedule); shared by any number of concurrent
-//                          event streams (ScenarioBank::run_streaming).
+//   StreamingEngine      — immutable per-network precompute (the CI
+//                          schedule; R' of a reduced() engine); shared by
+//                          any number of concurrent event streams
+//                          (ScenarioBank::run_streaming).
 //   StreamingAssimilator — per-event mutable state (z, rolling q_map);
 //                          cheap to create, reset, and replay.
 
@@ -91,7 +95,9 @@ class StreamingAssimilator;
 class StreamingEngine {
  public:
   /// Requires completed offline phases (the factorized Hessian lives in the
-  /// posterior). Records a "streaming: precompute" timer sample. `lifetime`
+  /// posterior, R in the predictor; both must come from one twin). Builds
+  /// the credible-interval schedule and records its time as a "streaming:
+  /// precompute" timer sample. `lifetime`
   /// is the owner's validity token (DigitalTwin passes its offline-state
   /// epoch): when the token expires, start()/push()/forecast()/map_snapshot()
   /// throw std::logic_error instead of dereferencing freed operators. A null
@@ -107,8 +113,8 @@ class StreamingEngine {
   /// as if the masked channels never existed. The dropped rows of the
   /// data-space Hessian are decoupled to pure noise via the O(r n^2)
   /// rank-2 factor edits (DataSpaceHessian::decouple_channels), R re-solved
-  /// against the decoupled factor, and the credible-interval schedule
-  /// rebuilt — so assimilators started from the result compute the exact
+  /// against the decoupled factor into an R' the engine owns, and the
+  /// credible-interval schedule rebuilt — so assimilators started from the result compute the exact
   /// posterior of the surviving network (their MAP reads solve against the
   /// decoupled factor too). This is the oracle that StreamingAssimilator::
   /// drop_sensor's mid-stream projection is tested against, and the
@@ -155,6 +161,12 @@ class StreamingEngine {
                          : post_.hessian().cholesky();
   }
 
+  /// The forecast slab every push sweeps: the predictor's R on a
+  /// full-network engine, the re-solved R' on a reduced() one.
+  [[nodiscard]] const Matrix& slab() const {
+    return reduced_hess_ ? r_ : pred_.forecast_slab();
+  }
+
   /// The precompute of a network without the channels `mask` drops (an
   /// empty mask: the full network). reduced() passes its mask here.
   StreamingEngine(const Posterior& posterior, const QoiPredictor& predictor,
@@ -162,7 +174,7 @@ class StreamingEngine {
                   std::shared_ptr<const void> lifetime,
                   const SensorMask& mask);
 
-  /// Decouple the masked channels and rebuild R and the schedule against
+  /// Decouple the masked channels and build R' and the schedule against
   /// the decoupled factor.
   void apply_mask();
 
@@ -171,7 +183,7 @@ class StreamingEngine {
   std::weak_ptr<const void> lifetime_;
   StreamingOptions opts_;
   std::size_t nd_, nt_, n_, np_, nqoi_;
-  Matrix r_;             ///< L^{-1} V, (Nd Nt) x nqoi; row j contiguous
+  Matrix r_;             ///< R' = L'^{-1} V' of a reduced() engine only
   Matrix std_schedule_;  ///< (Nt + 1) x nqoi; row t = stddev after t ticks
   SensorMask mask_;      ///< channels this engine was reduced without
   /// Decoupled-factor hessian of a reduced() engine (null on full-network

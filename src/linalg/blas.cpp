@@ -1,5 +1,6 @@
 #include "linalg/blas.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -135,6 +136,60 @@ void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c) {
       for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
   });
+}
+
+namespace {
+
+constexpr std::size_t kAccTile = 1024;  // 8 KB: half of a typical L1d
+
+/// Rows per pass of accumulate_rows: each output column is loaded and
+/// stored once per group of rows instead of once per row. forward_solve_range
+/// groups the same 8 rows (dense_cholesky.cpp), and one tick of an
+/// 8-channel network is one whole group. The group size moves no bits: the
+/// adds per column stay j-ascending whatever it is.
+constexpr std::size_t kRows = 8;
+
+/// m[c0:c1] += z[0] rows[0][c0:c1] + ... + z[kRows-1] rows[kRows-1][c0:c1]
+/// (row r at rows + r * stride) — the group kernel of accumulate_rows. Each
+/// output column is loaded once, takes its kRows multiply-adds in r order,
+/// and is stored once: per column the same operations in the same order as
+/// kRows calls of accumulate_row_tile, at one output load and store instead
+/// of kRows.
+TSUNAMI_HOT_PATH inline void accumulate_group_tile(const double* rows,
+                                                   std::size_t stride,
+                                                   const double* z, double* m,
+                                                   std::size_t c0,
+                                                   std::size_t c1) {
+  const double* row[kRows];
+  for (std::size_t r = 0; r < kRows; ++r) row[r] = rows + r * stride;
+  for (std::size_t c = c0; c < c1; ++c) {
+    double acc = m[c];
+    for (std::size_t r = 0; r < kRows; ++r) acc += z[r] * row[r][c];
+    m[c] = acc;
+  }
+}
+
+/// m[c0:c1] += zj * row[c0:c1]: one row, for the rows after the last
+/// whole group.
+TSUNAMI_HOT_PATH inline void accumulate_row_tile(const double* row, double zj,
+                                                 double* m, std::size_t c0,
+                                                 std::size_t c1) {
+  for (std::size_t c = c0; c < c1; ++c) m[c] += zj * row[c];
+}
+
+}  // namespace
+
+TSUNAMI_HOT_PATH void accumulate_rows(const double* rows, std::size_t nrows,
+                                      std::size_t ncols, const double* z,
+                                      double* out) {
+  for (std::size_t c0 = 0; c0 < ncols; c0 += kAccTile) {
+    const std::size_t c1 = std::min(c0 + kAccTile, ncols);
+    std::size_t j = 0;
+    for (; j + kRows <= nrows; j += kRows)
+      accumulate_group_tile(rows + j * ncols, ncols, z + j, out, c0, c1);
+    for (; j < nrows; ++j)
+      accumulate_row_tile(rows + j * ncols, z[j], out, c0, c1);
+  }
 }
 
 }  // namespace tsunami

@@ -4,9 +4,11 @@
 // the cuBLAS calls in the paper's FFTMatvec/inference codes; the algorithms
 // built on top only assume the standard contracts.
 
+#include <cstddef>
 #include <span>
 
 #include "linalg/dense.hpp"
+#include "util/hot_path.hpp"
 
 namespace tsunami {
 
@@ -37,5 +39,17 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& c);
 
 /// C = A^T B.
 void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c);
+
+/// out[0:ncols) += rows^T z[0:nrows) over a row-major block of nrows rows
+/// (row stride ncols) — the per-tick forecast accumulation, also the offline
+/// R products. Column-tiled so the output tile stays in L1 across the row
+/// groups; the slab rows are read exactly once. Per output column the adds
+/// run j-ascending: the groups in order, then the tail rows. That order is
+/// the contract: the bits are those of the row-at-a-time loop, so a sweep
+/// split into ranges (a tick at a time, or one call over many ticks as
+/// rebuild_projections makes) gives the same bits.
+TSUNAMI_HOT_PATH void accumulate_rows(const double* rows, std::size_t nrows,
+                                      std::size_t ncols, const double* z,
+                                      double* out);
 
 }  // namespace tsunami

@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace tsunami {
@@ -19,6 +20,13 @@ class Matrix {
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+  /// Adopt `data` (row-major, rows * cols entries) without copying it.
+  /// Throws std::invalid_argument on a size mismatch.
+  Matrix(std::size_t rows, std::size_t cols, std::vector<double>&& data)
+      : rows_(rows), cols_(cols), data_(std::move(data)) {
+    if (data_.size() != rows * cols)
+      throw std::invalid_argument("Matrix: data size != rows * cols");
+  }
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }

@@ -20,9 +20,6 @@ constexpr std::size_t kMinCapacity = 64;
 constexpr std::size_t kMaxCapacity = std::size_t{1} << 22;
 constexpr std::size_t kDefaultCapacity = 8192;
 
-/// dur_ns value marking an instant event (rendered "i", not "X").
-constexpr std::int64_t kInstantDur = -1;
-
 std::atomic<std::size_t> g_buffer_capacity{kDefaultCapacity};
 
 /// One retained span. Every field is a relaxed atomic: the writer thread is
@@ -187,10 +184,6 @@ void record_span(const char* category, const char* name, std::int64_t t0_ns,
                          std::max<std::int64_t>(0, t1_ns - t0_ns));
 }
 
-void record_instant(const char* category, const char* name) {
-  thread_buffer().record(category, name, now_ns(), kInstantDur);
-}
-
 }  // namespace detail
 
 void set_trace_enabled(bool enabled) {
@@ -304,14 +297,9 @@ std::string chrome_trace_json() {
       append_json_escaped(out, name);
       // Chrome trace timestamps are microseconds; keep ns resolution via the
       // fractional part.
-      if (dur == kInstantDur) {
-        std::snprintf(num, sizeof(num), "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f}",
-                      static_cast<double>(ts) / 1e3);
-      } else {
-        std::snprintf(num, sizeof(num), "\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f}",
-                      static_cast<double>(ts) / 1e3,
-                      static_cast<double>(dur) / 1e3);
-      }
+      std::snprintf(num, sizeof(num), "\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f}",
+                    static_cast<double>(ts) / 1e3,
+                    static_cast<double>(dur) / 1e3);
       out += num;
     }
   }

@@ -53,9 +53,6 @@ extern std::atomic<bool> g_trace_enabled;
 void record_span(const char* category, const char* name, std::int64_t t0_ns,
                  std::int64_t t1_ns);
 
-/// Record an instantaneous event (rendered as a Perfetto instant marker).
-void record_instant(const char* category, const char* name);
-
 }  // namespace detail
 
 /// True when spans are being recorded. The only thing a disabled TRACE_SCOPE
@@ -144,13 +141,6 @@ class TraceScope {
 #define TRACE_SCOPE(category, name)                              \
   const ::tsunami::obs::TraceScope TSUNAMI_TRACE_CAT(            \
       tsunami_trace_scope_, __LINE__)((category), (name))
-/// One instantaneous marker, exported as a Chrome trace `i` event.
-#define TRACE_INSTANT(category, name)                                \
-  do {                                                               \
-    if (::tsunami::obs::trace_enabled())                             \
-      ::tsunami::obs::detail::record_instant((category), (name));    \
-  } while (0)
 #else
 #define TRACE_SCOPE(category, name) static_cast<void>(0)
-#define TRACE_INSTANT(category, name) static_cast<void>(0)
 #endif

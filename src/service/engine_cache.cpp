@@ -40,22 +40,23 @@ std::shared_ptr<const CachedEngine> EngineCache::load(
     }
   }
   // Path miss: read + checksum the bundle (file I/O only — no PDE solves,
-  // no factorization, no slab build) to learn its fingerprint before
+  // no factorization, no engine build) to learn its fingerprint before
   // committing to a boot, so a known network shipped under a new file name
   // is still a cheap hit. A hit uses nothing from the bundle but its
   // identity: a header that lied about its fingerprint could at worst alias
   // to an already-validated engine, never inject state (the miss path below
   // re-verifies the fingerprint against the stored config during boot).
-  const ArtifactBundle bundle = load_bundle(bundle_path);
+  ArtifactBundle bundle = load_bundle(bundle_path);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     path_fingerprints_[bundle_path] = bundle.fingerprint;
     auto it = engines_.find(bundle.fingerprint);
     if (it != engines_.end()) return it->second;
   }
-  // Fingerprint miss: warm-start the twin and build the slabs outside the
-  // lock, so a slow boot of one network never stalls sessions on another.
-  auto twin = std::make_shared<const DigitalTwin>(bundle);
+  // Fingerprint miss: warm-start the twin (its sections move in, none is
+  // copied) and build the engine outside the lock, so a slow boot of one
+  // network never stalls sessions on another.
+  auto twin = std::make_shared<const DigitalTwin>(std::move(bundle));
   return insert_or_get(
       std::make_shared<const CachedEngine>(std::move(twin), options_));
 }
@@ -65,7 +66,7 @@ std::shared_ptr<const CachedEngine> EngineCache::adopt(
   twin = require_online(std::move(twin));
   const std::uint64_t fp = twin->config().fingerprint();
   {
-    // Fast path: a fingerprint hit skips the slab build entirely.
+    // Fast path: a fingerprint hit skips the engine build entirely.
     const std::lock_guard<std::mutex> lock(mutex_);
     auto it = engines_.find(fp);
     if (it != engines_.end()) return it->second;

@@ -3,9 +3,9 @@
 // EngineCache: one immutable StreamingEngine per sensor network, shared by
 // every concurrent event session.
 //
-// The offline products (F, L, Q, Gamma_post(q)) and the streaming slab
-// baked from them (R) are by far the largest allocations in the online
-// system, and they are event-independent: a warning service tracking
+// The offline products (F, L, Q, Gamma_post(q) and the forecast slab R)
+// are by far the largest allocations in the online system, and they are
+// event-independent: a warning service tracking
 // hundreds of simultaneous events over the same network must hold exactly
 // one copy. The cache keys engines by TwinConfig::fingerprint() — the same
 // FNV-1a identity the artifact bundle stores — so two bundles produced by
@@ -43,7 +43,7 @@ class CachedEngine {
  private:
   std::shared_ptr<const DigitalTwin> twin_;  ///< keeps the operators alive
   std::uint64_t fingerprint_;
-  StreamingEngine engine_;  ///< R over *twin_; built after twin_
+  StreamingEngine engine_;  ///< reads *twin_'s R; built after twin_
 };
 
 /// Thread-safe registry of CachedEngines keyed by config fingerprint.
@@ -57,7 +57,7 @@ class EngineCache {
 
   /// Boot-or-reuse from an artifact bundle file. A known path is a pure
   /// map lookup; a new path is read + checksummed only far enough to learn
-  /// its fingerprint, and a fingerprint hit skips the twin boot and slab
+  /// its fingerprint, and a fingerprint hit skips the twin boot and engine
   /// build entirely (a known network shipped under a new file name stays
   /// cheap). Only a genuinely new network pays the warm start — zero PDE
   /// solves — and the engine build, outside the cache lock. Two threads

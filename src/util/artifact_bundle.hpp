@@ -5,10 +5,10 @@
 //
 // The paper's deployment story (SecVIII) ships the Phase 1-3 products — p2o
 // block columns, the Cholesky factor of the data-space Hessian K, the
-// data-to-QoI map Q, Gamma_post(q) — from the HPC system to a warning center
-// that runs Phase 4 with no HPC at all. This module packs them into a single
-// self-describing container, so the hand-off is one artifact, not a
-// directory convention:
+// data-to-QoI map Q, Gamma_post(q), the forecast slab R — from the HPC
+// system to a warning center that runs Phase 4 with no HPC at all. This
+// module packs them into a single self-describing container, so the
+// hand-off is one artifact, not a directory convention:
 //
 //   u64 magic "TSBUNDLE"            ─┐
 //   u64 format version               │ header
@@ -18,20 +18,24 @@
 //     u64 name length, name bytes
 //     u64 ndims, u64 dims[ndims]
 //     f64 payload[prod(dims)]
-//   u64 FNV-1a checksum over every preceding byte
+//   u64 bundle_checksum over every preceding byte (the body)
 //
-// The loader reads the whole file into memory first (bundles are small by
-// design — that is the point of the offline/online split), verifies the
-// trailing checksum before trusting anything, and bounds-checks every read
-// against the buffer, with checked multiplication on all dimension products.
-// A corrupt, truncated, or malicious bundle raises std::runtime_error with
-// the path; it can never over-allocate or over-read.
+// The loader reads the whole file into memory (bundles are small by design
+// — that is the point of the offline/online split) and hands the bytes to
+// parse_bundle, which reads the magic and the version, then verifies the
+// trailing checksum before trusting any later field, and bounds-checks
+// every read against the buffer, with checked multiplication on all
+// dimension products. A corrupt, truncated, or malicious bundle raises
+// std::runtime_error naming its source; it can never over-allocate or
+// over-read. A bundle of another format version is refused as such, before
+// its checksum is read.
 //
 // The container is deliberately generic (named sections of dimensioned
 // double arrays). What goes in the sections — and the TwinConfig fingerprint
 // stored in the header — is the digital twin's business
 // (DigitalTwin::save_offline / load_offline in core/digital_twin.hpp).
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -42,7 +46,9 @@
 namespace tsunami {
 
 /// Bump when the on-disk layout changes; loaders reject other versions.
-inline constexpr std::uint64_t kBundleFormatVersion = 1;
+/// Version 2 checksums the body with bundle_checksum (version 1 used
+/// fnv1a) and ships the forecast slab R.
+inline constexpr std::uint64_t kBundleFormatVersion = 2;
 
 /// a * b with overflow detection. Header dimensions come straight off disk,
 /// so every size computation on them must refuse to wrap: a wrapped product
@@ -51,11 +57,23 @@ inline constexpr std::uint64_t kBundleFormatVersion = 1;
 [[nodiscard]] std::uint64_t checked_mul_u64(std::uint64_t a, std::uint64_t b,
                                             const char* what);
 
-/// FNV-1a 64-bit hash, used for both the whole-file checksum and the
-/// TwinConfig fingerprint. `h` chains calls: fnv1a(b, nb, fnv1a(a, na)).
+/// FNV-1a 64-bit hash: the TwinConfig fingerprint and the hashes the tests
+/// pin. One dependent multiply per byte, so the bundle body has its own
+/// checksum (bundle_checksum). `h` chains calls: fnv1a(b, nb, fnv1a(a, na)).
 [[nodiscard]] std::uint64_t fnv1a(
     const void* data, std::size_t nbytes,
     std::uint64_t h = 0xcbf29ce484222325ULL);
+
+/// The bundle body's checksum. Word i of the body's 8-byte words goes to
+/// lane i mod 8; each lane starts at FNV-1a's offset basis and steps
+/// h = (h ^ w) * p with FNV-1a's odd prime p; the lanes are folded one by
+/// one into one hash with the same step, and the last nbytes mod 8 bytes
+/// run through fnv1a. Every step is a bijection of h and of w, so changing
+/// one word or one tail byte always changes the result. The eight lanes are
+/// independent multiply chains, so the hash keeps up with memory where
+/// fnv1a waits on one multiply per byte.
+[[nodiscard]] std::uint64_t bundle_checksum(const void* data,
+                                            std::size_t nbytes);
 
 /// One named, dimensioned payload inside a bundle.
 struct BundleSection {
@@ -66,7 +84,7 @@ struct BundleSection {
 
 /// In-memory bundle: an ordered set of named sections plus the producer's
 /// config fingerprint. Value type; build with set_*, persist with
-/// save_bundle, restore with load_bundle.
+/// save_bundle, restore with load_bundle (or parse_bundle).
 class ArtifactBundle {
  public:
   std::uint64_t fingerprint = 0;  ///< producer TwinConfig fingerprint
@@ -85,6 +103,14 @@ class ArtifactBundle {
   [[nodiscard]] Matrix matrix(const std::string& name) const;
   [[nodiscard]] std::vector<double> vector(const std::string& name) const;
 
+  /// Remove a section and return it, payload moved, not copied: how the
+  /// owner of a loaded bundle hands each payload to its consumer. Throws
+  /// like at().
+  [[nodiscard]] BundleSection take(const std::string& name);
+  /// take() of a 2-D section as a Matrix that adopts its payload; throws
+  /// like matrix().
+  [[nodiscard]] Matrix take_matrix(const std::string& name);
+
   [[nodiscard]] const std::vector<BundleSection>& sections() const {
     return sections_;
   }
@@ -98,7 +124,13 @@ class ArtifactBundle {
 /// never reported as success).
 void save_bundle(const std::string& path, const ArtifactBundle& bundle);
 
-/// Load and fully validate (magic, version, checksum, per-section bounds).
+/// Parse and fully validate an in-memory bundle image: magic, version,
+/// checksum, per-section bounds. `source` names the bytes in error messages
+/// (load_bundle passes the path).
+[[nodiscard]] ArtifactBundle parse_bundle(std::span<const std::byte> bytes,
+                                          const std::string& source = "<memory>");
+
+/// Read a bundle file and parse_bundle it.
 [[nodiscard]] ArtifactBundle load_bundle(const std::string& path);
 
 }  // namespace tsunami

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -12,7 +13,9 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/digital_twin.hpp"
@@ -39,6 +42,26 @@ void write_file(const std::string& path, const std::vector<char>& bytes) {
 void append_u64(std::vector<char>& buf, std::uint64_t v) {
   const char* p = reinterpret_cast<const char*>(&v);
   buf.insert(buf.end(), p, p + sizeof(v));
+}
+
+std::span<const std::byte> bytes_of(const std::vector<char>& buf) {
+  return std::as_bytes(std::span<const char>(buf));
+}
+
+/// What `f` throws (empty when it does not throw), so a corruption test can
+/// assert the check that refused the input, not only that one did.
+template <class F>
+std::string error_of(F&& f) {
+  try {
+    f();
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return {};
+}
+
+bool contains(const std::string& text, const char* part) {
+  return text.find(part) != std::string::npos;
 }
 
 /// One cold twin + event + bundle on disk + warm twin, shared by the suite
@@ -129,6 +152,39 @@ TEST_F(ArtifactBundleTest, WarmStreamingPushBitIdenticalToCold) {
   }
 }
 
+TEST_F(ArtifactBundleTest, WarmReducedEngineBitIdenticalToCold) {
+  // A reduced() engine re-solves its R' from the predictor's R, which the
+  // warm twin reads from the bundle and the cold twin built in Phase 3.
+  const StreamingEngine cold_full = twin_->make_streaming({.track_map = true});
+  const StreamingEngine warm_full = warm_->make_streaming({.track_map = true});
+  SensorMask mask(cold_full.block_size());
+  mask.drop(1);
+  const StreamingEngine cold = cold_full.reduced(mask);
+  const StreamingEngine warm = warm_full.reduced(mask);
+  ASSERT_TRUE(warm.is_reduced());
+  for (std::size_t t = 0; t <= cold.num_ticks(); ++t) {
+    const auto sc = cold.stddev_after(t);
+    const auto sw = warm.stddev_after(t);
+    ASSERT_TRUE(std::equal(sc.begin(), sc.end(), sw.begin(), sw.end()))
+        << "schedule row " << t;
+  }
+  StreamingAssimilator cold_assim = cold.start();
+  StreamingAssimilator warm_assim = warm.start();
+  const std::size_t nd = cold.block_size();
+  for (std::size_t t = 0; t < cold.num_ticks(); ++t) {
+    const auto block =
+        std::span<const double>(event_->d_obs).subspan(t * nd, nd);
+    cold_assim.push(t, block);
+    warm_assim.push(t, block);
+    const Forecast fc = cold_assim.forecast();
+    const Forecast fw = warm_assim.forecast();
+    ASSERT_EQ(fw.mean, fc.mean) << "tick " << t;
+    ASSERT_EQ(fw.stddev, fc.stddev) << "tick " << t;
+    ASSERT_EQ(warm_assim.map_snapshot(), cold_assim.map_snapshot())
+        << "tick " << t;
+  }
+}
+
 TEST_F(ArtifactBundleTest, WarmBootRanZeroPdeSolvesOrFactorizations) {
   // The cold twin recorded offline-phase samples; the warm twin must have
   // recorded none of them (the issue's timer-registry assertion).
@@ -146,7 +202,7 @@ TEST_F(ArtifactBundleTest, BundleCarriesConfigAndFingerprint) {
   const ArtifactBundle bundle = load_bundle(*path_);
   EXPECT_EQ(bundle.fingerprint, twin_->config().fingerprint());
   for (const char* name : {"config", "noise/sigma", "p2o/F", "p2o/Fq",
-                           "hessian/chol_L", "qoi/Q", "qoi/cov"})
+                           "hessian/chol_L", "qoi/Q", "qoi/cov", "qoi/R"})
     EXPECT_TRUE(bundle.has(name)) << name;
   EXPECT_EQ(warm_->config().fingerprint(), twin_->config().fingerprint());
   EXPECT_EQ(warm_->config().num_sensors, twin_->config().num_sensors);
@@ -234,11 +290,9 @@ TEST(ArtifactBundleFormat, RejectsDimOverflowWithValidChecksum) {
   append_u64(buf, 3);  // rank 3
   for (int i = 0; i < 3; ++i) append_u64(buf, std::uint64_t{1} << 22);
   // no payload at all
-  append_u64(buf, fnv1a(buf.data(), buf.size()));
-  const auto path = temp_path("tsunami_overflow.bundle");
-  write_file(path, buf);
-  EXPECT_THROW((void)load_bundle(path), std::runtime_error);
-  std::filesystem::remove(path);
+  append_u64(buf, bundle_checksum(buf.data(), buf.size()));
+  const std::string what = error_of([&] { (void)parse_bundle(bytes_of(buf)); });
+  EXPECT_TRUE(contains(what, "dims: integer overflow")) << what;
 }
 
 TEST(ArtifactBundleFormat, RejectsUnsupportedVersion) {
@@ -247,11 +301,77 @@ TEST(ArtifactBundleFormat, RejectsUnsupportedVersion) {
   append_u64(buf, kBundleFormatVersion + 7);
   append_u64(buf, 0);
   append_u64(buf, 0);
-  append_u64(buf, fnv1a(buf.data(), buf.size()));
-  const auto path = temp_path("tsunami_version.bundle");
-  write_file(path, buf);
-  EXPECT_THROW((void)load_bundle(path), std::runtime_error);
+  append_u64(buf, bundle_checksum(buf.data(), buf.size()));
+  const std::string what = error_of([&] { (void)parse_bundle(bytes_of(buf)); });
+  EXPECT_TRUE(contains(what, "unsupported format version")) << what;
+}
+
+TEST_F(ArtifactBundleTest, RejectsVersionOneBundleAsStale) {
+  // A version-1 bundle ends in fnv1a of its body, not bundle_checksum. The
+  // version is read before the checksum, so it is refused as stale, not as
+  // corrupt.
+  auto bytes = read_file(*path_);
+  const std::uint64_t v1 = 1;
+  std::memcpy(bytes.data() + sizeof(std::uint64_t), &v1, sizeof(v1));
+  const std::size_t body = bytes.size() - sizeof(std::uint64_t);
+  const std::uint64_t fnv = fnv1a(bytes.data(), body);
+  std::memcpy(bytes.data() + body, &fnv, sizeof(fnv));
+  const std::string what =
+      error_of([&] { (void)parse_bundle(bytes_of(bytes)); });
+  EXPECT_TRUE(contains(what, "unsupported format version 1")) << what;
+}
+
+TEST(ArtifactBundleFormat, EveryFlippedWordOrTailByteIsRefused) {
+  // Section names of 3 and 8 bytes leave the body 3 bytes past a whole
+  // word, so it has words (eight lanes, a partial last group) and a tail.
+  ArtifactBundle b;
+  b.fingerprint = 0x1234;
+  b.set("abc", {2, 5}, std::vector<double>(10, 0.5));
+  b.set_vector("a/vector", std::vector<double>{1.0, -2.0, 3.0});
+  const auto path = temp_path("tsunami_flip.bundle");
+  save_bundle(path, b);
+  const auto good = read_file(path);
   std::filesystem::remove(path);
+  ASSERT_NO_THROW((void)parse_bundle(bytes_of(good)));
+  const std::size_t body = good.size() - sizeof(std::uint64_t);
+  const std::size_t nwords = body / sizeof(std::uint64_t);
+  ASSERT_EQ(body % sizeof(std::uint64_t), 3u);
+  ASSERT_GT(nwords, 16u);
+
+  const auto refusal = [&](std::vector<char> bytes) {
+    return error_of([&] { (void)parse_bundle(bytes_of(bytes)); });
+  };
+  // Words 0 and 1 (magic, version) are read before the checksum and
+  // refused by their own checks; every later word by the checksum.
+  for (std::size_t w = 0; w <= nwords; ++w) {  // w == nwords: the checksum
+    auto bytes = good;
+    bytes[w * sizeof(std::uint64_t) + (w % 8)] ^=
+        static_cast<char>(1 << (w % 7));
+    const std::string what = refusal(bytes);
+    const char* reason = w == 0   ? "bad file signature"
+                         : w == 1 ? "unsupported format version"
+                                  : "checksum mismatch";
+    EXPECT_TRUE(contains(what, reason)) << "word " << w << ": " << what;
+  }
+  for (std::size_t i = nwords * sizeof(std::uint64_t); i < body; ++i) {
+    auto bytes = good;
+    bytes[i] ^= 0x10;
+    const std::string what = refusal(bytes);
+    EXPECT_TRUE(contains(what, "checksum mismatch")) << "byte " << i << ": "
+                                                     << what;
+  }
+}
+
+TEST(ArtifactBundleFormat, ChecksumOfFixedPatternIsPinned) {
+  // 203 bytes: three whole groups of eight words, one more word and a
+  // 3-byte tail, so every path of bundle_checksum is pinned. The value may
+  // change only with kBundleFormatVersion.
+  std::vector<unsigned char> bytes(203);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<unsigned char>(i * 37 + 11);
+  EXPECT_EQ(bundle_checksum(bytes.data(), bytes.size()),
+            0x81c5f944d4f48feeULL);
+  EXPECT_EQ(bundle_checksum(nullptr, 0), 0x52fcc39ebac1808dULL);
 }
 
 TEST(ArtifactBundleFormat, CheckedMulDetectsOverflow) {
@@ -331,13 +451,25 @@ TEST_F(ArtifactBundleTest, RejectsHostileConfigBeforeConstruction) {
 }
 
 TEST_F(ArtifactBundleTest, RejectsSectionDimensionMismatch) {
-  // Consistent fingerprint/config but a Cholesky factor of the wrong shape:
-  // the per-section dimension checks must refuse it.
+  // Consistent fingerprint/config but a Cholesky factor or an R of the
+  // wrong shape: the per-section dimension checks must refuse it.
   ArtifactBundle tampered = twin_->make_bundle();
   tampered.set_matrix("hessian/chol_L", Matrix(3, 3, 1.0));
   EXPECT_THROW((void)DigitalTwin(tampered), std::runtime_error);
+  const Matrix& r = twin_->predictor().forecast_slab();
+  for (const Matrix& bad : {Matrix(r.rows(), r.cols() + 1),
+                            Matrix(r.rows() - 1, r.cols()),
+                            Matrix(r.cols(), r.rows())}) {
+    ArtifactBundle wrong_r = twin_->make_bundle();
+    wrong_r.set_matrix("qoi/R", bad);
+    const std::string what = error_of([&] { (void)DigitalTwin(wrong_r); });
+    EXPECT_TRUE(contains(what, "R dimensions")) << what;
+  }
   ArtifactBundle missing = twin_->make_bundle();
   EXPECT_THROW((void)missing.at("no/such/section"), std::runtime_error);
+  (void)missing.take("qoi/R");
+  const std::string what = error_of([&] { (void)DigitalTwin(missing); });
+  EXPECT_TRUE(contains(what, "missing section 'qoi/R'")) << what;
 }
 
 TEST(ArtifactBundleRoundTrip, SectionsSurviveSaveLoad) {

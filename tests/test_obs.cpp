@@ -405,7 +405,6 @@ TEST(Trace, SpansAppearInChromeJson) {
     TRACE_SCOPE("test", "outer");
     TRACE_SCOPE("test2", "inner");
   }
-  TRACE_INSTANT("test", "marker");
   set_trace_enabled(false);
 
   const std::string json = chrome_trace_json();
@@ -414,9 +413,8 @@ TEST(Trace, SpansAppearInChromeJson) {
   EXPECT_NE(json.find("\"name\":\"outer\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"inner\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);  // the instant
   EXPECT_NE(json.find("test-main"), std::string::npos);
-  EXPECT_GE(trace_span_count(), 3u);
+  EXPECT_GE(trace_span_count(), 2u);
   clear_trace();
   EXPECT_EQ(trace_span_count(), 0u);
 }
@@ -426,7 +424,6 @@ TEST(Trace, DisabledRecordsNothing) {
   set_trace_enabled(false);
   {
     TRACE_SCOPE("test", "invisible");
-    TRACE_INSTANT("test", "also_invisible");
   }
   EXPECT_EQ(trace_span_count(), 0u);
 }
@@ -451,7 +448,9 @@ TEST(Trace, RingWrapKeepsNewestSpans) {
   // A fresh thread gets the small ring; overflow it.
   std::thread t([] {
     set_trace_enabled(true);
-    for (int i = 0; i < 200; ++i) TRACE_INSTANT("wrap", "tick");
+    for (int i = 0; i < 200; ++i) {
+      TRACE_SCOPE("wrap", "tick");
+    }
     set_trace_enabled(false);
   });
   t.join();

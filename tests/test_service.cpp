@@ -14,7 +14,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <latch>
+#include <memory>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -115,6 +118,42 @@ TEST_F(ServiceTest, CacheReturnsSameEngineForSameFingerprint) {
   EXPECT_EQ(cache_->find(fp).get(), cached_->get());
   EXPECT_EQ(cache_->find(fp ^ 1), nullptr);
   std::remove(path.c_str());
+}
+
+TEST_F(ServiceTest, RacingLoadsOfANewBundleShareOneEngine) {
+  // The race EngineCache::load documents: threads that all miss on one new
+  // network may each boot a twin, but exactly one engine is kept and every
+  // thread gets it.
+  const std::string path = testing::TempDir() + "service_race.bundle";
+  (*twin_)->save_offline(path);
+  EngineCache cache({.track_map = true});
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::shared_ptr<const CachedEngine>> got(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i)
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      got[i] = cache.load(path);
+    });
+  for (auto& th : threads) th.join();
+  std::remove(path.c_str());
+  ASSERT_NE(got[0], nullptr);
+  for (std::size_t i = 1; i < kThreads; ++i)
+    EXPECT_EQ(got[i].get(), got[0].get()) << "thread " << i;
+  EXPECT_EQ(cache.size(), 1u);
+
+  // The warm engine replays the cold twin's bits.
+  const std::vector<double> d = make_obs(0);
+  const StreamingEngine& eng = got[0]->engine();
+  StreamingAssimilator warm = eng.start();
+  for (std::size_t t = 0; t < eng.num_ticks(); ++t) warm.push(t, block(d, t));
+  const StreamingAssimilator cold = replay(d);
+  const Forecast fw = warm.forecast();
+  const Forecast fc = cold.forecast();
+  EXPECT_EQ(fw.mean, fc.mean);
+  EXPECT_EQ(fw.stddev, fc.stddev);
+  EXPECT_EQ(warm.map_snapshot(), cold.map_snapshot());
 }
 
 TEST_F(ServiceTest, CacheRejectsColdOrNullTwin) {
