@@ -251,7 +251,7 @@ class DigitalTwin {
   std::unique_ptr<Posterior> posterior_;
   std::unique_ptr<QoiPredictor> predictor_;
   /// Lifetime token handed to streaming engines; recreated whenever the
-  /// offline operators they bake slabs from are (re)built.
+  /// offline operators they read are (re)built.
   std::shared_ptr<const std::uint64_t> offline_epoch_;
   TimerRegistry timers_;
 };

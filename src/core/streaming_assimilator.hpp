@@ -91,7 +91,7 @@ class StreamingAssimilator;
 /// carry a lifetime token tied to the twin's offline state, and every entry
 /// point that would slice dangling posterior state checks it first. A twin
 /// that is destroyed OR whose offline phases are re-run (replacing the
-/// operators the slabs were baked from) expires the token.
+/// operators the engine reads) expires the token.
 class StreamingEngine {
  public:
   /// Requires completed offline phases (the factorized Hessian lives in the

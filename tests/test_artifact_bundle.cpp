@@ -343,7 +343,7 @@ TEST(ArtifactBundleFormat, EveryFlippedWordOrTailByteIsRefused) {
   };
   // Words 0 and 1 (magic, version) are read before the checksum and
   // refused by their own checks; every later word by the checksum.
-  for (std::size_t w = 0; w <= nwords; ++w) {  // w == nwords: the checksum
+  for (std::size_t w = 0; w < nwords; ++w) {
     auto bytes = good;
     bytes[w * sizeof(std::uint64_t) + (w % 8)] ^=
         static_cast<char>(1 << (w % 7));
@@ -353,7 +353,8 @@ TEST(ArtifactBundleFormat, EveryFlippedWordOrTailByteIsRefused) {
                                   : "checksum mismatch";
     EXPECT_TRUE(contains(what, reason)) << "word " << w << ": " << what;
   }
-  for (std::size_t i = nwords * sizeof(std::uint64_t); i < body; ++i) {
+  // The tail bytes, then the stored checksum itself.
+  for (std::size_t i = nwords * sizeof(std::uint64_t); i < good.size(); ++i) {
     auto bytes = good;
     bytes[i] ^= 0x10;
     const std::string what = refusal(bytes);
