@@ -241,9 +241,10 @@ TEST_F(ArtifactBundleTest, MatrixAccessorThrowsOnWarmHessian) {
 TEST_F(ArtifactBundleTest, RejectsBadMagic) {
   const auto bad = temp_path("tsunami_bad_magic.bundle");
   auto bytes = read_file(*path_);
-  bytes[0] ^= 0x5a;  // corrupt the magic (checksum now also wrong)
+  bytes[0] ^= 0x5a;  // corrupt the magic (read before the checksum)
   write_file(bad, bytes);
-  EXPECT_THROW((void)load_bundle(bad), std::runtime_error);
+  const std::string what = error_of([&] { (void)load_bundle(bad); });
+  EXPECT_TRUE(contains(what, "bad file signature")) << what;
   std::filesystem::remove(bad);
 }
 
@@ -252,7 +253,8 @@ TEST_F(ArtifactBundleTest, RejectsTruncatedHeader) {
   auto bytes = read_file(*path_);
   bytes.resize(12);
   write_file(bad, bytes);
-  EXPECT_THROW((void)load_bundle(bad), std::runtime_error);
+  const std::string what = error_of([&] { (void)load_bundle(bad); });
+  EXPECT_TRUE(contains(what, "too small to be a bundle")) << what;
   std::filesystem::remove(bad);
 }
 
@@ -261,7 +263,8 @@ TEST_F(ArtifactBundleTest, RejectsTruncatedPayload) {
   auto bytes = read_file(*path_);
   bytes.resize(bytes.size() - bytes.size() / 3);
   write_file(bad, bytes);
-  EXPECT_THROW((void)load_bundle(bad), std::runtime_error);
+  const std::string what = error_of([&] { (void)load_bundle(bad); });
+  EXPECT_TRUE(contains(what, "checksum mismatch")) << what;
   std::filesystem::remove(bad);
 }
 
@@ -270,7 +273,8 @@ TEST_F(ArtifactBundleTest, RejectsFlippedPayloadByte) {
   auto bytes = read_file(*path_);
   bytes[bytes.size() / 2] ^= 0x01;  // checksum catches a single bit flip
   write_file(bad, bytes);
-  EXPECT_THROW((void)load_bundle(bad), std::runtime_error);
+  const std::string what = error_of([&] { (void)load_bundle(bad); });
+  EXPECT_TRUE(contains(what, "checksum mismatch")) << what;
   std::filesystem::remove(bad);
 }
 
