@@ -160,6 +160,9 @@ void table_iii(const DigitalTwin& twin, const InversionResult& result,
   const double t_k = t.total("form K"), t_chol = t.total("factorize K");
   const double t_cov = t.total("compute Gamma_post(q)");
   const double t_q = t.total("compute Q");
+  // Phase 1's adjoint solves run concurrently on the pool, so the unit of
+  // its two rows is the loop's wall time divided by the solve count, not the
+  // time of one solve.
   row("1", "form F : m -> d (adjoint PDE solves)", "form_f", nd, t_f);
   row("1", "form Fq : m -> q (adjoint PDE solves)", "form_fq", nq, t_fq);
   row("2", "form K := Gn + F Gpr F^T (structured product)", "form_k", 1, t_k);

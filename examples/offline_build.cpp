@@ -22,12 +22,9 @@ int main(int argc, char** argv) {
   const std::string dir = argc > 1 ? argv[1] : "twin_artifacts";
   std::filesystem::create_directories(dir);
 
-  // The Phase 1 outer loop runs its adjoint solves in parallel: producing a
-  // bundle should itself be fast (results are bit-identical to serial).
   TwinConfig config = TwinConfig::tiny();
   config.num_intervals = 24;
   config.observation_dt = 4.0;
-  config.phase1_parallel = true;
 
   std::printf("=== Offline build (HPC side of the deployment split) ===\n");
   Stopwatch boot;

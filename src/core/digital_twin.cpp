@@ -16,8 +16,7 @@ namespace {
 // Every result-determining config field, flattened to doubles in a fixed
 // documented order. The fingerprint hashes exactly these bytes, so two
 // configs fingerprint equal iff their offline artifacts are interchangeable.
-// Build-strategy knobs (phase1_parallel) are deliberately NOT packed: they
-// change how artifacts are computed, never what they contain.
+// phase1_parallel is deliberately NOT packed: nothing reads it.
 constexpr std::size_t kNumConfigFields = 25;
 
 /// Most CFL substeps one observation interval may take (2^24).
@@ -297,13 +296,11 @@ void DigitalTwin::run_phase1() {
   TRACE_SCOPE("offline", "phase1");
   {
     ScopedTimer t(timers_, "phase1: form F");
-    f_ = build_p2o_map(*model_, *sensors_, time_, &timers_,
-                       {.parallel_rows = cfg_.phase1_parallel});
+    f_ = build_p2o_map(*model_, *sensors_, time_, &timers_);
   }
   {
     ScopedTimer t(timers_, "phase1: form Fq");
-    fq_ = build_p2o_map(*model_, *gauges_, time_, &timers_,
-                        {.parallel_rows = cfg_.phase1_parallel});
+    fq_ = build_p2o_map(*model_, *gauges_, time_, &timers_);
   }
   // The posterior/predictor (if any) now reference a stale F; streaming
   // engines built over them must not keep slicing it.

@@ -77,11 +77,9 @@ struct TwinConfig {
   MaternPriorConfig prior{};
   double noise_level = 0.01;      ///< relative noise (paper: 1%)
 
-  // Build strategy (does not change results, excluded from fingerprint()).
-  /// Opt-in: run the Phase 1 outer adjoint loop (one solve per sensor/gauge)
-  /// in parallel. The assembled maps are bit-identical to the serial build;
-  /// serial stays the default so the per-solve Table III timer samples
-  /// remain meaningful. See P2oBuildOptions.
+  /// Ignored: Phase 1 always runs its adjoint solves concurrently. Not
+  /// fingerprinted. It stays only because the benchmark harness still sets
+  /// it; ROADMAP item 1 stops that and deletes it.
   bool phase1_parallel = false;
 
   /// A small config that keeps unit tests fast: 6x8x2 mesh, 6 sensors,
@@ -91,8 +89,8 @@ struct TwinConfig {
 
   /// FNV-1a hash over every result-determining field (bathymetry, mesh,
   /// order, physics, kernel, cfl, observations, prior, noise level — NOT
-  /// build-strategy knobs like phase1_parallel). Two configs with equal
-  /// fingerprints produce interchangeable offline artifacts; the artifact
+  /// the ignored phase1_parallel). Two configs with equal fingerprints
+  /// produce interchangeable offline artifacts; the artifact
   /// bundle stores the producer's fingerprint and the warm-start path
   /// asserts compatibility against it.
   [[nodiscard]] std::uint64_t fingerprint() const;

@@ -4,46 +4,25 @@
 
 namespace tsunami {
 
-namespace {
-
-/// One adjoint propagation: fill row s of every Toeplitz block F_k.
-void fill_rows(const AcousticGravityModel& model,
-               const ObservationOperator& obs, const TimeGrid& grid,
-               std::size_t s, P2oMap& map, TimerRegistry* timers) {
-  const Matrix rows = adjoint_p2o_rows(model, obs, s, grid, timers);
-  for (std::size_t k = 0; k < map.nt; ++k) {
-    const auto src = rows.row(k);
-    double* dst = map.blocks.data() + (k * map.nrows + s) * map.ncols;
-    std::copy(src.begin(), src.end(), dst);
-  }
-}
-
-}  // namespace
-
 P2oMap build_p2o_map(const AcousticGravityModel& model,
                      const ObservationOperator& obs, const TimeGrid& grid,
-                     TimerRegistry* timers, const P2oBuildOptions& options) {
+                     TimerRegistry* timers) {
   P2oMap map;
   map.nrows = obs.num_outputs();
   map.ncols = model.source_map().parameter_dim();
   map.nt = grid.num_intervals;
   map.blocks.assign(map.nt * map.nrows * map.ncols, 0.0);
 
-  if (options.parallel_rows && map.nrows > 1) {
-    // Concurrent adjoint solves, each on local state, each writing a
-    // disjoint row of every block — bit-identical to the serial build.
-    // Per-solve timers are suppressed (the registry is not thread-safe);
-    // one aggregate wall sample is recorded instead.
-    Stopwatch watch;
-    parallel_for(map.nrows,
-                 [&](std::size_t s) { fill_rows(model, obs, grid, s, map, nullptr); });
-    if (timers) timers->add("Adjoint p2o (parallel)", watch.seconds());
-  } else {
-    // One adjoint propagation per observation row, serially — mirrors the
-    // per-solve timings of Table III.
-    for (std::size_t s = 0; s < map.nrows; ++s)
-      fill_rows(model, obs, grid, s, map, timers);
-  }
+  // One adjoint propagation per observation row fills row s of every block
+  // F_k; the solves share nothing but the const model.
+  parallel_for(map.nrows, [&](std::size_t s) {
+    const Matrix rows = adjoint_p2o_rows(model, obs, s, grid, timers);
+    for (std::size_t k = 0; k < map.nt; ++k) {
+      const auto src = rows.row(k);
+      double* dst = map.blocks.data() + (k * map.nrows + s) * map.ncols;
+      std::copy(src.begin(), src.end(), dst);
+    }
+  });
   // Fourier symbol construction: one batched r2c transform pass over every
   // (row, col) entry sequence, with per-thread scratch inside the engine.
   // Cheap next to the adjoint solves above, but worth a timer sample: it is

@@ -24,28 +24,15 @@ struct P2oMap {
   std::size_t nt = 0;          ///< Nt
 };
 
-/// How the outer loop over observation rows (one adjoint solve each) runs.
-struct P2oBuildOptions {
-  /// Opt-in: run the adjoint solves concurrently (they are embarrassingly
-  /// parallel — the paper spreads them across the machine; each solve uses
-  /// only local state over a const model and writes disjoint block rows, so
-  /// the assembled map is bit-identical to the serial build). Off by
-  /// default: the serial loop keeps the per-solve "Adjoint p2o" timer
-  /// samples meaningful (Table III measures one propagation at a time), and
-  /// the threaded inner kernels already own the cores on small runs.
-  bool parallel_rows = false;
-};
-
-/// Runs `obs.num_outputs()` adjoint propagations and assembles the block
-/// Toeplitz map. Serial mode records per-solve "Setup"/"Adjoint p2o" timer
-/// samples; parallel mode records one aggregate "Adjoint p2o (parallel)"
-/// wall sample instead (per-thread samples from inside the region would
-/// measure thread wall time, not the region's — the registry itself is
-/// thread-safe).
+/// Runs `obs.num_outputs()` adjoint propagations, one per observation row,
+/// concurrently on the pool, and assembles the block Toeplitz map. Each
+/// solve uses only local state over a const model and writes a disjoint row
+/// of every block, so the map is bit-identical at any worker count. Each
+/// solve records its own "Setup"/"Adjoint p2o" timer samples, so those
+/// samples are per-solve wall times that may overlap.
 [[nodiscard]] P2oMap build_p2o_map(const AcousticGravityModel& model,
                                    const ObservationOperator& obs,
                                    const TimeGrid& grid,
-                                   TimerRegistry* timers = nullptr,
-                                   const P2oBuildOptions& options = {});
+                                   TimerRegistry* timers = nullptr);
 
 }  // namespace tsunami

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "parallel/parallel_for.hpp"
-#include "parallel/partition.hpp"
 
 namespace tsunami {
 

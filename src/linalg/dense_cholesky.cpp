@@ -17,6 +17,9 @@ namespace {
 /// and 0.81-1.05 us in groups of 2, 4 and 8.
 constexpr std::size_t kRows = 8;
 
+/// Rows per diagonal block of the right-looking factorization.
+constexpr std::size_t kBlock = 64;
+
 /// Shared multi-RHS driver: apply `solve_column` to each column of `b`
 /// (parallel over columns, contiguous per-column scratch).
 template <typename Solver>
@@ -32,16 +35,14 @@ void solve_columns(Matrix& b, const Solver& solve_column) {
 
 }  // namespace
 
-DenseCholesky::DenseCholesky(const Matrix& a, std::size_t block) : l_(a) {
+DenseCholesky::DenseCholesky(const Matrix& a) : l_(a) {
   if (a.rows() != a.cols())
     throw std::invalid_argument("DenseCholesky: matrix not square");
-  if (block == 0)
-    throw std::invalid_argument("DenseCholesky: block size 0");
   const std::size_t n = l_.rows();
   double* lp = l_.data();
 
-  for (std::size_t k0 = 0; k0 < n; k0 += block) {
-    const std::size_t k1 = std::min(k0 + block, n);
+  for (std::size_t k0 = 0; k0 < n; k0 += kBlock) {
+    const std::size_t k1 = std::min(k0 + kBlock, n);
     // Factor the diagonal block (unblocked).
     for (std::size_t k = k0; k < k1; ++k) {
       double d = lp[k * n + k];

@@ -24,10 +24,10 @@ namespace tsunami {
 /// Cholesky factorization A = L L^T of an SPD matrix (lower triangular L).
 class DenseCholesky {
  public:
-  /// Factorizes a copy of `a` in diagonal blocks of `block` rows. Throws
-  /// std::invalid_argument if `block` is 0, std::runtime_error if a
-  /// nonpositive pivot is encountered (matrix not SPD to working precision).
-  explicit DenseCholesky(const Matrix& a, std::size_t block = 64);
+  /// Factorizes a copy of `a` in diagonal blocks of 64 rows. Throws
+  /// std::runtime_error if a nonpositive pivot is encountered (matrix not
+  /// SPD to working precision).
+  explicit DenseCholesky(const Matrix& a);
 
   /// Rebuild from a previously computed factor (factor export/import: the
   /// warm-start path loads L from an artifact bundle instead of paying the

@@ -12,12 +12,30 @@
 // any worker count (asserted by tests/test_determinism.cpp).
 
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
-#include "parallel/partition.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace tsunami {
+
+/// Half-open index range [begin, end).
+struct Range {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  [[nodiscard]] std::size_t size() const { return end - begin; }
+};
+
+/// Chunk `rank` of [0, n) cut into `parts` contiguous chunks whose sizes
+/// differ by at most one (the remainder goes to the leading chunks).
+[[nodiscard]] inline Range block_range(std::size_t n, std::size_t parts,
+                                       std::size_t rank) {
+  if (rank >= parts) throw std::out_of_range("block_range: rank >= parts");
+  const std::size_t base = n / parts;
+  const std::size_t rem = n % parts;
+  const std::size_t begin = rank * base + (rank < rem ? rank : rem);
+  return Range{begin, begin + base + (rank < rem ? 1 : 0)};
+}
 
 /// Worker count of the process-wide pool (the width parallel loops target).
 inline int num_threads() {

@@ -68,11 +68,9 @@ BlockToeplitz::BlockToeplitz(std::size_t rows, std::size_t cols,
   if (blocks.size() != rows * cols * nblocks)
     throw std::invalid_argument("BlockToeplitz: block array size mismatch");
   const std::size_t nrc = rows_ * cols_;
-  // NumaArray first-touches the slab pages from the pool workers that will
-  // stream them on every apply (and zero-fills; every entry is overwritten
-  // by the strided FFT writes below).
-  fhat_re_ = NumaArray(nfreq_ * nrc);
-  fhat_im_ = NumaArray(nfreq_ * nrc);
+  // Left uninitialized: the strided FFT pass below writes every entry.
+  fhat_re_ = std::make_unique_for_overwrite<double[]>(nfreq_ * nrc);
+  fhat_im_ = std::make_unique_for_overwrite<double[]>(nfreq_ * nrc);
   // One length-L real FFT per (r, c) entry sequence, batched over entries
   // with one spectrum + FFT scratch slab per loop participant (no per-signal
   // temporaries). Entry (r, c) of block k sits at blocks[k * nrc + rc]:
@@ -81,8 +79,8 @@ BlockToeplitz::BlockToeplitz(std::size_t rows, std::size_t cols,
   const std::size_t scr = plan_.scratch_size();
   const auto nthreads = static_cast<std::size_t>(num_threads());
   std::vector<Complex> fft_scratch(nthreads * scr);
-  double* fre = fhat_re_.data();
-  double* fim = fhat_im_.data();
+  double* fre = fhat_re_.get();
+  double* fim = fhat_im_.get();
   parallel_for_slotted(nrc, 2, [&](std::size_t rc, std::size_t slot) {
     plan_.forward_strided_split(
         blocks.data() + rc, nrc, nt_, fre + rc, fim + rc, nrc,
@@ -159,8 +157,8 @@ TSUNAMI_HOT_PATH void BlockToeplitz::apply_impl(const double* x, double* y,
     ws.yhat_re_.resize(ylen);  // lint: allow(hot-path-alloc) grow-once workspace
     ws.yhat_im_.resize(ylen);  // lint: allow(hot-path-alloc) grow-once workspace
   }
-  const double* fre = fhat_re_.data();
-  const double* fim = fhat_im_.data();
+  const double* fre = fhat_re_.get();
+  const double* fim = fhat_im_.get();
   const double* xre = ws.xhat_re_.data();
   const double* xim = ws.xhat_im_.data();
   double* yre = ws.yhat_re_.data();

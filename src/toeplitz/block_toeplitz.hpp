@@ -32,11 +32,11 @@
 
 #include <complex>
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "fft/fft.hpp"
-#include "parallel/numa.hpp"
 #include "util/hot_path.hpp"
 
 namespace tsunami {
@@ -108,7 +108,7 @@ class BlockToeplitz {
   /// Fourier-domain storage footprint (the paper's O(Nm Nd Nt) compact
   /// representation; here 2x for the half-complex spectrum).
   [[nodiscard]] std::size_t storage_bytes() const {
-    return (fhat_re_.size() + fhat_im_.size()) * sizeof(double);
+    return 2 * nfreq_ * rows_ * cols_ * sizeof(double);
   }
 
   /// O(nt^2 rows cols) dense reference used by tests and the "conventional"
@@ -142,8 +142,7 @@ class BlockToeplitz {
   RealFftPlan plan_;
   /// Split-complex block spectra, frequency-major:
   /// fhat_re_[(w * rows + r) * cols + c] (imaginary plane likewise).
-  /// NumaArray: pages first-touched by the workers that stream them.
-  NumaArray fhat_re_, fhat_im_;
+  std::unique_ptr<double[]> fhat_re_, fhat_im_;
   std::vector<double> blocks_;  ///< optional time-domain copy (tests)
 };
 

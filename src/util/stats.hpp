@@ -1,13 +1,15 @@
 #pragma once
 
-// Order statistics shared by every latency report in the codebase.
+// Order statistics of a stored sample.
 //
 // The paper quotes tail behavior, not just means ("the online phase must
 // keep up with data arrival"), and a warning service is judged by its p99
 // push latency: one slow assimilation during a real event is a late alert.
-// This header is the single definition of "percentile" so the service
-// telemetry (src/service/), the scenario-bank sweep reports (src/core/),
-// and the benchmarks all agree on the estimator.
+// This header is the one definition of "percentile" for the ScenarioBank
+// sweep reports (src/core/) and the bench drivers (bench/). The service's
+// live telemetry does not use it: ServiceTelemetry reads its percentiles
+// from obs::Histogram (src/obs/metrics.hpp) and borrows only the
+// LatencySummary shape.
 
 #include <cstddef>
 #include <span>

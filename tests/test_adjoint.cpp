@@ -100,20 +100,24 @@ TEST(ForwardP2o, TimeShiftInvariance) {
       EXPECT_NEAR(d2[(i + 2) * s.nd + j], d0[i * s.nd + j], 1e-11 * scale);
 }
 
-TEST(AdjointP2o, ParallelOuterLoopBitIdenticalToSerial) {
-  // The opt-in Phase 1 parallelization must not change a single bit: each
-  // adjoint solve is independent, deterministic, and writes disjoint rows.
+TEST(BuildP2oMap, EqualsPerRowAdjointSolvesBitwise) {
+  // The concurrent outer loop must not change a single bit: each adjoint
+  // solve is independent and deterministic and writes its own rows, so the
+  // map equals one serial adjoint_p2o_rows solve per row, entry for entry.
   P2oSetup s;
-  const P2oMap serial = build_p2o_map(s.model, *s.obs, s.grid);
   TimerRegistry timers;
-  const P2oMap parallel = build_p2o_map(s.model, *s.obs, s.grid, &timers,
-                                        {.parallel_rows = true});
-  ASSERT_EQ(parallel.blocks.size(), serial.blocks.size());
-  for (std::size_t i = 0; i < serial.blocks.size(); ++i)
-    ASSERT_EQ(parallel.blocks[i], serial.blocks[i]) << "block entry " << i;
-  // Parallel mode records one aggregate sample, not per-solve samples.
-  EXPECT_EQ(timers.count("Adjoint p2o"), 0);
-  EXPECT_EQ(timers.count("Adjoint p2o (parallel)"), 1);
+  const P2oMap map = build_p2o_map(s.model, *s.obs, s.grid, &timers);
+  ASSERT_EQ(map.blocks.size(), s.grid.num_intervals * s.nd * s.nm);
+  for (std::size_t row = 0; row < s.nd; ++row) {
+    const Matrix oracle = adjoint_p2o_rows(s.model, *s.obs, row, s.grid);
+    for (std::size_t k = 0; k < s.grid.num_intervals; ++k)
+      for (std::size_t r = 0; r < s.nm; ++r)
+        ASSERT_EQ(map.blocks[(k * s.nd + row) * s.nm + r], oracle(k, r))
+            << "row " << row << " block " << k << " col " << r;
+  }
+  // Every solve records its own samples, from whichever worker ran it.
+  EXPECT_EQ(timers.count("Setup"), static_cast<long>(s.nd));
+  EXPECT_EQ(timers.count("Adjoint p2o"), static_cast<long>(s.nd));
 }
 
 TEST(AdjointP2o, RowsReproduceForwardMap) {

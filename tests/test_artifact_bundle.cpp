@@ -190,9 +190,9 @@ TEST_F(ArtifactBundleTest, WarmBootRanZeroPdeSolvesOrFactorizations) {
   // recorded none of them (the issue's timer-registry assertion).
   EXPECT_GT(twin_->timers().count("Adjoint p2o"), 0);
   for (const char* name :
-       {"Adjoint p2o", "Adjoint p2o (parallel)", "phase1: form F",
-        "phase1: form Fq", "form K", "factorize K",
-        "phase2: form+factorize K", "phase3: QoI covariance + Q"}) {
+       {"Adjoint p2o", "phase1: form F", "phase1: form Fq", "form K",
+        "factorize K", "phase2: form+factorize K",
+        "phase3: QoI covariance + Q"}) {
     EXPECT_EQ(warm_->timers().count(name), 0) << name;
   }
   EXPECT_GT(warm_->timers().count("warm start: install bundle"), 0);
@@ -221,7 +221,8 @@ TEST_F(ArtifactBundleTest, LoadOfflineAssertsExpectedConfig) {
   other.num_sensors += 1;
   EXPECT_THROW((void)DigitalTwin::load_offline(*path_, other),
                std::runtime_error);
-  // Build-strategy knobs do not change the artifacts -> not fingerprinted.
+  // The ignored phase1_parallel does not change the artifacts -> not
+  // fingerprinted.
   TwinConfig parallel = twin_->config();
   parallel.phase1_parallel = !parallel.phase1_parallel;
   EXPECT_EQ(parallel.fingerprint(), twin_->config().fingerprint());

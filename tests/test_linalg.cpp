@@ -318,14 +318,6 @@ TEST(DenseCholesky, LogDetMatchesKnownMatrix) {
   EXPECT_NEAR(chol.log_det(), std::log(24.0), 1e-12);
 }
 
-TEST(DenseCholesky, RejectsZeroBlockSize) {
-  // A block of 0 rows would never advance the factorization.
-  Matrix a(4, 4);
-  for (std::size_t i = 0; i < 4; ++i) a(i, i) = 1.0;
-  EXPECT_THROW((void)DenseCholesky(a, 0), std::invalid_argument);
-  EXPECT_NO_THROW((void)DenseCholesky(a, 1));
-}
-
 TEST(DenseCholesky, RejectsIndefiniteMatrix) {
   Matrix a(2, 2);
   a(0, 0) = 1.0;

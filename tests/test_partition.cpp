@@ -1,52 +1,42 @@
-// Tests for the 1-D block partitioner and the parallel loops built on it.
+// Tests for the chunk grid every parallel loop is cut into (block_range) and
+// the parallel loops built on it.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "parallel/parallel_for.hpp"
-#include "parallel/partition.hpp"
 
 namespace tsunami {
 namespace {
 
-TEST(Partition1D, CoversRangeWithoutOverlap) {
-  for (std::size_t n : {1u, 7u, 64u, 101u}) {
+TEST(BlockRange, ChunksCoverRangeWithoutOverlap) {
+  for (std::size_t n : {0u, 1u, 7u, 64u, 101u}) {
     for (std::size_t p : {1u, 2u, 3u, 8u}) {
-      if (p > n) continue;
-      const auto parts = partition_1d(n, p);
-      ASSERT_EQ(parts.size(), p);
       std::size_t covered = 0;
       for (std::size_t r = 0; r < p; ++r) {
-        EXPECT_EQ(parts[r].begin, covered);
-        covered = parts[r].end;
+        const Range c = block_range(n, p, r);
+        EXPECT_EQ(c.begin, covered) << "n " << n << " parts " << p;
+        covered = c.end;
       }
-      EXPECT_EQ(covered, n);
+      EXPECT_EQ(covered, n) << "n " << n << " parts " << p;
     }
   }
 }
 
-TEST(Partition1D, SizesDifferByAtMostOne) {
-  const auto parts = partition_1d(103, 8);
+TEST(BlockRange, SizesDifferByAtMostOne) {
   std::size_t lo = 1000, hi = 0;
-  for (const auto& r : parts) {
-    lo = std::min(lo, r.size());
-    hi = std::max(hi, r.size());
+  for (std::size_t r = 0; r < 8; ++r) {
+    const Range c = block_range(103, 8, r);
+    lo = std::min(lo, c.size());
+    hi = std::max(hi, c.size());
   }
   EXPECT_LE(hi - lo, 1u);
 }
 
-TEST(Partition1D, BlockRangeMatchesFullPartition) {
-  const std::size_t n = 97, p = 5;
-  const auto parts = partition_1d(n, p);
-  for (std::size_t r = 0; r < p; ++r) {
-    const Range br = block_range(n, p, r);
-    EXPECT_EQ(br.begin, parts[r].begin);
-    EXPECT_EQ(br.end, parts[r].end);
-  }
-}
-
-TEST(Partition1D, ThrowsOnZeroParts) {
-  EXPECT_THROW(partition_1d(10, 0), std::invalid_argument);
+TEST(BlockRange, ThrowsOnRankPastParts) {
   EXPECT_THROW((void)block_range(10, 3, 3), std::out_of_range);
+  EXPECT_THROW((void)block_range(10, 0, 0), std::out_of_range);
 }
 
 TEST(ParallelFor, VisitsEveryIndexOnce) {
