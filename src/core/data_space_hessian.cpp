@@ -21,19 +21,20 @@ Matrix prior_product(const P2oMap& a, const P2oMap& b,
                      const MaternPrior& prior) {
   const std::size_t nt = a.nt, nm = a.ncols;
   const std::size_t ra = nt * a.nrows, rb = nt * b.nrows;
+  const std::span<const double> a_rows = a.toeplitz->blocks();
+  const std::span<const double> b_rows = b.toeplitz->blocks();
   if (b.nt != nt || b.ncols != nm || prior.dim() != nm ||
-      a.blocks.size() != ra * nm || b.blocks.size() != rb * nm)
+      a_rows.size() != ra * nm || b_rows.size() != rb * nm)
     throw std::invalid_argument("prior_product: shape mismatch");
-  // Row (k, s) of a.blocks is row s of A_k; P is symmetric, so P applied to
-  // it is row s of A_k P.
+  // Row (k, s) of A's blocks is row s of A_k; P is symmetric, so P applied
+  // to it is row s of A_k P.
   Matrix ap(ra, nm);
-  const std::span<const double> a_rows(a.blocks);
   parallel_for(ra, [&](std::size_t r) {
     prior.apply(a_rows.subspan(r * nm, nm), ap.row(r));
   });
   Matrix bt(nm, rb);
   for (std::size_t r = 0; r < rb; ++r)
-    for (std::size_t c = 0; c < nm; ++c) bt(c, r) = b.blocks[r * nm + c];
+    for (std::size_t c = 0; c < nm; ++c) bt(c, r) = b_rows[r * nm + c];
   Matrix out(ra, rb);
   gemm(ap, bt, out);  // block (i, j) is M(i, j) = A_i P B_j^T
   // Out(i, j) = M(i, j) + Out(i-1, j-1): row block i-1 is final when row

@@ -88,7 +88,7 @@ class DataSpaceHessian {
 /// Toeplitz and Gamma_prior is block diagonal with one spatial block P, so
 /// block (i, j) of the result is sum_{l <= min(i,j)} A_{i-l} P B_{j-l}^T:
 /// the diagonal prefix sum of the blocks M(i, j) = A_i P B_j^T. P is applied
-/// to the Nt a.nrows rows of a.blocks, one gemm against b.blocks gives every
+/// to the Nt a.nrows rows of A's blocks, one gemm against B's gives every
 /// M(i, j), and the displacement identity Out(i, j) = M(i, j) +
 /// Out(i-1, j-1) fills the result row block by row block, so the bits do
 /// not depend on the worker count.

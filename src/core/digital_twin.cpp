@@ -102,8 +102,8 @@ TwinConfig unpack_config(const std::vector<double>& p) {
 }
 
 /// Take a p2o section out of the bundle, check its dims against this
-/// configuration, and adopt its blocks (no copy) into a P2oMap. The FFT
-/// Toeplitz engine is built by the caller once every section checks out.
+/// configuration, and hand its blocks (moved, not copied) to the map's
+/// Toeplitz operator, which builds its spectra only when first applied.
 P2oMap take_p2o(ArtifactBundle& bundle, const std::string& name,
                 std::size_t nrows, std::size_t ncols, std::size_t nt) {
   BundleSection s = bundle.take(name);
@@ -115,13 +115,16 @@ P2oMap take_p2o(ArtifactBundle& bundle, const std::string& name,
   m.nrows = nrows;
   m.ncols = ncols;
   m.nt = nt;
-  m.blocks = std::move(s.data);
+  m.toeplitz =
+      std::make_unique<BlockToeplitz>(nrows, ncols, nt, std::move(s.data));
   return m;
 }
 
-void build_toeplitz(P2oMap& m) {
-  m.toeplitz = std::make_unique<BlockToeplitz>(
-      m.nrows, m.ncols, m.nt, std::span<const double>(m.blocks));
+/// The blocks of a Phase 1 map, copied into a bundle section.
+void set_p2o(ArtifactBundle& b, const std::string& name, const P2oMap& m) {
+  const std::span<const double> blocks = m.toeplitz->blocks();
+  b.set(name, {m.nrows, m.ncols, m.nt},
+        std::vector<double>(blocks.begin(), blocks.end()));
 }
 
 /// Take a 2-D section and check its shape; `what` names it in the error.
@@ -238,11 +241,11 @@ void DigitalTwin::install_offline(ArtifactBundle& bundle) {
   Matrix r = take_shaped(bundle, "qoi/R", n, nqoi, "R");
 
   // All sections validated; rebuild the online operators. No PDE solves, no
-  // Hessian formation, no factorization — the whole point of the split.
+  // Hessian formation, no factorization — the whole point of the split —
+  // and no spectra: F's and Fq's are built at their first apply (a MAP
+  // read, apply_fq_mean), which a forecast-only service never makes.
   f_ = std::move(f);
   fq_ = std::move(fq);
-  build_toeplitz(f_);
-  build_toeplitz(fq_);
   hessian_ = std::make_unique<DataSpaceHessian>(
       DataSpaceHessian::from_factor(std::move(l), NoiseModel{sigma[0]}));
   posterior_ = std::make_unique<Posterior>(*f_.toeplitz, *prior_, *hessian_);
@@ -259,8 +262,8 @@ ArtifactBundle DigitalTwin::make_bundle() const {
   b.set("config", {kNumConfigFields}, pack_config(cfg_));
   b.set_vector("noise/sigma",
                std::span<const double>(&hessian_->noise().sigma, 1));
-  b.set("p2o/F", {f_.nrows, f_.ncols, f_.nt}, f_.blocks);
-  b.set("p2o/Fq", {fq_.nrows, fq_.ncols, fq_.nt}, fq_.blocks);
+  set_p2o(b, "p2o/F", f_);
+  set_p2o(b, "p2o/Fq", fq_);
   b.set_matrix("hessian/chol_L", hessian_->cholesky().factor());
   b.set_matrix("qoi/Q", predictor_->data_to_qoi());
   b.set_matrix("qoi/cov", predictor_->qoi_covariance());

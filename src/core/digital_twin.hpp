@@ -126,7 +126,9 @@ class DigitalTwin {
   /// out-of-range field throws std::runtime_error); the stored fingerprint is
   /// verified against the reconstructed config before anything is trusted.
   /// Each section's payload is moved into its owner, not copied, so pass an
-  /// rvalue when the bundle is not needed afterwards. infer() and streaming
+  /// rvalue when the bundle is not needed afterwards. F's and Fq's spectra
+  /// are built at their first apply (the first MAP read), not here, so a
+  /// forecast-only service never builds them. infer() and streaming
   /// push() on the result are bit-identical to the cold-path twin that
   /// produced the bundle (tests/test_artifact_bundle.cpp).
   explicit DigitalTwin(ArtifactBundle bundle);

@@ -1,5 +1,7 @@
 #include "core/p2o_builder.hpp"
 
+#include <utility>
+
 #include "parallel/parallel_for.hpp"
 
 namespace tsunami {
@@ -11,7 +13,7 @@ P2oMap build_p2o_map(const AcousticGravityModel& model,
   map.nrows = obs.num_outputs();
   map.ncols = model.source_map().parameter_dim();
   map.nt = grid.num_intervals;
-  map.blocks.assign(map.nt * map.nrows * map.ncols, 0.0);
+  std::vector<double> blocks(map.nt * map.nrows * map.ncols, 0.0);
 
   // One adjoint propagation per observation row fills row s of every block
   // F_k; the solves share nothing but the const model.
@@ -19,18 +21,12 @@ P2oMap build_p2o_map(const AcousticGravityModel& model,
     const Matrix rows = adjoint_p2o_rows(model, obs, s, grid, timers);
     for (std::size_t k = 0; k < map.nt; ++k) {
       const auto src = rows.row(k);
-      double* dst = map.blocks.data() + (k * map.nrows + s) * map.ncols;
+      double* dst = blocks.data() + (k * map.nrows + s) * map.ncols;
       std::copy(src.begin(), src.end(), dst);
     }
   });
-  // Fourier symbol construction: one batched r2c transform pass over every
-  // (row, col) entry sequence, with per-thread scratch inside the engine.
-  // Cheap next to the adjoint solves above, but worth a timer sample: it is
-  // the only non-PDE cost of Phase 1 and shows up in warm-start rebuilds.
-  Stopwatch symbol_watch;
-  map.toeplitz = std::make_unique<BlockToeplitz>(
-      map.nrows, map.ncols, map.nt, std::span<const double>(map.blocks));
-  if (timers) timers->add("p2o: FFT symbols", symbol_watch.seconds());
+  map.toeplitz = std::make_unique<BlockToeplitz>(map.nrows, map.ncols, map.nt,
+                                                 std::move(blocks));
   return map;
 }
 

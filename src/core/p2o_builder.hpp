@@ -13,12 +13,13 @@
 
 namespace tsunami {
 
-/// Result of Phase 1 for one observation operator: the Toeplitz map plus its
-/// first block column in the time domain, which phases 2-3 form K, V and W
-/// from (prior_product) and the artifact bundle ships.
+/// Result of Phase 1 for one observation operator: the Toeplitz map, which
+/// owns its first block column in the time domain
+/// (`toeplitz->blocks()[(k * nrows + s) * Nm + r]`). Phases 2-3 form K, V
+/// and W from those blocks (prior_product) and the artifact bundle ships
+/// them; only an apply builds the map's spectra.
 struct P2oMap {
   std::unique_ptr<BlockToeplitz> toeplitz;
-  std::vector<double> blocks;  ///< [(k * nrows + s) * Nm + r]
   std::size_t nrows = 0;       ///< Nd (or Nq)
   std::size_t ncols = 0;       ///< Nm
   std::size_t nt = 0;          ///< Nt

@@ -56,10 +56,10 @@ class EngineCache {
   explicit EngineCache(const StreamingOptions& options = {});
 
   /// Boot-or-reuse from an artifact bundle file. A known path is a pure
-  /// map lookup; a new path is read + checksummed only far enough to learn
-  /// its fingerprint, and a fingerprint hit skips the twin boot and engine
-  /// build entirely (a known network shipped under a new file name stays
-  /// cheap). Only a genuinely new network pays the warm start — zero PDE
+  /// map lookup; a new path is read and checksummed whole (one pass) to
+  /// learn its fingerprint, and a fingerprint hit skips the twin boot and
+  /// engine build entirely (a known network shipped under a new file name
+  /// stays cheaper). Only a genuinely new network pays the warm start — zero PDE
   /// solves — and the engine build, outside the cache lock. Two threads
   /// racing to load the same new network may both parse the bundle, but
   /// exactly one engine is kept and both get it.

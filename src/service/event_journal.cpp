@@ -1,32 +1,59 @@
 #include "service/event_journal.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
+#include <new>
+#include <type_traits>
 
 namespace tsunami {
 
 namespace {
+
 constexpr std::size_t kMinCapacity = 64;
+
+/// A relaxed store into one slot field. No store needs its own ordering:
+/// append()'s release store of seq publishes them all at once.
+template <class T>
+void put(T& field, T value) {
+  const std::atomic_ref<T> cell(field);
+  // mo: relaxed — field stores need no individual ordering; the seq release
+  // store in append() publishes them all to acquire readers at once.
+  cell.store(value, std::memory_order_relaxed);
+}
+
+/// A relaxed load of one slot field, covered by snapshot()'s acquire of seq.
+template <class T>
+T get(T& field) {
+  const std::atomic_ref<T> cell(field);
+  // mo: relaxed — covered by the acquire on seq in snapshot(): a matching
+  // seq guarantees these loads read the complete record.
+  return cell.load(std::memory_order_relaxed);
+}
+
 }  // namespace
 
-/// All-atomic so the exporter's concurrent reads of a slot being rewritten
-/// are well-defined (same contract as the trace ring's Slot). `seq` is the
-/// reservation index + 1, stored last with release: a reader that observes
-/// seq == pos + 1 (acquire) also observes every field store that preceded
-/// the publish.
+/// Plain integers, so the zero bytes of a fresh mapping are a valid
+/// never-written slot (seq 0) with no constructor pass; every access goes
+/// through std::atomic_ref, so the exporter's concurrent reads of a slot
+/// being rewritten are well-defined (same contract as the trace ring's
+/// Slot). `seq` is the reservation index + 1, stored last with release: a
+/// reader that observes seq == pos + 1 (acquire) also observes every field
+/// store that preceded the publish.
 struct EventJournal::Slot {
-  std::atomic<std::uint64_t> seq{0};  ///< 0 = never written
-  std::atomic<std::uint64_t> event{0};
-  std::atomic<std::uint8_t> kind{0};
-  std::atomic<std::uint64_t> tick{0};
-  std::atomic<std::int64_t> t_ns{0};
-  std::atomic<std::int64_t> queue_wait_ns{0};
-  std::atomic<std::int64_t> push_ns{0};
-  std::atomic<std::int64_t> publish_ns{0};
-  std::atomic<std::int64_t> total_ns{0};
+  std::uint64_t seq;  ///< 0 = never written
+  std::uint64_t event;
+  std::uint8_t kind;
+  std::uint64_t tick;
+  std::int64_t t_ns;
+  std::int64_t queue_wait_ns;
+  std::int64_t push_ns;
+  std::int64_t publish_ns;
+  std::int64_t total_ns;
 };
-
 const char* journal_kind_name(JournalKind kind) {
   switch (kind) {
     case JournalKind::kOpen: return "open";
@@ -46,31 +73,41 @@ const char* journal_kind_name(JournalKind kind) {
 }
 
 EventJournal::EventJournal(std::size_t capacity)
-    : capacity_(std::max(capacity, kMinCapacity)),
-      slots_(new Slot[capacity_]) {}
+    : capacity_(std::max(capacity, kMinCapacity)) {
+  static_assert(std::is_trivially_default_constructible_v<Slot> &&
+                    std::is_trivially_destructible_v<Slot>,
+                "a zero-filled page must hold valid slots");
+  if (capacity_ > std::numeric_limits<std::size_t>::max() / sizeof(Slot))
+    throw std::bad_array_new_length();
+  // Anonymous private pages read as zero until first written, so mapping
+  // the ring writes nothing: each page is faulted in by the first append
+  // that lands on it. The heap would hand back recycled pages that need a
+  // zeroing pass first.
+  void* p = ::mmap(nullptr, capacity_ * sizeof(Slot), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  slots_ = static_cast<Slot*>(p);
+}
 
-EventJournal::~EventJournal() = default;
+EventJournal::~EventJournal() { ::munmap(slots_, capacity_ * sizeof(Slot)); }
 
 void EventJournal::append(const JournalRecord& record) {
   // mo: relaxed fetch_add — slot reservation only needs a unique index per
   // writer; the record itself is published by the release store below.
   const std::uint64_t pos = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& s = slots_[pos % capacity_];
-  // mo: relaxed — field stores need no individual ordering; the seq release
-  // store below publishes them all to acquire readers at once.
-  s.event.store(record.event, std::memory_order_relaxed);
-  s.kind.store(static_cast<std::uint8_t>(record.kind),
-               std::memory_order_relaxed);
-  s.tick.store(record.tick, std::memory_order_relaxed);
-  s.t_ns.store(record.t_ns, std::memory_order_relaxed);
-  s.queue_wait_ns.store(record.queue_wait_ns, std::memory_order_relaxed);
-  s.push_ns.store(record.push_ns, std::memory_order_relaxed);
-  // mo: relaxed — same field-store contract as above.
-  s.publish_ns.store(record.publish_ns, std::memory_order_relaxed);
-  s.total_ns.store(record.total_ns, std::memory_order_relaxed);
+  put(s.event, record.event);
+  put(s.kind, static_cast<std::uint8_t>(record.kind));
+  put(s.tick, record.tick);
+  put(s.t_ns, record.t_ns);
+  put(s.queue_wait_ns, record.queue_wait_ns);
+  put(s.push_ns, record.push_ns);
+  put(s.publish_ns, record.publish_ns);
+  put(s.total_ns, record.total_ns);
+  const std::atomic_ref<std::uint64_t> seq(s.seq);
   // mo: release — publishes the fields above; a reader that observes this
   // seq with acquire sees a complete record.
-  s.seq.store(pos + 1, std::memory_order_release);
+  seq.store(pos + 1, std::memory_order_release);
 }
 
 std::uint64_t EventJournal::appended() const {
@@ -92,22 +129,21 @@ std::vector<JournalRecord> EventJournal::snapshot() const {
   std::vector<JournalRecord> out;
   out.reserve(static_cast<std::size_t>(head - begin));
   for (std::uint64_t pos = begin; pos < head; ++pos) {
-    const Slot& s = slots_[pos % capacity_];
+    Slot& s = slots_[pos % capacity_];
+    const std::atomic_ref<std::uint64_t> seq(s.seq);
     // mo: acquire — pairs with append()'s release publish; a matching seq
     // guarantees the field loads below read the complete record.
-    if (s.seq.load(std::memory_order_acquire) != pos + 1)
+    if (seq.load(std::memory_order_acquire) != pos + 1)
       continue;  // reserved but unpublished, or already overwritten
     JournalRecord r;
-    // mo: relaxed — covered by the acquire on seq above.
-    r.event = s.event.load(std::memory_order_relaxed);
-    r.kind = static_cast<JournalKind>(s.kind.load(std::memory_order_relaxed));
-    r.tick = s.tick.load(std::memory_order_relaxed);
-    r.t_ns = s.t_ns.load(std::memory_order_relaxed);
-    r.queue_wait_ns = s.queue_wait_ns.load(std::memory_order_relaxed);
-    // mo: relaxed — same seq-covered contract as above.
-    r.push_ns = s.push_ns.load(std::memory_order_relaxed);
-    r.publish_ns = s.publish_ns.load(std::memory_order_relaxed);
-    r.total_ns = s.total_ns.load(std::memory_order_relaxed);
+    r.event = get(s.event);
+    r.kind = static_cast<JournalKind>(get(s.kind));
+    r.tick = get(s.tick);
+    r.t_ns = get(s.t_ns);
+    r.queue_wait_ns = get(s.queue_wait_ns);
+    r.push_ns = get(s.push_ns);
+    r.publish_ns = get(s.publish_ns);
+    r.total_ns = get(s.total_ns);
     out.push_back(r);
   }
   std::stable_sort(out.begin(), out.end(),

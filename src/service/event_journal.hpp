@@ -26,7 +26,8 @@
 // contention).
 //
 // Threading contract — why appends are safe on the drain hot path: the
-// journal is one bounded ring of all-atomic slots. A writer reserves a slot
+// journal is one bounded ring of plain-integer slots, every field of which
+// is read and written through std::atomic_ref. A writer reserves a slot
 // with one fetch_add (multi-writer safe, wait-free), fills the record's
 // fields with relaxed stores, and publishes the slot's sequence number with
 // a release store; no lock is taken and nothing is allocated (armed
@@ -36,11 +37,15 @@
 // writer may skip or garble that one slot — a diagnostic artifact, never UB,
 // the same tolerance the trace ring documents. Oldest records are
 // overwritten first; dropped() reports how many.
+//
+// The ring's storage is an anonymous mapping of zero pages, so a slot that
+// was never written reads seq 0 without a constructor pass, and a slot's
+// first write is its only write: a service that appends a few hundred
+// records touches a few pages of a ring sized for tens of thousands.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -89,9 +94,10 @@ struct JournalRecord {
 class EventJournal {
  public:
   /// `capacity` is the number of retained records (clamped to >= 64). The
-  /// ring is allocated once here; append() never allocates.
+  /// ring is mapped once here and its pages are first touched by the
+  /// appends that land on them; append() never allocates.
   explicit EventJournal(std::size_t capacity = 1 << 16);
-  ~EventJournal();  ///< out-of-line: Slot is complete only in the .cpp
+  ~EventJournal();  ///< unmaps the ring
 
   EventJournal(const EventJournal&) = delete;
   EventJournal& operator=(const EventJournal&) = delete;
@@ -123,7 +129,7 @@ class EventJournal {
  private:
   struct Slot;
   const std::size_t capacity_;
-  const std::unique_ptr<Slot[]> slots_;
+  Slot* slots_ = nullptr;  ///< capacity_ slots of zero-page mapping
   std::atomic<std::uint64_t> head_{0};  ///< next reservation index
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "parallel/parallel_for.hpp"
@@ -57,41 +58,46 @@ ToeplitzWorkspace& tls_workspace() {
 }  // namespace
 
 BlockToeplitz::BlockToeplitz(std::size_t rows, std::size_t cols,
-                             std::size_t nblocks,
-                             std::span<const double> blocks)
+                             std::size_t nblocks, std::vector<double> blocks)
     : rows_(rows),
       cols_(cols),
       nt_(nblocks),
       fft_len_(next_pow2(2 * nblocks)),
       nfreq_(fft_len_ / 2 + 1),
-      plan_(fft_len_) {
-  if (blocks.size() != rows * cols * nblocks)
+      plan_(fft_len_),
+      blocks_(std::move(blocks)) {
+  if (blocks_.size() != rows * cols * nblocks)
     throw std::invalid_argument("BlockToeplitz: block array size mismatch");
-  const std::size_t nrc = rows_ * cols_;
-  // Left uninitialized: the strided FFT pass below writes every entry.
-  fhat_re_ = std::make_unique_for_overwrite<double[]>(nfreq_ * nrc);
-  fhat_im_ = std::make_unique_for_overwrite<double[]>(nfreq_ * nrc);
-  // One length-L real FFT per (r, c) entry sequence, batched over entries
-  // with one spectrum + FFT scratch slab per loop participant (no per-signal
-  // temporaries). Entry (r, c) of block k sits at blocks[k * nrc + rc]:
-  // base rc, stride nrc — the strided r2c pack reads it in place.
-  TRACE_SCOPE("kernel", "build_spectra");
-  const std::size_t scr = plan_.scratch_size();
-  const auto nthreads = static_cast<std::size_t>(num_threads());
-  std::vector<Complex> fft_scratch(nthreads * scr);
-  double* fre = fhat_re_.get();
-  double* fim = fhat_im_.get();
-  parallel_for_slotted(nrc, 2, [&](std::size_t rc, std::size_t slot) {
-    plan_.forward_strided_split(
-        blocks.data() + rc, nrc, nt_, fre + rc, fim + rc, nrc,
-        std::span<Complex>(fft_scratch.data() + slot * scr, scr));
-  });
 }
 
-void BlockToeplitz::set_keep_blocks(std::span<const double> blocks) {
-  if (blocks.size() != rows_ * cols_ * nt_)
-    throw std::invalid_argument("set_keep_blocks: size mismatch");
-  blocks_.assign(blocks.begin(), blocks.end());
+void BlockToeplitz::ensure_spectra() const {
+  // call_once's completed check is one acquire load, so only the first
+  // applies wait; every later one goes straight through.
+  std::call_once(spectra_once_, [this] {
+    const std::size_t nrc = rows_ * cols_;
+    // Left uninitialized: the strided FFT pass below writes every entry.
+    auto re = std::make_unique_for_overwrite<double[]>(nfreq_ * nrc);
+    auto im = std::make_unique_for_overwrite<double[]>(nfreq_ * nrc);
+    // One length-L real FFT per (r, c) entry sequence, batched over entries
+    // with one spectrum + FFT scratch slab per loop participant (no
+    // per-signal temporaries). Entry (r, c) of block k sits at
+    // blocks_[k * nrc + rc]: base rc, stride nrc — the strided r2c pack
+    // reads it in place. Each entry is its own transform, so the spectra do
+    // not depend on the thread count or on which thread builds them.
+    TRACE_SCOPE("kernel", "build_spectra");
+    const std::size_t scr = plan_.scratch_size();
+    const auto nthreads = static_cast<std::size_t>(num_threads());
+    std::vector<Complex> fft_scratch(nthreads * scr);
+    double* fre = re.get();
+    double* fim = im.get();
+    parallel_for_slotted(nrc, 2, [&](std::size_t rc, std::size_t slot) {
+      plan_.forward_strided_split(
+          blocks_.data() + rc, nrc, nt_, fre + rc, fim + rc, nrc,
+          std::span<Complex>(fft_scratch.data() + slot * scr, scr));
+    });
+    fhat_re_ = std::move(re);
+    fhat_im_ = std::move(im);
+  });
 }
 
 TSUNAMI_HOT_PATH std::size_t
@@ -149,6 +155,7 @@ TSUNAMI_HOT_PATH void BlockToeplitz::apply_impl(const double* x, double* y,
                                                 bool transpose,
                                                 ToeplitzWorkspace& ws) const {
   TRACE_SCOPE("kernel", "toeplitz_apply");
+  ensure_spectra();
   const std::size_t nin = transpose ? rows_ : cols_;
   const std::size_t nout = transpose ? cols_ : rows_;
   forward_channels(x, nin, in_ticks, ws);
@@ -236,9 +243,6 @@ TSUNAMI_HOT_PATH void BlockToeplitz::apply_transpose_prefix(
 
 void BlockToeplitz::apply_dense_reference(std::span<const double> x,
                                           std::span<double> y) const {
-  if (blocks_.empty())
-    throw std::logic_error(
-        "apply_dense_reference: call set_keep_blocks first");
   if (x.size() != input_dim() || y.size() != output_dim())
     throw std::invalid_argument("apply_dense_reference: size mismatch");
   std::fill(y.begin(), y.end(), 0.0);

@@ -33,6 +33,7 @@
 #include <complex>
 #include <cstddef>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -66,10 +67,15 @@ class ToeplitzWorkspace {
 
 class BlockToeplitz {
  public:
-  /// `blocks` holds F_k row-major, k-major: blocks[(k*rows + r)*cols + c].
-  /// Keeps only the Fourier representation (half spectrum, split-complex).
+  /// Adopts `blocks`: F_k row-major, k-major, blocks[(k*rows + r)*cols + c].
+  /// The Fourier representation (half spectrum, split-complex) is built on
+  /// the first apply, once, whichever thread makes it: an operator that is
+  /// never applied never pays for its spectra.
   BlockToeplitz(std::size_t rows, std::size_t cols, std::size_t nblocks,
-                std::span<const double> blocks);
+                std::vector<double> blocks);
+
+  /// The time-domain blocks, in the constructor's layout.
+  [[nodiscard]] std::span<const double> blocks() const { return blocks_; }
 
   [[nodiscard]] std::size_t block_rows() const { return rows_; }
   [[nodiscard]] std::size_t block_cols() const { return cols_; }
@@ -105,20 +111,22 @@ class BlockToeplitz {
                                                std::size_t ticks,
                                                std::span<double> y) const;
 
-  /// Fourier-domain storage footprint (the paper's O(Nm Nd Nt) compact
-  /// representation; here 2x for the half-complex spectrum).
+  /// Fourier-domain storage footprint once built (the paper's O(Nm Nd Nt)
+  /// compact representation; here 2x for the half-complex spectrum).
   [[nodiscard]] std::size_t storage_bytes() const {
     return 2 * nfreq_ * rows_ * cols_ * sizeof(double);
   }
 
-  /// O(nt^2 rows cols) dense reference used by tests and the "conventional"
-  /// side of benchmarks. Requires the original blocks (kept only if
-  /// `keep_blocks` was set).
+  /// O(nt^2 rows cols) dense reference from the time-domain blocks, used by
+  /// tests and the "conventional" side of benchmarks.
   void apply_dense_reference(std::span<const double> x,
                              std::span<double> y) const;
-  void set_keep_blocks(std::span<const double> blocks);
 
  private:
+  /// Builds the block spectra on the first call; later calls return after
+  /// one lock-free check. Safe under racing first applies, and from inside
+  /// a pool loop (the build's own loop then runs nested).
+  void ensure_spectra() const;
   /// Strided real-input FFTs of `nchan` interleaved channels into the
   /// split-complex slab; reads `in_ticks` time blocks (zero-pads the rest).
   TSUNAMI_HOT_PATH void forward_channels(const double* x, std::size_t nchan,
@@ -140,10 +148,12 @@ class BlockToeplitz {
   std::size_t fft_len_;   ///< L = next_pow2(2 nt)
   std::size_t nfreq_;     ///< L/2 + 1
   RealFftPlan plan_;
+  std::vector<double> blocks_;  ///< the time-domain blocks F_k
   /// Split-complex block spectra, frequency-major:
   /// fhat_re_[(w * rows + r) * cols + c] (imaginary plane likewise).
-  std::unique_ptr<double[]> fhat_re_, fhat_im_;
-  std::vector<double> blocks_;  ///< optional time-domain copy (tests)
+  /// Written once, under spectra_once_; read-only after.
+  mutable std::once_flag spectra_once_;
+  mutable std::unique_ptr<double[]> fhat_re_, fhat_im_;
 };
 
 }  // namespace tsunami

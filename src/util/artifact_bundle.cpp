@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
+#include <istream>
 #include <limits>
-#include <memory>
 #include <stdexcept>
+#include <streambuf>
 
 namespace tsunami {
 
@@ -17,6 +19,17 @@ constexpr std::uint64_t kMaxSectionNameBytes = 4096;
 constexpr std::uint64_t kMaxSectionDims = 16;
 constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+constexpr std::size_t kWord = sizeof(std::uint64_t);
+
+std::uint64_t checksum_step(std::uint64_t h, std::uint64_t w) {
+  return (h ^ w) * kFnvPrime;
+}
+
+std::uint64_t load_word(const unsigned char* p) {
+  std::uint64_t w = 0;
+  std::memcpy(&w, p, kWord);
+  return w;
+}
 
 void append_bytes(std::vector<char>& buf, const void* p, std::size_t n) {
   const char* c = static_cast<const char*>(p);
@@ -27,13 +40,21 @@ void append_u64(std::vector<char>& buf, std::uint64_t v) {
   append_bytes(buf, &v, sizeof(v));
 }
 
-/// Bounds-checked cursor over the in-memory file image. Every read is
-/// validated against the buffer end, so a lying header can at worst raise a
-/// clean error — never an over-read.
-class Cursor {
+/// A stream that ended before the size its reader was promised: the file
+/// shrank, or the device failed. Never deferred behind the checksum, since
+/// the rest of the body cannot be read.
+struct ShortRead : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Reads a bundle body front to back, bounded by its stated length, and
+/// checksums every byte it hands out, in the storage it hands it to. A read
+/// past the body's end is refused as a truncated field before anything is
+/// read, so the stream is never asked for a byte past the stated size.
+class BodyReader {
  public:
-  Cursor(const char* data, std::size_t size, const std::string& source)
-      : p_(data), end_(data + size), source_(source) {}
+  BodyReader(std::istream& in, std::uint64_t body, const std::string& source)
+      : in_(in), left_(body), source_(source) {}
 
   std::uint64_t u64(const char* what) {
     std::uint64_t v = 0;
@@ -53,22 +74,61 @@ class Cursor {
     return s;
   }
 
-  [[nodiscard]] std::uint64_t remaining() const {
-    return static_cast<std::uint64_t>(end_ - p_);
+  [[nodiscard]] std::uint64_t remaining() const { return left_; }
+
+  /// Checksums the rest of the body, through a small buffer.
+  void skip_rest() {
+    char buf[4096];
+    while (left_ != 0) {
+      const auto n = static_cast<std::size_t>(
+          std::min<std::uint64_t>(left_, sizeof(buf)));
+      take(buf, n, "body");
+    }
+  }
+
+  /// The body's checksum; valid once remaining() is 0.
+  [[nodiscard]] std::uint64_t digest() const { return sum_.digest(); }
+
+  /// The stored checksum word that follows the body (not itself summed).
+  std::uint64_t trailer() {
+    std::uint64_t v = 0;
+    read(&v, sizeof(v));
+    return v;
   }
 
  private:
-  void take(void* out, std::uint64_t nbytes, const char* what) {
-    if (remaining() < nbytes)
-      throw std::runtime_error("parse_bundle: truncated " +
-                               std::string(what) + ": " + source_);
-    std::memcpy(out, p_, static_cast<std::size_t>(nbytes));
-    p_ += nbytes;
+  [[noreturn]] void truncated(const char* what) const {
+    throw std::runtime_error("parse_bundle: truncated " + std::string(what) +
+                             ": " + source_);
   }
 
-  const char* p_;
-  const char* end_;
+  void take(void* out, std::uint64_t nbytes, const char* what) {
+    if (left_ < nbytes) truncated(what);
+    read(out, nbytes);
+    sum_.update(out, static_cast<std::size_t>(nbytes));
+    left_ -= nbytes;
+  }
+
+  void read(void* out, std::uint64_t nbytes) {
+    in_.read(static_cast<char*>(out), static_cast<std::streamsize>(nbytes));
+    if (static_cast<std::uint64_t>(in_.gcount()) != nbytes)
+      throw ShortRead("read_bundle: short read: " + source_);
+  }
+
+  std::istream& in_;
+  std::uint64_t left_;  ///< body bytes not yet read
+  BundleChecksum sum_;
   const std::string& source_;
+};
+
+/// Read-only stream buffer over a caller's bytes: parse_bundle's way into
+/// read_bundle. The get area is never written through.
+class SpanBuf : public std::streambuf {
+ public:
+  explicit SpanBuf(std::span<const std::byte> bytes) {
+    char* p = const_cast<char*>(reinterpret_cast<const char*>(bytes.data()));
+    setg(p, p, p + bytes.size());
+  }
 };
 
 [[noreturn]] void throw_missing(const std::string& name) {
@@ -107,31 +167,53 @@ std::uint64_t fnv1a(const void* data, std::size_t nbytes, std::uint64_t h) {
   return h;
 }
 
-std::uint64_t bundle_checksum(const void* data, std::size_t nbytes) {
-  constexpr std::size_t kLanes = 8;
-  constexpr std::size_t kWord = sizeof(std::uint64_t);
+BundleChecksum::BundleChecksum() {
+  std::fill(lane_, lane_ + kLanes, kFnvBasis);
+}
+
+void BundleChecksum::update(const void* data, std::size_t nbytes) {
+  if (nbytes == 0) return;
   const auto* p = static_cast<const unsigned char*>(data);
-  const std::size_t nwords = nbytes / kWord;
-  std::uint64_t lane[kLanes];
-  std::fill(lane, lane + kLanes, kFnvBasis);
-  const auto step = [](std::uint64_t h, std::uint64_t w) {
-    return (h ^ w) * kFnvPrime;
+  const auto step_word = [this](const unsigned char* w) {
+    std::uint64_t& h = lane_[words_++ % kLanes];
+    h = checksum_step(h, load_word(w));
   };
-  std::size_t i = 0;
-  for (; i + kLanes <= nwords; i += kLanes)
-    for (std::size_t k = 0; k < kLanes; ++k) {
-      std::uint64_t w = 0;
-      std::memcpy(&w, p + (i + k) * kWord, kWord);
-      lane[k] = step(lane[k], w);
-    }
-  for (; i < nwords; ++i) {
-    std::uint64_t w = 0;
-    std::memcpy(&w, p + i * kWord, kWord);
-    lane[i % kLanes] = step(lane[i % kLanes], w);
+  if (ntail_ != 0) {  // complete the word an earlier piece started
+    const std::size_t k = std::min(kWord - ntail_, nbytes);
+    std::memcpy(tail_ + ntail_, p, k);
+    ntail_ += k;
+    p += k;
+    nbytes -= k;
+    if (ntail_ < kWord) return;
+    step_word(tail_);
+    ntail_ = 0;
   }
+  // Single words up to a lane-0 boundary, then whole groups of eight
+  // independent chains, then the words left over.
+  for (; words_ % kLanes != 0 && nbytes >= kWord; p += kWord, nbytes -= kWord)
+    step_word(p);
+  constexpr std::size_t kGroup = kLanes * kWord;
+  std::uint64_t lane[kLanes];
+  std::copy(lane_, lane_ + kLanes, lane);
+  for (; nbytes >= kGroup; p += kGroup, nbytes -= kGroup, words_ += kLanes)
+    for (std::size_t k = 0; k < kLanes; ++k)
+      lane[k] = checksum_step(lane[k], load_word(p + k * kWord));
+  std::copy(lane, lane + kLanes, lane_);
+  for (; nbytes >= kWord; p += kWord, nbytes -= kWord) step_word(p);
+  std::memcpy(tail_, p, nbytes);
+  ntail_ = nbytes;
+}
+
+std::uint64_t BundleChecksum::digest() const {
   std::uint64_t h = kFnvBasis;
-  for (const std::uint64_t l : lane) h = step(h, l);
-  return fnv1a(p + nwords * kWord, nbytes % kWord, h);
+  for (const std::uint64_t l : lane_) h = checksum_step(h, l);
+  return fnv1a(tail_, ntail_, h);
+}
+
+std::uint64_t bundle_checksum(const void* data, std::size_t nbytes) {
+  BundleChecksum sum;
+  sum.update(data, nbytes);
+  return sum.digest();
 }
 
 void ArtifactBundle::set(std::string name, std::vector<std::uint64_t> dims,
@@ -226,60 +308,74 @@ void save_bundle(const std::string& path, const ArtifactBundle& bundle) {
   if (!f) throw std::runtime_error("save_bundle: write failed: " + path);
 }
 
-ArtifactBundle parse_bundle(std::span<const std::byte> bytes,
-                            const std::string& source) {
+ArtifactBundle read_bundle(std::istream& in, std::uint64_t size,
+                           const std::string& source) {
   // Header (4 u64) + trailing checksum is the smallest legal bundle.
-  if (bytes.size() < 5 * sizeof(std::uint64_t))
+  if (size < 5 * sizeof(std::uint64_t))
     throw std::runtime_error("parse_bundle: too small to be a bundle: " +
                              source);
-  const char* data = reinterpret_cast<const char*>(bytes.data());
-  const std::size_t body = bytes.size() - sizeof(std::uint64_t);
-  Cursor c(data, body, source);
-  if (c.u64("magic") != kBundleMagic)
+  BodyReader r(in, size - sizeof(std::uint64_t), source);
+  if (r.u64("magic") != kBundleMagic)
     throw std::runtime_error("parse_bundle: bad file signature: " + source);
-  const std::uint64_t version = c.u64("version");
+  const std::uint64_t version = r.u64("version");
   if (version != kBundleFormatVersion)
     throw std::runtime_error("parse_bundle: unsupported format version " +
                              std::to_string(version) + ": " + source);
 
-  // Verify the trailing checksum before trusting any later field.
-  std::uint64_t stored = 0;
-  std::memcpy(&stored, data + body, sizeof(stored));
-  if (bundle_checksum(data, body) != stored)
+  // Sections are parsed as they stream past the checksum. A structural
+  // error waits until the whole body is summed: a damaged file is refused
+  // as a checksum mismatch, and only an intact one for its structure.
+  ArtifactBundle bundle;
+  std::exception_ptr malformed;
+  try {
+    bundle.fingerprint = r.u64("fingerprint");
+    const std::uint64_t nsections = r.u64("section count");
+    for (std::uint64_t i = 0; i < nsections; ++i) {
+      const std::uint64_t name_len = r.u64("section name length");
+      if (name_len > kMaxSectionNameBytes)
+        throw std::runtime_error("parse_bundle: section name too long: " +
+                                 source);
+      std::string name = r.string(name_len, "section name");
+      const std::uint64_t ndims = r.u64("section rank");
+      if (ndims > kMaxSectionDims)
+        throw std::runtime_error("parse_bundle: section rank too large: " +
+                                 source);
+      std::vector<std::uint64_t> dims(static_cast<std::size_t>(ndims));
+      for (auto& d : dims) d = r.u64("section dims");
+      const std::uint64_t count = dims_product(dims, "parse_bundle: dims");
+      // The remaining-bytes check also caps the allocation: count can
+      // never exceed what the body actually holds.
+      if (checked_mul_u64(count, sizeof(double), "parse_bundle: payload") >
+          r.remaining())
+        throw std::runtime_error(
+            "parse_bundle: section '" + name +
+            "' dimensions exceed the file payload (corrupt header): " +
+            source);
+      std::vector<double> payload(static_cast<std::size_t>(count));
+      r.doubles(payload.data(), count, "section payload");
+      bundle.set(std::move(name), std::move(dims), std::move(payload));
+    }
+    if (r.remaining() != 0)
+      throw std::runtime_error("parse_bundle: trailing bytes after sections: " +
+                               source);
+  } catch (const ShortRead&) {
+    throw;
+  } catch (const std::runtime_error&) {
+    malformed = std::current_exception();
+    r.skip_rest();
+  }
+  if (r.digest() != r.trailer())
     throw std::runtime_error(
         "parse_bundle: checksum mismatch (corrupt file): " + source);
-
-  ArtifactBundle bundle;
-  bundle.fingerprint = c.u64("fingerprint");
-  const std::uint64_t nsections = c.u64("section count");
-  for (std::uint64_t i = 0; i < nsections; ++i) {
-    const std::uint64_t name_len = c.u64("section name length");
-    if (name_len > kMaxSectionNameBytes)
-      throw std::runtime_error("parse_bundle: section name too long: " +
-                               source);
-    std::string name = c.string(name_len, "section name");
-    const std::uint64_t ndims = c.u64("section rank");
-    if (ndims > kMaxSectionDims)
-      throw std::runtime_error("parse_bundle: section rank too large: " +
-                               source);
-    std::vector<std::uint64_t> dims(static_cast<std::size_t>(ndims));
-    for (auto& d : dims) d = c.u64("section dims");
-    const std::uint64_t count = dims_product(dims, "parse_bundle: dims");
-    // The remaining-bytes check below also caps the allocation: count can
-    // never exceed what the buffer actually holds.
-    if (checked_mul_u64(count, sizeof(double), "parse_bundle: payload") >
-        c.remaining())
-      throw std::runtime_error(
-          "parse_bundle: section '" + name +
-          "' dimensions exceed the file payload (corrupt header): " + source);
-    std::vector<double> payload(static_cast<std::size_t>(count));
-    c.doubles(payload.data(), count, "section payload");
-    bundle.set(std::move(name), std::move(dims), std::move(payload));
-  }
-  if (c.remaining() != 0)
-    throw std::runtime_error("parse_bundle: trailing bytes after sections: " +
-                             source);
+  if (malformed) std::rethrow_exception(malformed);
   return bundle;
+}
+
+ArtifactBundle parse_bundle(std::span<const std::byte> bytes,
+                            const std::string& source) {
+  SpanBuf buf(bytes);
+  std::istream in(&buf);
+  return read_bundle(in, bytes.size(), source);
 }
 
 ArtifactBundle load_bundle(const std::string& path) {
@@ -289,16 +385,7 @@ ArtifactBundle load_bundle(const std::string& path) {
   std::error_code ec;
   const auto fsize = std::filesystem::file_size(path, ec);
   if (ec) throw std::runtime_error("load_bundle: cannot stat: " + path);
-  if (fsize > std::numeric_limits<std::size_t>::max())
-    throw std::runtime_error("load_bundle: file too large: " + path);
-  // Not zero-filled first: the read overwrites every byte or fails.
-  const auto size = static_cast<std::size_t>(fsize);
-  const auto buf = std::make_unique_for_overwrite<std::byte[]>(size);
-  f.read(reinterpret_cast<char*>(buf.get()),
-         static_cast<std::streamsize>(size));
-  if (!f || static_cast<std::uint64_t>(f.gcount()) != fsize)
-    throw std::runtime_error("load_bundle: short read: " + path);
-  return parse_bundle(std::span<const std::byte>(buf.get(), size), path);
+  return read_bundle(f, fsize, path);
 }
 
 }  // namespace tsunami

@@ -20,15 +20,18 @@
 //     f64 payload[prod(dims)]
 //   u64 bundle_checksum over every preceding byte (the body)
 //
-// The loader reads the whole file into memory (bundles are small by design
-// — that is the point of the offline/online split) and hands the bytes to
-// parse_bundle, which reads the magic and the version, then verifies the
-// trailing checksum before trusting any later field, and bounds-checks
-// every read against the buffer, with checked multiplication on all
-// dimension products. A corrupt, truncated, or malicious bundle raises
-// std::runtime_error naming its source; it can never over-allocate or
-// over-read. A bundle of another format version is refused as such, before
-// its checksum is read.
+// The loader reads the file once, front to back, through the stream's own
+// small buffer: each payload lands straight in its section's storage, and
+// the checksum runs over exactly the bytes the parser keeps (the names, the
+// dimensions and the payloads, where they end up). The magic and the version
+// are read first. Every read is bounded by the size the caller stated, with
+// checked multiplication on all dimension products, so a lying header can
+// never over-allocate or over-read. A structural error (a truncated field,
+// dimensions past the payload, trailing bytes) is reported only after the
+// rest of the body has been checksummed: a damaged file is refused as a
+// checksum mismatch, and only a file whose checksum holds is refused for its
+// structure. Either way std::runtime_error names the source. A bundle of
+// another format version is refused as such, before its checksum is read.
 //
 // The container is deliberately generic (named sections of dimensioned
 // double arrays). What goes in the sections — and the TwinConfig fingerprint
@@ -37,6 +40,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
@@ -74,6 +78,23 @@ inline constexpr std::uint64_t kBundleFormatVersion = 2;
 /// fnv1a waits on one multiply per byte.
 [[nodiscard]] std::uint64_t bundle_checksum(const void* data,
                                             std::size_t nbytes);
+
+/// bundle_checksum fed in pieces: update() with consecutive slices of the
+/// body, then digest(). The pieces may split words anywhere; the digest
+/// equals bundle_checksum over their concatenation.
+class BundleChecksum {
+ public:
+  BundleChecksum();
+  void update(const void* data, std::size_t nbytes);
+  [[nodiscard]] std::uint64_t digest() const;
+
+ private:
+  static constexpr std::size_t kLanes = 8;
+  std::uint64_t lane_[kLanes];
+  std::uint64_t words_ = 0;     ///< whole words stepped so far
+  unsigned char tail_[8] = {};  ///< bytes of a word not yet complete
+  std::size_t ntail_ = 0;
+};
 
 /// One named, dimensioned payload inside a bundle.
 struct BundleSection {
@@ -124,13 +145,19 @@ class ArtifactBundle {
 /// never reported as success).
 void save_bundle(const std::string& path, const ArtifactBundle& bundle);
 
-/// Parse and fully validate an in-memory bundle image: magic, version,
-/// checksum, per-section bounds. `source` names the bytes in error messages
-/// (load_bundle passes the path).
+/// Parse and fully validate a bundle image of `size` bytes read from `in`:
+/// magic, version, checksum, per-section bounds. Reads exactly `size`
+/// bytes, so later bytes (a file that grew after its size was taken) are
+/// never read; a stream that ends early (a file that shrank) is refused as
+/// a short read. `source` names the bytes in error messages.
+[[nodiscard]] ArtifactBundle read_bundle(std::istream& in, std::uint64_t size,
+                                         const std::string& source);
+
+/// read_bundle over an in-memory bundle image.
 [[nodiscard]] ArtifactBundle parse_bundle(std::span<const std::byte> bytes,
                                           const std::string& source = "<memory>");
 
-/// Read a bundle file and parse_bundle it.
+/// Open a bundle file, take its size, and read_bundle it.
 [[nodiscard]] ArtifactBundle load_bundle(const std::string& path);
 
 }  // namespace tsunami

@@ -20,6 +20,9 @@
 
 #include "core/digital_twin.hpp"
 #include "core/scenario_bank.hpp"
+#include "obs/trace.hpp"
+#include "service/engine_cache.hpp"
+#include "service/warning_service.hpp"
 #include "util/artifact_bundle.hpp"
 
 namespace tsunami {
@@ -497,6 +500,148 @@ TEST(ArtifactBundleRoundTrip, SectionsSurviveSaveLoad) {
   EXPECT_THROW((void)back.matrix("a/vector"), std::runtime_error);
   EXPECT_THROW((void)back.vector("a/matrix"), std::runtime_error);
   std::filesystem::remove(path);
+}
+
+TEST_F(ArtifactBundleTest, FileThatShrinksAfterItsSizeIsTakenIsRefused) {
+  // The size is taken, then the file is cut before a byte is read: the
+  // stream ends before the stated size.
+  const auto path = temp_path("tsunami_shrinks.bundle");
+  write_file(path, read_file(*path_));
+  std::ifstream in(path, std::ios::binary);
+  const std::uint64_t size = std::filesystem::file_size(path);
+  std::filesystem::resize_file(path, size / 2);
+  const std::string what =
+      error_of([&] { (void)read_bundle(in, size, path); });
+  EXPECT_TRUE(contains(what, "short read")) << what;
+  std::filesystem::remove(path);
+}
+
+TEST_F(ArtifactBundleTest, FileThatGrowsAfterItsSizeIsTakenIsReadToThatSize) {
+  // Bytes appended after the size was taken are never read: the bundle
+  // parses as the file it was, and the stream stops at the stated size.
+  const auto path = temp_path("tsunami_grows.bundle");
+  write_file(path, read_file(*path_));
+  std::ifstream in(path, std::ios::binary);
+  const std::uint64_t size = std::filesystem::file_size(path);
+  {
+    std::ofstream grow(path, std::ios::binary | std::ios::app);
+    const std::vector<char> junk(4096, 'x');
+    grow.write(junk.data(), static_cast<std::streamsize>(junk.size()));
+  }
+  ASSERT_GT(std::filesystem::file_size(path), size);
+  const ArtifactBundle got = read_bundle(in, size, path);
+  EXPECT_EQ(static_cast<std::uint64_t>(in.tellg()), size);
+  const ArtifactBundle want = load_bundle(*path_);
+  ASSERT_EQ(got.sections().size(), want.sections().size());
+  for (std::size_t i = 0; i < want.sections().size(); ++i) {
+    EXPECT_EQ(got.sections()[i].name, want.sections()[i].name);
+    EXPECT_EQ(got.sections()[i].data, want.sections()[i].data);
+  }
+  std::filesystem::remove(path);
+}
+
+TEST_F(ArtifactBundleTest, ParsedBundleHoldsTheBytesItChecksummed) {
+  // Saving what was loaded reproduces the file byte for byte, checksum word
+  // included: the bytes the parser kept are the bytes it summed.
+  const auto path = temp_path("tsunami_resaved.bundle");
+  save_bundle(path, load_bundle(*path_));
+  EXPECT_EQ(read_file(path), read_file(*path_));
+  std::filesystem::remove(path);
+}
+
+TEST_F(ArtifactBundleTest, StructuralErrorIsReportedOnlyUnderAValidChecksum) {
+  // Eight bytes past the last section: with the checksum recomputed the
+  // file is refused for its structure, and with the stored one as corrupt.
+  auto bytes = read_file(*path_);
+  const std::size_t body = bytes.size() - sizeof(std::uint64_t);
+  const std::uint64_t stored = [&] {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + body, sizeof(v));
+    return v;
+  }();
+  bytes.resize(body);
+  append_u64(bytes, 0);  // the trailing junk word
+  auto resummed = bytes;
+  append_u64(resummed, bundle_checksum(resummed.data(), resummed.size()));
+  append_u64(bytes, stored);
+  std::string what = error_of([&] { (void)parse_bundle(bytes_of(resummed)); });
+  EXPECT_TRUE(contains(what, "trailing bytes after sections")) << what;
+  what = error_of([&] { (void)parse_bundle(bytes_of(bytes)); });
+  EXPECT_TRUE(contains(what, "checksum mismatch")) << what;
+}
+
+TEST(ArtifactBundleFormat, ChecksumFedInPiecesEqualsOneShot) {
+  // The loader feeds the checksum one field or payload at a time, so words
+  // straddle pieces; any split must give the one-shot value.
+  std::vector<unsigned char> bytes(1000);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<unsigned char>(i * 131 + 7);
+  Rng rng(3);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{5}, std::size_t{8},
+                              std::size_t{203}, std::size_t{1000}}) {
+    const std::uint64_t want = bundle_checksum(bytes.data(), n);
+    for (int trial = 0; trial < 20; ++trial) {
+      BundleChecksum sum;
+      std::size_t at = 0;
+      while (at < n) {
+        const auto piece = std::min<std::size_t>(
+            n - at, static_cast<std::size_t>(rng.uniform() * 80.0));
+        sum.update(bytes.data() + at, piece);
+        at += piece;
+      }
+      EXPECT_EQ(sum.digest(), want) << n << " bytes, trial " << trial;
+    }
+  }
+}
+
+TEST_F(ArtifactBundleTest, ServedEventOnWarmBootBuildsNoSpectra) {
+  // A warm boot through the cache, then one served event with forecasts, a
+  // drop and a restore, plus reduced(): none of it applies F or Fq, so no
+  // spectra are built. The first MAP read then builds F's, once.
+  const auto build_spectra_spans = [] {
+    const std::string json = obs::chrome_trace_json();
+    const std::string span = "\"cat\":\"kernel\",\"name\":\"build_spectra\"";
+    std::size_t n = 0;
+    for (std::size_t at = json.find(span); at != std::string::npos;
+         at = json.find(span, at + 1))
+      ++n;
+    return n;
+  };
+  obs::clear_trace();
+  obs::set_trace_enabled(true);
+  EngineCache cache;
+  const auto cached = cache.load(*path_);
+  const StreamingEngine& engine = cached->engine();
+  const std::size_t nt = engine.num_ticks(), nd = engine.block_size();
+  const std::span<const double> d(event_->d_obs);
+  {
+    WarningService service({.num_workers = 2});
+    const EventId id = service.open_event(cached);
+    for (std::size_t t = 0; t < nt; ++t) {
+      if (t == nt / 3) service.drop_sensor(id, 1);
+      if (t == 2 * nt / 3) service.restore_sensor(id, 1);
+      service.submit(id, t, d.subspan(t * nd, nd));
+      service.drain();
+      EXPECT_EQ(service.latest_forecast(id).ticks_assimilated, t + 1);
+    }
+    (void)service.close_event(id);
+  }
+  SensorMask mask(nd);
+  mask.drop(1);
+  const StreamingEngine reduced = engine.reduced(mask);
+  StreamingAssimilator a = reduced.start();
+  a.push(0, d.first(nd));
+  (void)a.forecast();
+  EXPECT_EQ(obs::trace_dropped_count(), 0u);
+  EXPECT_EQ(build_spectra_spans(), 0u);
+
+  StreamingAssimilator full = engine.start();
+  full.push(0, d.first(nd));
+  (void)full.map_snapshot();
+  (void)full.map_snapshot();
+  obs::set_trace_enabled(false);
+  EXPECT_EQ(build_spectra_spans(), 1u);
+  obs::clear_trace();
 }
 
 // ---- streaming lifetime guard ---------------------------------------------

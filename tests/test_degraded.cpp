@@ -632,8 +632,19 @@ TEST(FaultInjectorTest, FromEnvParsesAndValidates) {
   ::setenv("TSUNAMI_FAULT_PACKET_LOSS", "1.5", 1);
   EXPECT_THROW(FaultPlan::from_env(), std::invalid_argument);
   ::setenv("TSUNAMI_FAULT_PACKET_LOSS", "0.25", 1);
-  ::setenv("TSUNAMI_FAULT_DROP_SENSOR", "5@8-3", 1);
-  EXPECT_THROW(FaultPlan::from_env(), std::invalid_argument);
+  // A restore tick at or before its drop tick is refused, equality too.
+  for (const char* bad : {"5@8-3", "5@8-8"}) {
+    ::setenv("TSUNAMI_FAULT_DROP_SENSOR", bad, 1);
+    try {
+      (void)FaultPlan::from_env();
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "restore tick must follow drop tick"),
+                std::string::npos)
+          << bad << ": " << e.what();
+    }
+  }
   ::setenv("TSUNAMI_FAULT_DROP_SENSOR", "nonsense", 1);
   EXPECT_THROW(FaultPlan::from_env(), std::invalid_argument);
   // Indices are decimal digits only: no sign (-1 must not wrap to

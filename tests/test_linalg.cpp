@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "linalg/banded_cholesky.hpp"
@@ -402,6 +405,28 @@ TEST(DenseCholesky, DowndateToIndefiniteThrows) {
   // u far larger than any eigenvalue of a: a - u u^T is indefinite.
   std::vector<double> u(n, 100.0 * std::sqrt(a(0, 0) + static_cast<double>(n)));
   EXPECT_THROW(chol.rank_downdate(std::span<double>(u)), std::runtime_error);
+}
+
+TEST(DenseCholesky, DowndateAtTheConeBoundaryThrowsAndLeavesTheFactor) {
+  // The SPD guard's boundary: u[0] == L(0,0) makes the first pivot exactly
+  // zero, and the next double above L(0,0) makes it just negative. Both
+  // leave the cone, so both must throw, and at k = 0 before any write.
+  Rng rng(37);
+  const Matrix a = random_spd(8, rng);
+  DenseCholesky chol(a);
+  const Matrix before = chol.factor();
+  const double l00 = before(0, 0);
+  for (const double u0 :
+       {l00, std::nextafter(l00, std::numeric_limits<double>::infinity())}) {
+    std::vector<double> u(8, 0.0);
+    u[0] = u0;
+    EXPECT_THROW(chol.rank_downdate(std::span<double>(u)), std::runtime_error)
+        << "u[0] - L(0,0) = " << u0 - l00;
+    for (std::size_t i = 0; i < before.size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(chol.factor().data()[i]),
+                std::bit_cast<std::uint64_t>(before.data()[i]))
+          << "entry " << i << " after u[0] - L(0,0) = " << u0 - l00;
+  }
 }
 
 TEST(DenseCholesky, RankUpdateZeroVectorIsExactNoop) {

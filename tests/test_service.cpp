@@ -345,6 +345,14 @@ TEST_F(ServiceTest, DebouncedAlertMatchesSerialRule) {
   const EventSnapshot got = service.close_event(id);
   EXPECT_TRUE(got.alert);
   EXPECT_EQ(got.alert_tick, expect_alert_tick);
+  // Its one lead-time sample is the data time still ahead at the latch.
+  const obs::HistogramSnapshot lead = service.telemetry().alert_lead_time;
+  const double dt = (*cached_)->twin().config().observation_dt;
+  const double expect_lead =
+      static_cast<double>(nt() - expect_alert_tick) * dt;
+  EXPECT_EQ(lead.count, 1u);
+  EXPECT_EQ(lead.min, expect_lead);
+  EXPECT_EQ(lead.max, expect_lead);
 }
 
 TEST_F(ServiceTest, SnapshotBeforeDataIsThePrior) {
@@ -577,6 +585,46 @@ inline std::size_t count_kind(const std::vector<JournalRecord>& rs,
 }
 
 }  // namespace journal_util
+
+TEST(EventJournalTest, RingAfterAFilledOneReadsEmptyThenHoldsItsOwnRecords) {
+  // A ring's pages start as zero pages, not as whatever the last ring of
+  // the same size left behind: a journal built after another was filled
+  // past wrap and destroyed reads empty, then holds exactly what is
+  // appended to it.
+  constexpr std::size_t kCapacity = 256;
+  const auto record = [](std::uint64_t i, std::uint64_t salt) {
+    JournalRecord r;
+    r.event = salt + i;
+    r.kind = JournalKind::kPush;
+    r.tick = i;
+    r.t_ns = static_cast<std::int64_t>(i);
+    r.queue_wait_ns = 1;
+    r.push_ns = 2;
+    r.publish_ns = 3;
+    r.total_ns = 6;
+    return r;
+  };
+  {
+    EventJournal filled(kCapacity);
+    for (std::uint64_t i = 0; i < 3 * kCapacity; ++i)
+      filled.append(record(i, 1000));
+    ASSERT_EQ(filled.snapshot().size(), kCapacity);
+  }
+  EventJournal fresh(kCapacity);
+  EXPECT_TRUE(fresh.snapshot().empty());
+  EXPECT_EQ(fresh.appended(), 0u);
+  constexpr std::uint64_t kAppended = 37;
+  for (std::uint64_t i = 0; i < kAppended; ++i) fresh.append(record(i, 0));
+  const std::vector<JournalRecord> got = fresh.snapshot();
+  ASSERT_EQ(got.size(), kAppended);
+  for (std::uint64_t i = 0; i < kAppended; ++i) {
+    EXPECT_EQ(got[i].event, i);
+    EXPECT_EQ(got[i].tick, i);
+    EXPECT_EQ(got[i].t_ns, static_cast<std::int64_t>(i));
+    EXPECT_EQ(got[i].total_ns, 6);
+  }
+  EXPECT_EQ(fresh.dropped(), 0u);
+}
 
 TEST_F(ServiceTest, JournalReconstructsCompleteLifecycle) {
   const std::vector<double> d = make_obs(23);
