@@ -665,9 +665,9 @@ bool sec_viii(JsonReport& report) {
         static_cast<double>(std::filesystem::file_size(path)) / 1e6;
 
     // Warm boots, each freed before the next is timed, so the case has a
-    // spread to gate on. The first boot's minor page faults are noted: first
-    // touches of fresh pages, more than arithmetic, set a boot's time, and
-    // later boots reuse the pages the allocator kept.
+    // spread to gate on. The first boot's minor page faults are noted: a
+    // boot whose sections land on fresh pages pays one fault per page, which
+    // can cost more than the rest of the boot.
     std::vector<double> warm_samples;
     long warm_faults = 0;
     for (int i = 0; i < kWarmBoots; ++i) {

@@ -15,8 +15,6 @@ namespace {
 
 constexpr std::size_t kMinCapacity = 64;
 
-/// A relaxed store into one slot field. No store needs its own ordering:
-/// append()'s release store of seq publishes them all at once.
 template <class T>
 void put(T& field, T value) {
   const std::atomic_ref<T> cell(field);
@@ -25,7 +23,6 @@ void put(T& field, T value) {
   cell.store(value, std::memory_order_relaxed);
 }
 
-/// A relaxed load of one slot field, covered by snapshot()'s acquire of seq.
 template <class T>
 T get(T& field) {
   const std::atomic_ref<T> cell(field);
@@ -54,6 +51,7 @@ struct EventJournal::Slot {
   std::int64_t publish_ns;
   std::int64_t total_ns;
 };
+
 const char* journal_kind_name(JournalKind kind) {
   switch (kind) {
     case JournalKind::kOpen: return "open";
