@@ -6,6 +6,7 @@
 
 #include "core/p2o_builder.hpp"
 #include "linalg/blas.hpp"
+#include "obs/trace.hpp"
 #include "parallel/parallel_for.hpp"
 
 namespace tsunami {
@@ -63,7 +64,12 @@ DataSpaceHessian::DataSpaceHessian(const P2oMap& f, const MaternPrior& prior,
   if (timers) timers->add("form K", form_watch.seconds());
 
   Stopwatch chol_watch;
-  chol_ = std::make_unique<DenseCholesky>(k_);
+  {
+    // The offline build's one dense factorization, as a kernel span beside
+    // the phase span: the Toeplitz kernels no longer run in a build.
+    TRACE_SCOPE("kernel", "factorize_k");
+    chol_ = std::make_unique<DenseCholesky>(k_);
+  }
   if (timers) timers->add("factorize K", chol_watch.seconds());
 }
 
