@@ -6,8 +6,10 @@
 // This walks the paper's four phases end to end at laptop scale:
 //   Phase 1: adjoint wave propagations -> p2o/p2q Toeplitz maps
 //   Phase 2: data-space Hessian K + Cholesky
-//   Phase 3: QoI covariance + data-to-QoI map
-//   Phase 4: (online, per event) infer seafloor motion, forecast wave heights
+//   Phase 3: QoI covariance + the forecast slab R (the data-to-QoI map,
+//            factored as R^T L^-1)
+//   Phase 4: (online, per event) one forward solve z = L^-1 d, then the
+//            wave-height forecast R^T z and the seafloor motion m_map
 
 #include <cstdio>
 

@@ -234,23 +234,20 @@ void DigitalTwin::install_offline(ArtifactBundle& bundle) {
   if (sigma.size() != 1 || !(sigma[0] > 0.0))
     throw std::runtime_error("artifact bundle: bad noise/sigma section");
   P2oMap f = take_p2o(bundle, "p2o/F", sensors_->num_outputs(), nm, nt);
-  P2oMap fq = take_p2o(bundle, "p2o/Fq", gauges_->num_outputs(), nm, nt);
   Matrix l = take_shaped(bundle, "hessian/chol_L", n, n, "Cholesky factor");
-  Matrix q = take_shaped(bundle, "qoi/Q", nqoi, n, "Q");
   Matrix cov = take_shaped(bundle, "qoi/cov", nqoi, nqoi, "Gamma_post(q)");
   Matrix r = take_shaped(bundle, "qoi/R", n, nqoi, "R");
 
   // All sections validated; rebuild the online operators. No PDE solves, no
   // Hessian formation, no factorization — the whole point of the split —
-  // and no spectra: F's and Fq's are built at their first apply (a MAP
-  // read, apply_fq_mean), which a forecast-only service never makes.
+  // and no spectra: F's are built at its first apply (a MAP read), which a
+  // forecast-only service never makes.
   f_ = std::move(f);
-  fq_ = std::move(fq);
   hessian_ = std::make_unique<DataSpaceHessian>(
       DataSpaceHessian::from_factor(std::move(l), NoiseModel{sigma[0]}));
   posterior_ = std::make_unique<Posterior>(*f_.toeplitz, *prior_, *hessian_);
   predictor_ = std::make_unique<QoiPredictor>(
-      *fq_.toeplitz, std::move(q), std::move(cov), std::move(r));
+      cfg_.num_gauges, nt, std::move(cov), std::move(r));
   refresh_offline_epoch();
 }
 
@@ -263,9 +260,7 @@ ArtifactBundle DigitalTwin::make_bundle() const {
   b.set_vector("noise/sigma",
                std::span<const double>(&hessian_->noise().sigma, 1));
   set_p2o(b, "p2o/F", f_);
-  set_p2o(b, "p2o/Fq", fq_);
   b.set_matrix("hessian/chol_L", hessian_->cholesky().factor());
-  b.set_matrix("qoi/Q", predictor_->data_to_qoi());
   b.set_matrix("qoi/cov", predictor_->qoi_covariance());
   b.set_matrix("qoi/R", predictor_->forecast_slab());
   return b;
@@ -321,10 +316,11 @@ void DigitalTwin::run_phase2(const NoiseModel& noise) {
 
 void DigitalTwin::run_phase3() {
   if (!hessian_) throw std::logic_error("run_phase3: phase 2 not run");
+  const P2oMap& fq = p2q();
   TRACE_SCOPE("offline", "phase3");
-  ScopedTimer t(timers_, "phase3: QoI covariance + Q");
+  ScopedTimer t(timers_, "phase3: QoI covariance + R");
   predictor_ =
-      std::make_unique<QoiPredictor>(f_, fq_, *prior_, *hessian_, &timers_);
+      std::make_unique<QoiPredictor>(f_, fq, *prior_, *hessian_, &timers_);
   refresh_offline_epoch();
 }
 
@@ -357,17 +353,22 @@ SyntheticEvent DigitalTwin::synthesize(const RuptureScenario& scenario,
 InversionResult DigitalTwin::infer(std::span<const double> d_obs) const {
   if (!online_ready())
     throw std::logic_error("infer: offline phases not complete");
+  if (d_obs.size() != data_dim())
+    throw std::invalid_argument("infer: data size mismatch");
+  const DenseCholesky& chol = hessian_->cholesky();
   InversionResult out;
-  {
-    Stopwatch w;
-    out.m_map = posterior_->map_point(d_obs);
-    out.infer_seconds = w.seconds();
-  }
-  {
-    Stopwatch w;
-    out.forecast = predictor_->predict(d_obs);
-    out.predict_seconds = w.seconds();
-  }
+  // z = L^{-1} d is the stream's z at t = Nt: the forecast R^T z is its
+  // final tick, and m_map = G* K^{-1} d finishes the solve with L^{-T}.
+  std::vector<double> z(d_obs.begin(), d_obs.end());
+  Stopwatch w;
+  chol.forward_solve_in_place(z);
+  out.forecast = predictor_->predict_whitened(z);
+  out.predict_seconds = w.seconds();
+  w.reset();
+  chol.backward_solve_in_place(z);
+  out.m_map.resize(posterior_->parameter_dim());
+  posterior_->apply_gstar(z, out.m_map);
+  out.infer_seconds = w.seconds();
   return out;
 }
 
@@ -377,6 +378,12 @@ StreamingEngine DigitalTwin::make_streaming(const StreamingOptions& options,
     throw std::logic_error("make_streaming: offline phases not complete");
   return StreamingEngine(*posterior_, *predictor_, options, timers,
                          offline_epoch_);
+}
+
+const P2oMap& DigitalTwin::p2q() const {
+  if (!fq_.toeplitz)
+    throw std::logic_error("p2q: no Fq (phase 1 not run, or bundle-booted)");
+  return fq_;
 }
 
 std::vector<double> DigitalTwin::displacement_field(

@@ -6,9 +6,9 @@
 //   Phase 2 (offline): prior_product of F's first block column (prior
 //                      solves, one GEMM, a diagonal prefix sum) -> K;
 //                      Cholesky.
-//   Phase 3 (offline): Gamma_post(q) and the data-to-QoI map Q.
-//   Phase 4 (online) : given d_obs, infer m_map and forecast q with 95% CIs
-//                      in real time (no PDE solves).
+//   Phase 3 (offline): Gamma_post(q) and the forecast slab R = L^{-1} V.
+//   Phase 4 (online) : given d_obs, z = L^{-1} d, then the forecast R^T z
+//                      with 95% CIs and m_map = G* L^{-T} z (no PDE solves).
 //
 // The twin also synthesizes ground-truth experiments: a kinematic rupture
 // scenario drives the forward model to produce noisy sensor data and true
@@ -109,8 +109,8 @@ struct SyntheticEvent {
 struct InversionResult {
   std::vector<double> m_map;     ///< inferred seafloor velocity (time-major)
   Forecast forecast;             ///< QoI prediction with 95% CIs
-  double infer_seconds = 0.0;    ///< Table III "infer parameters m_map"
-  double predict_seconds = 0.0;  ///< Table III "predict QoI q_map"
+  double infer_seconds = 0.0;    ///< Table III "infer": L^{-T} z, G* lift
+  double predict_seconds = 0.0;  ///< Table III "predict": L^{-1} d, R^T z
 };
 
 class DigitalTwin {
@@ -126,17 +126,16 @@ class DigitalTwin {
   /// out-of-range field throws std::runtime_error); the stored fingerprint is
   /// verified against the reconstructed config before anything is trusted.
   /// Each section's payload is moved into its owner, not copied, so pass an
-  /// rvalue when the bundle is not needed afterwards. F's and Fq's spectra
-  /// are built at their first apply (the first MAP read), not here, so a
-  /// forecast-only service never builds them. infer() and streaming
-  /// push() on the result are bit-identical to the cold-path twin that
-  /// produced the bundle (tests/test_artifact_bundle.cpp).
+  /// rvalue when the bundle is not needed afterwards. F's spectra are built
+  /// at its first apply (the first MAP read), not here. No Fq ships. infer()
+  /// and streaming push() on the result are bit-identical to the cold-path
+  /// twin that produced the bundle (tests/test_artifact_bundle.cpp).
   explicit DigitalTwin(ArtifactBundle bundle);
 
   // ---- offline artifact shipping -------------------------------------------
-  /// Serialize everything Phase 4 reads (config + fingerprint, F/Fq block
-  /// columns, the Cholesky factor of K, Q, Gamma_post(q), the forecast slab
-  /// R, the calibrated noise) into one versioned, checksummed bundle file.
+  /// Serialize everything Phase 4 reads (config + fingerprint, F's block
+  /// columns, the Cholesky factor of K, Gamma_post(q), the forecast slab R,
+  /// the calibrated noise) into one versioned, checksummed bundle file.
   /// Requires completed offline phases.
   void save_offline(const std::string& path) const;
 
@@ -157,7 +156,7 @@ class DigitalTwin {
   void run_phase1();
   /// Phase 2: form and factorize the data-space Hessian. Requires phase 1.
   void run_phase2(const NoiseModel& noise);
-  /// Phase 3: QoI covariance and data-to-QoI map. Requires phase 2.
+  /// Phase 3: QoI covariance and forecast slab R. Requires phases 1 and 2.
   void run_phase3();
 
   /// All offline phases against a synthetic event's calibrated noise.
@@ -177,7 +176,9 @@ class DigitalTwin {
   /// True once phases 1-3 have run and `infer` may be called.
   [[nodiscard]] bool online_ready() const { return posterior_ && predictor_; }
 
-  /// Phase 4: real-time inference + forecasting. Requires phases 1-3.
+  /// Phase 4: real-time inference + forecasting. Requires phases 1-3. Runs
+  /// the stream's kernels over the whole window, so the result is bitwise a
+  /// streamed final tick's. Throws std::invalid_argument on a wrong length.
   [[nodiscard]] InversionResult infer(std::span<const double> d_obs) const;
 
   /// Build the streaming front door over the offline operators: an engine
@@ -210,7 +211,8 @@ class DigitalTwin {
   [[nodiscard]] const TimeGrid& time_grid() const { return time_; }
   [[nodiscard]] const MaternPrior& prior() const { return *prior_; }
   [[nodiscard]] const P2oMap& p2o() const { return f_; }
-  [[nodiscard]] const P2oMap& p2q() const { return fq_; }
+  /// Throws std::logic_error on a twin without Fq (e.g. bundle-booted).
+  [[nodiscard]] const P2oMap& p2q() const;
   [[nodiscard]] const DataSpaceHessian& hessian() const { return *hessian_; }
   [[nodiscard]] const Posterior& posterior() const { return *posterior_; }
   [[nodiscard]] const QoiPredictor& predictor() const { return *predictor_; }
@@ -228,7 +230,7 @@ class DigitalTwin {
   /// Unpack + fingerprint-verify the config stored in a bundle.
   [[nodiscard]] static TwinConfig config_from_bundle(
       const ArtifactBundle& bundle);
-  /// Rebuild posterior_/predictor_ (and f_/fq_/hessian_) from bundle
+  /// Rebuild posterior_/predictor_ (and f_/hessian_) from bundle
   /// sections, with per-section dimension checks against this twin. Moves
   /// each payload out of `bundle`.
   void install_offline(ArtifactBundle& bundle);

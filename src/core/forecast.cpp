@@ -13,8 +13,8 @@ QoiPredictor::QoiPredictor(const P2oMap& f, const P2oMap& fq,
                            const MaternPrior& prior,
                            const DataSpaceHessian& hessian,
                            TimerRegistry* timers)
-    : fq_(*fq.toeplitz), nq_(fq.nrows), nt_(fq.nt) {
-  const std::size_t nqoi = fq_.output_dim();
+    : nq_(fq.nrows), nt_(fq.nt) {
+  const std::size_t nqoi = fq.toeplitz->output_dim();
 
   Stopwatch cov_watch;
   const Matrix v_mat = prior_product(f, fq, prior);   // ndata x nqoi
@@ -41,19 +41,13 @@ QoiPredictor::QoiPredictor(const P2oMap& f, const P2oMap& fq,
     std_q_[i] = std::sqrt(std::max(0.0, cov_q_(i, i)));
   if (timers) timers->add("compute Gamma_post(q)", cov_watch.seconds());
 
-  Stopwatch q_watch;
-  // Q = V^T K^{-1} = (K^{-1} V)^T (K symmetric).
-  q_map_op_ = kinv_v.transposed();
-  if (timers) timers->add("compute Q", q_watch.seconds());
-
   Stopwatch r_watch;
   // R = L^{-1} V, the forecast slab. Forward substitution keeps the rows
-  // causal, so row block t is exactly what tick t contributes. From
-  // Q = V^T K^{-1} and K = L L^T it follows that R = L^{-1} (K Q^T) =
-  // L^T Q^T, a triangular product with Q^T = K^{-1} V:
-  // r_(i, :) = sum_{j >= i} L(j, i) Q^T(j, :), the slab sweep over rows
-  // [i, n) of Q^T, its coefficients column i of L gathered into slot-local
-  // scratch.
+  // causal, so row block t is exactly what tick t contributes. With K =
+  // L L^T, R = L^{-1} K (K^{-1} V) = L^T (K^{-1} V), a triangular product:
+  // r_(i, :) = sum_{j >= i} L(j, i) (K^{-1} V)(j, :), the slab sweep over
+  // rows [i, n) of K^{-1} V, its coefficients column i of L gathered into
+  // slot-local scratch.
   const std::size_t n = kinv_v.rows();
   const Matrix& l = hessian.cholesky().factor();
   r_ = Matrix(n, nqoi);
@@ -67,34 +61,31 @@ QoiPredictor::QoiPredictor(const P2oMap& f, const P2oMap& fq,
   if (timers) timers->add("compute R", r_watch.seconds());
 }
 
-QoiPredictor::QoiPredictor(const BlockToeplitz& fq, Matrix data_to_qoi,
+QoiPredictor::QoiPredictor(std::size_t num_gauges, std::size_t num_times,
                            Matrix qoi_cov, Matrix forecast_slab)
-    : fq_(fq),
-      nq_(fq.block_rows()),
-      nt_(fq.num_blocks()),
-      q_map_op_(std::move(data_to_qoi)),
+    : nq_(num_gauges),
+      nt_(num_times),
       cov_q_(std::move(qoi_cov)),
       r_(std::move(forecast_slab)) {
-  const std::size_t nqoi = fq.output_dim();
-  if (q_map_op_.rows() != nqoi)
-    throw std::invalid_argument("QoiPredictor: Q rows != Fq output dim");
+  const std::size_t nqoi = nq_ * nt_;
   if (cov_q_.rows() != nqoi || cov_q_.cols() != nqoi)
     throw std::invalid_argument("QoiPredictor: Gamma_post(q) shape mismatch");
-  if (r_.rows() != q_map_op_.cols() || r_.cols() != nqoi)
+  if (r_.cols() != nqoi)
     throw std::invalid_argument("QoiPredictor: R shape mismatch");
   std_q_.resize(nqoi);
   for (std::size_t i = 0; i < nqoi; ++i)
     std_q_[i] = std::sqrt(std::max(0.0, cov_q_(i, i)));
 }
 
-Forecast QoiPredictor::predict(std::span<const double> d_obs) const {
-  if (d_obs.size() != data_dim())
-    throw std::invalid_argument("QoiPredictor::predict: data size mismatch");
+Forecast QoiPredictor::predict_whitened(std::span<const double> z) const {
+  if (z.size() != data_dim())
+    throw std::invalid_argument(
+        "QoiPredictor::predict_whitened: data size mismatch");
   Forecast fc;
   fc.num_gauges = nq_;
   fc.num_times = nt_;
-  fc.mean.resize(qoi_dim());
-  gemv(q_map_op_, d_obs, std::span<double>(fc.mean));
+  fc.mean.assign(qoi_dim(), 0.0);
+  accumulate_rows(r_.data(), r_.rows(), r_.cols(), z.data(), fc.mean.data());
   fc.stddev = std_q_;
   fc.lower95.resize(qoi_dim());
   fc.upper95.resize(qoi_dim());
@@ -103,11 +94,6 @@ Forecast QoiPredictor::predict(std::span<const double> d_obs) const {
     fc.upper95[i] = fc.mean[i] + 1.96 * std_q_[i];
   }
   return fc;
-}
-
-void QoiPredictor::apply_fq_mean(std::span<const double> m,
-                                 std::span<double> q) const {
-  fq_.apply(m, q);
 }
 
 }  // namespace tsunami

@@ -83,22 +83,6 @@ TSUNAMI_HOT_PATH void Posterior::apply_g(std::span<const double> v,
   apply_g(v, d, tls_workspace());
 }
 
-TSUNAMI_HOT_PATH void Posterior::map_point(std::span<const double> d_obs,
-                                           std::span<double> m,
-                                           Workspace& ws) const {
-  if (d_obs.size() != data_dim() || m.size() != parameter_dim())
-    throw std::invalid_argument("Posterior::map_point: size mismatch");
-  ws.data_a.resize(data_dim());  // lint: allow(hot-path-alloc) grow-once workspace
-  hess_.solve(d_obs, std::span<double>(ws.data_a));
-  apply_gstar(ws.data_a, m, ws);
-}
-
-std::vector<double> Posterior::map_point(std::span<const double> d_obs) const {
-  std::vector<double> m(parameter_dim());
-  map_point(d_obs, std::span<double>(m), tls_workspace());
-  return m;
-}
-
 std::vector<double> Posterior::map_point_masked(std::span<const double> d_obs,
                                                 const SensorMask& mask) const {
   if (d_obs.size() != data_dim())

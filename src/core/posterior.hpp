@@ -71,13 +71,6 @@ class Posterior {
   TSUNAMI_HOT_PATH void apply_g(std::span<const double> v,
                                 std::span<double> d, Workspace& ws) const;
 
-  /// MAP point / posterior mean: m_map = G* K^{-1} d_obs.
-  [[nodiscard]] std::vector<double> map_point(
-      std::span<const double> d_obs) const;
-  /// In-place MAP point into `m` (parameter_dim), no allocation.
-  TSUNAMI_HOT_PATH void map_point(std::span<const double> d_obs,
-                                  std::span<double> m, Workspace& ws) const;
-
   /// Reference MAP point over a reduced sensor network: builds the reduced
   /// data-space Hessian K[S,S] (S = rows of surviving channels) explicitly,
   /// solves it dense, and applies G* restricted to S. Deliberately

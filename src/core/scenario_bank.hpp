@@ -4,8 +4,9 @@
 //
 // The paper's real-time claim rests on an offline/online split: Phases 1-3
 // precompute the p2o maps, the data-space Hessian factorization, and the
-// data-to-QoI operator once per sensor network, after which Phase 4 costs
-// only dense linear algebra per event. This module exploits that amortization
+// forecast slab R (the data-to-QoI map, factored as R^T L^{-1}) once per
+// sensor network, after which Phase 4 costs only dense linear algebra per
+// event. This module exploits that amortization
 // in the direction the follow-up literature points (sequential Bayesian
 // updating over rupture ensembles; probabilistic Cascadia forecasting): hold
 // a *bank* of N kinematic rupture scenarios spanning magnitude, hypocenter,

@@ -143,7 +143,6 @@ class StreamingEngine {
   [[nodiscard]] std::span<const double> stddev_after(std::size_t ticks) const;
 
   [[nodiscard]] const Posterior& posterior() const { return post_; }
-  [[nodiscard]] const QoiPredictor& predictor() const { return pred_; }
 
   /// True while the operators this engine slices are guaranteed alive.
   [[nodiscard]] bool operators_alive() const { return !lifetime_.expired(); }
@@ -264,8 +263,8 @@ class StreamingAssimilator {
 
   /// Rolling QoI forecast: the exact posterior mean given the data so far,
   /// with credible intervals from the engine's precomputed schedule. At the
-  /// final tick this equals DigitalTwin::infer's forecast on the full
-  /// vector (to roundoff).
+  /// final tick of a healthy stream this is DigitalTwin::infer's forecast on
+  /// the full vector, bit for bit (the kernels' range contract).
   [[nodiscard]] Forecast forecast() const;
 
   /// As forecast(), but writes into a caller-owned Forecast whose buffers

@@ -4,11 +4,11 @@
 // phase needs.
 //
 // The paper's deployment story (SecVIII) ships the Phase 1-3 products — p2o
-// block columns, the Cholesky factor of the data-space Hessian K, the
-// data-to-QoI map Q, Gamma_post(q), the forecast slab R — from the HPC
-// system to a warning center that runs Phase 4 with no HPC at all. This
-// module packs them into a single self-describing container, so the
-// hand-off is one artifact, not a directory convention:
+// block columns, the Cholesky factor L of the data-space Hessian K,
+// Gamma_post(q), the forecast slab R (the data-to-QoI map is R^T L^{-1}) —
+// from the HPC system to a warning center that runs Phase 4 with no HPC at
+// all. This module packs them into a single self-describing container, so
+// the hand-off is one artifact, not a directory convention:
 //
 //   u64 magic "TSBUNDLE"            ─┐
 //   u64 format version               │ header

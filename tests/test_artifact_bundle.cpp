@@ -195,7 +195,7 @@ TEST_F(ArtifactBundleTest, WarmBootRanZeroPdeSolvesOrFactorizations) {
   for (const char* name :
        {"Adjoint p2o", "phase1: form F", "phase1: form Fq", "form K",
         "factorize K", "phase2: form+factorize K",
-        "phase3: QoI covariance + Q"}) {
+        "phase3: QoI covariance + R"}) {
     EXPECT_EQ(warm_->timers().count(name), 0) << name;
   }
   EXPECT_GT(warm_->timers().count("warm start: install bundle"), 0);
@@ -204,9 +204,11 @@ TEST_F(ArtifactBundleTest, WarmBootRanZeroPdeSolvesOrFactorizations) {
 TEST_F(ArtifactBundleTest, BundleCarriesConfigAndFingerprint) {
   const ArtifactBundle bundle = load_bundle(*path_);
   EXPECT_EQ(bundle.fingerprint, twin_->config().fingerprint());
-  for (const char* name : {"config", "noise/sigma", "p2o/F", "p2o/Fq",
-                           "hessian/chol_L", "qoi/Q", "qoi/cov", "qoi/R"})
-    EXPECT_TRUE(bundle.has(name)) << name;
+  std::vector<std::string> names;
+  for (const BundleSection& s : bundle.sections()) names.push_back(s.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"config", "noise/sigma", "p2o/F",
+                                             "hessian/chol_L", "qoi/cov",
+                                             "qoi/R"}));
   EXPECT_EQ(warm_->config().fingerprint(), twin_->config().fingerprint());
   EXPECT_EQ(warm_->config().num_sensors, twin_->config().num_sensors);
   EXPECT_EQ(warm_->data_dim(), twin_->data_dim());
@@ -232,9 +234,12 @@ TEST_F(ArtifactBundleTest, LoadOfflineAssertsExpectedConfig) {
 }
 
 TEST_F(ArtifactBundleTest, MatrixAccessorThrowsOnWarmHessian) {
-  // Only L ships; the formed K is cold-path-only by design.
+  // Only L ships; the formed K is cold-path-only by design. So is Fq: the
+  // forecast reads R and Gamma_post(q) only.
   EXPECT_NO_THROW((void)twin_->hessian().matrix());
   EXPECT_THROW((void)warm_->hessian().matrix(), std::logic_error);
+  EXPECT_NO_THROW((void)twin_->p2q());
+  EXPECT_THROW((void)warm_->p2q(), std::logic_error);
   EXPECT_EQ(warm_->hessian().dim(), twin_->hessian().dim());
   EXPECT_DOUBLE_EQ(warm_->hessian().noise().sigma,
                    twin_->hessian().noise().sigma);
@@ -675,12 +680,14 @@ TEST_F(ArtifactBundleTest, RebuildingOfflineStateInvalidatesOldEngines) {
   DigitalTwin twin = DigitalTwin::load_offline(*path_);
   const StreamingEngine engine = twin.make_streaming();
   EXPECT_TRUE(engine.operators_alive());
-  // Re-running Phase 2+3 replaces the posterior/predictor the engine's
-  // slabs were baked from; the old engine must refuse to keep slicing.
+  // Re-running Phase 2 replaces the posterior the engine's slabs were baked
+  // from; the old engine must refuse to keep slicing.
   twin.run_phase2(NoiseModel{event_->noise.sigma});
   EXPECT_FALSE(engine.operators_alive());
   EXPECT_THROW((void)engine.start(), std::logic_error);
-  twin.run_phase3();
+  // Phase 3 needs Fq, which a bundle-booted twin does not hold: refused,
+  // leaving the twin as it was.
+  EXPECT_THROW(twin.run_phase3(), std::logic_error);
   const StreamingEngine fresh = twin.make_streaming();
   EXPECT_TRUE(fresh.operators_alive());
   EXPECT_NO_THROW((void)fresh.start());

@@ -87,7 +87,11 @@ TEST(BaselineCg, AgreesWithOfflineOnlineFramework) {
 
   const auto& d_obs = bp.d_obs;
 
-  const auto m_exact = posterior.map_point(d_obs);
+  // m_map = G* K^{-1} d: the Hessian solve, then the G* lift.
+  std::vector<double> kinv_d(d_obs.size());
+  hess.solve(d_obs, std::span<double>(kinv_d));
+  std::vector<double> m_exact(posterior.parameter_dim());
+  posterior.apply_gstar(kinv_d, std::span<double>(m_exact));
 
   BaselineOptions opts;
   opts.max_iterations = 300;

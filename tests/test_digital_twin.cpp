@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/digital_twin.hpp"
 #include "linalg/blas.hpp"
@@ -93,6 +96,21 @@ TEST_F(TwinTest, OnlineInferenceIsFastAndFinite) {
   EXPECT_LT(result.predict_seconds, 0.1);
 }
 
+TEST_F(TwinTest, InferRefusesDataOfTheWrongLength) {
+  // One entry short and one entry long: refused by name, before any solve.
+  const std::size_t n = twin_->data_dim();
+  for (const std::size_t size : {n - 1, n + 1}) {
+    const std::vector<double> d(size, 0.0);
+    try {
+      (void)twin_->infer(d);
+      ADD_FAILURE() << "infer accepted " << size << " entries";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("infer"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST_F(TwinTest, InferredDisplacementCorrelatesWithTruth) {
   const auto result = twin_->infer(event_->d_obs);
   const auto b_true = twin_->displacement_field(event_->m_true);
@@ -163,7 +181,7 @@ TEST_F(TwinTest, TimersRecordAllPhases) {
   EXPECT_GT(t.total("phase1: form F"), 0.0);
   EXPECT_GT(t.total("phase1: form Fq"), 0.0);
   EXPECT_GT(t.total("phase2: form+factorize K"), 0.0);
-  EXPECT_GT(t.total("phase3: QoI covariance + Q"), 0.0);
+  EXPECT_GT(t.total("phase3: QoI covariance + R"), 0.0);
   EXPECT_GT(t.total("form K"), 0.0);
   EXPECT_GT(t.total("factorize K"), 0.0);
 }

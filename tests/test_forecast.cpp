@@ -1,5 +1,6 @@
-// Tests for the goal-oriented QoI machinery: the data-to-QoI operator Q, the
-// QoI posterior covariance, and credible-interval behaviour.
+// Tests for the goal-oriented QoI machinery: the forecast slab R (the
+// data-to-QoI map in factored form, q_map = R^T L^{-1} d), the QoI posterior
+// covariance, and credible-interval behaviour.
 
 #include <gtest/gtest.h>
 
@@ -85,6 +86,12 @@ struct QoiProblem : QoiMaps {
     return d;
   }
 
+  /// z = L^{-1} d, the whitened data the predictor sweeps R against.
+  std::vector<double> whiten(std::vector<double> d) const {
+    hessian->cholesky().forward_solve_in_place(std::span<double>(d));
+    return d;
+  }
+
   std::unique_ptr<DataSpaceHessian> hessian;
   std::unique_ptr<Posterior> posterior;
   std::unique_ptr<QoiPredictor> predictor;
@@ -99,15 +106,19 @@ TEST(QoiPredictor, DimensionsMatchProblem) {
 }
 
 TEST(QoiPredictor, QdEqualsFqAppliedToMapPoint) {
-  // The paper's Phase 4 identity: q_map = Fq m_map = Q d_obs.
+  // The paper's Phase 4 identity, q_map = Fq m_map = Q d_obs, with Q in
+  // its factored form: R^T L^{-1} d = Fq G* K^{-1} d.
   QoiProblem qp;
   Rng rng(1);
   const auto d_obs = qp.make_data(rng);
 
-  const auto fc = qp.predictor->predict(d_obs);
-  const auto m_map = qp.posterior->map_point(d_obs);
+  const auto fc = qp.predictor->predict_whitened(qp.whiten(d_obs));
+  std::vector<double> kinv_d(d_obs.size());
+  qp.hessian->solve(d_obs, std::span<double>(kinv_d));
+  std::vector<double> m_map(qp.f.toeplitz->input_dim());
+  qp.posterior->apply_gstar(kinv_d, std::span<double>(m_map));
   std::vector<double> q_via_m(qp.predictor->qoi_dim());
-  qp.predictor->apply_fq_mean(m_map, std::span<double>(q_via_m));
+  qp.fq.toeplitz->apply(m_map, std::span<double>(q_via_m));
 
   const double scale = amax(q_via_m) + 1e-30;
   for (std::size_t i = 0; i < q_via_m.size(); ++i)
@@ -197,7 +208,7 @@ TEST(QoiPredictor, CredibleIntervalsBracketMean) {
   QoiProblem qp;
   Rng rng(2);
   const auto d_obs = qp.make_data(rng);
-  const auto fc = qp.predictor->predict(d_obs);
+  const auto fc = qp.predictor->predict_whitened(qp.whiten(d_obs));
   for (std::size_t i = 0; i < fc.mean.size(); ++i) {
     EXPECT_LE(fc.lower95[i], fc.mean[i]);
     EXPECT_GE(fc.upper95[i], fc.mean[i]);
@@ -231,7 +242,7 @@ TEST(QoiPredictor, CoverageOfTrueQoiUnderRepeatedNoise) {
     qp.fq.toeplitz->apply(m_true, std::span<double>(q_true));
     for (auto& v : d) v += qp.noise.sigma * rng.normal();
 
-    const auto fc = qp.predictor->predict(d);
+    const auto fc = qp.predictor->predict_whitened(qp.whiten(d));
     for (std::size_t i = 0; i < nq; ++i) {
       if (fc.stddev[i] < 1e-14) continue;  // unidentified QoI: skip
       ++total;
@@ -257,7 +268,8 @@ TEST(Forecast, FieldAccessorIndexesTimeMajor) {
 TEST(QoiPredictor, PredictRejectsWrongSize) {
   QoiProblem qp;
   std::vector<double> wrong(3, 0.0);
-  EXPECT_THROW(qp.predictor->predict(wrong), std::invalid_argument);
+  EXPECT_THROW((void)qp.predictor->predict_whitened(wrong),
+               std::invalid_argument);
 }
 
 }  // namespace

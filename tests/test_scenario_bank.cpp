@@ -164,14 +164,13 @@ TEST_F(ScenarioBankTest, StreamingSweepConvergesToBatchForecasts) {
     EXPECT_GT(r.confident_seconds, 0.0);
     EXPECT_GT(r.mean_push_seconds, 0.0);
     EXPECT_GE(r.max_push_seconds, r.mean_push_seconds);
-    // After the final tick the streaming forecast IS the batch forecast, so
-    // the sweep's accuracy metrics must match run_online's.
-    EXPECT_NEAR(r.final_forecast_error, batch.scenarios[i].forecast_error,
-                1e-9);
-    EXPECT_NEAR(r.final_forecast_correlation,
-                batch.scenarios[i].forecast_correlation, 1e-9);
-    EXPECT_NEAR(r.displacement_correlation,
-                batch.scenarios[i].displacement_correlation, 1e-9);
+    // After the final tick the streaming forecast and MAP ARE the batch
+    // ones, bit for bit, so the sweep's accuracy metrics equal run_online's.
+    EXPECT_EQ(r.final_forecast_error, batch.scenarios[i].forecast_error);
+    EXPECT_EQ(r.final_forecast_correlation,
+              batch.scenarios[i].forecast_correlation);
+    EXPECT_EQ(r.displacement_correlation,
+              batch.scenarios[i].displacement_correlation);
   }
   EXPECT_GT(sweep.wall_seconds, 0.0);
   EXPECT_GT(sweep.mean_confident_fraction, 0.0);

@@ -100,22 +100,22 @@ TEST_F(StreamingTest, EngineDimensionsMatchTwin) {
   EXPECT_GT(engine_->precompute_seconds(), 0.0);
 }
 
-// The ISSUE acceptance criterion: after the final tick the streaming state
-// must match the batch solve on the full data vector to <= 1e-12 relative
-// error — the streaming path is exact algebra, not an approximation.
+// After the final tick the streaming state must be the batch answer on the
+// full data vector, bit for bit. tiny() has 6 channels, so the stream's
+// per-tick forward solves and R sweeps group rows differently from infer()'s
+// one call over the whole window: this checks the kernels' range contract
+// (any split of [0, n) gives the same bits), not one path against itself.
 TEST_F(StreamingTest, FinalTickMatchesBatchInfer) {
   const StreamingAssimilator assim = stream(engine_->num_ticks());
   ASSERT_TRUE(assim.complete());
   const InversionResult batch = twin_->infer(event_->d_obs);
 
-  EXPECT_LE(DigitalTwin::relative_error(assim.map_estimate(), batch.m_map),
-            1e-12);
+  EXPECT_EQ(assim.map_estimate(), batch.m_map);
   const Forecast fc = assim.forecast();
-  EXPECT_LE(DigitalTwin::relative_error(fc.mean, batch.forecast.mean), 1e-12);
-  EXPECT_LE(DigitalTwin::relative_error(fc.stddev, batch.forecast.stddev),
-            1e-12);
-  EXPECT_LE(DigitalTwin::relative_error(fc.lower95, batch.forecast.lower95),
-            1e-12);
+  EXPECT_EQ(fc.mean, batch.forecast.mean);
+  EXPECT_EQ(fc.stddev, batch.forecast.stddev);
+  EXPECT_EQ(fc.lower95, batch.forecast.lower95);
+  EXPECT_EQ(fc.upper95, batch.forecast.upper95);
 }
 
 // Mid-stream the assimilator must hold the *exact* truncated posterior:
@@ -146,7 +146,7 @@ TEST_F(StreamingTest, MidStreamMatchesTruncatedPosterior) {
     // q(t) = V_p^T u = Fq Gamma_prior F_p^T u = Fq m(t): push the reference
     // MAP through the goal operator.
     std::vector<double> q_ref(engine_->qoi_dim());
-    twin_->predictor().apply_fq_mean(m_ref, std::span<double>(q_ref));
+    twin_->p2q().toeplitz->apply(m_ref, std::span<double>(q_ref));
     EXPECT_LE(DigitalTwin::relative_error(assim.qoi_mean(), q_ref), 1e-11)
         << "ticks = " << ticks;
   }
@@ -185,11 +185,13 @@ TEST_F(StreamingTest, StddevScheduleShrinksMonotonically) {
     for (std::size_t i = 0; i < cur.size(); ++i)
       EXPECT_LE(cur[i], prev[i] + 1e-14) << "tick " << t << " entry " << i;
   }
-  // Final row = the batch posterior stddev.
+  // Final row = the batch posterior stddev, bit for bit.
   const auto final_sd = engine_->stddev_after(engine_->num_ticks());
-  const auto& batch_sd = twin_->predictor().predict(event_->d_obs).stddev;
+  const std::vector<double> batch_sd =
+      twin_->infer(event_->d_obs).forecast.stddev;
+  ASSERT_EQ(final_sd.size(), batch_sd.size());
   for (std::size_t i = 0; i < batch_sd.size(); ++i)
-    EXPECT_NEAR(final_sd[i], batch_sd[i], 1e-12 * (batch_sd[i] + 1.0));
+    EXPECT_EQ(final_sd[i], batch_sd[i]) << "entry " << i;
   // Half the window leaves the intervals strictly wider than the full data.
   double half_w = 0.0, full_w = 0.0;
   for (double s : engine_->stddev_after(engine_->num_ticks() / 2)) half_w += s;
