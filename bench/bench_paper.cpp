@@ -173,9 +173,9 @@ void table_iii(const DigitalTwin& twin, const InversionResult& result,
   row("2", "factorize K (Cholesky)", "factorize_k", 1, t_chol);
   row("3", "compute Gamma_post(q)", "gamma_post_q", nq * nt, t_cov);
   row("3", "compute R : d -> q (Q = R^T L^-1)", "compute_r", 1, t_r);
-  event_row("infer parameters m_map (L^-T z, G* lift)", "infer_m_map",
+  event_row("infer parameters m_map (L^-T z, G* lift)", "infer_m_map_from_z",
             result.infer_seconds);
-  event_row("predict QoI q_map (z = L^-1 d, R^T z)", "predict_q_map",
+  event_row("predict QoI q_map (z = L^-1 d, R^T z)", "predict_q_map_from_d",
             result.predict_seconds);
   std::printf("%s\n", table.str().c_str());
   std::printf("Phase 4 runs the streaming kernels over the whole window: "

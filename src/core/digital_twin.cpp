@@ -292,6 +292,13 @@ void DigitalTwin::refresh_offline_epoch() {
 
 void DigitalTwin::run_phase1() {
   TRACE_SCOPE("offline", "phase1");
+  // Phases 2 and 3 built their operators from the F being replaced (the
+  // posterior references it): retire the engines over them and drop them,
+  // so the twin is not online-ready until both phases run again.
+  refresh_offline_epoch();
+  predictor_.reset();
+  posterior_.reset();
+  hessian_.reset();
   {
     ScopedTimer t(timers_, "phase1: form F");
     f_ = build_p2o_map(*model_, *sensors_, time_, &timers_);
@@ -300,17 +307,21 @@ void DigitalTwin::run_phase1() {
     ScopedTimer t(timers_, "phase1: form Fq");
     fq_ = build_p2o_map(*model_, *gauges_, time_, &timers_);
   }
-  // The posterior/predictor (if any) now reference a stale F; streaming
-  // engines built over them must not keep slicing it.
-  refresh_offline_epoch();
 }
 
 void DigitalTwin::run_phase2(const NoiseModel& noise) {
-  if (!f_.toeplitz) throw std::logic_error("run_phase2: phase 1 not run");
+  // Phase 3 must follow with Fq, which a bundle-booted twin does not hold:
+  // refuse before anything changes, so such a twin keeps serving.
+  if (!f_.toeplitz || !fq_.toeplitz)
+    throw std::logic_error(
+        "run_phase2: phase 1 not run (a bundle-booted twin holds no Fq)");
   TRACE_SCOPE("offline", "phase2");
   ScopedTimer t(timers_, "phase2: form+factorize K");
   hessian_ = std::make_unique<DataSpaceHessian>(f_, *prior_, noise, &timers_);
   posterior_ = std::make_unique<Posterior>(*f_.toeplitz, *prior_, *hessian_);
+  // R and Gamma_post(q) came from the old factor: not online-ready until
+  // phase 3 rebuilds them from this one.
+  predictor_.reset();
   refresh_offline_epoch();
 }
 

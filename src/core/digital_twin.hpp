@@ -152,9 +152,13 @@ class DigitalTwin {
                                                 const TwinConfig& expected);
 
   // ---- offline phases ------------------------------------------------------
+  /// Each phase drops what the later phases built from its old outputs, so
+  /// the twin is online-ready again only once phase 3 has run.
   /// Phase 1: build F and Fq (Nd + Nq adjoint propagations).
   void run_phase1();
-  /// Phase 2: form and factorize the data-space Hessian. Requires phase 1.
+  /// Phase 2: form and factorize the data-space Hessian. Requires phase 1
+  /// (F and Fq); throws std::logic_error, changing nothing, on a twin
+  /// without them, e.g. a bundle-booted one.
   void run_phase2(const NoiseModel& noise);
   /// Phase 3: QoI covariance and forecast slab R. Requires phases 1 and 2.
   void run_phase3();

@@ -677,24 +677,72 @@ TEST_F(ArtifactBundleTest, EngineOutlivingItsTwinThrowsInsteadOfDangling) {
 }
 
 TEST_F(ArtifactBundleTest, RebuildingOfflineStateInvalidatesOldEngines) {
-  DigitalTwin twin = DigitalTwin::load_offline(*path_);
+  // A cold twin of its own, so the rebuild cannot disturb the shared ones.
+  DigitalTwin twin(TwinConfig::tiny());
+  twin.run_offline(event_->noise);
   const StreamingEngine engine = twin.make_streaming();
   EXPECT_TRUE(engine.operators_alive());
+  const InversionResult before = twin.infer(event_->d_obs);
   // Re-running Phase 2 replaces the posterior the engine's slabs were baked
-  // from; the old engine must refuse to keep slicing.
-  twin.run_phase2(NoiseModel{event_->noise.sigma});
+  // from; the old engine must refuse to keep slicing, and the twin serves
+  // nothing until Phase 3 rebuilds R and Gamma_post(q) from the new factor.
+  // A different sigma makes a stale R show in the forecast.
+  twin.run_phase2(NoiseModel{2.0 * event_->noise.sigma});
   EXPECT_FALSE(engine.operators_alive());
   EXPECT_THROW((void)engine.start(), std::logic_error);
-  // Phase 3 needs Fq, which a bundle-booted twin does not hold: refused,
-  // leaving the twin as it was.
-  EXPECT_THROW(twin.run_phase3(), std::logic_error);
+  EXPECT_FALSE(twin.online_ready());
+  EXPECT_THROW((void)twin.infer(event_->d_obs), std::logic_error);
+  EXPECT_THROW((void)twin.make_streaming(), std::logic_error);
+  twin.run_phase3();
   const StreamingEngine fresh = twin.make_streaming();
   EXPECT_TRUE(fresh.operators_alive());
   EXPECT_NO_THROW((void)fresh.start());
+  // The rebuilt forecast is the new posterior's: R^T L^{-1} d = Fq m_map.
+  const InversionResult after = twin.infer(event_->d_obs);
+  EXPECT_NE(after.forecast.mean, before.forecast.mean);
+  std::vector<double> q_via_m(after.forecast.mean.size());
+  twin.p2q().toeplitz->apply(after.m_map, std::span<double>(q_via_m));
+  double scale = 1e-30;
+  for (const double q : q_via_m) scale = std::max(scale, std::abs(q));
+  for (std::size_t i = 0; i < q_via_m.size(); ++i)
+    EXPECT_NEAR(after.forecast.mean[i], q_via_m[i], 1e-8 * scale) << i;
   // Every engine is guarded: there is no token-less construction.
   EXPECT_THROW(StreamingEngine(twin.posterior(), twin.predictor(), {}, nullptr,
                                nullptr),
                std::invalid_argument);
+}
+
+TEST_F(ArtifactBundleTest, WarmTwinRefusesToRebuildAndKeepsServing) {
+  DigitalTwin twin = DigitalTwin::load_offline(*path_);
+  const StreamingEngine engine = twin.make_streaming();
+  const InversionResult before = twin.infer(event_->d_obs);
+  // Phase 3 would need Fq, which a bundle-booted twin does not hold, so
+  // Phase 2 refuses before it replaces anything: the engine stays alive and
+  // infer() keeps its bits.
+  EXPECT_THROW(twin.run_phase2(NoiseModel{2.0 * event_->noise.sigma}),
+               std::logic_error);
+  EXPECT_THROW(twin.run_phase3(), std::logic_error);
+  EXPECT_TRUE(twin.online_ready());
+  EXPECT_TRUE(engine.operators_alive());
+  EXPECT_NO_THROW((void)engine.start());
+  const InversionResult after = twin.infer(event_->d_obs);
+  EXPECT_EQ(after.m_map, before.m_map);
+  EXPECT_EQ(after.forecast.mean, before.forecast.mean);
+  EXPECT_EQ(after.forecast.stddev, before.forecast.stddev);
+  // Re-running Phase 1 brings Fq back and drops everything built from the
+  // old F; the twin serves again once phases 2 and 3 have run.
+  twin.run_phase1();
+  EXPECT_FALSE(engine.operators_alive());
+  EXPECT_FALSE(twin.online_ready());
+  EXPECT_THROW((void)twin.infer(event_->d_obs), std::logic_error);
+  EXPECT_THROW(twin.run_phase3(), std::logic_error);
+  twin.run_phase2(event_->noise);
+  EXPECT_FALSE(twin.online_ready());
+  twin.run_phase3();
+  const InversionResult rebuilt = twin.infer(event_->d_obs);
+  EXPECT_EQ(rebuilt.m_map, before.m_map);
+  EXPECT_EQ(rebuilt.forecast.mean, before.forecast.mean);
+  EXPECT_EQ(rebuilt.forecast.stddev, before.forecast.stddev);
 }
 
 // ---- ScenarioBank warm-start path -----------------------------------------
