@@ -161,83 +161,10 @@ double correlation(std::span<const double> a, std::span<const double> b) {
 
 }  // namespace
 
-EnsembleReport ScenarioBank::run_online(bool parallel) const {
+SweepReport ScenarioBank::sweep(const StreamingEngine& engine,
+                                double tolerance) const {
   if (events_.size() != specs_.size())
-    throw std::logic_error("ScenarioBank::run_online: synthesize() first");
-  // Check the offline-phase precondition up front, before any parallel work
-  // starts (parallel_for does propagate exceptions, but a precondition
-  // failure should not cost a sweep launch).
-  if (!twin_.online_ready())
-    throw std::logic_error("ScenarioBank::run_online: offline phases not run");
-
-  EnsembleReport report;
-  report.scenarios.resize(specs_.size());
-
-  Stopwatch wall;
-  const auto run_one = [&](std::size_t i) {
-    const SyntheticEvent& ev = events_[i];
-    ScenarioResult& res = report.scenarios[i];
-    res.spec = specs_[i];
-
-    const InversionResult inv = twin_.infer(ev.d_obs);
-    res.infer_seconds = inv.infer_seconds;
-    res.predict_seconds = inv.predict_seconds;
-    res.online_seconds = inv.infer_seconds + inv.predict_seconds;
-
-    const auto b_true = twin_.displacement_field(ev.m_true);
-    const auto b_map = twin_.displacement_field(inv.m_map);
-    res.displacement_error = DigitalTwin::relative_error(b_map, b_true);
-    res.displacement_correlation = correlation(b_map, b_true);
-    res.peak_true_uplift = amax(b_true);
-    res.peak_inferred_uplift = amax(b_map);
-
-    const Forecast& fc = inv.forecast;
-    res.forecast_error = DigitalTwin::relative_error(fc.mean, ev.q_true);
-    res.forecast_correlation = correlation(fc.mean, ev.q_true);
-    int inside = 0, total = 0;
-    for (std::size_t j = 0; j < fc.mean.size(); ++j) {
-      if (fc.stddev[j] < 1e-12) continue;
-      ++total;
-      if (ev.q_true[j] >= fc.lower95[j] && ev.q_true[j] <= fc.upper95[j])
-        ++inside;
-    }
-    res.ci_coverage =
-        total > 0 ? static_cast<double>(inside) / static_cast<double>(total)
-                  : 1.0;
-  };
-
-  if (parallel) {
-    parallel_for(specs_.size(), run_one);
-  } else {
-    for (std::size_t i = 0; i < specs_.size(); ++i) run_one(i);
-  }
-  report.online_wall_seconds = wall.seconds();
-
-  std::vector<double> online_samples;
-  online_samples.reserve(report.scenarios.size());
-  for (const auto& r : report.scenarios)
-    online_samples.push_back(r.online_seconds);
-  report.online_latency = summarize_latencies(std::move(online_samples));
-
-  const double n = static_cast<double>(report.scenarios.size());
-  for (const auto& r : report.scenarios) {
-    report.mean_online_seconds += r.online_seconds / n;
-    report.max_online_seconds =
-        std::max(report.max_online_seconds, r.online_seconds);
-    report.mean_displacement_error += r.displacement_error / n;
-    report.mean_displacement_correlation += r.displacement_correlation / n;
-    report.mean_forecast_error += r.forecast_error / n;
-    report.mean_forecast_correlation += r.forecast_correlation / n;
-    report.mean_ci_coverage += r.ci_coverage / n;
-  }
-  return report;
-}
-
-StreamingSweepReport ScenarioBank::run_streaming(const StreamingEngine& engine,
-                                                 bool parallel,
-                                                 double tolerance) const {
-  if (events_.size() != specs_.size())
-    throw std::logic_error("ScenarioBank::run_streaming: synthesize() first");
+    throw std::logic_error("ScenarioBank::sweep: synthesize() first");
   // Full dimension check up front, before any parallel work starts
   // (parallel_for does propagate exceptions, but a mismatch should fail
   // before the sweep launches).
@@ -245,28 +172,27 @@ StreamingSweepReport ScenarioBank::run_streaming(const StreamingEngine& engine,
       engine.num_ticks() != twin_.time_grid().num_intervals ||
       engine.qoi_dim() != events_.front().q_true.size())
     throw std::invalid_argument(
-        "ScenarioBank::run_streaming: engine/twin dimension mismatch");
-  if (tolerance <= 0.0)
-    throw std::invalid_argument("ScenarioBank::run_streaming: tolerance <= 0");
+        "ScenarioBank::sweep: engine/twin dimension mismatch");
+  if (!(tolerance > 0.0))
+    throw std::invalid_argument("ScenarioBank::sweep: tolerance must be > 0");
 
   const std::size_t nt = engine.num_ticks();
   const std::size_t nd = engine.block_size();
   const double dt = twin_.config().observation_dt;
 
-  StreamingSweepReport report;
+  SweepReport report;
   report.tolerance = tolerance;
   report.scenarios.resize(specs_.size());
-  // Per-scenario slots (disjoint writes under parallel_for); flattened into
-  // the sweep-wide percentile summary after the barrier.
-  std::vector<std::vector<double>> push_samples(specs_.size());
+  // Every push latency of the sweep, scenario-major: scenario i writes only
+  // its own nt slots under parallel_for.
+  std::vector<double> push_samples(specs_.size() * nt);
 
   Stopwatch wall;
-  const auto run_one = [&](std::size_t i) {
+  parallel_for(specs_.size(), [&](std::size_t i) {
     const SyntheticEvent& ev = events_[i];
-    StreamingScenarioResult& res = report.scenarios[i];
+    ScenarioResult& res = report.scenarios[i];
     res.spec = specs_[i];
     res.ticks_total = nt;
-    push_samples[i].reserve(nt);
 
     StreamingAssimilator assim = engine.start();
     Matrix q_history(nt, engine.qoi_dim());
@@ -275,7 +201,7 @@ StreamingSweepReport ScenarioBank::run_streaming(const StreamingEngine& engine,
       Stopwatch push_watch;
       assim.push(t, std::span<const double>(ev.d_obs).subspan(t * nd, nd));
       const double push_seconds = push_watch.seconds();
-      push_samples[i].push_back(push_seconds);
+      push_samples[i * nt + t] = push_seconds;
       res.max_push_seconds = std::max(res.max_push_seconds, push_seconds);
       sum_push_seconds += push_seconds;
       const auto& q = assim.qoi_mean();
@@ -283,9 +209,12 @@ StreamingSweepReport ScenarioBank::run_streaming(const StreamingEngine& engine,
     }
     res.mean_push_seconds = sum_push_seconds / static_cast<double>(nt);
 
+    // The final tick is the batch answer: infer()'s forecast and MAP.
+    const Forecast fc = assim.forecast();
+    const std::vector<double>& q_final = fc.mean;
+
     // Time-to-confident-forecast: walk back from the final tick while the
     // rolling mean stays within tolerance of the full-data forecast.
-    const auto q_final = q_history.row(nt - 1);
     const double q_norm = nrm2(q_final) + 1e-30;
     std::size_t confident = nt;
     for (std::size_t t = nt; t-- > 0;) {
@@ -301,26 +230,29 @@ StreamingSweepReport ScenarioBank::run_streaming(const StreamingEngine& engine,
     res.confident_tick = confident;
     res.confident_seconds = static_cast<double>(confident) * dt;
 
-    res.final_forecast_error =
-        DigitalTwin::relative_error(q_final, ev.q_true);
-    res.final_forecast_correlation = correlation(q_final, ev.q_true);
     const auto b_true = twin_.displacement_field(ev.m_true);
     const auto b_map = twin_.displacement_field(assim.map_snapshot());
+    res.displacement_error = DigitalTwin::relative_error(b_map, b_true);
     res.displacement_correlation = correlation(b_map, b_true);
-  };
+    res.peak_true_uplift = amax(b_true);
+    res.peak_inferred_uplift = amax(b_map);
 
-  if (parallel) {
-    parallel_for(specs_.size(), run_one);
-  } else {
-    for (std::size_t i = 0; i < specs_.size(); ++i) run_one(i);
-  }
+    res.forecast_error = DigitalTwin::relative_error(q_final, ev.q_true);
+    res.forecast_correlation = correlation(q_final, ev.q_true);
+    int inside = 0, total = 0;
+    for (std::size_t j = 0; j < q_final.size(); ++j) {
+      if (fc.stddev[j] < 1e-12) continue;
+      ++total;
+      if (ev.q_true[j] >= fc.lower95[j] && ev.q_true[j] <= fc.upper95[j])
+        ++inside;
+    }
+    res.ci_coverage =
+        total > 0 ? static_cast<double>(inside) / static_cast<double>(total)
+                  : 1.0;
+  });
   report.wall_seconds = wall.seconds();
 
-  std::vector<double> all_pushes;
-  all_pushes.reserve(specs_.size() * nt);
-  for (const auto& s : push_samples)
-    all_pushes.insert(all_pushes.end(), s.begin(), s.end());
-  report.push_latency = summarize_latencies(std::move(all_pushes));
+  report.push_latency = summarize_latencies(std::move(push_samples));
 
   const double n = static_cast<double>(report.scenarios.size());
   for (const auto& r : report.scenarios) {
@@ -332,13 +264,19 @@ StreamingSweepReport ScenarioBank::run_streaming(const StreamingEngine& engine,
     report.mean_push_seconds += r.mean_push_seconds / n;
     report.max_push_seconds =
         std::max(report.max_push_seconds, r.max_push_seconds);
+    report.mean_displacement_error += r.displacement_error / n;
+    report.mean_displacement_correlation += r.displacement_correlation / n;
+    report.mean_forecast_error += r.forecast_error / n;
+    report.mean_forecast_correlation += r.forecast_correlation / n;
+    report.mean_ci_coverage += r.ci_coverage / n;
   }
   return report;
 }
 
-std::string StreamingSweepReport::table() const {
+std::string SweepReport::table() const {
   TextTable t({"Scenario", "Mw", "confident @", "ticks", "mean push",
-               "max push", "q err", "q corr", "b corr"});
+               "max push", "b corr", "b err", "q err", "q corr", "CI cov",
+               "peak b [m]"});
   for (const auto& r : scenarios) {
     char ticks[32];
     std::snprintf(ticks, sizeof(ticks), "%zu/%zu", r.confident_tick,
@@ -350,9 +288,12 @@ std::string StreamingSweepReport::table() const {
         .cell(ticks)
         .cell(format_duration(r.mean_push_seconds))
         .cell(format_duration(r.max_push_seconds))
-        .cell(r.final_forecast_error, 3)
-        .cell(r.final_forecast_correlation, 3)
-        .cell(r.displacement_correlation, 3);
+        .cell(r.displacement_correlation, 3)
+        .cell(r.displacement_error, 3)
+        .cell(r.forecast_error, 3)
+        .cell(r.forecast_correlation, 3)
+        .cell(r.ci_coverage, 2)
+        .cell(r.peak_true_uplift, 2);
   }
   t.row()
       .cell("sweep mean")
@@ -361,8 +302,11 @@ std::string StreamingSweepReport::table() const {
       .cell("")
       .cell(format_duration(mean_push_seconds))
       .cell(format_duration(max_push_seconds))
-      .cell("")
-      .cell("")
+      .cell(mean_displacement_correlation, 3)
+      .cell(mean_displacement_error, 3)
+      .cell(mean_forecast_error, 3)
+      .cell(mean_forecast_correlation, 3)
+      .cell(mean_ci_coverage, 2)
       .cell("");
   char tail[160];
   std::snprintf(tail, sizeof(tail),
@@ -372,45 +316,6 @@ std::string StreamingSweepReport::table() const {
                 format_duration(push_latency.p95).c_str(),
                 format_duration(push_latency.p99).c_str(),
                 format_duration(push_latency.max).c_str());
-  return t.str() + tail;
-}
-
-std::string EnsembleReport::table() const {
-  TextTable t({"Scenario", "Mw", "infer", "predict", "b corr", "b err",
-               "q err", "q corr", "CI cov", "peak b [m]"});
-  for (const auto& r : scenarios) {
-    t.row()
-        .cell(r.spec.name)
-        .cell(r.spec.magnitude, 2)
-        .cell(format_duration(r.infer_seconds))
-        .cell(format_duration(r.predict_seconds))
-        .cell(r.displacement_correlation, 3)
-        .cell(r.displacement_error, 3)
-        .cell(r.forecast_error, 3)
-        .cell(r.forecast_correlation, 3)
-        .cell(r.ci_coverage, 2)
-        .cell(r.peak_true_uplift, 2);
-  }
-  t.row()
-      .cell("ensemble mean")
-      .cell("")
-      .cell(format_duration(mean_online_seconds))
-      .cell("(online)")
-      .cell(mean_displacement_correlation, 3)
-      .cell(mean_displacement_error, 3)
-      .cell(mean_forecast_error, 3)
-      .cell(mean_forecast_correlation, 3)
-      .cell(mean_ci_coverage, 2)
-      .cell("");
-  char tail[160];
-  std::snprintf(tail, sizeof(tail),
-                "online latency over %zu scenarios: p50 %s | p95 %s | "
-                "p99 %s | max %s\n",
-                online_latency.count,
-                format_duration(online_latency.p50).c_str(),
-                format_duration(online_latency.p95).c_str(),
-                format_duration(online_latency.p99).c_str(),
-                format_duration(online_latency.max).c_str());
   return t.str() + tail;
 }
 

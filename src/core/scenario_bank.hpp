@@ -1,6 +1,6 @@
 #pragma once
 
-// ScenarioBank: batched multi-scenario online inference.
+// ScenarioBank: the online phase swept over a bank of scenarios.
 //
 // The paper's real-time claim rests on an offline/online split: Phases 1-3
 // precompute the p2o maps, the data-space Hessian factorization, and the
@@ -10,9 +10,12 @@
 // in the direction the follow-up literature points (sequential Bayesian
 // updating over rupture ensembles; probabilistic Cascadia forecasting): hold
 // a *bank* of N kinematic rupture scenarios spanning magnitude, hypocenter,
-// and rise time, synthesize observations for each, and sweep the online
-// phase over the whole bank — in parallel, since the online operators are
-// immutable after Phase 3 and every solve uses caller-local buffers.
+// and rise time, synthesize observations for each, and replay every one
+// tick by tick through one streaming engine — in parallel, since the
+// engine's operators are immutable and each scenario streams through its own
+// assimilator. The final tick of a stream is the batch answer
+// (DigitalTwin::infer's forecast and MAP, bit for bit), so one sweep reports
+// both how early each forecast settles and how accurate it ends up.
 //
 // Intended use (see tests/test_scenario_bank.cpp):
 //
@@ -20,11 +23,11 @@
 //   ScenarioBank bank(twin, ScenarioBank::spread(twin, 16, seed));
 //   bank.synthesize(noise_seed);          // PDE forward solves, once per scenario
 //   twin.run_offline(bank.shared_noise());// Phases 1-3, ONCE for the bank
-//   EnsembleReport report = bank.run_online();  // batched Phase 4
+//   StreamingEngine engine = twin.make_streaming();
+//   SweepReport report = bank.sweep(engine);  // Phase 4, tick by tick
 //
-// The report carries per-scenario online latency (the paper's Table III
-// "infer m_map" / "predict q_map" rows, one pair per scenario) plus ensemble
-// accuracy aggregates.
+// The report carries per-scenario time-to-confident-forecast, push latency
+// and final-tick accuracy, plus bank-wide aggregates.
 
 #include <cstddef>
 #include <memory>
@@ -61,14 +64,19 @@ struct ScenarioSpec {
   unsigned seed = 2025;           ///< asperity-layout seed
 };
 
-/// Per-scenario outcome of one batched online pass.
+/// Per-scenario outcome of one sweep. Every accuracy metric is read from
+/// the stream's final tick: forecast() and map_snapshot() after the whole
+/// window, which are DigitalTwin::infer's forecast and MAP bit for bit.
 struct ScenarioResult {
   ScenarioSpec spec;
-  double infer_seconds = 0.0;     ///< Phase 4 "infer parameters m_map"
-  double predict_seconds = 0.0;   ///< Phase 4 "predict QoI q_map"
-  /// Total online latency (infer + predict) — the per-event cost that must
-  /// stay under the paper's 0.2 s budget at full scale.
-  double online_seconds = 0.0;
+  std::size_t ticks_total = 0;
+  /// Earliest tick count after which the rolling forecast mean stays within
+  /// the sweep's relative tolerance of the final (full-data) forecast — the
+  /// "time-to-confident-forecast" an early-warning operator cares about.
+  std::size_t confident_tick = 0;
+  double confident_seconds = 0.0;  ///< confident_tick in data time [s]
+  double mean_push_seconds = 0.0;  ///< mean per-tick assimilation latency
+  double max_push_seconds = 0.0;   ///< worst per-tick assimilation latency
   double displacement_error = 0.0;     ///< rel. L2 of b_map vs b_true
   /// Normalized <b_map, b_true>: the robust recovery metric at seed scale
   /// (the forecast metrics are noise-sensitive on short windows because the
@@ -82,27 +90,9 @@ struct ScenarioResult {
   double peak_inferred_uplift = 0.0;   ///< max |b_map| [m]
 };
 
-/// Per-scenario outcome of one streaming (tick-by-tick) replay.
-struct StreamingScenarioResult {
-  ScenarioSpec spec;
-  std::size_t ticks_total = 0;
-  /// Earliest tick count after which the rolling forecast mean stays within
-  /// the sweep's relative tolerance of the final (full-data) forecast — the
-  /// "time-to-confident-forecast" an early-warning operator cares about.
-  std::size_t confident_tick = 0;
-  double confident_seconds = 0.0;  ///< confident_tick in data time [s]
-  double mean_push_seconds = 0.0;  ///< mean per-tick assimilation latency
-  double max_push_seconds = 0.0;   ///< worst per-tick assimilation latency
-  double final_forecast_error = 0.0;        ///< rel. L2 of final q vs q_true
-  double final_forecast_correlation = 0.0;  ///< normalized <q, q_true>
-  /// Normalized <b_map, b_true> at the final tick, the MAP read with
-  /// map_snapshot() (any engine).
-  double displacement_correlation = 0.0;
-};
-
-/// Aggregates + per-scenario table for one streaming sweep of the bank.
-struct StreamingSweepReport {
-  std::vector<StreamingScenarioResult> scenarios;
+/// Aggregates + per-scenario table for one sweep of the bank.
+struct SweepReport {
+  std::vector<ScenarioResult> scenarios;
   double tolerance = 0.0;           ///< the confident-forecast threshold used
   double wall_seconds = 0.0;        ///< wall time of the whole sweep
   double mean_confident_seconds = 0.0;
@@ -112,6 +102,11 @@ struct StreamingSweepReport {
   double mean_confident_fraction = 0.0;
   double mean_push_seconds = 0.0;
   double max_push_seconds = 0.0;
+  double mean_displacement_error = 0.0;
+  double mean_displacement_correlation = 0.0;
+  double mean_forecast_error = 0.0;  ///< the "ensemble-mean forecast error"
+  double mean_forecast_correlation = 0.0;
+  double mean_ci_coverage = 0.0;
   /// Distribution of EVERY per-tick push latency in the sweep (count =
   /// scenarios x ticks), not just per-scenario means: the sweep analogue of
   /// the warning service's p50/p95/p99 telemetry, computed by the same
@@ -123,38 +118,19 @@ struct StreamingSweepReport {
   [[nodiscard]] std::string table() const;
 };
 
-/// Ensemble aggregates + per-scenario table for one batched online pass.
-struct EnsembleReport {
-  std::vector<ScenarioResult> scenarios;
-  double online_wall_seconds = 0.0;  ///< wall time of the whole batched sweep
-  double mean_online_seconds = 0.0;  ///< mean per-scenario online latency
-  double max_online_seconds = 0.0;   ///< worst per-scenario online latency
-  double mean_displacement_error = 0.0;
-  double mean_displacement_correlation = 0.0;
-  double mean_forecast_error = 0.0;  ///< the "ensemble-mean forecast error"
-  double mean_forecast_correlation = 0.0;
-  double mean_ci_coverage = 0.0;
-  /// Distribution of the per-scenario online latencies (p50/p95/p99 via
-  /// util/stats — the same estimator the service telemetry uses).
-  LatencySummary online_latency;
-
-  /// Paper-style text table: one row per scenario plus an aggregate footer
-  /// and an online-latency percentile line.
-  [[nodiscard]] std::string table() const;
-};
-
 /// A bank of rupture scenarios sharing one twin's precomputed operators.
 ///
 /// Lifecycle: construct with specs, `synthesize()` ground truth (forward PDE
 /// solves — this is experiment setup, not part of the online budget), build
 /// the twin's offline phases once against `shared_noise()`, then call
-/// `run_online()` as often as desired. `run_online` is const and touches only
-/// immutable twin state, so banks can be swept repeatedly (e.g. while new
-/// data streams in) or from multiple threads.
+/// `sweep()` with an engine over the twin as often as desired. `sweep` is
+/// const and touches only immutable twin and engine state, so banks can be
+/// swept repeatedly or from multiple threads.
 class ScenarioBank {
  public:
   /// The twin is held by reference; it must outlive the bank. The offline
-  /// phases need not have run yet — only `run_online` requires them.
+  /// phases need not have run yet; `sweep` needs them only through its
+  /// engine.
   ScenarioBank(const DigitalTwin& twin, std::vector<ScenarioSpec> specs);
 
   /// Owning variant (the warm-start path): the bank shares ownership of the
@@ -189,7 +165,7 @@ class ScenarioBank {
   /// every stochastic draw (asperity layout, noise) comes from a dedicated
   /// per-scenario seeded stream derived from `noise_seed` and the scenario
   /// index, so the synthesized bank is bit-identical regardless of thread
-  /// count or scheduling (asserted in tests/test_scenario_bank.cpp). All
+  /// count or scheduling (asserted in tests/test_determinism.cpp). All
   /// events are noised at one absolute floor (the median of the per-event
   /// 1% calibrations): a real seafloor network has fixed instrument noise,
   /// and it keeps the offline Hessian exactly calibrated for every event in
@@ -202,23 +178,16 @@ class ScenarioBank {
   /// than re-factorized per event. Requires `synthesize()`.
   [[nodiscard]] NoiseModel shared_noise() const;
 
-  /// Batched Phase 4 over the whole bank. Requires `synthesize()` and the
-  /// twin's offline phases. When `parallel` is true scenarios run
-  /// concurrently via parallel_for (the online operators are immutable and
-  /// every solve uses caller-local scratch); serial mode gives clean
-  /// per-scenario latency measurements for benchmarking.
-  [[nodiscard]] EnsembleReport run_online(bool parallel = true) const;
-
-  /// Streaming sweep: replay every scenario in the bank tick-by-tick through
-  /// `engine` (one lightweight assimilator per scenario, all sharing the
-  /// engine's immutable precompute), concurrently when `parallel`. Reports
-  /// per-scenario time-to-confident-forecast: the earliest tick after which
-  /// the rolling forecast mean stays within `tolerance` (relative L2) of the
-  /// final full-data forecast. Requires `synthesize()`; the engine must be
-  /// built over this bank's twin.
-  [[nodiscard]] StreamingSweepReport run_streaming(
-      const StreamingEngine& engine, bool parallel = true,
-      double tolerance = 0.05) const;
+  /// Phase 4 over the whole bank: replay every scenario tick by tick
+  /// through `engine` (one lightweight assimilator per scenario, all sharing
+  /// the engine's immutable precompute), concurrently via parallel_for.
+  /// Reports per-scenario time-to-confident-forecast — the earliest tick
+  /// after which the rolling forecast mean stays within `tolerance`
+  /// (relative L2) of the final full-data forecast — and the final tick's
+  /// accuracy. Requires `synthesize()`; the engine must be built over this
+  /// bank's twin. Throws std::invalid_argument unless `tolerance` > 0.
+  [[nodiscard]] SweepReport sweep(const StreamingEngine& engine,
+                                  double tolerance = 0.05) const;
 
   [[nodiscard]] std::size_t size() const { return specs_.size(); }
   [[nodiscard]] const std::vector<ScenarioSpec>& specs() const { return specs_; }

@@ -53,7 +53,7 @@
 //   StreamingEngine      — immutable per-network precompute (the CI
 //                          schedule; R' of a reduced() engine); shared by
 //                          any number of concurrent event streams
-//                          (ScenarioBank::run_streaming).
+//                          (ScenarioBank::sweep).
 //   StreamingAssimilator — per-event mutable state (z, rolling q_map);
 //                          cheap to create, reset, and replay.
 
@@ -203,7 +203,7 @@ class StreamingAssimilator {
   /// that interval. Extends z and q_map incrementally; the MAP is computed
   /// only when read (map_estimate(), map_snapshot()). A push does not time
   /// itself: a caller that wants its latency reads the clock around it (the
-  /// service's drain stamps, ScenarioBank::run_streaming's Stopwatch).
+  /// service's drain stamps, ScenarioBank::sweep's Stopwatch).
   TSUNAMI_HOT_PATH void push(std::size_t tick, std::span<const double> d_block);
 
   /// As push(), but with a per-channel validity bitmap (`valid[c] != 0`

@@ -110,7 +110,7 @@ void HistogramSnapshot::merge(const HistogramSnapshot& other) {
 }
 
 double HistogramSnapshot::percentile(double q) const {
-  if (q < 0.0 || q > 100.0)
+  if (!(q >= 0.0 && q <= 100.0))
     throw std::invalid_argument("HistogramSnapshot::percentile: q outside [0, 100]");
   if (count == 0) return 0.0;
   // Exact rank (nearest-rank with the same floor convention as util/stats):

@@ -60,7 +60,8 @@ struct HistogramSnapshot {
   /// bucket midpoint of the bucket holding the floor(q/100 * (count-1))-th
   /// smallest sample, clamped into [min, max]. Relative error vs the exact
   /// order statistic is bounded by 1 / Histogram::kSubBuckets. Returns 0 on
-  /// an empty series; throws std::invalid_argument for q outside [0, 100].
+  /// an empty series; throws std::invalid_argument for q outside [0, 100],
+  /// NaN included.
   [[nodiscard]] double percentile(double q) const;
 
   [[nodiscard]] double mean() const {

@@ -3,7 +3,7 @@
 // EngineCache: one immutable StreamingEngine per sensor network, shared by
 // every concurrent event session.
 //
-// The offline products (F, L, Q, Gamma_post(q) and the forecast slab R)
+// The offline products (F, L, Gamma_post(q) and the forecast slab R)
 // are by far the largest allocations in the online system, and they are
 // event-independent: a warning service tracking
 // hundreds of simultaneous events over the same network must hold exactly

@@ -7,7 +7,7 @@
 namespace tsunami {
 
 double percentile_sorted(std::span<const double> sorted, double q) {
-  if (q < 0.0 || q > 100.0)
+  if (!(q >= 0.0 && q <= 100.0))
     throw std::invalid_argument("percentile: q outside [0, 100]");
   if (sorted.empty()) return 0.0;
   const double pos =
@@ -38,7 +38,7 @@ double percentile_select(std::vector<double>& v, double q) {
 }  // namespace
 
 double percentile(std::span<const double> sample, double q) {
-  if (q < 0.0 || q > 100.0)
+  if (!(q >= 0.0 && q <= 100.0))
     throw std::invalid_argument("percentile: q outside [0, 100]");
   if (sample.empty()) return 0.0;
   std::vector<double> v(sample.begin(), sample.end());

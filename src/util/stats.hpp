@@ -20,7 +20,7 @@ namespace tsunami {
 /// The q-th percentile (q in [0, 100]) of an ascending-sorted sample, using
 /// linear interpolation between closest ranks (the numpy default). Returns
 /// 0 for an empty sample; throws std::invalid_argument for q outside
-/// [0, 100]. The input must already be sorted — this overload trusts its
+/// [0, 100], NaN included. The input must already be sorted — this overload trusts its
 /// caller and costs O(1).
 [[nodiscard]] double percentile_sorted(std::span<const double> sorted,
                                        double q);

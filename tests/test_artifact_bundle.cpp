@@ -752,17 +752,15 @@ TEST_F(ArtifactBundleTest, ScenarioBankBootsFromBundle) {
   EXPECT_EQ(bank.size(), 3u);
   EXPECT_TRUE(bank.twin().online_ready());
   bank.synthesize(7);
-  const EnsembleReport report = bank.run_online();
+  // The owning bank keeps its twin alive; the sweep streams every scenario
+  // through an engine over the warm state.
+  const StreamingEngine engine = bank.twin().make_streaming();
+  const SweepReport report = bank.sweep(engine);
   EXPECT_EQ(report.scenarios.size(), 3u);
   for (const auto& r : report.scenarios) {
     EXPECT_TRUE(std::isfinite(r.forecast_error));
     EXPECT_GE(r.ci_coverage, 0.0);
   }
-  // The owning bank keeps its twin alive through moves of the report path;
-  // streaming sweeps work off the same warm state.
-  const StreamingEngine engine = bank.twin().make_streaming();
-  const StreamingSweepReport sweep = bank.run_streaming(engine);
-  EXPECT_EQ(sweep.scenarios.size(), 3u);
 }
 
 }  // namespace

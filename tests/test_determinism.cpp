@@ -75,10 +75,8 @@ class WorkerCountTest : public ::testing::TestWithParam<std::size_t> {
     ref_bank_obs_ = new std::vector<std::vector<double>>();
     for (const SyntheticEvent& e : bank.events())
       ref_bank_obs_->push_back(e.d_obs);
-    const StreamingSweepReport sweep = bank.run_streaming(*engine_, true);
-    ref_sweep_ = new std::vector<std::pair<std::size_t, double>>();
-    for (const auto& s : sweep.scenarios)
-      ref_sweep_->emplace_back(s.confident_tick, s.final_forecast_error);
+    ref_sweep_ =
+        new std::vector<ScenarioResult>(bank.sweep(*engine_).scenarios);
 
     ref_push_ = new std::vector<Forecast>(serial_push_forecasts());
     ref_maps_ = new std::vector<std::vector<double>>(serial_push_maps());
@@ -162,7 +160,7 @@ class WorkerCountTest : public ::testing::TestWithParam<std::size_t> {
   static StreamingEngine* engine_;
   static InversionResult* ref_infer_;
   static std::vector<std::vector<double>>* ref_bank_obs_;
-  static std::vector<std::pair<std::size_t, double>>* ref_sweep_;
+  static std::vector<ScenarioResult>* ref_sweep_;
   static std::vector<Forecast>* ref_push_;
   static std::vector<std::vector<double>>* ref_maps_;
   static double ref_dot_;
@@ -174,8 +172,7 @@ SyntheticEvent* WorkerCountTest::event_ = nullptr;
 StreamingEngine* WorkerCountTest::engine_ = nullptr;
 InversionResult* WorkerCountTest::ref_infer_ = nullptr;
 std::vector<std::vector<double>>* WorkerCountTest::ref_bank_obs_ = nullptr;
-std::vector<std::pair<std::size_t, double>>* WorkerCountTest::ref_sweep_ =
-    nullptr;
+std::vector<ScenarioResult>* WorkerCountTest::ref_sweep_ = nullptr;
 std::vector<Forecast>* WorkerCountTest::ref_push_ = nullptr;
 std::vector<std::vector<double>>* WorkerCountTest::ref_maps_ = nullptr;
 double WorkerCountTest::ref_dot_ = 0.0;
@@ -201,12 +198,20 @@ TEST_P(WorkerCountTest, ScenarioBankSynthesizeAndSweepAreInvariant) {
   for (std::size_t i = 0; i < bank.events().size(); ++i)
     EXPECT_EQ(bank.events()[i].d_obs, (*ref_bank_obs_)[i]) << "scenario " << i;
 
-  const StreamingSweepReport sweep = bank.run_streaming(*engine_, true);
+  const SweepReport sweep = bank.sweep(*engine_);
   ASSERT_EQ(sweep.scenarios.size(), ref_sweep_->size());
   for (std::size_t i = 0; i < sweep.scenarios.size(); ++i) {
-    EXPECT_EQ(sweep.scenarios[i].confident_tick, (*ref_sweep_)[i].first);
-    EXPECT_EQ(sweep.scenarios[i].final_forecast_error,
-              (*ref_sweep_)[i].second);
+    SCOPED_TRACE(testing::Message() << "scenario " << i);
+    const ScenarioResult& got = sweep.scenarios[i];
+    const ScenarioResult& ref = (*ref_sweep_)[i];
+    EXPECT_EQ(got.confident_tick, ref.confident_tick);
+    EXPECT_EQ(got.displacement_error, ref.displacement_error);
+    EXPECT_EQ(got.displacement_correlation, ref.displacement_correlation);
+    EXPECT_EQ(got.forecast_error, ref.forecast_error);
+    EXPECT_EQ(got.forecast_correlation, ref.forecast_correlation);
+    EXPECT_EQ(got.ci_coverage, ref.ci_coverage);
+    EXPECT_EQ(got.peak_true_uplift, ref.peak_true_uplift);
+    EXPECT_EQ(got.peak_inferred_uplift, ref.peak_inferred_uplift);
   }
 }
 

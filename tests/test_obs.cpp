@@ -143,6 +143,8 @@ TEST(HistogramPercentiles, EmptyAndSingleton) {
   EXPECT_DOUBLE_EQ(h.snapshot().percentile(50.0), 0.0);
   EXPECT_THROW((void)h.snapshot().percentile(-1.0), std::invalid_argument);
   EXPECT_THROW((void)h.snapshot().percentile(101.0), std::invalid_argument);
+  EXPECT_THROW((void)h.snapshot().percentile(std::nan("")),
+               std::invalid_argument);
   h.record(3.5e-4);
   const HistogramSnapshot s = h.snapshot();
   // One sample: every quantile is clamped onto it exactly.

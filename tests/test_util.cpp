@@ -101,6 +101,11 @@ TEST(Stats, PercentileInterpolatesBetweenRanks) {
   EXPECT_DOUBLE_EQ(percentile(std::vector<double>{}, 50.0), 0.0);
   EXPECT_THROW((void)percentile(s, -1.0), std::invalid_argument);
   EXPECT_THROW((void)percentile(s, 100.5), std::invalid_argument);
+  // NaN fails every comparison, so the range check must refuse it, not let
+  // it reach the rank cast.
+  EXPECT_THROW((void)percentile(s, std::nan("")), std::invalid_argument);
+  EXPECT_THROW((void)percentile_sorted(s, std::nan("")),
+               std::invalid_argument);
 }
 
 TEST(Stats, LatencySummaryIsOrderedAndComplete) {
