@@ -581,9 +581,9 @@ void sec_vii_c(JsonReport& report) {
 // --- SecVIII -----------------------------------------------------------------
 // Cold boot (constructor + Phases 1-3) vs warm boot (DigitalTwin::load_offline:
 // one pass over the bundle, its sections adopted as they are read, no PDE
-// solves, no factorization, and no Toeplitz spectra, which the first MAP read
-// builds). The cold side scales with mesh x sensors x window, the warm side
-// only with the artifact sizes.
+// solves, no factorization, no wave model, and no Toeplitz spectra, which the
+// first MAP read builds). The cold side scales with mesh x sensors x window,
+// the warm side only with the artifact sizes.
 
 /// Minor page faults this process has taken so far.
 long minor_faults() {
@@ -724,12 +724,12 @@ bool sec_viii(JsonReport& report) {
   std::printf("%s\n", table.str().c_str());
   std::printf(
       "warm boot = one pass over the bundle, each section adopted as it is "
-      "read (median of %d boots): no PDE solves, no factorization, and no "
-      "Toeplitz spectra, which the first MAP read builds — the warning "
-      "center never needs the HPC system (SecVIII). Each warm twin matched "
-      "its cold twin bit for bit (infer, a streaming replay and its final "
-      "MAP), and each cold twin's infer() matched its own streamed final "
-      "tick bit for bit (forecast mean and stddev, and the MAP).\n",
+      "read (median of %d boots): no PDE solves, no factorization, no wave "
+      "model, and no Toeplitz spectra, which the first MAP read builds — the "
+      "warning center never needs the HPC system (SecVIII). Each warm twin "
+      "matched its cold twin bit for bit (infer, a streaming replay and its "
+      "final MAP), and each cold twin's infer() matched its own streamed "
+      "final tick bit for bit (forecast mean and stddev, and the MAP).\n",
       kWarmBoots);
   std::filesystem::remove(path);
   return true;

@@ -73,13 +73,11 @@ DataSpaceHessian::DataSpaceHessian(const P2oMap& f, const MaternPrior& prior,
   if (timers) timers->add("factorize K", chol_watch.seconds());
 }
 
-DataSpaceHessian DataSpaceHessian::from_factor(Matrix l_factor,
+DataSpaceHessian DataSpaceHessian::from_factor(DenseCholesky l,
                                                const NoiseModel& noise) {
   DataSpaceHessian h;
   h.noise_ = noise;
-  h.chol_ =
-      std::make_unique<DenseCholesky>(DenseCholesky::from_factor(
-          std::move(l_factor)));
+  h.chol_ = std::make_unique<DenseCholesky>(std::move(l));
   return h;
 }
 
@@ -108,11 +106,12 @@ void DataSpaceHessian::decouple_channels(const SensorMask& mask,
     if (!mask.masked(p % channels_per_tick)) continue;
     // Current column K e_p, straight from the factor: L^T e_p is row p of L
     // (nonzero only up to p), so K e_p = L (L^T e_p) costs O(n p).
-    const Matrix& l = chol_->factor();
+    const std::span<const double> lp = chol_->row(p);
     for (std::size_t i = 0; i < n; ++i) {
+      const std::span<const double> li = chol_->row(i);
       double s = 0.0;
       const std::size_t jmax = std::min(i, p);
-      for (std::size_t j = 0; j <= jmax; ++j) s += l(i, j) * l(p, j);
+      for (std::size_t j = 0; j <= jmax; ++j) s += li[j] * lp[j];
       v[i] = s;
     }
     // Target row/col: sigma^2 e_p.  K' = K - e_p v^T - v e_p^T with

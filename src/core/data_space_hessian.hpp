@@ -46,11 +46,11 @@ class DataSpaceHessian {
   DataSpaceHessian(const P2oMap& f, const MaternPrior& prior,
                    const NoiseModel& noise, TimerRegistry* timers = nullptr);
 
-  /// Rebuild from a previously computed Cholesky factor (the warm-start
-  /// path: the artifact bundle ships L, not K). Solves are bit-identical to
-  /// the cold-built object's; the formed K itself is not retained (it is
-  /// redundant given L), so matrix() throws.
-  [[nodiscard]] static DataSpaceHessian from_factor(Matrix l_factor,
+  /// Adopt a previously computed Cholesky factor (the warm-start path: the
+  /// artifact bundle ships L, packed, not K; degraded mode edits a copy).
+  /// Solves are bit-identical to the cold-built object's; the formed K
+  /// itself is not retained (it is redundant given L), so matrix() throws.
+  [[nodiscard]] static DataSpaceHessian from_factor(DenseCholesky l,
                                                     const NoiseModel& noise);
 
   [[nodiscard]] std::size_t dim() const { return chol_->dim(); }

@@ -1,6 +1,8 @@
 #include "core/digital_twin.hpp"
 
+#include <array>
 #include <cmath>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -137,7 +139,38 @@ Matrix take_shaped(ArtifactBundle& bundle, const std::string& name,
   return m;
 }
 
+/// Take the order-n Cholesky factor, one dimension of n(n+1)/2 entries
+/// packed by rows, and adopt it.
+DenseCholesky take_factor(ArtifactBundle& bundle, std::uint64_t n) {
+  BundleSection s = bundle.take("hessian/chol_L");
+  // n(n+1) is even: halve the even factor, then multiply without wrapping.
+  const char* what = "artifact bundle config: Cholesky factor size";
+  const std::uint64_t len = n % 2 == 0 ? checked_mul_u64(n / 2, n + 1, what)
+                                       : checked_mul_u64(n, (n + 1) / 2, what);
+  if (s.dims.size() != 1 || s.dims[0] != len)
+    throw std::runtime_error(
+        "artifact bundle: Cholesky factor dimensions do not match this "
+        "configuration");
+  return DenseCholesky::from_factor(static_cast<std::size_t>(n),
+                                    std::move(s.data));
+}
+
+/// Nodes per side of the seafloor parameter grid: the bottom plane of the
+/// order-p H1 space, (mesh_nx p + 1) x (mesh_ny p + 1), read off the config.
+std::array<std::size_t, 2> parameter_grid(const TwinConfig& c) {
+  return {c.mesh_nx * c.order + 1, c.mesh_ny * c.order + 1};
+}
+
 }  // namespace
+
+struct DigitalTwin::OfflineProducts {
+  TwinConfig config;
+  NoiseModel noise;
+  P2oMap f;
+  DenseCholesky l;
+  Matrix cov;
+  Matrix r;
+};
 
 std::uint64_t TwinConfig::fingerprint() const {
   const std::vector<double> packed = pack_config(*this);
@@ -163,32 +196,20 @@ TwinConfig TwinConfig::tiny() {
 }
 
 DigitalTwin::DigitalTwin(const TwinConfig& config)
-    : cfg_(config), bathy_(config.bathymetry) {
+    : cfg_(config),
+      bathy_(config.bathymetry),
+      wave_(std::make_unique<WaveModel>()) {
   if (!(std::isfinite(cfg_.cfl) && cfg_.cfl > 0.0) ||
       !(std::isfinite(cfg_.observation_dt) && cfg_.observation_dt > 0.0))
     throw std::invalid_argument(
         "TwinConfig: cfl and observation_dt must be positive and finite");
   mesh_ = std::make_unique<HexMesh>(bathy_, cfg_.mesh_nx, cfg_.mesh_ny,
                                     cfg_.mesh_nz);
-  model_ = std::make_unique<AcousticGravityModel>(*mesh_, cfg_.order,
-                                                  cfg_.physics, cfg_.kernel);
-
-  // Sensors offshore over the source region (seaward 2/3 of the margin);
-  // gauges near the coast (landward side), where early warning matters.
-  const double lx = mesh_->length_x(), ly = mesh_->length_y();
-  sensors_ = std::make_unique<ObservationOperator>(
-      ObservationOperator::seafloor_sensors(
-          *model_,
-          sensor_grid(cfg_.num_sensors, 0.08 * lx, 0.62 * lx, 0.06 * ly,
-                      0.94 * ly)));
-  gauges_ = std::make_unique<ObservationOperator>(
-      ObservationOperator::surface_gauges(
-          *model_, sensor_grid(cfg_.num_gauges, 0.78 * lx, 0.92 * lx,
-                               0.10 * ly, 0.90 * ly)));
 
   // Temporal grid: substep count from the CFL bound, range-checked before
   // the cast (a tiny cfl gives a count no size_t holds).
-  const double dt_cfl = model_->cfl_timestep(cfg_.cfl);
+  const double dt_cfl =
+      cfl_timestep(*mesh_, cfg_.order, cfg_.physics, cfg_.cfl);
   const double steps = std::ceil(cfg_.observation_dt / dt_cfl);
   if (!std::isfinite(steps) || steps > kMaxSubsteps)
     throw std::invalid_argument(
@@ -199,19 +220,35 @@ DigitalTwin::DigitalTwin(const TwinConfig& config)
   time_.dt = cfg_.observation_dt / static_cast<double>(substeps);
 
   // Spatial prior on the seafloor parameter grid; nominal node spacings.
-  const auto& src = model_->source_map();
-  const double hx = lx / static_cast<double>(src.grid_nx() - 1);
-  const double hy = ly / static_cast<double>(src.grid_ny() - 1);
-  prior_ = std::make_unique<MaternPrior>(src.grid_nx(), src.grid_ny(), hx, hy,
-                                         cfg_.prior);
+  const auto [grid_nx, grid_ny] = parameter_grid(cfg_);
+  nm_ = grid_nx * grid_ny;
+  const double hx = mesh_->length_x() / static_cast<double>(grid_nx - 1);
+  const double hy = mesh_->length_y() / static_cast<double>(grid_ny - 1);
+  prior_ = std::make_unique<MaternPrior>(grid_nx, grid_ny, hx, hy, cfg_.prior);
 }
 
 DigitalTwin::DigitalTwin(ArtifactBundle bundle)
-    : DigitalTwin(config_from_bundle(bundle)) {
-  install_offline(bundle);
+    : DigitalTwin(take_offline(bundle)) {}
+
+DigitalTwin::DigitalTwin(OfflineProducts products)
+    : DigitalTwin(products.config) {
+  ScopedTimer t(timers_, "warm start: install bundle");
+  // Rebuild the online operators from the checked sections. No PDE solves,
+  // no Hessian formation, no factorization — the whole point of the split —
+  // no wave model, and no spectra: F's are built at its first apply (a MAP
+  // read), which a forecast-only service never makes.
+  f_ = std::move(products.f);
+  hessian_ = std::make_unique<DataSpaceHessian>(
+      DataSpaceHessian::from_factor(std::move(products.l), products.noise));
+  posterior_ = std::make_unique<Posterior>(*f_.toeplitz, *prior_, *hessian_);
+  predictor_ = std::make_unique<QoiPredictor>(
+      cfg_.num_gauges, time_.num_intervals, std::move(products.cov),
+      std::move(products.r));
+  refresh_offline_epoch();
 }
 
-TwinConfig DigitalTwin::config_from_bundle(const ArtifactBundle& bundle) {
+DigitalTwin::OfflineProducts DigitalTwin::take_offline(
+    ArtifactBundle& bundle) {
   const TwinConfig cfg = unpack_config(bundle.vector("config"));
   // The stored fingerprint must reproduce from the stored config: a
   // mismatch means the bundle's identity and its contents disagree
@@ -220,35 +257,55 @@ TwinConfig DigitalTwin::config_from_bundle(const ArtifactBundle& bundle) {
     throw std::runtime_error(
         "artifact bundle: config fingerprint mismatch (bundle identity "
         "disagrees with its stored configuration)");
-  return cfg;
-}
 
-void DigitalTwin::install_offline(ArtifactBundle& bundle) {
-  ScopedTimer t(timers_, "warm start: install bundle");
-  const std::size_t nm = model_->source_map().parameter_dim();
-  const std::size_t nt = time_.num_intervals;
-  const std::size_t n = data_dim();
-  const std::size_t nqoi = cfg_.num_gauges * nt;
+  // Every section is checked against the config's sizes before anything is
+  // sized by the config. F goes first: its payload is in the file, so once
+  // its dimensions match, Nd, Nm and Nt are bounded by the file's size.
+  const auto [grid_nx, grid_ny] = parameter_grid(cfg);
+  const char* what = "artifact bundle config: sizes";
+  const std::uint64_t nm = checked_mul_u64(grid_nx, grid_ny, what);
+  const std::uint64_t nt = cfg.num_intervals;
+  const std::uint64_t n = checked_mul_u64(cfg.num_sensors, nt, what);
+  const std::uint64_t nqoi = checked_mul_u64(cfg.num_gauges, nt, what);
 
   const std::vector<double> sigma = bundle.vector("noise/sigma");
   if (sigma.size() != 1 || !(sigma[0] > 0.0))
     throw std::runtime_error("artifact bundle: bad noise/sigma section");
-  P2oMap f = take_p2o(bundle, "p2o/F", sensors_->num_outputs(), nm, nt);
-  Matrix l = take_shaped(bundle, "hessian/chol_L", n, n, "Cholesky factor");
+  P2oMap f = take_p2o(bundle, "p2o/F", cfg.num_sensors, nm, nt);
+  DenseCholesky l = take_factor(bundle, n);
   Matrix cov = take_shaped(bundle, "qoi/cov", nqoi, nqoi, "Gamma_post(q)");
   Matrix r = take_shaped(bundle, "qoi/R", n, nqoi, "R");
+  return {cfg, NoiseModel{sigma[0]}, std::move(f), std::move(l),
+          std::move(cov), std::move(r)};
+}
 
-  // All sections validated; rebuild the online operators. No PDE solves, no
-  // Hessian formation, no factorization — the whole point of the split —
-  // and no spectra: F's are built at its first apply (a MAP read), which a
-  // forecast-only service never makes.
-  f_ = std::move(f);
-  hessian_ = std::make_unique<DataSpaceHessian>(
-      DataSpaceHessian::from_factor(std::move(l), NoiseModel{sigma[0]}));
-  posterior_ = std::make_unique<Posterior>(*f_.toeplitz, *prior_, *hessian_);
-  predictor_ = std::make_unique<QoiPredictor>(
-      cfg_.num_gauges, nt, std::move(cov), std::move(r));
-  refresh_offline_epoch();
+const DigitalTwin::WaveModel& DigitalTwin::wave() const {
+  std::call_once(wave_->built, [this] {
+    TRACE_SCOPE("offline", "build_wave_model");
+    auto model = std::make_unique<AcousticGravityModel>(
+        *mesh_, cfg_.order, cfg_.physics, cfg_.kernel);
+    const auto [grid_nx, grid_ny] = parameter_grid(cfg_);
+    const BottomSourceMap& src = model->source_map();
+    if (src.grid_nx() != grid_nx || src.grid_ny() != grid_ny)
+      throw std::logic_error(
+          "DigitalTwin: the wave model's parameter grid differs from the "
+          "one its config implies");
+    // Sensors offshore over the source region (seaward 2/3 of the margin);
+    // gauges near the coast (landward side), where early warning matters.
+    const double lx = mesh_->length_x(), ly = mesh_->length_y();
+    auto sensors = std::make_unique<ObservationOperator>(
+        ObservationOperator::seafloor_sensors(
+            *model, sensor_grid(cfg_.num_sensors, 0.08 * lx, 0.62 * lx,
+                                0.06 * ly, 0.94 * ly)));
+    auto gauges = std::make_unique<ObservationOperator>(
+        ObservationOperator::surface_gauges(
+            *model, sensor_grid(cfg_.num_gauges, 0.78 * lx, 0.92 * lx,
+                                0.10 * ly, 0.90 * ly)));
+    wave_->model = std::move(model);
+    wave_->sensors = std::move(sensors);
+    wave_->gauges = std::move(gauges);
+  });
+  return *wave_;
 }
 
 ArtifactBundle DigitalTwin::make_bundle() const {
@@ -260,7 +317,7 @@ ArtifactBundle DigitalTwin::make_bundle() const {
   b.set_vector("noise/sigma",
                std::span<const double>(&hessian_->noise().sigma, 1));
   set_p2o(b, "p2o/F", f_);
-  b.set_matrix("hessian/chol_L", hessian_->cholesky().factor());
+  b.set_vector("hessian/chol_L", hessian_->cholesky().packed());
   b.set_matrix("qoi/cov", predictor_->qoi_covariance());
   b.set_matrix("qoi/R", predictor_->forecast_slab());
   return b;
@@ -291,6 +348,7 @@ void DigitalTwin::refresh_offline_epoch() {
 }
 
 void DigitalTwin::run_phase1() {
+  const WaveModel& w = wave();
   TRACE_SCOPE("offline", "phase1");
   // Phases 2 and 3 built their operators from the F being replaced (the
   // posterior references it): retire the engines over them and drop them,
@@ -301,11 +359,11 @@ void DigitalTwin::run_phase1() {
   hessian_.reset();
   {
     ScopedTimer t(timers_, "phase1: form F");
-    f_ = build_p2o_map(*model_, *sensors_, time_, &timers_);
+    f_ = build_p2o_map(*w.model, *w.sensors, time_, &timers_);
   }
   {
     ScopedTimer t(timers_, "phase1: form Fq");
-    fq_ = build_p2o_map(*model_, *gauges_, time_, &timers_);
+    fq_ = build_p2o_map(*w.model, *w.gauges, time_, &timers_);
   }
 }
 
@@ -337,15 +395,16 @@ void DigitalTwin::run_phase3() {
 
 SyntheticEvent DigitalTwin::synthesize(const RuptureScenario& scenario,
                                        Rng& rng) const {
+  const WaveModel& w = wave();
   SyntheticEvent ev;
-  ev.m_true = scenario.sample(model_->source_map(), time_);
+  ev.m_true = scenario.sample(w.model->source_map(), time_);
 
   std::vector<Matrix> series;
-  forward_multi_observe(*model_, {sensors_.get(), gauges_.get()}, time_,
+  forward_multi_observe(*w.model, {w.sensors.get(), w.gauges.get()}, time_,
                         ev.m_true, series);
   const std::size_t nt = time_.num_intervals;
-  const std::size_t nd = sensors_->num_outputs();
-  const std::size_t nq = gauges_->num_outputs();
+  const std::size_t nd = w.sensors->num_outputs();
+  const std::size_t nq = w.gauges->num_outputs();
   ev.d_true.resize(nt * nd);
   for (std::size_t i = 0; i < nt; ++i)
     for (std::size_t s = 0; s < nd; ++s)
@@ -399,14 +458,13 @@ const P2oMap& DigitalTwin::p2q() const {
 
 std::vector<double> DigitalTwin::displacement_field(
     std::span<const double> m) const {
-  const std::size_t nm = model_->source_map().parameter_dim();
   const std::size_t nt = time_.num_intervals;
-  if (m.size() != nm * nt)
+  if (m.size() != nm_ * nt)
     throw std::invalid_argument("displacement_field: size mismatch");
-  std::vector<double> b(nm, 0.0);
+  std::vector<double> b(nm_, 0.0);
   const double dt = time_.interval();
   for (std::size_t i = 0; i < nt; ++i)
-    for (std::size_t r = 0; r < nm; ++r) b[r] += dt * m[i * nm + r];
+    for (std::size_t r = 0; r < nm_; ++r) b[r] += dt * m[i * nm_ + r];
   return b;
 }
 

@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -119,23 +120,29 @@ class DigitalTwin {
   /// and finite and one observation interval takes at most 2^24 CFL substeps.
   explicit DigitalTwin(const TwinConfig& config);
 
-  /// Warm start (the warning-center boot path): reconstruct the full online
-  /// state — posterior, predictor, streaming support — from a Phase 1-3
-  /// artifact bundle without a single PDE solve or factorization. The twin's
-  /// configuration is read from the bundle itself (a non-finite or
-  /// out-of-range field throws std::runtime_error); the stored fingerprint is
-  /// verified against the reconstructed config before anything is trusted.
-  /// Each section's payload is moved into its owner, not copied, so pass an
-  /// rvalue when the bundle is not needed afterwards. F's spectra are built
-  /// at its first apply (the first MAP read), not here. No Fq ships. infer()
-  /// and streaming push() on the result are bit-identical to the cold-path
-  /// twin that produced the bundle (tests/test_artifact_bundle.cpp).
+  /// Warm start (the warning-center boot path): boot builds the online
+  /// operators a tick reads — the posterior over F, the packed factor L,
+  /// the predictor with R and Gamma_post(q) — and the mesh, time grid and
+  /// prior, without a single PDE solve or factorization. What no tick reads
+  /// is built at its first use: F's spectra at its first apply (the first
+  /// MAP read), the wave model and observation operators at the first
+  /// model(), sensors(), gauges(), synthesize or run_phase1. No Fq ships.
+  /// The twin's configuration is read from the bundle itself (a non-finite
+  /// or out-of-range field throws std::runtime_error), the stored
+  /// fingerprint is verified against it, and every section is checked
+  /// against the sizes the config implies before anything is sized by the
+  /// config: a mismatch throws std::runtime_error naming the section. Each
+  /// section's payload is moved into its owner, not copied, so pass an
+  /// rvalue when the bundle is not needed afterwards. infer() and streaming
+  /// push() on the result are bit-identical to the cold-path twin that
+  /// produced the bundle (tests/test_artifact_bundle.cpp).
   explicit DigitalTwin(ArtifactBundle bundle);
 
   // ---- offline artifact shipping -------------------------------------------
   /// Serialize everything Phase 4 reads (config + fingerprint, F's block
-  /// columns, the Cholesky factor of K, Gamma_post(q), the forecast slab R,
-  /// the calibrated noise) into one versioned, checksummed bundle file.
+  /// columns, the Cholesky factor of K packed by rows, Gamma_post(q), the
+  /// forecast slab R, the calibrated noise) into one versioned, checksummed
+  /// bundle file.
   /// Requires completed offline phases.
   void save_offline(const std::string& path) const;
 
@@ -209,9 +216,17 @@ class DigitalTwin {
   // ---- access --------------------------------------------------------------
   [[nodiscard]] const TwinConfig& config() const { return cfg_; }
   [[nodiscard]] const HexMesh& mesh() const { return *mesh_; }
-  [[nodiscard]] const AcousticGravityModel& model() const { return *model_; }
-  [[nodiscard]] const ObservationOperator& sensors() const { return *sensors_; }
-  [[nodiscard]] const ObservationOperator& gauges() const { return *gauges_; }
+  /// The wave model and the observation operators, built once at the first
+  /// call of any of these (or of synthesize or run_phase1), from any thread.
+  [[nodiscard]] const AcousticGravityModel& model() const {
+    return *wave().model;
+  }
+  [[nodiscard]] const ObservationOperator& sensors() const {
+    return *wave().sensors;
+  }
+  [[nodiscard]] const ObservationOperator& gauges() const {
+    return *wave().gauges;
+  }
   [[nodiscard]] const TimeGrid& time_grid() const { return time_; }
   [[nodiscard]] const MaternPrior& prior() const { return *prior_; }
   [[nodiscard]] const P2oMap& p2o() const { return f_; }
@@ -224,20 +239,35 @@ class DigitalTwin {
   [[nodiscard]] const TimerRegistry& timers() const { return timers_; }
 
   [[nodiscard]] std::size_t parameter_dim() const {
-    return model_->source_map().parameter_dim() * time_.num_intervals;
+    return nm_ * time_.num_intervals;
   }
   [[nodiscard]] std::size_t data_dim() const {
     return cfg_.num_sensors * time_.num_intervals;
   }
 
  private:
-  /// Unpack + fingerprint-verify the config stored in a bundle.
-  [[nodiscard]] static TwinConfig config_from_bundle(
-      const ArtifactBundle& bundle);
-  /// Rebuild posterior_/predictor_ (and f_/hessian_) from bundle
-  /// sections, with per-section dimension checks against this twin. Moves
-  /// each payload out of `bundle`.
-  void install_offline(ArtifactBundle& bundle);
+  /// A bundle's config and online products, each section checked against
+  /// the sizes its config implies.
+  struct OfflineProducts;
+  /// Unpack + fingerprint-verify the config stored in a bundle, then take
+  /// every section out of it (payloads moved) and check its dimensions.
+  [[nodiscard]] static OfflineProducts take_offline(ArtifactBundle& bundle);
+  /// Build the twin of the products' config and install f_, hessian_,
+  /// posterior_ and predictor_ from them.
+  explicit DigitalTwin(OfflineProducts products);
+
+  /// The wave model and both observation operators; a served tick reads
+  /// none of them. Heap-held so the twin stays movable.
+  struct WaveModel {
+    std::once_flag built;
+    std::unique_ptr<AcousticGravityModel> model;
+    std::unique_ptr<ObservationOperator> sensors;
+    std::unique_ptr<ObservationOperator> gauges;
+  };
+  /// Builds the wave model on its first call (std::call_once; the idiom of
+  /// BlockToeplitz's spectra). Throws std::logic_error if its source map
+  /// disagrees with the parameter grid the config implies.
+  const WaveModel& wave() const;
   /// Replace the offline-state epoch token: any streaming engine built over
   /// the previous offline state now throws instead of slicing stale slabs.
   void refresh_offline_epoch();
@@ -245,9 +275,8 @@ class DigitalTwin {
   TwinConfig cfg_;
   Bathymetry bathy_;
   std::unique_ptr<HexMesh> mesh_;
-  std::unique_ptr<AcousticGravityModel> model_;
-  std::unique_ptr<ObservationOperator> sensors_;
-  std::unique_ptr<ObservationOperator> gauges_;
+  std::unique_ptr<WaveModel> wave_;
+  std::size_t nm_ = 0;  ///< seafloor parameter nodes, from the config
   TimeGrid time_;
   std::unique_ptr<MaternPrior> prior_;
 

@@ -49,12 +49,12 @@ QoiPredictor::QoiPredictor(const P2oMap& f, const P2oMap& fq,
   // rows [i, n) of K^{-1} V, its coefficients column i of L gathered into
   // slot-local scratch.
   const std::size_t n = kinv_v.rows();
-  const Matrix& l = hessian.cholesky().factor();
+  const DenseCholesky& l = hessian.cholesky();
   r_ = Matrix(n, nqoi);
   std::vector<double> coeffs(static_cast<std::size_t>(num_threads()) * n);
   parallel_for_slotted(n, 8, [&](std::size_t i, std::size_t slot) {
     double* col = coeffs.data() + slot * n;
-    for (std::size_t j = i; j < n; ++j) col[j - i] = l(j, i);
+    for (std::size_t j = i; j < n; ++j) col[j - i] = l.row(j)[i];
     accumulate_rows(kinv_v.data() + i * nqoi, n - i, nqoi, col,
                     r_.row(i).data());
   });

@@ -109,16 +109,14 @@ StreamingEngine StreamingEngine::reduced(const SensorMask& mask) const {
 
 void StreamingEngine::apply_mask() {
   TRACE_SCOPE("offline", "streaming_reduce");
-  const Matrix& l = post_.hessian().cholesky().factor();
+  const DenseCholesky& l = post_.hessian().cholesky();
 
   // Decoupled factor: every dropped channel's rows of K become pure-noise
   // rows via the O(r n^2) rank-2 factor edits — NOT a refactorization. The
   // copy is owned here; the posterior's hessian (shared with the full
   // engine and every session on it) is untouched.
-  Matrix l_copy = l;
   reduced_hess_ = std::make_unique<DataSpaceHessian>(
-      DataSpaceHessian::from_factor(std::move(l_copy),
-                                    post_.hessian().noise()));
+      DataSpaceHessian::from_factor(l, post_.hessian().noise()));
   reduced_hess_->decouple_channels(mask_, nd_);
 
   // Rebuild the forecast slab against the decoupled factor. The slab V =

@@ -13,8 +13,15 @@
 // it can be resumed row-by-row as new right-hand-side entries arrive. The
 // range/prefix entry points below expose both facts; they are the kernel of
 // the streaming assimilation engine (src/core/streaming_assimilator.hpp).
+//
+// Storage: L's lower triangle only, packed by rows — row i is the i + 1
+// entries L(i, 0..i) starting at offset i(i+1)/2 — so an order-n factor
+// holds n(n+1)/2 doubles, not n^2. The artifact bundle ships this vector
+// as it is (packed()), and from_factor adopts it back.
 
+#include <cstddef>
 #include <span>
+#include <vector>
 
 #include "linalg/dense.hpp"
 #include "util/hot_path.hpp"
@@ -24,17 +31,21 @@ namespace tsunami {
 /// Cholesky factorization A = L L^T of an SPD matrix (lower triangular L).
 class DenseCholesky {
  public:
-  /// Factorizes a copy of `a` in diagonal blocks of 64 rows. Throws
+  /// Factorizes a packed copy of `a`'s lower triangle (the upper triangle
+  /// is never read) in diagonal blocks of 64 rows. Throws
   /// std::runtime_error if a nonpositive pivot is encountered (matrix not
   /// SPD to working precision).
   explicit DenseCholesky(const Matrix& a);
 
   /// Rebuild from a previously computed factor (factor export/import: the
   /// warm-start path loads L from an artifact bundle instead of paying the
-  /// O(n^3) factorization again). `l` must be square with positive diagonal;
-  /// its strict upper triangle is zeroed to restore the class invariant.
-  /// All solves on the result are bit-identical to the original object's.
-  [[nodiscard]] static DenseCholesky from_factor(Matrix l);
+  /// O(n^3) factorization again). Adopts `packed`, laid out as packed()
+  /// returns it, without copying. Throws std::invalid_argument unless it
+  /// holds n(n+1)/2 entries, and std::runtime_error unless every diagonal
+  /// entry is > 0 (so a zero or NaN diagonal is refused). All solves on the
+  /// result are bit-identical to the original object's.
+  [[nodiscard]] static DenseCholesky from_factor(std::size_t n,
+                                                 std::vector<double> packed);
 
   /// Solve A x = b in place (forward + backward substitution).
   void solve_in_place(std::span<double> b) const;
@@ -96,22 +107,28 @@ class DenseCholesky {
 
   /// Grow the factorization by one trailing row/column: given the new
   /// symmetric column a_col = A[0:n+1, n] of the extended matrix (length
-  /// n+1, diagonal entry last), appends the matching factor row in O(n^2)
-  /// (dominated by copying L into its larger storage; the solve is O(n^2)
-  /// too). Throws if the extended matrix is not SPD. This is the "sensor
+  /// n+1, diagonal entry last), solves for the matching factor row in
+  /// O(n^2) and appends it to the packed storage. Throws if the extended
+  /// matrix is not SPD, leaving the factor as it was. This is the "sensor
   /// joins" direction of the update/downdate pair.
   void append_row(std::span<const double> a_col);
 
   /// log det(A) = 2 sum log L_ii.
   [[nodiscard]] double log_det() const;
 
-  [[nodiscard]] const Matrix& factor() const { return l_; }
-  [[nodiscard]] std::size_t dim() const { return l_.rows(); }
+  /// Row i of L up to its diagonal: L(i, 0..i), i + 1 entries.
+  [[nodiscard]] std::span<const double> row(std::size_t i) const {
+    return {l_.data() + i * (i + 1) / 2, i + 1};
+  }
+  /// The whole factor, packed by rows: n(n+1)/2 entries.
+  [[nodiscard]] std::span<const double> packed() const { return l_; }
+  [[nodiscard]] std::size_t dim() const { return n_; }
 
  private:
   DenseCholesky() = default;  ///< for from_factor
 
-  Matrix l_;
+  std::size_t n_ = 0;
+  std::vector<double> l_;  ///< lower triangle, row i at offset i(i+1)/2
 };
 
 }  // namespace tsunami

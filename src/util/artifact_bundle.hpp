@@ -4,7 +4,8 @@
 // phase needs.
 //
 // The paper's deployment story (SecVIII) ships the Phase 1-3 products — p2o
-// block columns, the Cholesky factor L of the data-space Hessian K,
+// block columns, the Cholesky factor L of the data-space Hessian K (its
+// lower triangle packed by rows, one dimension of n(n+1)/2 doubles),
 // Gamma_post(q), the forecast slab R (the data-to-QoI map is R^T L^{-1}) —
 // from the HPC system to a warning center that runs Phase 4 with no HPC at
 // all. This module packs them into a single self-describing container, so
@@ -50,9 +51,10 @@
 namespace tsunami {
 
 /// Bump when the on-disk layout changes; loaders reject other versions.
-/// Version 2 checksums the body with bundle_checksum (version 1 used
-/// fnv1a) and ships the forecast slab R.
-inline constexpr std::uint64_t kBundleFormatVersion = 2;
+/// 2: the body is checksummed with bundle_checksum (version 1 used fnv1a)
+/// and the forecast slab R ships. 3: L packed by rows (version 2 shipped
+/// it square, upper triangle zero).
+inline constexpr std::uint64_t kBundleFormatVersion = 3;
 
 /// a * b with overflow detection. Header dimensions come straight off disk,
 /// so every size computation on them must refuse to wrap: a wrapped product

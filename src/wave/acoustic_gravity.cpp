@@ -138,10 +138,11 @@ void AcousticGravityModel::pressure_mass_inverse(std::span<const double> in,
   for (std::size_t i = 0; i < in.size(); ++i) out[i] = inv_mass_p_[i] * in[i];
 }
 
-double AcousticGravityModel::cfl_timestep(double cfl) const {
-  const double h = mesh_.min_edge_length();
-  const double p2 = static_cast<double>(tables_.order * tables_.order);
-  return cfl * h / (phys_.sound_speed * p2);
+double cfl_timestep(const HexMesh& mesh, std::size_t order,
+                    const PhysicalConstants& constants, double cfl) {
+  const double h = mesh.min_edge_length();
+  const double p2 = static_cast<double>(order * order);
+  return cfl * h / (constants.sound_speed * p2);
 }
 
 }  // namespace tsunami

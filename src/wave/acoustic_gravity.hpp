@@ -28,6 +28,13 @@
 
 namespace tsunami {
 
+/// Stable explicit timestep estimate cfl * h_min / (c * p^2) for an order-p
+/// discretization of `mesh`. Needs no model: the twin sizes its time grid
+/// with it before (or without) building one.
+[[nodiscard]] double cfl_timestep(const HexMesh& mesh, std::size_t order,
+                                  const PhysicalConstants& constants,
+                                  double cfl);
+
 /// Owns the full spatial discretization of the acoustic-gravity system.
 class AcousticGravityModel {
  public:
@@ -85,8 +92,11 @@ class AcousticGravityModel {
   [[nodiscard]] const BasisTables& tables() const { return tables_; }
   [[nodiscard]] const PaGeometry& geometry() const { return geom_; }
 
-  /// Stable explicit timestep estimate: cfl * h_min / (c * p^2).
-  [[nodiscard]] double cfl_timestep(double cfl = 0.5) const;
+  /// Stable explicit timestep estimate: the free cfl_timestep at this
+  /// model's mesh, order and constants.
+  [[nodiscard]] double cfl_timestep(double cfl = 0.5) const {
+    return tsunami::cfl_timestep(mesh_, tables_.order, phys_, cfl);
+  }
 
   /// Memory footprint of the operator data (for the SecVII-B memory study).
   [[nodiscard]] std::size_t pa_bytes() const { return geom_.pa_bytes(); }

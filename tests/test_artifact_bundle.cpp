@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -16,6 +17,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/digital_twin.hpp"
@@ -334,6 +336,20 @@ TEST_F(ArtifactBundleTest, RejectsVersionOneBundleAsStale) {
   EXPECT_TRUE(contains(what, "unsupported format version 1")) << what;
 }
 
+TEST_F(ArtifactBundleTest, RejectsVersionTwoBundleAsStale) {
+  // Version 2 shipped L square. The version is read before the checksum, so
+  // a version-2 file is refused as stale even under a valid checksum.
+  auto bytes = read_file(*path_);
+  const std::uint64_t v2 = 2;
+  std::memcpy(bytes.data() + sizeof(std::uint64_t), &v2, sizeof(v2));
+  const std::size_t body = bytes.size() - sizeof(std::uint64_t);
+  const std::uint64_t sum = bundle_checksum(bytes.data(), body);
+  std::memcpy(bytes.data() + body, &sum, sizeof(sum));
+  const std::string what =
+      error_of([&] { (void)parse_bundle(bytes_of(bytes)); });
+  EXPECT_TRUE(contains(what, "unsupported format version 2")) << what;
+}
+
 TEST(ArtifactBundleFormat, EveryFlippedWordOrTailByteIsRefused) {
   // Section names of 3 and 8 bytes leave the body 3 bytes past a whole
   // word, so it has words (eight lanes, a partial last group) and a tail.
@@ -462,6 +478,31 @@ TEST_F(ArtifactBundleTest, RejectsHostileConfigBeforeConstruction) {
       (void)DigitalTwin(crafted(kObservationDt,
                                 std::numeric_limits<double>::quiet_NaN())),
       std::runtime_error);
+
+  // A mesh bigger than the sections, each field in range and the
+  // fingerprint self-consistent: refused by F's dimension check, before the
+  // prior, the CFL walk or a wave model is sized by it. The last one's
+  // parameter grid alone would be 524,289^2 nodes.
+  constexpr std::size_t kMeshNx = 9, kOrder = 12;
+  for (const auto& [nx, ny, nz, order] :
+       std::vector<std::array<double, 4>>{{60, 80, 2, 2},
+                                          {200, 200, 2, 4},
+                                          {16384, 16384, 1, 32}}) {
+    ArtifactBundle b = twin_->make_bundle();
+    std::vector<double> fields = b.vector("config");
+    fields[kMeshNx] = nx;
+    fields[kMeshNx + 1] = ny;
+    fields[kMeshNx + 2] = nz;
+    fields[kOrder] = order;
+    b.set("config", {fields.size()}, fields);
+    b.fingerprint = fnv1a(fields.data(), fields.size() * sizeof(double));
+    try {
+      (void)DigitalTwin(std::move(b));
+      ADD_FAILURE() << nx << "x" << ny << "x" << nz << " booted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_TRUE(contains(e.what(), "p2o/F")) << e.what();
+    }
+  }
 }
 
 TEST_F(ArtifactBundleTest, RejectsSectionDimensionMismatch) {
@@ -470,6 +511,29 @@ TEST_F(ArtifactBundleTest, RejectsSectionDimensionMismatch) {
   ArtifactBundle tampered = twin_->make_bundle();
   tampered.set_matrix("hessian/chol_L", Matrix(3, 3, 1.0));
   EXPECT_THROW((void)DigitalTwin(tampered), std::runtime_error);
+  // L as version 2 shipped it (square, 2-D) and packed one entry short,
+  // each saved under a valid version-3 checksum: the file loads, and the
+  // factor's dimension check refuses it.
+  const std::size_t n = twin_->data_dim();
+  const std::span<const double> packed = twin_->hessian().cholesky().packed();
+  ArtifactBundle square = twin_->make_bundle();
+  Matrix l(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::span<const double> row = twin_->hessian().cholesky().row(i);
+    std::copy(row.begin(), row.end(), l.row(i).begin());
+  }
+  square.set_matrix("hessian/chol_L", l);
+  ArtifactBundle short_l = twin_->make_bundle();
+  short_l.set_vector("hessian/chol_L", packed.first(packed.size() - 1));
+  const auto path = temp_path("tsunami_bad_factor.bundle");
+  for (const ArtifactBundle* bad : {&square, &short_l}) {
+    save_bundle(path, *bad);
+    ASSERT_NO_THROW((void)load_bundle(path));
+    const std::string what =
+        error_of([&] { (void)DigitalTwin::load_offline(path); });
+    EXPECT_TRUE(contains(what, "Cholesky factor dimensions")) << what;
+  }
+  std::filesystem::remove(path);
   const Matrix& r = twin_->predictor().forecast_slab();
   for (const Matrix& bad : {Matrix(r.rows(), r.cols() + 1),
                             Matrix(r.rows() - 1, r.cols()),
@@ -599,18 +663,27 @@ TEST(ArtifactBundleFormat, ChecksumFedInPiecesEqualsOneShot) {
   }
 }
 
-TEST_F(ArtifactBundleTest, ServedEventOnWarmBootBuildsNoSpectra) {
+TEST_F(ArtifactBundleTest, ServedEventOnWarmBootBuildsNoSpectraNorWaveModel) {
   // A warm boot through the cache, then one served event with forecasts, a
   // drop and a restore, plus reduced(): none of it applies F or Fq, so no
-  // spectra are built. The first MAP read then builds F's, once.
-  const auto build_spectra_spans = [] {
+  // spectra are built. The first MAP read then builds F's, once. No tick
+  // reads the wave model, so none of it builds one; the first model() or
+  // sensors() call does, once, whichever thread makes it.
+  const auto spans = [](const char* cat, const char* name) {
     const std::string json = obs::chrome_trace_json();
-    const std::string span = "\"cat\":\"kernel\",\"name\":\"build_spectra\"";
+    const std::string span = std::string("\"cat\":\"") + cat +
+                             "\",\"name\":\"" + name + "\"";
     std::size_t n = 0;
     for (std::size_t at = json.find(span); at != std::string::npos;
          at = json.find(span, at + 1))
       ++n;
     return n;
+  };
+  const auto build_spectra_spans = [&] {
+    return spans("kernel", "build_spectra");
+  };
+  const auto build_wave_model_spans = [&] {
+    return spans("offline", "build_wave_model");
   };
   obs::clear_trace();
   obs::set_trace_enabled(true);
@@ -644,8 +717,31 @@ TEST_F(ArtifactBundleTest, ServedEventOnWarmBootBuildsNoSpectra) {
   full.push(0, d.first(nd));
   (void)full.map_snapshot();
   (void)full.map_snapshot();
-  obs::set_trace_enabled(false);
   EXPECT_EQ(build_spectra_spans(), 1u);
+  EXPECT_EQ(build_wave_model_spans(), 0u);
+
+  const DigitalTwin& twin = cached->twin();
+  std::array<const AcousticGravityModel*, 4> models{};
+  std::array<const ObservationOperator*, 4> sensors{};
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t k = 0; k < 4; ++k)
+      threads.emplace_back([&, k] {
+        models[k] = &twin.model();
+        sensors[k] = &twin.sensors();
+      });
+    for (std::thread& t : threads) t.join();
+  }
+  obs::set_trace_enabled(false);
+  EXPECT_EQ(build_wave_model_spans(), 1u);
+  for (std::size_t k = 1; k < 4; ++k) {
+    EXPECT_EQ(models[k], models[0]) << "thread " << k;
+    EXPECT_EQ(sensors[k], sensors[0]) << "thread " << k;
+  }
+  EXPECT_EQ(twin.model().source_map().parameter_dim() *
+                twin.config().num_intervals,
+            twin.parameter_dim());
+  EXPECT_EQ(twin.sensors().num_outputs(), twin.config().num_sensors);
   obs::clear_trace();
 }
 
@@ -751,7 +847,17 @@ TEST_F(ArtifactBundleTest, ScenarioBankBootsFromBundle) {
   ScenarioBank bank = ScenarioBank::from_bundle(*path_, 3, 11);
   EXPECT_EQ(bank.size(), 3u);
   EXPECT_TRUE(bank.twin().online_ready());
+  // The warm twin builds its wave model inside synthesize's pool loop; the
+  // events must be the cold twin's, bit for bit.
   bank.synthesize(7);
+  ScenarioBank cold(*twin_, ScenarioBank::spread(*twin_, 3, 11));
+  cold.synthesize(7);
+  ASSERT_EQ(bank.events().size(), cold.events().size());
+  for (std::size_t i = 0; i < cold.events().size(); ++i) {
+    EXPECT_EQ(bank.events()[i].d_obs, cold.events()[i].d_obs) << i;
+    EXPECT_EQ(bank.events()[i].q_true, cold.events()[i].q_true) << i;
+    EXPECT_EQ(bank.events()[i].m_true, cold.events()[i].m_true) << i;
+  }
   // The owning bank keeps its twin alive; the sweep streams every scenario
   // through an engine over the warm state.
   const StreamingEngine engine = bank.twin().make_streaming();

@@ -2,9 +2,9 @@
 //
 // One cold offline build (phases 1-3) is saved as an artifact bundle;
 // FNV-1a of the bundle minus its trailing checksum word pins every Phase
-// 1-3 product it ships (F, L, Gamma_post(q), R), so the pin moves only when
-// the bytes move. Fq and the dense data-to-QoI map do not ship: they enter
-// the pin only through R and Gamma_post(q). A
+// 1-3 product it ships (F, L packed by rows, Gamma_post(q), R), so the pin
+// moves only when the bytes move. Fq and the dense data-to-QoI map do not
+// ship: they enter the pin only through R and Gamma_post(q). A
 // WarningService then serves three replays from that bundle, booted through
 // EngineCache::load, and FNV-1a hashes every published snapshot:
 //   (a) a healthy closed loop, 4 events with an alert threshold, one tick
@@ -59,7 +59,7 @@ struct GoldenRow {
   std::uint64_t map;       ///< replay (d)
 };
 
-constexpr GoldenRow kGolden = {0x9e5e4ccf17d5e8cc, 0x3727f81b5aa6652d,
+constexpr GoldenRow kGolden = {0xacf287467358f2d8, 0x3727f81b5aa6652d,
                                 0x036502b36ca5f698, 0xb0d803c54d7c728d,
                                 0xccf17c2f4096d325};
 

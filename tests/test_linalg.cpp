@@ -32,6 +32,150 @@ Matrix random_spd(std::size_t n, Rng& rng, double diag_boost = 1.0) {
   return spd;
 }
 
+/// The packed factor expanded to a square lower-triangular matrix.
+Matrix square(const DenseCholesky& chol) {
+  const std::size_t n = chol.dim();
+  Matrix l(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::span<const double> row = chol.row(i);
+    std::copy(row.begin(), row.end(), l.row(i).begin());
+  }
+  return l;
+}
+
+/// Max |difference| over two factors' packed entries (infinite when their
+/// orders differ).
+double max_packed_diff(const DenseCholesky& a, const DenseCholesky& b) {
+  if (a.dim() != b.dim()) return std::numeric_limits<double>::infinity();
+  double m = 0.0;
+  for (std::size_t k = 0; k < a.packed().size(); ++k)
+    m = std::max(m, std::abs(a.packed()[k] - b.packed()[k]));
+  return m;
+}
+
+/// The lower triangle of a square matrix, packed by rows.
+std::vector<double> pack(const Matrix& l) {
+  std::vector<double> packed;
+  for (std::size_t i = 0; i < l.rows(); ++i)
+    for (std::size_t j = 0; j <= i; ++j) packed.push_back(l(i, j));
+  return packed;
+}
+
+/// True when `a` and `b` hold the same bits, entry for entry.
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::bit_cast<std::uint64_t>(a[i]) != std::bit_cast<std::uint64_t>(b[i]))
+      return false;
+  return true;
+}
+
+/// The textbook forward substitution, row by row, one dependent chain per
+/// row: the operation order forward_solve_range promises to keep.
+void textbook_forward_solve(const Matrix& l, std::vector<double>& b) {
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    double s = b[i];
+    for (std::size_t j = 0; j < i; ++j) s -= l(i, j) * b[j];
+    b[i] = s / l(i, i);
+  }
+}
+
+/// The textbook backward substitution L[0:p, 0:p]^T x = b[0:p).
+void textbook_backward_solve(const Matrix& l, std::vector<double>& b,
+                             std::size_t prefix) {
+  for (std::size_t ii = prefix; ii-- > 0;) {
+    double s = b[ii];
+    for (std::size_t j = ii + 1; j < prefix; ++j) s -= l(j, ii) * b[j];
+    b[ii] = s / l(ii, ii);
+  }
+}
+
+// ---- square-storage oracles for the packed factor -------------------------
+// The loops DenseCholesky ran when it stored L as a square matrix, kept here
+// as the reference its packed rows must reproduce bit for bit. Run serially:
+// each row's panel and trailing work is independent of every other row's,
+// so the pool's schedule moves no bit.
+
+/// The blocked right-looking factorization, 64-row diagonal blocks.
+Matrix square_factor(const Matrix& a) {
+  Matrix l = a;
+  const std::size_t n = l.rows();
+  constexpr std::size_t kBlock = 64;
+  for (std::size_t k0 = 0; k0 < n; k0 += kBlock) {
+    const std::size_t k1 = std::min(k0 + kBlock, n);
+    for (std::size_t k = k0; k < k1; ++k) {
+      double d = l(k, k);
+      for (std::size_t j = k0; j < k; ++j) {
+        const double v = l(k, j);
+        d -= v * v;
+      }
+      const double diag = std::sqrt(d);
+      l(k, k) = diag;
+      for (std::size_t i = k + 1; i < k1; ++i) {
+        double s = l(i, k);
+        for (std::size_t j = k0; j < k; ++j) s -= l(i, j) * l(k, j);
+        l(i, k) = s / diag;
+      }
+    }
+    if (k1 == n) break;
+    for (std::size_t i = k1; i < n; ++i)
+      for (std::size_t k = k0; k < k1; ++k) {
+        double s = l(i, k);
+        for (std::size_t j = k0; j < k; ++j) s -= l(i, j) * l(k, j);
+        l(i, k) = s / l(k, k);
+      }
+    for (std::size_t i = k1; i < n; ++i)
+      for (std::size_t j = k1; j <= i; ++j) {
+        double s = 0.0;
+        for (std::size_t k = k0; k < k1; ++k) s += l(i, k) * l(j, k);
+        l(i, j) -= s;
+      }
+  }
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j) l(i, j) = 0.0;
+  return l;
+}
+
+/// Givens (sign +1) or hyperbolic (sign -1) rank-1 edit down the columns.
+void square_rank_edit(Matrix& l, std::vector<double> u, double sign) {
+  const std::size_t n = l.rows();
+  for (std::size_t k = 0; k < n; ++k) {
+    const double uk = u[k];
+    if (uk == 0.0) continue;
+    const double lkk = l(k, k);
+    const double r = sign > 0.0 ? std::hypot(lkk, uk)
+                                : std::sqrt((lkk - uk) * (lkk + uk));
+    const double c = r / lkk;
+    const double s = uk / lkk;
+    l(k, k) = r;
+    for (std::size_t i = k + 1; i < n; ++i) {
+      const double lik = l(i, k);
+      l(i, k) = sign > 0.0 ? (lik + s * u[i]) / c : (lik - s * u[i]) / c;
+      u[i] = c * u[i] - s * l(i, k);
+    }
+  }
+}
+
+/// append_row on square storage: solve the new row, close the diagonal.
+Matrix square_append_row(const Matrix& l, const std::vector<double>& a_col) {
+  const std::size_t n = l.rows();
+  std::vector<double> row(a_col.begin(),
+                          a_col.begin() + static_cast<std::ptrdiff_t>(n));
+  textbook_forward_solve(l, row);
+  double d = a_col[n];
+  for (std::size_t j = 0; j < n; ++j) d -= row[j] * row[j];
+  Matrix grown(n + 1, n + 1);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j <= i; ++j) grown(i, j) = l(i, j);
+  for (std::size_t j = 0; j < n; ++j) grown(n, j) = row[j];
+  grown(n, n) = std::sqrt(d);
+  return grown;
+}
+
+/// Sizes around the 64-row block and 8-row solve group: a single row, one
+/// short of a block, a block, one past, two blocks and change, and a prime.
+constexpr std::size_t kPackedSizes[] = {1, 63, 64, 65, 130, 257, 383};
+
 TEST(Blas, AxpyDotNorm) {
   std::vector<double> x{1.0, 2.0, 3.0}, y{4.0, 5.0, 6.0};
   axpy(2.0, x, std::span<double>(y));
@@ -129,7 +273,8 @@ TEST_P(DenseCholeskyTest, ReconstructsMatrix) {
   const std::size_t n = GetParam();
   const Matrix a = random_spd(n, rng);
   const DenseCholesky chol(a);
-  const Matrix& l = chol.factor();
+  ASSERT_EQ(chol.packed().size(), n * (n + 1) / 2);
+  const Matrix l = square(chol);
   Matrix llt(n, n);
   const Matrix lt = l.transposed();
   gemm(l, lt, llt);
@@ -186,15 +331,6 @@ TEST(DenseCholesky, ForwardSolveRangeResumesExactly) {
   EXPECT_EQ(chunked, full);
 }
 
-/// The textbook forward substitution, row by row, one dependent chain per
-/// row: the operation order forward_solve_range promises to keep.
-void textbook_forward_solve(const Matrix& l, std::vector<double>& b) {
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    double s = b[i];
-    for (std::size_t j = 0; j < i; ++j) s -= l(i, j) * b[j];
-    b[i] = s / l(i, i);
-  }
-}
 
 TEST(DenseCholesky, ForwardSolveRangeMatchesTextbookLoopBitwise) {
   // forward_solve_range solves its rows in groups that share the loads of
@@ -207,7 +343,7 @@ TEST(DenseCholesky, ForwardSolveRangeMatchesTextbookLoopBitwise) {
     const DenseCholesky chol(random_spd(n, rng));
     const auto rhs = rng.normal_vector(n);
     std::vector<double> ref(rhs);
-    textbook_forward_solve(chol.factor(), ref);
+    textbook_forward_solve(square(chol), ref);
 
     for (const std::size_t len : kLengths) {
       if (len > n) continue;
@@ -350,7 +486,7 @@ TEST(DenseCholesky, RankUpdateMatchesRefactorization) {
   std::vector<double> u_work = u;  // rank_update is destructive on u
   chol.rank_update(std::span<double>(u_work));
   const DenseCholesky ref(a_up);
-  EXPECT_LT(chol.factor().max_abs_diff(ref.factor()), 1e-10);
+  EXPECT_LT(max_packed_diff(chol, ref), 1e-10);
 }
 
 TEST(DenseCholesky, RankDowndateMatchesRefactorization) {
@@ -367,7 +503,7 @@ TEST(DenseCholesky, RankDowndateMatchesRefactorization) {
   std::vector<double> u_work = u;
   chol.rank_downdate(std::span<double>(u_work));
   const DenseCholesky ref(base);
-  EXPECT_LT(chol.factor().max_abs_diff(ref.factor()), 1e-10);
+  EXPECT_LT(max_packed_diff(chol, ref), 1e-10);
 }
 
 // r = n - 1: the heaviest legal rank for one factor — a full sweep of
@@ -390,11 +526,11 @@ TEST(DenseCholesky, RankManyRoundTripAtRankNMinusOne) {
   DenseCholesky chol(a);
   chol.rank_update_many(u_cols);
   const DenseCholesky ref(a_up);
-  EXPECT_LT(chol.factor().max_abs_diff(ref.factor()), 1e-10);
+  EXPECT_LT(max_packed_diff(chol, ref), 1e-10);
 
   chol.rank_downdate_many(u_cols);
   const DenseCholesky orig(a);
-  EXPECT_LT(chol.factor().max_abs_diff(orig.factor()), 1e-9);
+  EXPECT_LT(max_packed_diff(chol, orig), 1e-9);
 }
 
 TEST(DenseCholesky, DowndateToIndefiniteThrows) {
@@ -414,8 +550,8 @@ TEST(DenseCholesky, DowndateAtTheConeBoundaryThrowsAndLeavesTheFactor) {
   Rng rng(37);
   const Matrix a = random_spd(8, rng);
   DenseCholesky chol(a);
-  const Matrix before = chol.factor();
-  const double l00 = before(0, 0);
+  const std::vector<double> before(chol.packed().begin(), chol.packed().end());
+  const double l00 = chol.row(0)[0];
   for (const double u0 :
        {l00, std::nextafter(l00, std::numeric_limits<double>::infinity())}) {
     std::vector<double> u(8, 0.0);
@@ -423,8 +559,8 @@ TEST(DenseCholesky, DowndateAtTheConeBoundaryThrowsAndLeavesTheFactor) {
     EXPECT_THROW(chol.rank_downdate(std::span<double>(u)), std::runtime_error)
         << "u[0] - L(0,0) = " << u0 - l00;
     for (std::size_t i = 0; i < before.size(); ++i)
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(chol.factor().data()[i]),
-                std::bit_cast<std::uint64_t>(before.data()[i]))
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(chol.packed()[i]),
+                std::bit_cast<std::uint64_t>(before[i]))
           << "entry " << i << " after u[0] - L(0,0) = " << u0 - l00;
   }
 }
@@ -433,12 +569,12 @@ TEST(DenseCholesky, RankUpdateZeroVectorIsExactNoop) {
   Rng rng(35);
   const Matrix a = random_spd(12, rng);
   DenseCholesky chol(a);
-  const Matrix before = chol.factor();
+  const DenseCholesky before = chol;
   std::vector<double> zero(12, 0.0);
   chol.rank_update(std::span<double>(zero));
-  EXPECT_EQ(chol.factor().max_abs_diff(before), 0.0);  // bitwise no-op
+  EXPECT_TRUE(same_bits(chol.packed(), before.packed()));  // bitwise no-op
   chol.rank_downdate(std::span<double>(zero));
-  EXPECT_EQ(chol.factor().max_abs_diff(before), 0.0);
+  EXPECT_TRUE(same_bits(chol.packed(), before.packed()));
 }
 
 TEST(DenseCholesky, AppendRowMatchesRefactorization) {
@@ -457,7 +593,7 @@ TEST(DenseCholesky, AppendRowMatchesRefactorization) {
 
   const DenseCholesky ref(full);
   EXPECT_EQ(chol.dim(), n + 1);
-  EXPECT_LT(chol.factor().max_abs_diff(ref.factor()), 1e-10);
+  EXPECT_LT(max_packed_diff(chol, ref), 1e-10);
 }
 
 TEST(DenseCholesky, AppendRowRejectsNonSpdExtension) {
@@ -469,6 +605,144 @@ TEST(DenseCholesky, AppendRowRejectsNonSpdExtension) {
   for (std::size_t i = 0; i < n; ++i) a_col[i] = 50.0 * (a(0, 0) + 1.0);
   a_col[n] = 1e-9;  // tiny diagonal under a huge coupled row: not SPD
   EXPECT_THROW(chol.append_row(a_col), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// Packed storage: every kernel must reproduce, bit for bit, the loops it ran
+// when L was stored square, at sizes that are not multiples of the 64-row
+// block or the 8-row solve group.
+// ---------------------------------------------------------------------------
+
+TEST(DenseCholeskyPacked, FactorMatchesSquareStorageLoopsBitwise) {
+  for (const std::size_t n : kPackedSizes) {
+    Rng rng(700 + n);
+    const Matrix a = random_spd(n, rng);
+    const DenseCholesky chol(a);
+    ASSERT_EQ(chol.packed().size(), n * (n + 1) / 2) << "n " << n;
+    EXPECT_TRUE(same_bits(chol.packed(), pack(square_factor(a)))) << "n " << n;
+    // The upper triangle is never read: garbage there changes nothing.
+    Matrix junk = a;
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = i + 1; j < n; ++j) junk(i, j) = 1e300;
+    EXPECT_TRUE(same_bits(DenseCholesky(junk).packed(), chol.packed()))
+        << "n " << n;
+  }
+}
+
+TEST(DenseCholeskyPacked, SolvesMatchTextbookLoopsBitwiseAtEverySplit) {
+  for (const std::size_t n : kPackedSizes) {
+    Rng rng(710 + n);
+    const DenseCholesky chol(random_spd(n, rng));
+    const Matrix l = square(chol);
+    const auto rhs = rng.normal_vector(n);
+    std::vector<double> fwd(rhs);
+    textbook_forward_solve(l, fwd);
+    // forward_solve_range over [0, s) then [s, n), for every split s.
+    for (std::size_t split = 0; split <= n; ++split) {
+      std::vector<double> b(rhs);
+      chol.forward_solve_range(std::span<double>(b), 0, split);
+      chol.forward_solve_range(std::span<double>(b), split, n);
+      ASSERT_TRUE(same_bits(b, fwd)) << "n " << n << ", split " << split;
+    }
+    // backward_solve_prefix at every prefix, on the forward solution.
+    for (std::size_t p = 0; p <= n; ++p) {
+      std::vector<double> want(fwd), got(fwd);
+      textbook_backward_solve(l, want, p);
+      chol.backward_solve_prefix(std::span<double>(got), p);
+      ASSERT_TRUE(same_bits(got, want)) << "n " << n << ", prefix " << p;
+    }
+  }
+}
+
+TEST(DenseCholeskyPacked, RankUpdateAndDowndateMatchSquareStorageLoopsBitwise) {
+  for (const std::size_t n : kPackedSizes) {
+    Rng rng(720 + n);
+    const Matrix base = random_spd(n, rng);
+    const auto u = rng.normal_vector(n);
+    Matrix a = base;
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) a(i, j) += u[i] * u[j];
+
+    DenseCholesky up(base);
+    Matrix up_ref = square_factor(base);
+    std::vector<double> work(u);
+    up.rank_update(std::span<double>(work));
+    square_rank_edit(up_ref, u, 1.0);
+    EXPECT_TRUE(same_bits(up.packed(), pack(up_ref))) << "update, n " << n;
+
+    DenseCholesky down(a);
+    Matrix down_ref = square_factor(a);
+    work = u;
+    down.rank_downdate(std::span<double>(work));
+    square_rank_edit(down_ref, u, -1.0);
+    EXPECT_TRUE(same_bits(down.packed(), pack(down_ref)))
+        << "downdate, n " << n;
+  }
+}
+
+TEST(DenseCholeskyPacked, AppendRowMatchesSquareStorageLoopBitwise) {
+  for (const std::size_t n : kPackedSizes) {
+    Rng rng(730 + n);
+    const Matrix full = random_spd(n + 1, rng);
+    Matrix leading(n, n);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) leading(i, j) = full(i, j);
+    std::vector<double> a_col(n + 1);
+    for (std::size_t i = 0; i <= n; ++i) a_col[i] = full(n, i);
+
+    DenseCholesky chol(leading);
+    chol.append_row(a_col);
+    ASSERT_EQ(chol.dim(), n + 1);
+    EXPECT_TRUE(same_bits(
+        chol.packed(), pack(square_append_row(square_factor(leading), a_col))))
+        << "n " << n;
+  }
+}
+
+TEST(DenseCholesky, AppendRowRefusalLeavesTheFactor) {
+  Rng rng(38);
+  const std::size_t n = 6;
+  const Matrix a = random_spd(n, rng);
+  DenseCholesky chol(a);
+  const DenseCholesky before = chol;
+  std::vector<double> a_col(n + 1, 0.0);
+  for (std::size_t i = 0; i < n; ++i) a_col[i] = 50.0 * (a(0, 0) + 1.0);
+  a_col[n] = 1e-9;
+  EXPECT_THROW(chol.append_row(a_col), std::runtime_error);
+  EXPECT_EQ(chol.dim(), n);
+  EXPECT_TRUE(same_bits(chol.packed(), before.packed()));
+}
+
+TEST(DenseCholesky, FromFactorAdoptsPackedRowsAndRefusesBadOnes) {
+  Rng rng(39);
+  const std::size_t n = 65;
+  const DenseCholesky chol(random_spd(n, rng));
+  const std::vector<double> packed(chol.packed().begin(), chol.packed().end());
+  const DenseCholesky back = DenseCholesky::from_factor(n, packed);
+  EXPECT_TRUE(same_bits(back.packed(), chol.packed()));
+  const auto rhs = rng.normal_vector(n);
+  std::vector<double> x1(rhs), x2(rhs);
+  chol.solve_in_place(std::span<double>(x1));
+  back.solve_in_place(std::span<double>(x2));
+  EXPECT_TRUE(same_bits(x1, x2));
+
+  // A wrong length: one entry short, one long, and a square n x n payload.
+  for (const std::size_t len :
+       {packed.size() - 1, packed.size() + 1, n * n}) {
+    std::vector<double> bad(packed);
+    bad.resize(len, 1.0);
+    EXPECT_THROW((void)DenseCholesky::from_factor(n, bad),
+                 std::invalid_argument)
+        << len << " entries";
+  }
+  // A zero or NaN diagonal entry (row 40's, at offset 40 * 41 / 2 + 40).
+  for (const double d : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    std::vector<double> bad(packed);
+    bad[40 * 41 / 2 + 40] = d;
+    EXPECT_THROW((void)DenseCholesky::from_factor(n, bad), std::runtime_error)
+        << "diagonal " << d;
+  }
+  EXPECT_EQ(DenseCholesky::from_factor(0, {}).dim(), 0u);
 }
 
 TEST(BandedMatrix, MultiplyMatchesDense) {
