@@ -221,7 +221,6 @@ DigitalTwin::DigitalTwin(const TwinConfig& config)
 
   // Spatial prior on the seafloor parameter grid; nominal node spacings.
   const auto [grid_nx, grid_ny] = parameter_grid(cfg_);
-  nm_ = grid_nx * grid_ny;
   const double hx = mesh_->length_x() / static_cast<double>(grid_nx - 1);
   const double hy = mesh_->length_y() / static_cast<double>(grid_ny - 1);
   prior_ = std::make_unique<MaternPrior>(grid_nx, grid_ny, hx, hy, cfg_.prior);
@@ -458,13 +457,14 @@ const P2oMap& DigitalTwin::p2q() const {
 
 std::vector<double> DigitalTwin::displacement_field(
     std::span<const double> m) const {
+  const std::size_t nm = prior_->dim();
   const std::size_t nt = time_.num_intervals;
-  if (m.size() != nm_ * nt)
+  if (m.size() != nm * nt)
     throw std::invalid_argument("displacement_field: size mismatch");
-  std::vector<double> b(nm_, 0.0);
+  std::vector<double> b(nm, 0.0);
   const double dt = time_.interval();
   for (std::size_t i = 0; i < nt; ++i)
-    for (std::size_t r = 0; r < nm_; ++r) b[r] += dt * m[i * nm_ + r];
+    for (std::size_t r = 0; r < nm; ++r) b[r] += dt * m[i * nm + r];
   return b;
 }
 

@@ -238,8 +238,9 @@ class DigitalTwin {
   [[nodiscard]] TimerRegistry& timers() { return timers_; }
   [[nodiscard]] const TimerRegistry& timers() const { return timers_; }
 
+  /// Nm Nt: one field on the prior's seafloor grid per interval.
   [[nodiscard]] std::size_t parameter_dim() const {
-    return nm_ * time_.num_intervals;
+    return prior_->dim() * time_.num_intervals;
   }
   [[nodiscard]] std::size_t data_dim() const {
     return cfg_.num_sensors * time_.num_intervals;
@@ -276,7 +277,6 @@ class DigitalTwin {
   Bathymetry bathy_;
   std::unique_ptr<HexMesh> mesh_;
   std::unique_ptr<WaveModel> wave_;
-  std::size_t nm_ = 0;  ///< seafloor parameter nodes, from the config
   TimeGrid time_;
   std::unique_ptr<MaternPrior> prior_;
 

@@ -20,9 +20,6 @@ constexpr std::size_t kRows = 8;
 /// Rows per diagonal block of the right-looking factorization.
 constexpr std::size_t kBlock = 64;
 
-/// Start of packed row i: rows 0..i-1 hold 1 + 2 + ... + i entries.
-constexpr std::size_t row_offset(std::size_t i) { return i * (i + 1) / 2; }
-
 /// Shared multi-RHS driver: apply `solve_column` to each column of `b`
 /// (parallel over columns, contiguous per-column scratch).
 template <typename Solver>

@@ -118,7 +118,7 @@ class DenseCholesky {
 
   /// Row i of L up to its diagonal: L(i, 0..i), i + 1 entries.
   [[nodiscard]] std::span<const double> row(std::size_t i) const {
-    return {l_.data() + i * (i + 1) / 2, i + 1};
+    return {l_.data() + row_offset(i), i + 1};
   }
   /// The whole factor, packed by rows: n(n+1)/2 entries.
   [[nodiscard]] std::span<const double> packed() const { return l_; }
@@ -126,6 +126,11 @@ class DenseCholesky {
 
  private:
   DenseCholesky() = default;  ///< for from_factor
+
+  /// Start of packed row i: rows 0..i-1 hold 1 + 2 + ... + i entries.
+  static constexpr std::size_t row_offset(std::size_t i) {
+    return i * (i + 1) / 2;
+  }
 
   std::size_t n_ = 0;
   std::vector<double> l_;  ///< lower triangle, row i at offset i(i+1)/2

@@ -331,7 +331,6 @@ TEST(DenseCholesky, ForwardSolveRangeResumesExactly) {
   EXPECT_EQ(chunked, full);
 }
 
-
 TEST(DenseCholesky, ForwardSolveRangeMatchesTextbookLoopBitwise) {
   // forward_solve_range solves its rows in groups that share the loads of
   // b; every row must still take the textbook sequence of operations, so
