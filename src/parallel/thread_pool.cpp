@@ -43,6 +43,11 @@ struct Job {
   Job* next = nullptr;  ///< job-queue link (guarded by queue_mutex)
 };
 
+/// What an open handoff slot holds (only its address is used): its worker
+/// spins and accepts a job.
+Job open_marker;
+Job* const kOpen = &open_marker;
+
 /// State of one in-flight run() loop, shared by the caller and its helper
 /// jobs. Items are claimed via `next`; completion is `done == nitems`.
 struct LoopState {
@@ -98,7 +103,11 @@ void work_on(LoopState& state) {
 }
 
 struct Worker {
-  std::size_t index = 0;
+  /// One-job handoff slot, alone on its cache line (submitters peek at it on
+  /// every submit): null while the worker runs a job or sleeps, kOpen while
+  /// it spins and accepts a job, else the job a submitter handed it.
+  alignas(64) std::atomic<Job*> slot{nullptr};
+  alignas(64) std::size_t index = 0;
   // Per-worker observability counters; relaxed atomics so worker_stats()
   // can read them while the worker runs.
   std::atomic<std::uint64_t> jobs{0};
@@ -123,32 +132,48 @@ struct ThreadPool::Impl {
   std::size_t threads = 1;
   std::vector<std::unique_ptr<Worker>> workers;
 
-  // The one FIFO every job goes through: submit() jobs and run() helpers,
-  // from any thread. Linked through Job::next, so an enqueue allocates
-  // nothing beyond the Job itself.
+  // The FIFO behind the handoff slots: every job no open slot took, from
+  // any thread. Linked through Job::next, so an enqueue allocates nothing
+  // beyond the Job itself.
   std::mutex queue_mutex;
   Job* queue_head = nullptr;
   Job* queue_tail = nullptr;
   std::size_t queued = 0;  ///< jobs in the FIFO (guarded by queue_mutex)
 
-  // Idle protocol. `signals` is bumped on every job submission; a worker
-  // snapshots it before its final empty re-check, then waits for it to
-  // change: first spinning (at most one worker, the holder of `spinning`),
-  // then parked on wake_cv (counted in `sleepers`). All of signals,
-  // spinning and sleepers are seq_cst, and each side stores before it
-  // loads, so of a submitter (bump signals, then read spinning and
-  // sleepers) and a worker going idle (set spinning or sleepers, then read
-  // signals) at least one sees the other:
-  //   * a submitter that sees a spinner skips the wakeup; the spinner sees
-  //     the bump before it clears `spinning` or in its re-read after;
-  //   * a submitter that sees no sleeper skips the wakeup; a worker that
-  //     parks later sees the bump in its wait predicate;
-  //   * otherwise the submitter takes wake_mutex (so a sleeper is either
-  //     before its predicate check or inside wait) and notifies one.
+  // Idle protocol. A worker that finds the FIFO empty snapshots `signals`
+  // (bumped on every FIFO enqueue), re-checks the FIFO, then opens its
+  // handoff slot and spins until the slot holds a job, `signals` moves or
+  // kSpinWindow runs out. It closes the slot, and parks on wake_cv (counted
+  // in `sleepers`) only if `signals` has not moved. `open_slots` counts open
+  // slots and never exceeds the number that hold kOpen: an owner stores
+  // kOpen before it counts its slot, and whoever closes a slot (the
+  // submitter that fills it or the owner that shuts it) uncounts it before
+  // its CAS and counts it back if the CAS fails.
+  //
+  // A submit CASes its job into the lowest-index open slot; with none open
+  // it enqueues, bumps `signals` and wakes one parked worker unless
+  // `open_slots` > 0. No job is lost:
+  //   * a handed-off job is read by its slot's owner in the spin, or found
+  //     by the owner's failed close CAS;
+  //   * for a FIFO job, signals, open_slots, sleepers and the slot CASes
+  //     are seq_cst and each side stores before it loads, so of a submitter
+  //     (bump signals, then read open_slots and sleepers) and a worker going
+  //     idle (open or park, then read signals) at least one sees the other:
+  //     - a submitter that reads open_slots > 0 skips the wakeup: some slot
+  //       held kOpen at that read. If its owner closes it, the owner's
+  //       re-read of signals after the close sees the bump. If a submitter
+  //       fills it, the owner reads signals after it takes the handed job
+  //       and wakes a parked worker for the FIFO job;
+  //     - a submitter that sees no sleeper skips the wakeup; a worker that
+  //       parks later sees the bump in its wait predicate;
+  //     - otherwise the submitter takes wake_mutex (so a sleeper is either
+  //       before its predicate check or inside wait) and notifies one.
+  //   A worker whose snapshot already counts the bump re-checks the FIFO
+  //   after it, and the bump publishes the enqueue, so it finds the job.
   std::mutex wake_mutex;
   std::condition_variable wake_cv;
   std::atomic<std::uint64_t> signals{0};
-  std::atomic<bool> spinning{false};
+  std::atomic<std::int64_t> open_slots{0};
   std::atomic<std::size_t> sleepers{0};
   std::atomic<bool> stop{false};
 
@@ -165,13 +190,39 @@ struct ThreadPool::Impl {
     // mo: relaxed — inflight is a pure count; the paired acq_rel decrement
     // in execute() orders the idle handoff.
     inflight.fetch_add(1, std::memory_order_relaxed);
+    if (hand_off(job)) return;
     enqueue(job);
     // mo: seq_cst — the submitter's store of the store-then-load pair in
     // the Impl comment (queue_mutex publishes the job itself); the
-    // spinning/sleepers reads are its loads.
+    // open_slots/sleepers reads are its loads.
     signals.fetch_add(1, std::memory_order_seq_cst);
-    if (spinning.load(std::memory_order_seq_cst)) return;
+    if (open_slots.load(std::memory_order_seq_cst) > 0) return;
     wake_sleepers(/*all=*/false);
+  }
+
+  /// CASes `job` into the lowest-index open slot; false when none took it.
+  bool hand_off(Job* job) {
+    // mo: relaxed — a hint that skips the scan; a stale 0 only sends the
+    // job to the FIFO, whose protocol stands on its own (Impl comment).
+    if (open_slots.load(std::memory_order_relaxed) <= 0) return false;
+    for (const auto& w : workers) {
+      // mo: relaxed — a read-only peek, so a busy worker's slot line stays
+      // shared; the CAS below decides.
+      if (w->slot.load(std::memory_order_relaxed) != kOpen) continue;
+      // mo: seq_cst — uncount before the CAS, so open_slots never exceeds
+      // the slots that hold kOpen (Impl comment).
+      open_slots.fetch_sub(1, std::memory_order_seq_cst);
+      Job* open = kOpen;
+      // mo: seq_cst — the release half hands the job to the slot's owner;
+      // seq_cst keeps the uncount before it in the protocol's total order.
+      if (w->slot.compare_exchange_strong(open, job, std::memory_order_seq_cst,
+                                          std::memory_order_relaxed))
+        return true;
+      // mo: seq_cst — the owner closed the slot or another submitter
+      // filled it first; count it back (Impl comment).
+      open_slots.fetch_add(1, std::memory_order_seq_cst);
+    }
+    return false;
   }
 
   /// Wakes one (or every) parked worker, if any is parked.
@@ -230,25 +281,24 @@ struct ThreadPool::Impl {
     }
   }
 
-  /// Spins until `signals` moves past `seen` or kSpinWindow runs out,
-  /// unless another worker holds the spinner role. Returns the
-  /// number of submissions since `seen`, read after the role is released
-  /// (0: park). A burst that arrived during the spin skipped its wakeups,
-  /// so the spinner wakes the parked workers for the jobs it cannot run.
-  std::uint64_t spin(Worker& me, std::uint64_t seen) {
-    bool idle = false;
-    // mo: seq_cst — the worker's store of the store-then-load pair (Impl
-    // comment): a submitter that misses this CAS's `true` notifies.
-    if (!spinning.compare_exchange_strong(idle, true,
-                                          std::memory_order_seq_cst,
-                                          std::memory_order_relaxed))
-      return 0;
+  /// Opens the worker's slot and spins until a submitter hands it a job,
+  /// `signals` moves past `seen` or kSpinWindow runs out, then closes the
+  /// slot. Returns the handed job, or null (the caller re-reads signals).
+  Job* spin(Worker& me, std::uint64_t seen) {
+    // mo: seq_cst — the worker's stores of the store-then-load pair (Impl
+    // comment): kOpen first, then the count, so open_slots never exceeds
+    // the slots that hold kOpen.
+    me.slot.store(kOpen, std::memory_order_seq_cst);
+    open_slots.fetch_add(1, std::memory_order_seq_cst);
     const auto t0 = std::chrono::steady_clock::now();
     const auto deadline = t0 + ThreadPool::kSpinWindow;
     auto now = t0;
-    // mo: seq_cst — acquires the submitted job (the protocol's loads are
-    // all seq_cst; Impl comment).
-    while (signals.load(std::memory_order_seq_cst) == seen && now < deadline) {
+    Job* job = kOpen;
+    // mo: seq_cst — the slot read acquires a handed job; the signals read
+    // acquires a FIFO job (the protocol's loads are all seq_cst; Impl
+    // comment).
+    while ((job = me.slot.load(std::memory_order_seq_cst)) == kOpen &&
+           signals.load(std::memory_order_seq_cst) == seen && now < deadline) {
       cpu_relax();
       now = std::chrono::steady_clock::now();
     }
@@ -256,14 +306,29 @@ struct ThreadPool::Impl {
     me.spin_ns.fetch_add(
         std::chrono::duration_cast<std::chrono::nanoseconds>(now - t0).count(),
         std::memory_order_relaxed);
-    // mo: seq_cst — releasing the role, then re-reading signals: every
-    // submitter that saw the role held bumped signals before this store,
-    // so the re-read counts it (Impl comment).
-    spinning.store(false, std::memory_order_seq_cst);
+    if (job == kOpen) {
+      // mo: seq_cst — uncount before the closing CAS (Impl comment).
+      open_slots.fetch_sub(1, std::memory_order_seq_cst);
+      // mo: seq_cst — the close; a failure acquires the job that landed.
+      if (me.slot.compare_exchange_strong(job, nullptr,
+                                          std::memory_order_seq_cst,
+                                          std::memory_order_seq_cst))
+        return nullptr;
+      // mo: seq_cst — the filling submitter uncounted the slot already;
+      // count back this worker's uncount (Impl comment).
+      open_slots.fetch_add(1, std::memory_order_seq_cst);
+    }
+    // mo: relaxed — only a slot holding kOpen is ever CASed, so nothing
+    // races this reset of a slot that holds a job.
+    me.slot.store(nullptr, std::memory_order_relaxed);
+    // A FIFO submit in the open window may have skipped its wakeup because
+    // this slot was open; this worker now runs the handed job, so it wakes
+    // a parked worker in its place.
+    // mo: seq_cst — read after the slot read above (Impl comment).
     const std::uint64_t arrived =
         signals.load(std::memory_order_seq_cst) - seen;
-    if (arrived > 1) wake_sleepers(/*all=*/true);
-    return arrived;
+    if (arrived > 0) wake_sleepers(/*all=*/arrived > 1);
+    return job;
   }
 
   void worker_main(Worker& me) {
@@ -281,7 +346,12 @@ struct ThreadPool::Impl {
         execute(me, job);
         continue;
       }
-      if (spin(me, seen) > 0) continue;
+      if (Job* job = spin(me, seen)) {
+        execute(me, job);
+        continue;
+      }
+      // mo: seq_cst — the re-read after the close (Impl comment).
+      if (signals.load(std::memory_order_seq_cst) != seen) continue;
       // mo: seq_cst — the parking worker's store-then-load pair (Impl
       // comment): registered here, then the predicate reads signals.
       sleepers.fetch_add(1, std::memory_order_seq_cst);
@@ -310,9 +380,13 @@ struct ThreadPool::Impl {
     workers.clear();
     workers.reserve(n);
     spawned_at = std::chrono::steady_clock::now();
+    // Every Worker exists before any thread starts: a job a new worker runs
+    // may submit, and the handoff scan reads the whole list.
     for (std::size_t i = 0; i < n; ++i) {
-      Worker* self = workers.emplace_back(std::make_unique<Worker>()).get();
-      self->index = i;
+      workers.emplace_back(std::make_unique<Worker>())->index = i;
+    }
+    for (const auto& w : workers) {
+      Worker* self = w.get();
       self->thread = std::thread([this, self] { worker_main(*self); });
     }
   }

@@ -9,14 +9,22 @@
 // sweep share one set of threads instead of oversubscribing the machine).
 //
 // Scheduling: every job — a submit()ted job or a run() loop's helper, from
-// any thread — goes through one mutex-guarded FIFO that all workers pop. A
-// worker that finds it empty first spins on the pool's submission counter
-// for up to kSpinWindow, then parks on a condition variable. At most one
-// worker spins at a time, so an idle pool burns at most one core for one
-// window before every worker sleeps. A submit skips the wakeup while a
-// spinner is active (the spinner wakes parked workers if a burst arrived);
-// otherwise it wakes one parked worker. The submission counter is a generation count, so no submit can
-// race a worker into missing its wakeup.
+// any thread — takes one path. Each worker has a one-job handoff slot; a
+// worker that finds no work opens its slot and spins on it for up to
+// kSpinWindow, then closes it and parks on a condition variable. A submit
+// CASes its job into the lowest-index open slot, so a burst of up to
+// num_threads() jobs starts on spinning workers with no lock and no
+// syscall, and a light stream stays on one warm worker. Only when no slot
+// is open does the job go to a mutex-guarded FIFO that all workers pop;
+// that submit wakes one parked worker unless some slot is still open (its
+// spinner sees the FIFO's submission counter move). The counter is a
+// generation count, so no submit can race a worker into missing its
+// wakeup.
+//
+// The cost: every idle worker spins, so an idle pool burns up to one core
+// per worker for one window after its last job, then every worker sleeps.
+// A stream of jobs closer together than the window keeps every worker
+// awake, which is the price of starting a burst at once.
 //
 // Determinism contract (load-balancing without result drift): `run()` splits
 // work into ITEMS whose count the caller derives only from the problem size
@@ -62,12 +70,13 @@ class ThreadPool {
   /// OMP_NUM_THREADS, then hardware_concurrency) on first use.
   static ThreadPool& global();
 
-  /// How long an idle worker spins before it parks. A park/unpark round
-  /// trip (the submitter's futex wake plus the sleeper's reschedule) costs
-  /// about 9.5 us on a 4-vCPU x86-64 host, most of a service tick whose
-  /// math takes 3 us. The window must cover the gap between arrivals it is
-  /// meant to catch: about 31 us for a 32k ticks/s feed, where 20 us caught
-  /// too few and 50-150 us all caught nearly every tick.
+  /// How long an idle worker spins before it parks. Waking a parked worker
+  /// costs the submitter a futex call of 0.5 us at p50 but 10.9 us at p90,
+  /// and the woken worker starts 6-8 us after it on a 4-vCPU x86-64 host,
+  /// more than a service tick whose math takes 3 us. The window must cover
+  /// the gap between arrivals it is meant to catch: about 31 us for a 32k
+  /// ticks/s feed, where 20 us caught too few and 50-150 us all caught
+  /// nearly every tick.
   static constexpr std::chrono::microseconds kSpinWindow{100};
 
   /// Environment-resolved default worker count (>= 1).
@@ -91,7 +100,9 @@ class ThreadPool {
   /// the determinism tests and the scaling bench.
   void resize(std::size_t threads);
 
-  /// Jobs waiting in the queue right now (read under the queue's mutex).
+  /// Jobs waiting in the FIFO right now (read under the queue's mutex). A
+  /// job handed to a spinning worker's slot never queues, so it is not
+  /// counted.
   [[nodiscard]] std::size_t queue_depth() const;
 
   /// Point-in-time counters of one worker thread, indexed [0, num_threads()).

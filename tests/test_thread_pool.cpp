@@ -2,10 +2,12 @@
 // under load, exception propagation out of parallel loops (and that the
 // pool survives it), nested parallel_for without deadlock, fire-and-forget
 // submit under heavy oversubscription, jobs submitted from inside a job
-// running on other workers, resize semantics, and the spin-then-park idle
-// protocol (every job of a stream runs once whatever its gaps, an idle pool
-// parks, at most one worker spins). This suite is part of the
-// ThreadSanitizer CI job: the job queue and the sleep protocol are exactly
+// running on other workers, resize semantics, and the handoff-spin-park
+// idle protocol (every job of a stream runs once whatever its gaps and
+// however many threads submit it, a burst wakes the parked workers its
+// open slots cannot take, an idle pool parks, each worker spins at most
+// one window past the stream). This suite is part of the ThreadSanitizer CI
+// job: the handoff slots, the job queue and the sleep protocol are exactly
 // the code TSan must see clean.
 
 #include <gtest/gtest.h>
@@ -183,29 +185,84 @@ TEST(ThreadPoolTest, ResizePreservesPendingJobs) {
   EXPECT_EQ(ran.load(), 101);
 }
 
+/// Submits kJobs jobs from `submitters` threads, each pausing 0, 1/2, 1
+/// and 2 spin windows in turn before its submits, and returns how many
+/// jobs did not run exactly once.
+std::size_t jobs_not_run_once(ThreadPool& pool, std::size_t submitters) {
+  constexpr std::size_t kJobs = 10000;
+  const std::chrono::nanoseconds gaps[] = {std::chrono::nanoseconds{0},
+                                           kWindow / 2, kWindow, 2 * kWindow};
+  std::vector<std::atomic<int>> runs(kJobs);
+  std::vector<std::thread> threads;
+  for (std::size_t s = 0; s < submitters; ++s) {
+    threads.emplace_back([&, s] {
+      for (std::size_t i = s; i < kJobs; i += submitters) {
+        busy_wait(gaps[(i / submitters) % 4]);
+        pool.submit(
+            [&runs, i] { runs[i].fetch_add(1, std::memory_order_relaxed); });
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  pool.wait_idle();
+  std::size_t wrong = 0;
+  for (const auto& r : runs)
+    if (r.load(std::memory_order_relaxed) != 1) ++wrong;
+  return wrong;
+}
+
 TEST(ThreadPoolTest, JobStreamAcrossTheSpinWindowRunsEveryJobOnce) {
-  // One external submitter (this thread), gaps of 0, 1/2, 1 and 2 spin
-  // windows in turn: jobs land on a spinning worker, on the window's edge
-  // (the spinner releasing its role as the submit skips or sends the
-  // wakeup) and on a parked pool. A lost wakeup would strand a job and
-  // hang wait_idle.
+  // One submitter, gaps of 0, 1/2, 1 and 2 spin windows in turn: jobs land
+  // in a spinning worker's slot, on the window's edge (the owner closing its
+  // slot as the submit fills it or falls back to the FIFO) and on a parked
+  // pool. A lost wakeup would strand a job and hang wait_idle.
   for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
     ThreadPool pool(workers);
-    constexpr std::size_t kJobs = 10000;
-    const std::chrono::nanoseconds gaps[] = {std::chrono::nanoseconds{0},
-                                             kWindow / 2, kWindow, 2 * kWindow};
-    std::vector<std::atomic<int>> runs(kJobs);
-    for (std::size_t i = 0; i < kJobs; ++i) {
-      busy_wait(gaps[i % 4]);
-      pool.submit(
-          [&runs, i] { runs[i].fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.wait_idle();
-    std::size_t wrong = 0;
-    for (const auto& r : runs)
-      if (r.load(std::memory_order_relaxed) != 1) ++wrong;
-    EXPECT_EQ(wrong, 0u) << workers << " workers";
+    EXPECT_EQ(jobs_not_run_once(pool, 1), 0u) << workers << " workers";
   }
+}
+
+TEST(ThreadPoolTest, JobStreamFromFourSubmittersRunsEveryJobOnce) {
+  // The same stream from four threads at once: submitters race each other
+  // for one open slot and race its owner's close, and FIFO submits race the
+  // slot fills that can leave their skipped wakeup to the slot's owner.
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+    ThreadPool pool(workers);
+    EXPECT_EQ(jobs_not_run_once(pool, 4), 0u) << workers << " workers";
+  }
+}
+
+TEST(ThreadPoolTest, BurstWakesParkedWorkers) {
+  // A parked 4-worker pool runs one job, whose worker then spins with its
+  // slot open; a burst of 4 jobs right after it fills that slot and sends
+  // the rest to the FIFO. Each job waits (up to a deadline) until all 4
+  // have started, so all 4 start only if the jobs no slot took woke parked
+  // workers: a job left queued behind the waiting ones holds them to the
+  // deadline.
+  ThreadPool pool(4);
+  pool.submit([] {});
+  pool.wait_idle();
+  std::this_thread::sleep_for(10 * kWindow);  // every worker has parked
+  std::atomic<bool> first_ran{false};
+  pool.submit([&] { first_ran.store(true, std::memory_order_release); });
+  while (!first_ran.load(std::memory_order_acquire)) {
+  }
+  constexpr int kBurst = 4;
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  std::atomic<int> started{0};
+  std::atomic<int> saw_all{0};
+  for (int i = 0; i < kBurst; ++i) {
+    pool.submit([&] {
+      started.fetch_add(1, std::memory_order_relaxed);
+      while (started.load(std::memory_order_relaxed) < kBurst &&
+             Clock::now() < deadline)
+        std::this_thread::yield();
+      if (started.load(std::memory_order_relaxed) == kBurst)
+        saw_all.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  pool.wait_idle();
+  EXPECT_EQ(saw_all.load(), kBurst) << "a burst job waited for a wakeup";
 }
 
 TEST(ThreadPoolTest, IdlePoolParks) {
@@ -221,12 +278,11 @@ TEST(ThreadPoolTest, IdlePoolParks) {
   EXPECT_LT(idle_cpu, 5e-3) << "an idle pool kept spinning";
 }
 
-TEST(ThreadPoolTest, AtMostOneWorkerSpins) {
+TEST(ThreadPoolTest, SpinIsBoundedByOneWindowPerWorker) {
   // Jobs every quarter window keep the idle workers of a 4-worker pool
-  // wanting to spin. Spin intervals are disjoint when only one worker
-  // holds the spinner role, so their sum cannot exceed the stream's wall
-  // time (plus one window of slack); three spinning workers would sum to
-  // about three times it.
+  // spinning. Each worker's spin intervals are disjoint and each ends at
+  // most one window after the last job, so the pool's total spin cannot
+  // exceed num_threads() times the stream's wall time plus one window.
   ThreadPool pool(4);
   pool.submit([] {});
   pool.wait_idle();
@@ -238,11 +294,13 @@ TEST(ThreadPoolTest, AtMostOneWorkerSpins) {
     pool.submit([] {});
   }
   pool.wait_idle();
+  std::this_thread::sleep_for(2 * kWindow);  // every spin has ended
   const double spun = total_spin_seconds(pool) - spin0;
-  const double wall =
+  const double wall_plus_window =
       std::chrono::duration<double>(Clock::now() - t0 + kWindow).count();
   EXPECT_GT(spun, 0.0);
-  EXPECT_LE(spun, wall);
+  EXPECT_LE(spun,
+            static_cast<double>(pool.num_threads()) * wall_plus_window);
 }
 
 TEST(ThreadPoolTest, ChunkGridIsIndependentOfWorkerCount) {

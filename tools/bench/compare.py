@@ -18,9 +18,10 @@ is worse than the baseline median by more than the bound. Each line also
 says whether the median moved by more than the baseline's interquartile
 range and, for the two halves of one file, in how many seed-matched pairs
 the change was better. The per-layer metrics of the traced runs follow,
-for information, headed, where the file records them, by each side's
-traced-run host steal and how many traced runs it was kept from (a table
-recorded over the 2% limit is marked), and followed by each side's median
+for information: each the median over a side's traced seeds (one seed
+before pr-35), headed, where the file records them, by each side's
+largest kept traced-run host steal and how many traced runs it made (a
+table recorded over the 2% limit is marked), and followed by each side's median
 host steal over its untraced runs, how many of those runs went past the 2%
 validity limit (twinbench reports the attempt with the least steal once
 all six were over it) and how many made more than one attempt. Where both
@@ -182,15 +183,18 @@ def compare_history(paths, benchmark_path):
         shared = [m["name"] for m in spec["per_layer"]
                   if m["name"] in b_l and m["name"] in c_l]
         if shared:
-            print("  per-layer (one traced run per side):")
+            seeds = [len(w.get("traced_seeds", [None])) for w in (b_w, c_w)]
+            print("  per-layer (traced seeds per side, each metric their "
+                  f"median: baseline {seeds[0]}, current {seeds[1]}):")
             over = False
             for side, w in (("baseline", b_w), ("current", c_w)):
                 steal = w.get("traced_steal_pct")
                 if steal is None:
                     continue
                 over = over or steal > STEAL_LIMIT_PCT
-                print(f"    {side} traced run: host steal {steal:.2f}%, "
-                      f"kept from {w.get('traced_runs', 1)} run(s)")
+                print(f"    {side} traced runs: host steal {steal:.2f}% "
+                      f"(the most of the kept runs), "
+                      f"{w.get('traced_runs', 1)} run(s) made")
             if over:
                 print(f"    OVER THE {STEAL_LIMIT_PCT:g}% STEAL LIMIT: only "
                       "in-process probes (core.*, linalg.*) compare")

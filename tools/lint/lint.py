@@ -469,11 +469,12 @@ def atomics_doc(sites, exemptions) -> str:
         "`lint_atomics_doc` CTest fails when this table is stale, so the doc",
         "is always in sync with the code.",
         "",
-        "The pool's idle protocol in `src/parallel/thread_pool.cpp`",
-        "(`signals`, `spinning`, `sleepers`) uses `seq_cst` by documented",
-        "exemption (see `tools/lint/exemptions.txt`): its store-then-load",
-        "pairs need it, because a submitter and a worker going idle must not",
-        "both miss each other's store.",
+        "The pool's handoff and idle protocol in",
+        "`src/parallel/thread_pool.cpp` (`signals`, `open_slots`, each",
+        "worker's `slot`, `sleepers`) uses `seq_cst` by documented exemption",
+        "(see `tools/lint/exemptions.txt`): its store-then-load pairs need it,",
+        "because a submitter and a worker going idle must not both miss each",
+        "other's store.",
         "",
         "| File | Operation | Order | Rationale |",
         "|---|---|---|---|",
