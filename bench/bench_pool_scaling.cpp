@@ -24,6 +24,13 @@
 // worker can land on a busy CPU (the submitter's, or another worker's) and
 // wait there for milliseconds, so the cases would measure its placement,
 // not the pool.
+//
+// A parked start also depends on how long the worker has been parked, not
+// only on the pool's wakeup path: on a 4-vCPU x86-64 VM, 4 workers started
+// 7-8 us after their submits when they had parked about one window before
+// the burst, and 17-21 us after ten windows of idle. So handoff_parked
+// compares two pools fairly only if their workers park at the same time
+// after a burst.
 
 #include <pthread.h>
 #include <sched.h>

@@ -96,8 +96,10 @@ class ThreadPool {
 
   /// Joins all workers and respawns `threads` (0 = default_threads()) of
   /// them. Pending submitted jobs are preserved and picked up by the new
-  /// workers. Caller must ensure no run() loop is in flight. Intended for
-  /// the determinism tests and the scaling bench.
+  /// workers. Caller must ensure no run() loop is in flight and no thread
+  /// outside the pool calls submit() meanwhile (a submit scans the worker
+  /// list for an open slot). Intended for the determinism tests and the
+  /// scaling bench.
   void resize(std::size_t threads);
 
   /// Jobs waiting in the FIFO right now (read under the queue's mutex). A
